@@ -30,7 +30,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     help="extra closed-form template for the h parts, added to "
                     "the default library; repeatable")
     an.add_argument("--branch", choices=("both", "zero", "nonzero"),
-                    default="both", help="chi2 branch selection")
+                    default="both",
+                    help="both: solve with chi2 free; zero: add the row "
+                    "chi2 = 0; nonzero: as both, reporting only the full "
+                    "dimension (default both)")
     an.add_argument("--verify-generator", metavar="FILE",
                     help="verify a concrete generator file instead of trusting "
                     "the basis alone")

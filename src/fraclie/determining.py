@@ -8,15 +8,14 @@ Genericity facts used to keep monomial classes apart are recorded.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .exponents import ExponentForm
 from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, NonPolynomial, Pow, Rat,
                    Sym, ZERO,
-                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow, add_terms,
+                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
+                   _rational_content, add_terms,
                    atoms, depends_on_jets, diff_wrt, expand, mul_factors, partial_derivative, render, simplify,
                    total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
@@ -203,14 +202,8 @@ def normalize_equation(e: Expr) -> Expr:
     if e == ZERO:
         return ZERO
     terms = add_terms(e)
-    coeffs = [_coeff_mono(t)[0] for t in terms]
-    num_gcd = 0
-    den_lcm = 1
-    for c in coeffs:
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(1)
-    if coeffs[0] < 0:
+    scale = 1 / _rational_content(terms)
+    if _coeff_mono(terms[0])[0] < 0:
         scale = -scale
     return expand(_nmul([Rat(scale), e]))
 

@@ -307,6 +307,17 @@ def _coeff_mono(term: Expr) -> tuple[Fraction, Optional[Expr]]:
     return Fraction(1), term
 
 
+def _rational_content(terms: Iterable[Expr]) -> Fraction:
+    """Positive rational content of nonzero canonical terms: the gcd of the
+    numerators of their coefficients over the lcm of the denominators."""
+    num, den = 0, 1
+    for t in terms:
+        c = _coeff_mono(t)[0]
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
 def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
     if mono is None or coeff == 0:
         return Rat(coeff)

@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .exponents import Assumptions
-from .expr import (Expr, Gamma, Jet, Rat, Sym, Var, ZERO,
-                   ONE, _base_exp, _nadd, _nmul, _npow, add_terms, expand,
+from .expr import (Add, Expr, Gamma, Jet, Mul, Rat, Sym, Var, ZERO,
+                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
+                   _rational_content, add_terms, expand,
                    gamma_simplify, mul_factors, render, simplify, to_eform)
 from .exponents import ExponentForm
 
@@ -323,6 +324,10 @@ def _eform_le(a, b) -> bool:
 
 
 def _factor_map(e: Expr):
+    """Rational coefficient and base-keyed factors of a product.  The
+    positive rational content of every sum factor with an integer exponent
+    moves into the coefficient, so equal elements get equal factors:
+    (2 + 4*a)/2 and 1 + 2*a both map to 1 * (1 + 2*a)."""
     coeff = Fraction(1)
     out: dict[tuple, tuple[Expr, ExponentForm]] = {}
     if isinstance(e, Rat):
@@ -332,11 +337,17 @@ def _factor_map(e: Expr):
             coeff *= f.value
             continue
         b, ex = _base_exp(f)
-        k = b.key()
-        if k in out:
-            out[k] = (b, out[k][1] + ex)
+        k = ex.as_integer()
+        if isinstance(b, Add) and k is not None:
+            content = _rational_content(b.terms)
+            if content != 1:
+                coeff *= content ** k
+                b = _nadd([_nmul([Rat(1 / content), t]) for t in b.terms])
+        key = b.key()
+        if key in out:
+            out[key] = (b, out[key][1] + ex)
         else:
-            out[k] = (b, ex)
+            out[key] = (b, ex)
     return coeff, out
 
 
@@ -344,11 +355,15 @@ def _from_factor_map(coeff: Fraction, fm) -> Expr:
     factors: list[Expr] = [Rat(coeff)]
     for _, (b, ex) in sorted(fm.items()):
         factors.append(_npow(b, ex))
-    return _nmul(factors)
+    e = _nmul(factors)
+    # a lone sum keeps its expanded form, so its leading term fixes the sign
+    if (isinstance(e, Mul) and len(e.factors) == 2
+            and isinstance(e.factors[0], Rat) and isinstance(e.factors[1], Add)):
+        return _nadd([_nmul([e.factors[0], t]) for t in e.factors[1].terms])
+    return e
 
 
 def _leading_coeff(e: Expr) -> Fraction:
-    from .expr import _coeff_mono
     first = add_terms(e)[0]
     return _coeff_mono(first)[0]
 
@@ -365,10 +380,15 @@ class RrefResult:
 
 
 def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
+    """Reduced row-echelon form.  The working rows are sparse (column ->
+    nonzero entry), so a pivot step touches only the pivot row's nonzero
+    columns of the rows that have an entry in the pivot column."""
     if not rows:
         return RrefResult([], [], [])
     ncols = len(rows[0])
-    work = [list(r) for r in rows]
+    work = [{c: e for c, e in enumerate(row) if not e.is_zero()}
+            for row in rows]
+    zero = field.zero
     pivots: list[int] = []
     notes: list[str] = []
     r = 0
@@ -376,8 +396,8 @@ def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
         best = None
         best_class = 3
         for i in range(r, len(work)):
-            e = work[i][col]
-            if e.is_zero():
+            e = work[i].get(col)
+            if e is None:
                 continue
             if isinstance(e.num, Rat) and isinstance(e.den, Rat):
                 cls = 0
@@ -397,22 +417,27 @@ def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
             shown = f.render() if f is not None else render(piv_num)
             notes.append(f"{shown} != 0 (assumed to pivot during elimination)")
         work[r], work[best] = work[best], work[r]
-        piv = work[r][col]
-        inv = field.div(field.one, piv)
-        work[r] = [field.mul(inv, e) for e in work[r]]
-        for i in range(len(work)):
+        inv = field.div(field.one, work[r][col])
+        prow = {c: field.mul(inv, e) for c, e in work[r].items()}
+        work[r] = prow
+        for i, row in enumerate(work):
             if i == r:
                 continue
-            factor = work[i][col]
-            if factor.is_zero():
+            factor = row.get(col)
+            if factor is None:
                 continue
-            work[i] = [field.sub(a, field.mul(factor, b))
-                       for a, b in zip(work[i], work[r])]
+            for c, b in prow.items():
+                v = field.sub(row.get(c, zero), field.mul(factor, b))
+                if v.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = v
         pivots.append(col)
         r += 1
         if r == len(work):
             break
-    return RrefResult(work[:r], pivots, notes)
+    dense = [[row.get(c, zero) for c in range(ncols)] for row in work[:r]]
+    return RrefResult(dense, pivots, notes)
 
 
 def nullspace(rows: list[list[Elem]], ncols: int, field: Field
@@ -427,6 +452,7 @@ def nullspace(rows: list[list[Elem]], ncols: int, field: Field
         v = [field.zero] * ncols
         v[fc] = field.one
         for prow, pcol in zip(res.rows, res.pivots):
-            v[pcol] = field.neg(prow[fc])
+            if not prow[fc].is_zero():
+                v[pcol] = field.neg(prow[fc])
         basis.append(v)
     return basis, res.assumptions

@@ -1,10 +1,10 @@
 """Pipeline orchestration and deterministic reports.
 
-run_pipeline parses, builds the determining system, solves both branches,
-certifies every generator, optionally reduces and oracle-checks, and packs
-everything into a Report.  The JSON form is byte-identical across runs on the
-same input (timing is text-only for that reason); text and LaTeX are pure
-renderings of the same record.
+run_pipeline parses, builds the determining system, solves it once for both
+chi2 branches, certifies every generator, optionally reduces and
+oracle-checks, and packs everything into a Report.  The JSON form is
+byte-identical across runs on the same input (timing is text-only for that
+reason); text and LaTeX are pure renderings of the same record.
 """
 from __future__ import annotations
 

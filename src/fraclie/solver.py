@@ -1,6 +1,7 @@
 """Exact solver for the determining system.
 
-Branches on the quadratic part of tau, t-splits mixed-coefficient equations,
+Fixes gamma_s = (alpha-1)/2, so one linear system holds both the chi2 = 0
+and the chi2 != 0 solutions, t-splits mixed-coefficient equations,
 instantiates unknown x-functions by total-degree polynomials and the
 inhomogeneous parts h_s by a certified template library, reduces everything
 to exact rational-function linear algebra, and emits a normalized basis with
@@ -21,8 +22,7 @@ from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, nullspace
 from .model import PDESystem, Signature, classify_terms
-from .prolong import (AnsatzGenerator, BRANCH_NONZERO, BRANCH_UNIFIED,
-                      BRANCH_ZERO)
+from .prolong import BRANCH_UNIFIED
 from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, separate)
 
@@ -417,58 +417,42 @@ def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field
 
     rows = []
     ncols = len(inst.columns)
+    zero = fld.zero
     for key in sorted(classes):
         rowmap = classes[key]
-        row = [rowmap.get(c, fld.zero) for c in range(ncols)]
+        row = [rowmap.get(c, zero) for c in range(ncols)]
         if any(not e2.is_zero() for e2 in row):
             rows.append(row)
     return rows, sorted(set(notes))
 
 
 # ---------------------------------------------------------------------------
-# Branch solving
+# The linear system
 # ---------------------------------------------------------------------------
 
-def _branch_gamma_subs(ds: DeterminingSystem, branch: str) -> dict:
-    subs = {}
-    for s in range(ds.sys.q):
-        name = ds.ans.with_branch(BRANCH_UNIFIED).gamma(s)
-        if not isinstance(name, Sym):
-            continue
-        if branch == BRANCH_ZERO:
-            subs[name] = ZERO
-        else:
-            subs[name] = simplify((ds.sys.alpha - ONE) * Rat(Fraction(1, 2)))
-    return subs
+def _gamma_subs(ds: DeterminingSystem) -> dict:
+    """gamma_s = (alpha-1)/2.  Its chi1 part folds into the constant term of
+    g_s, so this one system holds the chi2 = 0 solutions as well."""
+    gamma = simplify((ds.sys.alpha - ONE) * Rat(Fraction(1, 2)))
+    return {Sym(name): gamma
+            for name in ds.ans.with_branch(BRANCH_UNIFIED).gamma_symbols()}
 
 
-def _solve_branch(ds: DeterminingSystem, cfg: SolverConfig, branch: str,
-                  inst: _Instantiation, fld: Field
-                  ) -> tuple[list[list[Expr]], list[str]]:
-    gsubs = _branch_gamma_subs(ds, branch)
+def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field
+                      ) -> tuple[list[list[Elem]], list[str]]:
+    gsubs = _gamma_subs(ds)
     rows: list[list[Elem]] = []
     notes: list[str] = []
-    eqs = list(ds.integer_eqs) + list(ds.frac_eqs)
-    for eq in eqs:
-        if gsubs:
-            eq = substitute(eq, gsubs)
-        body = _instantiate_expr(eq, inst, ds.sys.sig)
+    for eq in list(ds.integer_eqs) + list(ds.frac_eqs):
+        body = _instantiate_expr(substitute(eq, gsubs), inst, ds.sys.sig)
         try:
             r, n = equation_rows(body, inst, ds.sys.sig, fld)
         except NonAffineRow as exc:
             raise TemplateResidual(
-                f"branch {branch}: a condition failed to reduce to linear rows "
-                f"({exc})") from exc
+                f"a condition failed to reduce to linear rows ({exc})") from exc
         rows.extend(r)
         notes.extend(n)
-    if branch == BRANCH_ZERO:
-        row = [fld.zero] * len(inst.columns)
-        row[inst.col_index["chi2"]] = fld.one
-        rows.append(row)
-    vecs, piv_notes = nullspace(rows, len(inst.columns), fld)
-    notes.extend(piv_notes)
-    out = [[fld.to_expr(e) for e in v] for v in vecs]
-    return out, sorted(set(notes))
+    return rows, notes
 
 
 def _ratnorm_components(e: Expr, fld: Field) -> Expr:
@@ -501,12 +485,11 @@ def _ratnorm_components(e: Expr, fld: Field) -> Expr:
     return simplify(_nadd(out))
 
 
-def _vector_to_generator(ds: DeterminingSystem, branch: str,
-                         inst: _Instantiation, vec: list[Expr],
-                         fld: Field) -> Generator:
+def _vector_to_generator(ds: DeterminingSystem, inst: _Instantiation,
+                         vec: list[Expr], fld: Field) -> Generator:
     sig = ds.sys.sig
     values = {Sym(name): vec[i] for i, name in enumerate(inst.columns)}
-    gsubs = _branch_gamma_subs(ds, branch)
+    gsubs = _gamma_subs(ds)
 
     def val(e: Expr) -> Expr:
         return _ratnorm_components(substitute(substitute(e, gsubs), values), fld)
@@ -608,20 +591,23 @@ def _solve_once(ds: DeterminingSystem, cfg: SolverConfig) -> tuple[
     asm = ds.sys.assumptions()
     fld = Field(asm)
     inst = build_instantiation(ds, cfg, asm)
-    branches = {"both": [BRANCH_ZERO, BRANCH_NONZERO],
-                "zero": [BRANCH_ZERO],
-                "nonzero": [BRANCH_NONZERO]}[cfg.branch]
-    gens: list[Generator] = []
-    notes: list[str] = list(ds.assumptions)
-    dims: list[tuple[str, int]] = []
-    for branch in branches:
-        vecs, bnotes = _solve_branch(ds, cfg, branch, inst, fld)
-        notes.extend(bnotes)
-        dims.append((branch, len(vecs)))
-        for v in vecs:
-            gens.append(_vector_to_generator(ds, branch, inst, v, fld))
+    rows, notes = _determining_rows(ds, inst, fld)
+    chi2 = inst.col_index["chi2"]
+    if cfg.branch == "zero":
+        row = [fld.zero] * len(inst.columns)
+        row[chi2] = fld.one
+        rows.append(row)
+    vecs, piv_notes = nullspace(rows, len(inst.columns), fld)
+    # chi2 is one column: the chi2 = 0 subspace loses at most one dimension
+    dim = len(vecs)
+    zero_dim = dim - 1 if any(not v[chi2].is_zero() for v in vecs) else dim
+    dims = {"both": [("zero", zero_dim), ("nonzero", dim)],
+            "zero": [("zero", dim)],
+            "nonzero": [("nonzero", dim)]}[cfg.branch]
+    gens = [_vector_to_generator(ds, inst, [fld.to_expr(e) for e in v], fld)
+            for v in vecs]
     final = normalize_generators(gens, ds.sys.sig, fld)
-    return final, sorted(set(notes)), dims
+    return final, sorted(set(list(ds.assumptions) + notes + piv_notes)), dims
 
 
 def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None

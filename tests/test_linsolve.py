@@ -1,6 +1,8 @@
 """Exact rational-function field and linear algebra."""
 from fractions import Fraction
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 from fraclie import Assumptions, Gamma, Rat, Sym, Var, ZERO, ONE, add, mul, \
     neg, pow_, simplify
 from fraclie.linsolve import Elem, Field, nullspace, rref
@@ -71,6 +73,19 @@ class TestFieldArithmetic:
         assert fld.provably_nonzero(add(mul(8, pow_(a, 2)), mul(-8, a)))
         assert not fld.provably_nonzero(add(mul(2, a), Rat(-1)))  # 2a-1
 
+    def test_sum_content_normal_form(self):
+        fld = Field(Assumptions("a"))
+        # (2 + 4a)/2 and 1 + 2a are one element and must share one form
+        half = fld.div(fld.elem(add(2, mul(4, a))), fld.elem(Rat(2)))
+        assert half == fld.elem(add(1, mul(2, a)))
+        assert fld.to_expr(half) == add(1, mul(2, a))
+        # a content-carrying denominator from a product matches elem's form
+        prod = fld.mul(fld.elem(ONE, Rat(3)), fld.elem(ONE, add(1, a)))
+        assert prod == fld.elem(ONE, add(3, mul(3, a)))
+        # the sign is still fixed by the denominator's leading term
+        assert fld.elem(ONE, add(-3, mul(6, a))) == \
+            fld.elem(Rat(-1), add(3, mul(-6, a)))
+
 
 class TestRref:
     def test_rational_matrix(self):
@@ -114,3 +129,87 @@ class TestRref:
                 [e(ZERO), e(ZERO), e(ONE)]]
         basis, _ = nullspace(rows, 3, fld)
         assert len(basis) == 1
+
+
+def _dense_rref(rows, field):
+    """Reference elimination over dense rows: every column of every row is
+    updated at each pivot.  Same pivot policy and ledger text as rref."""
+    from fraclie import render
+    from fraclie.expr import to_eform
+    from fraclie.linsolve import RrefResult
+    if not rows:
+        return RrefResult([], [], [])
+    ncols = len(rows[0])
+    work = [list(r) for r in rows]
+    pivots, notes = [], []
+    r = 0
+    for col in range(ncols):
+        best, best_class = None, 3
+        for i in range(r, len(work)):
+            e = work[i][col]
+            if e.is_zero():
+                continue
+            if isinstance(e.num, Rat) and isinstance(e.den, Rat):
+                cls = 0
+            elif field.provably_nonzero(e.num):
+                cls = 1
+            else:
+                cls = 2
+            if cls < best_class:
+                best, best_class = i, cls
+            if cls == 0:
+                break
+        if best is None:
+            continue
+        if best_class == 2:
+            piv_num = work[best][col].num
+            f = to_eform(piv_num)
+            shown = f.render() if f is not None else render(piv_num)
+            notes.append(f"{shown} != 0 (assumed to pivot during elimination)")
+        work[r], work[best] = work[best], work[r]
+        inv = field.div(field.one, work[r][col])
+        work[r] = [field.mul(inv, e) for e in work[r]]
+        for i in range(len(work)):
+            if i == r or work[i][col].is_zero():
+                continue
+            factor = work[i][col]
+            work[i] = [field.sub(x, field.mul(factor, y))
+                       for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return RrefResult(work[:r], pivots, notes)
+
+
+# Entries over Q(a, n): zero, rational, provably nonzero under the declared
+# assumptions (0 < a < 1, n != 0), and undecided (2a-1 and kin).
+_ENTRIES = (
+    [ZERO] * 4
+    + [Rat(F(k)) for k in (1, -1, 2, -3)] + [Rat(F(1, 2)), Rat(F(-2, 3))]
+    + [a, add(a, 1), n, mul(3, n), pow_(add(n, 1), -1), add(a, Rat(-1))]
+    + [add(mul(2, a), Rat(-1)), add(mul(3, a), Rat(-1)), add(mul(4, a), Rat(-2)),
+       add(a, neg(n)), add(mul(a, n), Rat(-1))]
+)
+
+
+@st.composite
+def _matrices(draw):
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 5))
+    return [[draw(st.sampled_from(_ENTRIES)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+class TestSparseRrefMatchesDense:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_matrices())
+    def test_rows_pivots_and_assumptions_identical(self, matrix):
+        fld = field()
+        rows = [[fld.elem(x) for x in row] for row in matrix]
+        want = _dense_rref(rows, fld)
+        got = rref(rows, fld)
+        assert got.pivots == want.pivots
+        assert got.assumptions == want.assumptions
+        assert got.rows == want.rows

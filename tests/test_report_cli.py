@@ -10,6 +10,7 @@ from fraclie import PipelineConfig, emit, run_pipeline
 from conftest import DEMOS, TELE_POW_GEN, ZK_SRC
 
 NO_SYMMETRY_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + x*u^3 + u^2 + u^4;"
+REFERENCE_JSON = DEMOS.parent / "perfbench" / "reference" / "demos"
 
 
 def run_cli(*args, cwd=None):
@@ -119,3 +120,14 @@ class TestCli:
         out1 = run_cli("analyze", "demos/zk.fpde", "--emit", "json")
         out2 = run_cli("analyze", "demos/zk.fpde", "--emit", "json")
         assert out1.stdout == out2.stdout
+
+
+@pytest.mark.parametrize("name", ["zk", "hs", "telegraph", "telegraph_power"])
+def test_demo_json_matches_recorded_contract(name):
+    # the behaviour contract: the CLI's JSON for each bundled demo is
+    # byte-identical to the recorded reference
+    out = subprocess.run([sys.executable, "-m", "fraclie.cli", "analyze",
+                          f"demos/{name}.fpde", "--emit", "json"],
+                         capture_output=True, cwd=str(DEMOS.parent))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (REFERENCE_JSON / f"{name}.json").read_bytes()

@@ -150,6 +150,50 @@ class TestBranches:
         assert set(bn.generators) == set(both.generators)
 
 
+PROJECTIVE_SRC = "alpha 1/3; space x; dep u; Dt^alpha(u) = u*Dx(u);"
+HEAT_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx^2(u);"
+SOURCE_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + t*x;"
+
+
+class TestBranchDimensions:
+    """branch_dims come from one null space: nonzero is its dimension, zero
+    that of its chi2 = 0 subspace.  Expected values are those of separate
+    solves on the chi2 = 0 and chi2 != 0 branches."""
+
+    def test_projective(self):
+        sys = parse_system(PROJECTIVE_SRC)
+        ds = build_determining(sys)
+        t, u = sys.sig.t, sys.sig.u(0)
+        projective = exp_gen(sys.sig, tau=pow_(t, 2), eta=[mul(F(-2, 3), t, u)])
+        both = solve(ds, SolverConfig(branch="both"))
+        assert both.branch_dims == (("zero", 3), ("nonzero", 4))
+        assert projective in both.generators
+        zero = solve(ds, SolverConfig(branch="zero"))
+        assert zero.branch_dims == (("zero", 3),)
+        assert projective not in zero.generators
+        assert set(zero.generators) == set(both.generators) - {projective}
+        nonzero = solve(ds, SolverConfig(branch="nonzero"))
+        assert nonzero.branch_dims == (("nonzero", 4),)
+        assert set(nonzero.generators) == set(both.generators)
+
+    def test_linear_heat(self):
+        _, basis = solve_system(parse_system(HEAT_SRC))
+        assert basis.branch_dims == (("zero", 5), ("nonzero", 5))
+
+    def test_source_term(self):
+        ds = build_determining(parse_system(SOURCE_SRC))
+        both = solve(ds, SolverConfig(branch="both"))
+        assert both.branch_dims == (("zero", 2), ("nonzero", 2))
+        assert both.assumptions == (
+            "2*a-1 != 0 (separates t-power classes during the solve)",
+            "3*a-1 != 0 (separates t-power classes during the solve)")
+        # structurally equal, not just equal up to Field.eq: the u-coefficient
+        # is u*(1 + 2*a) on both configurations
+        nonzero = solve(ds, SolverConfig(branch="nonzero"))
+        assert nonzero.generators == both.generators
+        assert nonzero.shift_generators == both.shift_generators
+
+
 class TestStability:
     def test_degree_stability_2_3_4(self, zk, hs, tele):
         for sys in (zk, hs, tele):

@@ -33,8 +33,7 @@ from .solver import (DegreeInsufficient, Generator, ShapeViolation,
 from .reductions import (EKReduction, NotScaling, NotTranslation,
                          scaling_similarity, similarity_invariance_residuals,
                          translation_reduction, verify_exact_solution)
-from .oracle import (OracleResult, SingularInput, evaluate, lanczos_gamma,
-                     numeric_rl_oracle)
+from .oracle import OracleResult, SingularInput, evaluate, numeric_rl_oracle
 from .report import PipelineConfig, Report, emit, run_pipeline
 
 __version__ = "0.1.0"

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exponents import ExponentForm
-from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, NonPolynomial, Pow, Rat,
-                   Sym, ZERO,
-                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   _rational_content, add_terms,
-                   atoms, depends_on_jets, diff_wrt, expand, mul_factors, partial_derivative, render, simplify,
-                   total_derivative)
+from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
+                   _base_exp, _coeff_mono, _nadd, _nmul, _npow,
+                   _rational_content, add_terms, atoms, depends_on_jets,
+                   diff_wrt, expand, group_by_monomial, map_children,
+                   mul_factors, partial_derivative, render, simplify,
+                   split_factors, total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
 from .prolong import AnsatzGenerator, eta_theta_of
 
@@ -104,43 +104,26 @@ def h_condition(sys: PDESystem, ans: AnsatzGenerator,
 # Separation over jet monomials
 # ---------------------------------------------------------------------------
 
-def _jet_dependent(e: Expr) -> bool:
-    return depends_on_jets(e)
+def _jet_factor(b: Expr, _) -> bool:
+    if not depends_on_jets(b):
+        return False
+    if isinstance(b, Gamma):
+        raise NonPolynomial(f"jet variable inside a Gamma application: {render(b)}")
+    return True
 
 
 def split_jet_coefficient(term: Expr) -> tuple[Expr, Expr]:
     """(monomial, coefficient): jet-dependent factors, incl. opaque function
     applications of dependents, form the monomial.  Jets buried inside a
     Gamma application admit no separation."""
-    mono: list[Expr] = []
-    coeff: list[Expr] = []
-    for f in mul_factors(term):
-        b, _ = _base_exp(f)
-        if isinstance(b, Gamma) and _jet_dependent(b):
-            raise NonPolynomial(
-                f"jet variable inside a Gamma application: {render(f)}")
-        (mono if _jet_dependent(b) else coeff).append(f)
-    return (_nmul(mono) if mono else ONE,
-            _nmul(coeff) if coeff else ONE)
+    return split_factors(term, _jet_factor)
 
 
 def separate(cond: Expr, sys: PDESystem) -> tuple[list[tuple[Expr, Expr]], list[str]]:
     """Separate a jet-polynomial condition into (monomial, coefficient)
     equations plus the genericity assumptions that keep distinct monomial
     classes apart."""
-    cond = expand(cond)
-    if cond == ZERO:
-        return [], []
-    groups: dict[tuple, list] = {}
-    for term in add_terms(cond):
-        mono, coeff = split_jet_coefficient(term)
-        k = mono.key()
-        if k in groups:
-            groups[k][1] = _nadd([groups[k][1], coeff])
-        else:
-            groups[k] = [mono, coeff]
-    fragments = [(m, simplify(c)) for m, c in (groups[k] for k in sorted(groups))]
-    fragments = [(m, c) for m, c in fragments if c != ZERO]
+    fragments = group_by_monomial(expand(cond), _jet_factor)
     return fragments, _genericity(fragments, sys)
 
 
@@ -315,15 +298,9 @@ def _zero_substitute(e: Expr, facts: list[Fn]) -> Expr:
         return False
 
     def walk(x: Expr) -> Expr:
-        if isinstance(x, Fn):
-            return ZERO if killed(x) else x
-        if isinstance(x, Mul):
-            return _nmul([walk(f) for f in x.factors])
-        if isinstance(x, Add):
-            return _nadd([walk(t) for t in x.terms])
-        if isinstance(x, Pow):
-            return _npow(walk(x.base), x.exp)
-        return x
+        if isinstance(x, Fn) and killed(x):
+            return ZERO
+        return map_children(x, walk)
 
     return simplify(walk(e))
 

@@ -5,6 +5,13 @@ factors are ExponentForms, so products of powers merge by exponent addition
 and mathematically equal monomials normalize to identical trees.  No
 floating point number ever enters an expression; numeric evaluation lives in
 the oracle module.
+
+Traversal contract: the children of a node are the operands of a Mul or
+Add, the base of a Pow, the argument of a Gamma and the arguments of an Fn;
+Rat, Sym, Var and Jet are leaves.  The exponent of a Pow is an
+ExponentForm, not a child, so no walk over children reaches it; only
+substitute rewrites exponents.  Walkers are built from children,
+map_children (rebuild canonically) and any_node (pre-order search).
 """
 from __future__ import annotations
 
@@ -363,6 +370,85 @@ def _nadd(terms: Iterable[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """Direct subexpressions; exponents are not children."""
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Gamma):
+        return (e.arg,)
+    if isinstance(e, Fn):
+        return e.args
+    return ()
+
+
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild e canonically with f applied to each child; leaves come back
+    unchanged."""
+    if isinstance(e, (Rat, Sym, Var, Jet)):
+        return e
+    if isinstance(e, Mul):
+        return _nmul([f(c) for c in e.factors])
+    if isinstance(e, Add):
+        return _nadd([f(c) for c in e.terms])
+    if isinstance(e, Pow):
+        return _npow(f(e.base), e.exp)
+    if isinstance(e, Gamma):
+        return Gamma(f(e.arg))
+    if isinstance(e, Fn):
+        return Fn(e.fname, tuple(f(a) for a in e.args), e.deriv, e.frac)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def any_node(e: Expr, pred: Callable[[Expr], bool]) -> bool:
+    """Pre-order search: True when pred holds at e or at a node below it."""
+    return pred(e) or any(any_node(c, pred) for c in children(e))
+
+
+# ---------------------------------------------------------------------------
+# Splitting products
+# ---------------------------------------------------------------------------
+
+def split_factors(term: Expr, pred: Callable[[Expr, ExponentForm], bool]
+                  ) -> tuple[Expr, Expr]:
+    """(selected, rest) of a canonical term: the product of the factors
+    whose base and exponent satisfy pred, and the product of the others."""
+    selected: list[Expr] = []
+    rest: list[Expr] = []
+    for f in mul_factors(term):
+        (selected if pred(*_base_exp(f)) else rest).append(f)
+    return _nmul(selected), _nmul(rest)
+
+
+def split_power(term: Expr, base: Expr) -> tuple[ExponentForm, Expr]:
+    """(g, rest) with term = base^g * rest and rest free of base factors."""
+    power, rest = split_factors(term, lambda b, _: b == base)
+    return (ZERO_FORM if power == ONE else _base_exp(power)[1]), rest
+
+
+def group_by_monomial(e: Expr, pred: Callable[[Expr, ExponentForm], bool]
+                      ) -> list[tuple[Expr, Expr]]:
+    """(monomial, coefficient) pairs of an expanded expression: the factors
+    selected by pred form the monomial, the coefficients of equal monomials
+    are summed, zero sums are dropped, and pairs come in monomial-key order."""
+    groups: dict[tuple, list] = {}
+    for term in add_terms(e):
+        mono, coeff = split_factors(term, pred)
+        k = mono.key()
+        if k in groups:
+            groups[k][1] = _nadd([groups[k][1], coeff])
+        else:
+            groups[k] = [mono, coeff]
+    return [(m, c) for m, c in (groups[k] for k in sorted(groups)) if c != ZERO]
+
+
+# ---------------------------------------------------------------------------
 # Public constructors
 # ---------------------------------------------------------------------------
 
@@ -394,19 +480,7 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Canonical form: flattened, sorted, like monomials merged, exponent
     algebra applied.  Idempotent.  Does not distribute products over sums."""
-    if isinstance(e, (Rat, Sym, Var, Jet)):
-        return e
-    if isinstance(e, Fn):
-        return Fn(e.fname, tuple(simplify(a) for a in e.args), e.deriv, e.frac)
-    if isinstance(e, Gamma):
-        return Gamma(simplify(e.arg))
-    if isinstance(e, Pow):
-        return _npow(simplify(e.base), e.exp)
-    if isinstance(e, Mul):
-        return _nmul([simplify(f) for f in e.factors])
-    if isinstance(e, Add):
-        return _nadd([simplify(t) for t in e.terms])
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, simplify)
 
 
 def expand(e: Expr) -> Expr:
@@ -493,7 +567,6 @@ def eform_subs(f: ExponentForm, bindings: Mapping[str, Expr]) -> ExponentForm:
                 piece = _eform_mul(piece, _eform_pow(rep, k))
             else:
                 piece = _eform_mul(piece, ExponentForm.symbol(name, k))
-    # note: _eform_mul keeps monomial structure exact
         out = out + piece
     return out
 
@@ -528,28 +601,17 @@ def _eform_pow(a: ExponentForm, k: int) -> ExponentForm:
 # ---------------------------------------------------------------------------
 
 def _mentions(e: Expr, keys: set) -> set:
+    """The keys among `keys` of the nodes of e and of its exponent symbols."""
     found = set()
 
-    def walk(x: Expr):
-        kk = x.key()
-        if kk in keys:
-            found.add(kk)
-        if isinstance(x, (Mul, Add)):
-            for c in (x.factors if isinstance(x, Mul) else x.terms):
-                walk(c)
-        elif isinstance(x, Pow):
-            walk(x.base)
-            for name in x.exp.symbols():
-                sk = Sym(name).key()
-                if sk in keys:
-                    found.add(sk)
-        elif isinstance(x, Gamma):
-            walk(x.arg)
-        elif isinstance(x, Fn):
-            for a in x.args:
-                walk(a)
+    def note(x: Expr) -> bool:
+        kk = [x.key()]
+        if isinstance(x, Pow):
+            kk += [Sym(name).key() for name in x.exp.symbols()]
+        found.update(k for k in kk if k in keys)
+        return False        # never matches, so every node is visited
 
-    walk(e)
+    any_node(e, note)
     return found
 
 
@@ -568,21 +630,21 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
     graph = {kk: _mentions(v, keyset) for kk, (_, v) in norm.items()}
     state: dict[tuple, int] = {}
 
-    def dfs(node, trail):
+    def dfs(node):
         state[node] = 1
         for nxt in graph[node]:
-            if state.get(nxt) == 1 or nxt == node:
+            if state.get(nxt) == 1:
                 raise CyclicBinding(f"binding cycle through {norm[node][0]!r}")
             if state.get(nxt) is None:
-                dfs(nxt, trail + [nxt])
+                dfs(nxt)
         state[node] = 2
 
-    for kk, (_, v) in norm.items():
-        if kk in _mentions(v, {kk}):
+    for kk in norm:
+        if kk in graph[kk]:
             raise CyclicBinding(f"binding for {norm[kk][0]!r} mentions its own key")
     for kk in norm:
         if state.get(kk) is None:
-            dfs(kk, [kk])
+            dfs(kk)
 
     sym_bindings = {k.name: v for _, (k, v) in norm.items() if isinstance(k, Sym)}
 
@@ -590,21 +652,10 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
         kk = x.key()
         if kk in norm:
             return norm[kk][1]
-        if isinstance(x, Mul):
-            return _nmul([rep(f) for f in x.factors])
-        if isinstance(x, Add):
-            return _nadd([rep(t) for t in x.terms])
-        if isinstance(x, Pow):
-            base = rep(x.base)
-            exp = x.exp
-            if sym_bindings and (exp.symbols() & sym_bindings.keys()):
-                exp = eform_subs(exp, sym_bindings)
-            return _npow(base, exp)
-        if isinstance(x, Gamma):
-            return Gamma(rep(x.arg))
-        if isinstance(x, Fn):
-            return Fn(x.fname, tuple(rep(a) for a in x.args), x.deriv, x.frac)
-        return x
+        if (isinstance(x, Pow) and sym_bindings
+                and x.exp.symbols() & sym_bindings.keys()):
+            return _npow(rep(x.base), eform_subs(x.exp, sym_bindings))
+        return map_children(x, rep)
 
     return simplify(rep(simplify(e)))
 
@@ -616,20 +667,6 @@ def subs_params(e: Expr, values: Mapping[str, Fraction]) -> Expr:
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
-
-def _occurs_var(e: Expr, v: Var) -> bool:
-    if isinstance(e, Var):
-        return e == v
-    if isinstance(e, (Mul, Add)):
-        return any(_occurs_var(c, v) for c in (e.factors if isinstance(e, Mul) else e.terms))
-    if isinstance(e, Pow):
-        return _occurs_var(e.base, v)
-    if isinstance(e, Gamma):
-        return _occurs_var(e.arg, v)
-    if isinstance(e, Fn):
-        return any(_occurs_var(a, v) for a in e.args)
-    return False
-
 
 def _diff(e: Expr, leaf: Callable[[Expr], Optional[Expr]]) -> Expr:
     """Generic derivation: leaf returns the derivative of an atom or None for
@@ -754,41 +791,17 @@ def atoms(e: Expr, kind) -> list:
     """All distinct atoms of the given node class, in canonical order."""
     found: dict[tuple, Expr] = {}
 
-    def walk(x: Expr):
+    def note(x: Expr) -> bool:
         if isinstance(x, kind):
             found[x.key()] = x
-        if isinstance(x, Mul):
-            for f in x.factors:
-                walk(f)
-        elif isinstance(x, Add):
-            for t in x.terms:
-                walk(t)
-        elif isinstance(x, Pow):
-            walk(x.base)
-        elif isinstance(x, Gamma):
-            walk(x.arg)
-        elif isinstance(x, Fn):
-            for a in x.args:
-                walk(a)
+        return False        # never matches, so every node is visited
 
-    walk(e)
+    any_node(e, note)
     return [found[k] for k in sorted(found)]
 
 
 def depends_on_jets(e: Expr) -> bool:
-    if isinstance(e, Jet):
-        return True
-    if isinstance(e, Fn):
-        return any(depends_on_jets(a) for a in e.args)
-    if isinstance(e, Mul):
-        return any(depends_on_jets(f) for f in e.factors)
-    if isinstance(e, Add):
-        return any(depends_on_jets(t) for t in e.terms)
-    if isinstance(e, Pow):
-        return depends_on_jets(e.base)
-    if isinstance(e, Gamma):
-        return depends_on_jets(e.arg)
-    return False
+    return any_node(e, lambda x: isinstance(x, Jet))
 
 
 def add_terms(e: Expr) -> tuple[Expr, ...]:
@@ -808,47 +821,19 @@ def collect_monomials(e: Expr, basis: Iterable[Jet]) -> dict[Expr, Expr]:
     monomial -> coefficient with coefficients free of basis jets.  Powers of a
     basis jet with symbolic exponent are distinct monomial atoms."""
     basis_keys = {simplify(as_expr(b)).key() for b in basis}
-    e = expand(e)
-    if e == ZERO:
-        return {}
 
-    def contains_basis(x: Expr) -> bool:
-        if x.key() in basis_keys:
+    def is_basis(x: Expr) -> bool:
+        return x.key() in basis_keys
+
+    def basis_factor(b: Expr, _) -> bool:
+        if is_basis(b):
             return True
-        if isinstance(x, Mul):
-            return any(contains_basis(f) for f in x.factors)
-        if isinstance(x, Add):
-            return any(contains_basis(t) for t in x.terms)
-        if isinstance(x, Pow):
-            return contains_basis(x.base)
-        if isinstance(x, (Gamma, Fn)):
-            inner = x.arg if isinstance(x, Gamma) else None
-            args = (inner,) if inner is not None else x.args
-            return any(contains_basis(a) for a in args if a is not None)
+        if isinstance(b, (Gamma, Fn)) and any_node(b, is_basis):
+            raise NonPolynomial(
+                f"basis jet inside an opaque application: {render(b)}")
         return False
 
-    out: dict[tuple, list] = {}
-    for term in add_terms(e):
-        keyf: list[Expr] = []
-        cof: list[Expr] = []
-        for f in mul_factors(term):
-            b, _ = _base_exp(f)
-            if b.key() in basis_keys:
-                keyf.append(f)
-                continue
-            if isinstance(b, (Gamma, Fn)) and contains_basis(b):
-                raise NonPolynomial(
-                    f"basis jet inside an opaque application: {render(f)}")
-            cof.append(f)
-        mono = _nmul(keyf) if keyf else ONE
-        coeff = _nmul(cof) if cof else ONE
-        k = mono.key()
-        if k in out:
-            out[k][1] = _nadd([out[k][1], coeff])
-        else:
-            out[k] = [mono, coeff]
-    return {mono: coeff for mono, coeff in
-            (out[k] for k in sorted(out)) if coeff != ZERO}
+    return dict(group_by_monomial(expand(e), basis_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -890,15 +875,7 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
             else:
                 core = Gamma(from_eform(f))
             return _nmul(prefactors + [core])
-        if isinstance(x, Mul):
-            return _nmul([transform(f) for f in x.factors])
-        if isinstance(x, Add):
-            return _nadd([transform(t) for t in x.terms])
-        if isinstance(x, Pow):
-            return _npow(transform(x.base), x.exp)
-        if isinstance(x, Fn):
-            return Fn(x.fname, tuple(transform(a) for a in x.args), x.deriv, x.frac)
-        return x
+        return map_children(x, transform)
 
     return transform(simplify(e))
 
@@ -906,10 +883,6 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
 
 def render(e: Expr, sig=None) -> str:
     """Deterministic plain-text rendering.  sig (a model.Signature) supplies
@@ -941,7 +914,7 @@ def render(e: Expr, sig=None) -> str:
     def pw(x: Expr, prec: int) -> str:
         # prec: 0 add-context, 1 mul-context, 2 power/atom context
         if isinstance(x, Rat):
-            s = _frac_str(x.value)
+            s = str(x.value)
             return f"({s})" if (prec >= 1 and (x.value < 0 or x.value.denominator != 1)) else s
         if isinstance(x, Sym):
             return x.name

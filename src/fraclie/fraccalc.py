@@ -12,10 +12,10 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
-from .expr import (Add, Expr, ExprLike, Fn, Gamma, Mul, Pow, Rat, Sym, Var,
-                   ZERO, ONE, _base_exp, _nadd, _nmul, _npow, add_terms, as_expr,
-                   as_eform, expand, from_eform, gamma_simplify, mul_factors,
-                   render, simplify, total_derivative)
+from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, ONE, _nadd,
+                   _nmul, _npow, add_terms, any_node, as_expr, as_eform,
+                   expand, from_eform, gamma_simplify, render, simplify,
+                   split_power, total_derivative)
 
 
 class NegativeIndex(ValueError):
@@ -79,20 +79,12 @@ class PowerSum:
         e = expand(as_expr(e))
         terms: list[tuple[Expr, ExponentForm]] = []
         for term in add_terms(e):
-            if term == ZERO:
-                continue
-            gamma = ExponentForm()
-            coeff: list[Expr] = []
-            for f in mul_factors(term):
-                b, ex = _base_exp(f)
-                if isinstance(b, Var) and b == tvar:
-                    gamma = gamma + ex
-                elif _occurs_t(b, tvar):
-                    raise NotPowerSum(
-                        f"factor {render(f)} is not a power of {tvar.name}")
-                else:
-                    coeff.append(f)
-            terms.append((_nmul(coeff) if coeff else ONE, gamma))
+            gamma, coeff = split_power(term, tvar)
+            if any_node(coeff, lambda x: x == tvar):
+                raise NotPowerSum(
+                    f"coefficient {render(coeff)} of a power of {tvar.name} "
+                    f"depends on {tvar.name}")
+            terms.append((coeff, gamma))
         return PowerSum.build(tvar, terms)
 
     def to_expr(self) -> Expr:
@@ -116,21 +108,6 @@ class PowerSum:
 
     def exponents(self) -> list[ExponentForm]:
         return [g for _, g in self.terms]
-
-
-def _occurs_t(e: Expr, tvar: Var) -> bool:
-    if isinstance(e, Var):
-        return e == tvar
-    if isinstance(e, Mul):
-        return any(_occurs_t(f, tvar) for f in e.factors)
-    if isinstance(e, Add):
-        return any(_occurs_t(t, tvar) for t in e.terms)
-    if isinstance(e, Pow):
-        return _occurs_t(e.base, tvar)
-    if isinstance(e, (Gamma, Fn)):
-        args = (e.arg,) if isinstance(e, Gamma) else e.args
-        return any(_occurs_t(a, tvar) for a in args)
-    return False
 
 
 def as_power_sum(e: Union[PowerSum, ExprLike], tvar: Var) -> PowerSum:

@@ -16,7 +16,8 @@ from .exponents import Assumptions
 from .expr import (Add, Expr, Gamma, Jet, Mul, Rat, Sym, Var, ZERO,
                    ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
                    _rational_content, add_terms, expand,
-                   gamma_simplify, mul_factors, render, simplify, to_eform)
+                   gamma_simplify, mul_factors, render, simplify,
+                   split_factors, to_eform)
 from .exponents import ExponentForm
 
 
@@ -51,17 +52,9 @@ class Field:
             return Elem(ZERO, ONE)
         acc = Elem(ZERO, ONE)
         for term in add_terms(e):
-            num_f: list[Expr] = []
-            den_f: list[Expr] = []
-            for f in mul_factors(term):
-                b, ex = _base_exp(f)
-                r = ex.as_rational()
-                if r is not None and r < 0 and not isinstance(b, (Var, Jet)):
-                    den_f.append(_npow(b, ex.scale(-1)))
-                else:
-                    num_f.append(f)
-            piece = self._cancel(self.norm_expr(_nmul(num_f) if num_f else ONE),
-                                 self.norm_expr(_nmul(den_f) if den_f else ONE))
+            inverse, num = split_factors(term, _inverse_factor)
+            piece = self._cancel(self.norm_expr(num), self.norm_expr(
+                _npow(inverse, ExponentForm.rational(-1))))
             acc = self._add_frac(acc, piece)
         return acc
 
@@ -186,6 +179,13 @@ class Field:
                 continue
             return False
         return True
+
+
+def _inverse_factor(b: Expr, ex: ExponentForm) -> bool:
+    """A parameter factor with a negative rational exponent: it belongs to
+    the denominator of a field element."""
+    r = ex.as_rational()
+    return r is not None and r < 0 and not isinstance(b, (Var, Jet))
 
 
 # ---------------------------------------------------------------------------

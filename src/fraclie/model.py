@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exponents import Assumptions, ExponentForm
+from .exponents import Assumptions
 from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
-                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, add_terms,
-                   atoms, depends_on_jets, expand, mul_factors, simplify)
+                   _coeff_mono, _nadd, _nmul, add_terms, atoms,
+                   depends_on_jets, expand, simplify, split_factors)
 
 
 @dataclass(frozen=True)
@@ -198,21 +198,8 @@ class TermClassification:
 
 def _linear_jet_split(term: Expr) -> Optional[JTerm]:
     """c * (single jet to the first power) with c jet-free, else None."""
-    jet = None
-    coeff_factors: list[Expr] = []
-    for f in mul_factors(term):
-        b, e = _base_exp(f)
-        if isinstance(b, Jet):
-            if jet is not None or e != ExponentForm.rational(1):
-                return None
-            jet = b
-        elif depends_on_jets(b):
-            return None
-        else:
-            coeff_factors.append(f)
-    if jet is None:
-        return None
-    return JTerm(_nmul(coeff_factors) if coeff_factors else ONE, jet)
+    jet, coeff = split_factors(term, lambda b, _: depends_on_jets(b))
+    return JTerm(coeff, jet) if isinstance(jet, Jet) else None
 
 
 def classify_terms(sys: PDESystem) -> TermClassification:

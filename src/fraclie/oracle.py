@@ -9,8 +9,9 @@ definition, independently of the symbolic power rule:
 * sampled inputs: the Grunwald-Letnikov difference at two resolutions with a
   Richardson comparison for the error estimate.
 
-This module owns all floating-point evaluation, including Gamma via a
-Lanczos approximation; the symbolic layer stays exact.
+This module owns all floating-point evaluation; the symbolic layer stays
+exact.  numpy and scipy are imported only when the quadrature runs, so
+importing the package does not load them.
 """
 from __future__ import annotations
 
@@ -18,9 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
-from scipy.special import roots_jacobi
 
 from .exponents import ExponentForm
 from .expr import (Add, Expr, Gamma, Mul, Pow, Rat, Sym, Var,
@@ -30,37 +28,6 @@ from .fraccalc import PowerSum
 
 class SingularInput(ValueError):
     """The input has a t-exponent <= -1; the defining integral diverges."""
-
-
-# ---------------------------------------------------------------------------
-# Lanczos Gamma
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_gamma(x: float) -> float:
-    """Gamma via the Lanczos approximation (g=7, n=9); relative accuracy is
-    comfortably below 1e-13 on the real line away from the poles."""
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * lanczos_gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +58,7 @@ def evaluate(e: Expr, env: Optional[dict[str, float]] = None) -> float:
                 raise KeyError(f"no value for {x.name}")
             return env[x.name]
         if isinstance(x, Gamma):
-            return lanczos_gamma(go(x.arg))
+            return math.gamma(go(x.arg))
         if isinstance(x, Pow):
             return go(x.base) ** form_value(x.exp)
         if isinstance(x, Mul):
@@ -167,6 +134,9 @@ def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
     """d/dt [ t^(1-a) * int_0^1 (1-sigma)^(-a) f(t sigma) dsigma ] / Gamma(1-a)
     = t^(-a)/Gamma(1-a) * [ (1-a) I1 + I2 ],  I1 = int w f(t sigma),
     I2 = int w sigma f'(t sigma); sigma = rho^m makes the integrand smooth."""
+    import numpy as np
+    from scipy.special import roots_jacobi
+
     m = 1
     for _, g in terms:
         m = m * g.denominator // math.gcd(m, g.denominator)
@@ -196,7 +166,7 @@ def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
 
     i1 = 2.0 ** (a - 1.0) * np.dot(w, jac * f_at(t * sigma))
     i2 = 2.0 ** (a - 1.0) * np.dot(w, jac * sfp_at(t * sigma))
-    return t ** (-a) / lanczos_gamma(1.0 - a) * ((1.0 - a) * i1 + t * i2)
+    return t ** (-a) / math.gamma(1.0 - a) * ((1.0 - a) * i1 + t * i2)
 
 
 def _grunwald_letnikov(f: Callable[[float], float], a: float, t: float,

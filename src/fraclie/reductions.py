@@ -13,11 +13,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
-from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Var, ZERO,
-                   ONE, _eform_mul, _eform_pow, _nadd, _nmul, _npow,
-                   atoms, depends_on_jets, diff_wrt, expand,
-                   partial_derivative,
-                   render, simplify, substitute, to_eform)
+from .expr import (Expr, Jet, Var, ZERO, ONE, _eform_mul, _eform_pow,
+                   _nadd, _nmul, _npow, atoms, depends_on_jets, diff_wrt,
+                   expand, map_children, partial_derivative, simplify,
+                   substitute, to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Field
 from .model import PDESystem, Signature, make_system
@@ -57,17 +56,7 @@ def _drop_axis(e: Expr, axis: int, new_sig: Signature) -> Expr:
             if not x.is_time and x.axis > axis:
                 return Var(x.name, x.axis - 1)
             return x
-        if isinstance(x, Mul):
-            return _nmul([walk(f) for f in x.factors])
-        if isinstance(x, Add):
-            return _nadd([walk(t) for t in x.terms])
-        if isinstance(x, Pow):
-            return _npow(walk(x.base), x.exp)
-        if isinstance(x, Gamma):
-            return Gamma(walk(x.arg))
-        if isinstance(x, Fn):
-            return Fn(x.fname, tuple(walk(a) for a in x.args), x.deriv, x.frac)
-        return x
+        return map_children(x, walk)
 
     return simplify(walk(e))
 

@@ -15,10 +15,12 @@ from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .exponents import Assumptions, ExponentForm
-from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
-                   ONE, _base_exp, _nadd, _nmul, _npow, add_terms, atoms,
-                   depends_on_jets, diff_wrt, expand, gamma_simplify, mul_factors, partial_derivative, render,
-                   simplify, substitute, to_eform, total_derivative)
+from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
+                   _nadd, _nmul, _npow, add_terms, atoms, depends_on_jets,
+                   diff_wrt, expand, gamma_simplify, map_children,
+                   mul_factors, partial_derivative, render, simplify,
+                   split_factors, split_power, substitute, to_eform,
+                   total_derivative)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, nullspace
 from .model import PDESystem, Signature, classify_terms
@@ -144,16 +146,8 @@ def generator_shape(gen: Generator, alpha: Expr,
     for term in add_terms(tau):
         if term == ZERO:
             continue
-        rest = []
-        texp = ExponentForm()
-        for f in mul_factors(term):
-            b, e = _base_exp(f)
-            if isinstance(b, Var) and b == t:
-                texp = texp + e
-            else:
-                rest.append(f)
-        coeff = _nmul(rest) if rest else ONE
-        if depends_on_jets(coeff) or any(isinstance(a, Var) for a in atoms(coeff, Var)):
+        texp, coeff = split_power(term, t)
+        if depends_on_jets(coeff) or atoms(coeff, Var):
             raise ShapeViolation("tau must be a polynomial in t with constant "
                                  "coefficients")
         if texp == ExponentForm.rational(1):
@@ -349,15 +343,7 @@ def _instantiate_expr(e: Expr, inst: _Instantiation, sig: Signature) -> Expr:
     def walk(x: Expr) -> Expr:
         if isinstance(x, Fn) and x.fname in inst.fn_values:
             return value_of(x)
-        if isinstance(x, Mul):
-            return _nmul([walk(f) for f in x.factors])
-        if isinstance(x, Add):
-            return _nadd([walk(t) for t in x.terms])
-        if isinstance(x, Pow):
-            return _npow(walk(x.base), x.exp)
-        if isinstance(x, Gamma):
-            return Gamma(walk(x.arg))
-        return x
+        return map_children(x, walk)
 
     return expand(walk(simplify(e)))
 
@@ -374,32 +360,20 @@ def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field
     classes: dict[tuple, dict[int, Elem]] = {}
     class_forms: dict[tuple, ExponentForm] = {}
     for term in add_terms(e):
-        texp = ExponentForm()
-        struct: list[Expr] = []
-        col: Optional[int] = None
-        coeff: list[Expr] = []
-        for f in mul_factors(term):
-            b, ex = _base_exp(f)
-            if isinstance(b, Var) and b.is_time:
-                texp = texp + ex
-            elif isinstance(b, (Var, Jet)):
-                struct.append(f)
-            elif isinstance(b, Fn) and depends_on_jets(b):
-                struct.append(f)
-            elif isinstance(b, Sym) and b.name in inst.col_index:
-                if col is not None or ex != ExponentForm.rational(1):
-                    raise NonAffineRow(f"term {render(term)} is not affine in "
-                                       "the solver unknowns")
-                col = inst.col_index[b.name]
-            else:
-                coeff.append(f)
-        if col is None:
+        struct, rest = split_factors(term, _structural)
+        texp, struct = split_power(struct, sig.t)
+        unknown, coeff = split_factors(
+            rest, lambda b, _: isinstance(b, Sym) and b.name in inst.col_index)
+        if unknown == ONE:
             raise NonAffineRow(f"term {render(term)} carries no solver unknown")
-        key = (texp.sort_key(), tuple(sorted(s.key() for s in struct)))
+        if not isinstance(unknown, Sym):
+            raise NonAffineRow(f"term {render(term)} is not affine in "
+                               "the solver unknowns")
+        key = (texp.sort_key(), tuple(f.key() for f in mul_factors(struct)))
         class_forms[key] = texp
         row = classes.setdefault(key, {})
-        c = fld.elem(_nmul(coeff) if coeff else ONE)
-        row[col] = fld.add(row.get(col, fld.zero), c)
+        col = inst.col_index[unknown.name]
+        row[col] = fld.add(row.get(col, fld.zero), fld.elem(coeff))
 
     notes: list[str] = []
     forms = [class_forms[k] for k in sorted(class_forms)]
@@ -455,28 +429,29 @@ def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field
     return rows, notes
 
 
-def _ratnorm_components(e: Expr, fld: Field) -> Expr:
-    """Combine parameter-fraction coefficients per structural monomial."""
-    e = expand(e)
-    groups: dict[tuple, list] = {}
+def _structural(b: Expr, _) -> bool:
+    """Factors that carry the variables: powers of Vars and Jets and opaque
+    functions of the dependents."""
+    return isinstance(b, (Var, Jet)) or (isinstance(b, Fn) and depends_on_jets(b))
+
+
+def _structural_groups(e: Expr, fld: Field) -> dict[tuple, tuple[Expr, Elem]]:
+    """Field coefficient of each structural monomial of an expanded
+    expression, keyed by the monomial's key; zero sums are kept."""
+    groups: dict[tuple, tuple[Expr, Elem]] = {}
     for term in add_terms(e):
         if term == ZERO:
             continue
-        struct: list[Expr] = []
-        coeff: list[Expr] = []
-        for f in mul_factors(term):
-            b, _ = _base_exp(f)
-            if isinstance(b, (Var, Jet)) or (isinstance(b, Fn) and depends_on_jets(b)):
-                struct.append(f)
-            else:
-                coeff.append(f)
-        mono = _nmul(struct) if struct else ONE
+        mono, coeff = split_factors(term, _structural)
         k = mono.key()
-        c = fld.elem(_nmul(coeff) if coeff else ONE)
-        if k in groups:
-            groups[k][1] = fld.add(groups[k][1], c)
-        else:
-            groups[k] = [mono, c]
+        c = fld.elem(coeff)
+        groups[k] = (mono, fld.add(groups[k][1], c) if k in groups else c)
+    return groups
+
+
+def _ratnorm_components(e: Expr, fld: Field) -> Expr:
+    """Combine parameter-fraction coefficients per structural monomial."""
+    groups = _structural_groups(expand(e), fld)
     out = []
     for k in sorted(groups):
         mono, c = groups[k]
@@ -516,24 +491,9 @@ def _generator_vector_space(gens: Sequence[Generator], fld: Field):
         comps = [g.tau] + list(g.xi) + list(g.eta)
         entry: dict[tuple, Elem] = {}
         for ci, comp in enumerate(comps):
-            comp = fld.norm_expr(comp)
-            for term in add_terms(comp):
-                if term == ZERO:
-                    continue
-                struct: list[Expr] = []
-                coeff: list[Expr] = []
-                for f in mul_factors(term):
-                    b, _ = _base_exp(f)
-                    if isinstance(b, (Var, Jet)) or (
-                            isinstance(b, Fn) and depends_on_jets(b)):
-                        struct.append(f)
-                    else:
-                        coeff.append(f)
-                mono = _nmul(struct) if struct else ONE
-                key = (ci, mono.key())
-                columns.setdefault(key, (ci, mono))
-                c = fld.elem(_nmul(coeff) if coeff else ONE)
-                entry[key] = fld.add(entry.get(key, fld.zero), c)
+            for k, (mono, c) in _structural_groups(fld.norm_expr(comp), fld).items():
+                columns.setdefault((ci, k), (ci, mono))
+                entry[(ci, k)] = c
         decomposed.append(entry)
     ordered = sorted(columns)
     for entry in decomposed:

@@ -1,16 +1,19 @@
 """Expression kernel: canonical form, substitution, differentiation,
 monomial collection, Gamma normalization."""
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
                      NonPolynomial, Rat, Sym, Var, ZERO, ONE, add,
                      collect_monomials, div, expand, gamma_simplify, mul, neg,
                      partial_derivative, pow_, simplify, substitute,
                      total_derivative)
-from fraclie.expr import FractionalChain, mul_factors
+from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow, any_node,
+                          map_children, mul_factors)
 
 F = Fraction
 t = Var("t", -1)
@@ -91,6 +94,88 @@ class TestSubstitute:
     def test_simultaneous_not_sequential(self):
         out = substitute(add(u, ux), {u: x, ux: y})
         assert out == add(x, y)
+
+    def test_key_inside_gamma_argument(self):
+        assert substitute(Gamma(add(x, 1)), {x: a}) == Gamma(add(a, 1))
+
+    def test_key_inside_function_argument(self):
+        assert substitute(Fn("f", (x, t)), {x: y}) == Fn("f", (y, t))
+
+    def test_exponent_and_base_of_one_power(self):
+        got = substitute(pow_(Gamma(x), A_FORM), {a: 2, x: y})
+        assert got == pow_(Gamma(y), 2)
+
+
+# Raw (not yet canonical) trees over all node types, for the traversal laws.
+_EXPONENTS = [ExponentForm.rational(k) for k in (-1, 2, F(1, 2))] + [
+    A_FORM, A_FORM - ExponentForm.rational(1)]
+_LEAVES = st.one_of(
+    st.sampled_from([F(0), F(1), F(-2), F(1, 3)]).map(Rat),
+    st.sampled_from([a, n, t, x, u, ux, Jet(0, (0, 0), frac=1)]),
+)
+
+
+def _compound(kids):
+    return st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Mul(tuple(cs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Add(tuple(cs))),
+        st.tuples(kids, st.sampled_from(_EXPONENTS)).map(lambda p: Pow(*p)),
+        kids.map(Gamma),
+        st.lists(kids, min_size=1, max_size=2).map(lambda cs: Fn("f", tuple(cs))),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _compound, max_leaves=10)
+
+_PREDICATES = [
+    lambda e: isinstance(e, Jet),
+    lambda e: e == t,
+    lambda e: isinstance(e, Gamma),
+    lambda e: isinstance(e, Rat) and e.value < 0,
+    lambda e: isinstance(e, Fn) and any(isinstance(c, Jet) for c in e.args),
+]
+
+
+def _all_nodes(e):
+    """Every node of e in pre-order, found through the dataclass fields."""
+    out = [e]
+    for field in dataclasses.fields(e):
+        value = getattr(e, field.name)
+        for c in (value if isinstance(value, tuple) else (value,)):
+            if isinstance(c, Expr):
+                out += _all_nodes(c)
+    return out
+
+
+class TestTraversal:
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_map_children_identity_on_canonical(self, e):
+        s = simplify(e)
+        assert map_children(s, lambda c: c) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES)
+    def test_simplify_idempotent(self, e):
+        s = simplify(e)
+        assert simplify(s) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(_TREES, st.sampled_from(_PREDICATES))
+    def test_any_node_matches_node_list(self, e, pred):
+        assert any_node(e, pred) == any(pred(c) for c in _all_nodes(e))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_TREES)
+    def test_any_node_visits_in_preorder(self, e):
+        seen = []
+
+        def visit(c):
+            seen.append(c)
+            return False
+
+        any_node(e, visit)
+        assert seen == _all_nodes(e)
 
 
 class TestPartialDerivative:

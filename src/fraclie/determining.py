@@ -16,8 +16,8 @@ from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
                    _rational_content, add_terms, atoms, depends_on_jets,
                    diff_wrt, expand, group_by_monomial, map_children,
-                   mul_factors, partial_derivative, render, simplify,
-                   split_factors, total_derivative)
+                   mul_factors, partial_derivative, render, split_factors,
+                   substitute, total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
 from .prolong import AnsatzGenerator, eta_theta_of
 
@@ -71,7 +71,7 @@ def invariance_condition(sys: PDESystem, ans: AnsatzGenerator,
                 continue
             ext = eta_theta_of(sig, etas[jet.dep], xi, jet.dep, jet.theta)
             pieces.append(_nmul([Rat(-1), ext, coeff]))
-        out.append(simplify(expand(_nadd(pieces))))
+        out.append(expand(_nadd(pieces)))
     return out
 
 
@@ -96,7 +96,7 @@ def h_condition(sys: PDESystem, ans: AnsatzGenerator,
         for jt in cl.j_set(s):
             pieces.append(_nmul([Rat(-1), _d_theta_h(ans, jt.jet.dep, jt.jet.theta),
                                  jt.coeff]))
-        out.append(simplify(expand(_nadd(pieces))))
+        out.append(expand(_nadd(pieces)))
     return out
 
 
@@ -266,7 +266,7 @@ def build_determining(sys: PDESystem, ans: Optional[AnsatzGenerator] = None
                 eqs.append(norm)
     eqs.sort(key=lambda e: e.key())
     return DeterminingSystem(sys, ans, ans.branch, tuple(fragments), tuple(eqs),
-                             tuple(simplify(c) for c in cond1), tuple(sorted(notes)))
+                             tuple(cond1), tuple(sorted(notes)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def _zero_substitute(e: Expr, facts: list[Fn]) -> Expr:
             return ZERO
         return map_children(x, walk)
 
-    return simplify(walk(e))
+    return walk(e)
 
 
 def reduce_for_presentation(ds: DeterminingSystem) -> list[Expr]:
@@ -319,8 +319,7 @@ def reduce_for_presentation(ds: DeterminingSystem) -> list[Expr]:
         for e in eqs:
             e = _zero_substitute(e, facts)
             if chi_facts:
-                from .expr import substitute
-                e = simplify(substitute(e, {c: ZERO for c in chi_facts}))
+                e = substitute(e, {c: ZERO for c in chi_facts})
             if e == ZERO:
                 changed = True
                 continue
@@ -328,7 +327,7 @@ def reduce_for_presentation(ds: DeterminingSystem) -> list[Expr]:
             distinct = {u.key() for u in un}
             if len(distinct) == 1:
                 atom = un[0]
-                coeff = simplify(expand(_nmul([e, _npow_inv(atom)])))
+                coeff = expand(_nmul([e, _npow_inv(atom)]))
                 if not depends_on_jets(coeff) and _invertible_coefficient(coeff, ds.sys):
                     if isinstance(atom, Fn):
                         facts.append(atom)

@@ -6,6 +6,14 @@ and mathematically equal monomials normalize to identical trees.  No
 floating point number ever enters an expression; numeric evaluation lives in
 the oracle module.
 
+Canonical by construction: every tree the kernel builds (the constructors
+add, mul, neg, pow_, div, the operators on Expr, and expand, substitute,
+the derivatives and gamma_simplify) is canonical when its inputs are, that
+is, a fixed point of simplify.  A canonical Mul holds no Mul and a
+canonical Add no Add.  simplify is only for trees built by hand from the
+Mul, Add and Pow dataclasses; on kernel trees, structural equality and
+Expr.key() are exact tests with no simplify first.
+
 Traversal contract: the children of a node are the operands of a Mul or
 Add, the base of a Pow, the argument of a Gamma and the arguments of an Fn;
 Rat, Sym, Var and Jet are leaves.  The exponent of a Pow is an
@@ -231,7 +239,7 @@ def as_eform(v) -> ExponentForm:
 
 
 # ---------------------------------------------------------------------------
-# Canonical constructors (children assumed canonical)
+# Canonical constructors (inputs canonical, output canonical)
 # ---------------------------------------------------------------------------
 
 def _npow(base: Expr, exp: ExponentForm) -> Expr:
@@ -267,37 +275,37 @@ def _base_exp(f: Expr) -> tuple[Expr, ExponentForm]:
 def _nmul(factors: Iterable[Expr]) -> Expr:
     coeff = Fraction(1)
     merged: dict[tuple, list] = {}
-    stack = list(factors)
-    while stack:
-        f = stack.pop(0)
-        if isinstance(f, Rat):
-            if f.value == 0:
-                return ZERO
-            coeff *= f.value
-            continue
-        if isinstance(f, Mul):
-            stack = list(f.factors) + stack
-            continue
-        b, e = _base_exp(f)
-        k = b.key()
-        if k in merged:
-            merged[k][1] = merged[k][1] + e
-        else:
-            merged[k] = [b, e]
+    for f in factors:
+        for g in (f.factors if isinstance(f, Mul) else (f,)):
+            if isinstance(g, Rat):
+                if g.value == 0:
+                    return ZERO
+                coeff *= g.value
+                continue
+            b, e = _base_exp(g)
+            k = b.key()
+            if k in merged:
+                merged[k][1] = merged[k][1] + e
+            else:
+                merged[k] = [b, e]
     out: list[Expr] = []
-    for _, (b, e) in merged.items():
+    remerge = False
+    for b, e in merged.values():
         p = _npow(b, e)
         if isinstance(p, Rat):
             if p.value == 0:
                 return ZERO
             coeff *= p.value
-        elif p is not ONE:
-            out.append(p)
+            continue
+        # a merged power of a product or of a power, (x*y)^(1/2) squared,
+        # is a product or another base's power and may merge with the others
+        remerge = remerge or isinstance(p, Mul) or _base_exp(p)[0] is not b
+        out.append(p)
+    if remerge:
+        return _nmul(out + [Rat(coeff)])
     out.sort(key=lambda x: x.key())
     if not out:
         return Rat(coeff)
-    if coeff == 0:
-        return ZERO
     if coeff == 1:
         return out[0] if len(out) == 1 else Mul(tuple(out))
     return Mul((Rat(coeff),) + tuple(out))
@@ -338,30 +346,24 @@ def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
 def _nadd(terms: Iterable[Expr]) -> Expr:
     const = Fraction(0)
     merged: dict[tuple, list] = {}
-    stack = list(terms)
-    while stack:
-        t = stack.pop(0)
-        if isinstance(t, Add):
-            stack = list(t.terms) + stack
-            continue
-        c, mono = _coeff_mono(t)
-        if mono is None:
-            const += c
-            continue
-        k = mono.key()
-        if k in merged:
-            merged[k][0] += c
-        else:
-            merged[k] = [c, mono]
-    out = [_with_coeff(c, m) for c, m in merged.values() if c != 0]
-    if const != 0:
-        out.append(Rat(const))
-
-    def term_order(x: Expr):
-        c, mono = _coeff_mono(x)
-        return ((-1,), c) if mono is None else (mono.key(), c)
-
-    out.sort(key=term_order)
+    for t in terms:
+        for s in (t.terms if isinstance(t, Add) else (t,)):
+            c, mono = _coeff_mono(s)
+            if mono is None:
+                const += c
+                continue
+            k = mono.key()
+            if k in merged:
+                merged[k][0] += c
+            else:
+                merged[k] = [c, mono]
+    # a sum factor whose coefficient merges to 1, 2*A - A, is a sum of terms
+    # again and is spliced into this one
+    if any(c == 1 and isinstance(m, Add) for c, m in merged.values()):
+        return _nadd([_with_coeff(c, m) for c, m in merged.values()]
+                     + [Rat(const)])
+    out = [Rat(const)] if const != 0 else []
+    out += [_with_coeff(c, m) for _, (c, m) in sorted(merged.items()) if c != 0]
     if not out:
         return ZERO
     if len(out) == 1:
@@ -453,40 +455,41 @@ def group_by_monomial(e: Expr, pred: Callable[[Expr, ExponentForm], bool]
 # ---------------------------------------------------------------------------
 
 def add(*terms: ExprLike) -> Expr:
-    return _nadd([simplify(as_expr(t)) for t in terms])
+    return _nadd([as_expr(t) for t in terms])
 
 
 def mul(*factors: ExprLike) -> Expr:
-    return _nmul([simplify(as_expr(f)) for f in factors])
+    return _nmul([as_expr(f) for f in factors])
 
 
 def neg(e: ExprLike) -> Expr:
-    return _nmul([Rat(Fraction(-1)), simplify(as_expr(e))])
+    return _nmul([Rat(Fraction(-1)), as_expr(e)])
 
 
 def pow_(base: ExprLike, exponent) -> Expr:
-    return _npow(simplify(as_expr(base)), as_eform(exponent))
+    return _npow(as_expr(base), as_eform(exponent))
 
 
 def div(num: ExprLike, den: ExprLike) -> Expr:
-    d = simplify(as_expr(den))
+    d = as_expr(den)
     if isinstance(d, Rat):
         if d.value == 0:
             raise ZeroDivisionError("division by zero expression")
-        return _nmul([Rat(1 / d.value), simplify(as_expr(num))])
-    return _nmul([simplify(as_expr(num)), _npow(d, ExponentForm.rational(-1))])
+        return _nmul([Rat(1 / d.value), as_expr(num)])
+    return _nmul([as_expr(num), _npow(d, ExponentForm.rational(-1))])
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form: flattened, sorted, like monomials merged, exponent
-    algebra applied.  Idempotent.  Does not distribute products over sums."""
+    """Canonical form of a tree built by hand from the node dataclasses:
+    flattened, sorted, like monomials merged, exponent algebra applied.
+    Idempotent.  Does not distribute products over sums.  Every tree the
+    kernel builds is canonical already, so simplify returns it unchanged."""
     return map_children(e, simplify)
 
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and integer powers of sums; result is a
     canonical sum of monomial terms."""
-    e = simplify(e)
     return _expand(e)
 
 
@@ -616,15 +619,15 @@ def _mentions(e: Expr, keys: set) -> set:
 
 
 def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
-    """Simultaneous substitution followed by simplify.  Keys may be Sym, Var,
+    """Simultaneous substitution, rebuilt canonically.  Keys may be Sym, Var,
     Jet or Fn nodes.  Raises CyclicBinding when a binding's value mentions its
     own key transitively."""
     norm: dict[tuple, tuple[Expr, Expr]] = {}
     for k, v in bindings.items():
-        k = simplify(as_expr(k))
+        k = as_expr(k)
         if not isinstance(k, (Sym, Var, Jet, Fn)):
             raise TypeError(f"substitution key must be an atom, got {k!r}")
-        norm[k.key()] = (k, simplify(as_expr(v)))
+        norm[k.key()] = (k, as_expr(v))
 
     keyset = set(norm)
     graph = {kk: _mentions(v, keyset) for kk, (_, v) in norm.items()}
@@ -657,7 +660,7 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
             return _npow(rep(x.base), eform_subs(x.exp, sym_bindings))
         return map_children(x, rep)
 
-    return simplify(rep(simplify(e)))
+    return rep(e)
 
 
 def subs_params(e: Expr, values: Mapping[str, Fraction]) -> Expr:
@@ -720,7 +723,7 @@ def partial_derivative(e: Expr, v: Var) -> Expr:
             return _nadd(out)
         return None
 
-    return simplify(_diff(simplify(e), leaf))
+    return _diff(e, leaf)
 
 
 def _bump_jet(j: Jet, v: Var) -> Jet:
@@ -757,12 +760,12 @@ def total_derivative(e: Expr, v: Var) -> Expr:
             return _nadd(out)
         return None
 
-    return simplify(_diff(simplify(e), leaf))
+    return _diff(e, leaf)
 
 
 def diff_wrt(e: Expr, atom: Expr) -> Expr:
     """Partial derivative with respect to a jet coordinate (or Var/Sym)."""
-    atom = simplify(as_expr(atom))
+    atom = as_expr(atom)
     if isinstance(atom, Var):
         return partial_derivative(e, atom)
     akey = atom.key()
@@ -780,7 +783,7 @@ def diff_wrt(e: Expr, atom: Expr) -> Expr:
             return ZERO
         return None
 
-    return simplify(_diff(simplify(e), leaf))
+    return _diff(e, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +823,7 @@ def collect_monomials(e: Expr, basis: Iterable[Jet]) -> dict[Expr, Expr]:
     """Collect an expression polynomial in the given jets: returns a map
     monomial -> coefficient with coefficients free of basis jets.  Powers of a
     basis jet with symbolic exponent are distinct monomial atoms."""
-    basis_keys = {simplify(as_expr(b)).key() for b in basis}
+    basis_keys = {as_expr(b).key() for b in basis}
 
     def is_basis(x: Expr) -> bool:
         return x.key() in basis_keys
@@ -877,7 +880,7 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
             return _nmul(prefactors + [core])
         return map_children(x, transform)
 
-    return transform(simplify(e))
+    return transform(e)
 
 
 # ---------------------------------------------------------------------------
@@ -975,4 +978,4 @@ def render(e: Expr, sig=None) -> str:
             return f"({out})" if prec >= 1 else out
         raise TypeError(f"not an expression: {x!r}")
 
-    return pw(simplify(e), 0)
+    return pw(e, 0)

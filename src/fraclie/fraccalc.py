@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Union
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
 from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, ONE, _nadd,
                    _nmul, _npow, add_terms, any_node, as_expr, as_eform,
-                   expand, from_eform, gamma_simplify, render, simplify,
-                   split_power, total_derivative)
+                   expand, from_eform, gamma_simplify, render, split_power,
+                   total_derivative)
 
 
 class NegativeIndex(ValueError):
@@ -41,7 +41,7 @@ def gen_binomial(alpha: ExprLike, k: int) -> Expr:
     The result is a polynomial in alpha with rational coefficients."""
     if k < 0:
         raise NegativeIndex(f"binomial index must be nonnegative, got {k}")
-    a = simplify(as_expr(alpha))
+    a = as_expr(alpha)
     out: Expr = ONE
     for j in range(1, k + 1):
         out = expand(_nmul([out, _nadd([a, Rat(Fraction(-(j - 1)))]), Rat(Fraction(1, j))]))
@@ -62,7 +62,7 @@ class PowerSum:
     def build(tvar: Var, terms: Iterable[tuple[Expr, ExponentForm]]) -> "PowerSum":
         acc: dict[tuple, list] = {}
         for c, g in terms:
-            c = simplify(as_expr(c))
+            c = as_expr(c)
             if c == ZERO:
                 continue
             k = g.sort_key()
@@ -71,7 +71,7 @@ class PowerSum:
             else:
                 acc[k] = [c, g]
         cleaned = tuple((c, g) for c, g in
-                        (acc[k] for k in sorted(acc)) if simplify(c) != ZERO)
+                        (acc[k] for k in sorted(acc)) if c != ZERO)
         return PowerSum(tvar, cleaned)
 
     @staticmethod
@@ -91,7 +91,7 @@ class PowerSum:
         return _nadd([_nmul([c, _npow(self.tvar, g)]) for c, g in self.terms])
 
     def scale(self, factor: ExprLike) -> "PowerSum":
-        f = simplify(as_expr(factor))
+        f = as_expr(factor)
         return PowerSum.build(self.tvar, [(_nmul([f, c]), g) for c, g in self.terms])
 
     def __add__(self, other: "PowerSum") -> "PowerSum":
@@ -131,7 +131,7 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
     otherwise UndecidableExponent is raised and the caller must declare one.
     The default order is alpha itself.
     """
-    alpha = simplify(as_expr(alpha))
+    alpha = as_expr(alpha)
     if tvar is None:
         tvar = f.tvar if isinstance(f, PowerSum) else Var("t", -1)
     ps = as_power_sum(f, tvar)
@@ -170,12 +170,12 @@ def leibniz_expand(u: ExprLike, v: Union[PowerSum, ExprLike], alpha: ExprLike,
     default truncation covers the test-fixture uses."""
     if K < 0:
         raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
-    alpha = simplify(as_expr(alpha))
+    alpha = as_expr(alpha)
     if tvar is None:
         tvar = v.tvar if isinstance(v, PowerSum) else Var("t", -1)
     asm = assumptions if assumptions is not None else default_assumptions(alpha)
     vps = as_power_sum(v, tvar)
-    u = simplify(as_expr(u))
+    u = as_expr(u)
 
     pieces: list[Expr] = []
     du = u
@@ -196,14 +196,14 @@ def rl_series_truncated(e: ExprLike, alpha: ExprLike, K: int, *,
     Dt the kernel total derivative.  Test-fixture use only."""
     if K < 0:
         raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
-    alpha = simplify(as_expr(alpha))
+    alpha = as_expr(alpha)
     if tvar is None:
         tvar = Var("t", -1)
     asm = assumptions if assumptions is not None else default_assumptions(alpha)
     aform = as_eform(alpha)
 
     pieces: list[Expr] = []
-    de = simplify(as_expr(e))
+    de = as_expr(e)
     for k in range(K + 1):
         if de == ZERO:
             break

@@ -15,9 +15,8 @@ from typing import Optional
 from .exponents import Assumptions
 from .expr import (Add, Expr, Gamma, Jet, Mul, Rat, Sym, Var, ZERO,
                    ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   _rational_content, add_terms, expand,
-                   gamma_simplify, mul_factors, render, simplify,
-                   split_factors, to_eform)
+                   _rational_content, add_terms, expand, gamma_simplify,
+                   mul_factors, render, split_factors, to_eform)
 from .exponents import ExponentForm
 
 
@@ -104,7 +103,7 @@ class Field:
     def to_expr(self, a: Elem) -> Expr:
         if a.den == ONE:
             return a.num
-        return simplify(_nmul([a.num, _npow(a.den, ExponentForm.rational(-1))]))
+        return _nmul([a.num, _npow(a.den, ExponentForm.rational(-1))])
 
     # -- factor cancellation -------------------------------------------------
     def _cancel(self, num: Expr, den: Expr) -> Elem:
@@ -133,9 +132,10 @@ class Field:
         polynomials in the parameter atoms."""
         if den == ONE or num == ZERO:
             return num, den
-        num_d = _poly_dict(self.norm_expr(num))
-        if num_d is None:
+        num_p = _poly_dict(self.norm_expr(num))
+        if num_p is None:
             return num, den
+        num_d, atoms = num_p
         cd, fd = _factor_map(den)
         changed = False
         for key in sorted(fd):
@@ -143,9 +143,11 @@ class Field:
             k = ex.as_integer()
             if k is None or k <= 0:
                 continue
-            g_d = _poly_dict(self.norm_expr(b))
-            if g_d is None or not g_d:
+            g_p = _poly_dict(self.norm_expr(b))
+            if g_p is None or not g_p[0]:
                 continue
+            g_d, g_atoms = g_p
+            atoms.update(g_atoms)
             while k > 0:
                 q = _poly_divide(num_d, g_d)
                 if q is None:
@@ -157,7 +159,7 @@ class Field:
         if not changed:
             return num, den
         den2 = _from_factor_map(cd, fd)
-        return _poly_expr(num_d), self.norm_expr(den2)
+        return _poly_expr(num_d, atoms), self.norm_expr(den2)
 
     # -- pivot admissibility ---------------------------------------------------
     def provably_nonzero(self, e: Expr) -> bool:
@@ -193,14 +195,15 @@ def _inverse_factor(b: Expr, ex: ExponentForm) -> bool:
 # ---------------------------------------------------------------------------
 
 _PolyDict = dict  # monomial key tuple -> Fraction
-_ATOM_REGISTRY: dict[tuple, Expr] = {}
+_Atoms = dict     # atom key -> atom
 
 
-def _poly_dict(e: Expr) -> Optional[_PolyDict]:
+def _poly_dict(e: Expr) -> Optional[tuple[_PolyDict, _Atoms]]:
     """View an expanded expression as a polynomial in its non-rational atoms
-    (parameters, Gamma applications); None when it is not one (negative or
-    symbolic powers, jet/variable content)."""
+    (parameters, Gamma applications), beside the atoms by key; None when it
+    is not one (negative or symbolic powers, jet/variable content)."""
     out: _PolyDict = {}
+    atoms: _Atoms = {}
     for term in add_terms(e):
         if term == ZERO:
             continue
@@ -214,26 +217,29 @@ def _poly_dict(e: Expr) -> Optional[_PolyDict]:
             k = ex.as_integer()
             if k is None or k <= 0 or isinstance(b, (Var, Jet)):
                 return None
-            _ATOM_REGISTRY[b.key()] = b
-            mono[b.key()] = mono.get(b.key(), 0) + k
+            bk = b.key()
+            atoms[bk] = b
+            mono[bk] = mono.get(bk, 0) + k
         key = tuple(sorted(mono.items()))
         out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: c for k, c in out.items() if c != 0}
+    return {k: c for k, c in out.items() if c != 0}, atoms
 
 
-def _poly_expr(d: _PolyDict) -> Expr:
+def _poly_expr(d: _PolyDict, atoms: _Atoms) -> Expr:
     terms = []
     for mono, c in d.items():
         factors: list[Expr] = [Rat(c)]
         for key, k in mono:
-            factors.append(_npow(_ATOM_REGISTRY[key], ExponentForm.rational(k)))
+            factors.append(_npow(atoms[key], ExponentForm.rational(k)))
         terms.append(_nmul(factors))
     return _nadd(terms)
 
 
 def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
     """Exact division f/g as polynomials; None when not exactly divisible.
-    Uses graded lexicographic order on dense exponent vectors."""
+    Uses graded lexicographic order on dense exponent vectors.  Each step
+    cancels the leading monomial of the remainder and adds only smaller
+    ones, since the order is a monomial order, so the loop ends."""
     if not g:
         return None
     if not f:
@@ -256,9 +262,7 @@ def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
     gc = g[glead]
     work = dict(f)
     quotient: _PolyDict = {}
-    for _ in range(10000):
-        if not work:
-            return quotient
+    while work:
         flead = max(work, key=order)
         fvec = dense(flead)
         if any(a < b for a, b in zip(fvec, gvec)):
@@ -276,7 +280,7 @@ def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
                 work.pop(mm, None)
             else:
                 work[mm] = nv
-    return None
+    return quotient
 
 
 def _factor_common(e: Expr) -> Expr:

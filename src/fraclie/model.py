@@ -9,7 +9,7 @@ from typing import Optional
 from .exponents import Assumptions
 from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
                    _coeff_mono, _nadd, _nmul, add_terms, atoms,
-                   depends_on_jets, expand, simplify, split_factors)
+                   depends_on_jets, expand, split_factors)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def make_system(sig: Signature, rhs_list: list[Expr], alpha: Optional[Expr] = No
     F, H = [], []
     k = 0
     for rhs in rhs_list:
-        fs, hs = split_rhs(simplify(rhs))
+        fs, hs = split_rhs(rhs)
         F.append(fs)
         H.append(hs)
         for j in atoms(fs, Jet) + atoms(hs, Jet):
@@ -227,8 +227,6 @@ def classify_terms(sys: PDESystem) -> TermClassification:
 # ---------------------------------------------------------------------------
 
 def emit_expr_dsl(e: Expr, sig: Signature) -> str:
-    e = simplify(e)
-
     def jet_dsl(j: Jet) -> str:
         body = sig.dep_names[j.dep]
         if j.t_order or j.frac is not None:

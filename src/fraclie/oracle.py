@@ -21,8 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .exponents import ExponentForm
-from .expr import (Add, Expr, Gamma, Mul, Pow, Rat, Sym, Var,
-                   simplify)
+from .expr import Add, Expr, Gamma, Mul, Pow, Rat, Sym, Var
 from .fraccalc import PowerSum
 
 
@@ -70,7 +69,7 @@ def evaluate(e: Expr, env: Optional[dict[str, float]] = None) -> float:
             return sum(go(t) for t in x.terms)
         raise TypeError(f"cannot evaluate {x!r} numerically")
 
-    return go(simplify(e))
+    return go(e)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .expr import (Expr, Fn, Gamma, Rat, Sym, ZERO, add, div, mul,
-                   neg, pow_, simplify, to_eform, total_derivative)
+                   neg, pow_, to_eform, total_derivative)
 from .model import ParamDecl, PDESystem, Signature, make_system, validate_system
 
 
@@ -246,7 +246,6 @@ class ExprParser:
             self.s.expect("(")
             inner = self._sum()
             self.s.expect(")")
-            inner = simplify(inner)
             return Fn(name, (inner,))
         if (len(name) > 1 and name[0] == "D"
                 and(name[1:] == self.sig.t_name or name[1:] in self.sig.space_names)):
@@ -262,7 +261,7 @@ def parse_expression(text: str, sig: Signature,
     tok = stream.peek()
     if tok.kind != "EOF":
         raise DslSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return simplify(e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +324,9 @@ def parse_generator(text: str, sig: Signature):
         else:
             eta[name] = value
 
-    gen = Generator(sig, simplify(tau),
-                    tuple(simplify(xi[n]) for n in sig.space_names),
-                    tuple(simplify(eta[n]) for n in sig.dep_names))
+    gen = Generator(sig, tau,
+                    tuple(xi[n] for n in sig.space_names),
+                    tuple(eta[n] for n in sig.dep_names))
     return gen, extra
 
 

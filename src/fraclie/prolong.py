@@ -18,8 +18,7 @@ from typing import Optional
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
                    _nadd, _nmul, _npow, as_expr, atoms, diff_wrt,
-                   expand, partial_derivative, simplify,
-                   total_derivative)
+                   expand, partial_derivative, total_derivative)
 from .fraccalc import gen_binomial
 from .model import PDESystem, Signature
 
@@ -72,7 +71,7 @@ class AnsatzGenerator:
         if self.branch == BRANCH_ZERO:
             return ZERO
         if self.branch == BRANCH_NONZERO:
-            return simplify((self.alpha - ONE) * Rat(Fraction(1, 2)))
+            return (self.alpha - ONE) * Rat(Fraction(1, 2))
         return Sym(_indexed("gamma", s, self.sig.q))
 
     def gamma_symbols(self) -> list[str]:
@@ -151,7 +150,7 @@ def eta_theta_of(sig: Signature, eta_s: Expr, xi: list[Expr], s: int,
     for i in range(sig.p):
         bumped = tuple(theta[j] + (1 if j == i else 0) for j in range(sig.p))
         tail.append(_nmul([xi[i], sig.u(s, bumped)]))
-    return simplify(_nadd([out] + tail))
+    return _nadd([out] + tail)
 
 
 def eta_theta(ans: AnsatzGenerator, s: int, theta: tuple[int, ...]) -> Expr:
@@ -183,7 +182,7 @@ def eta_alpha_ansatz(ans: AnsatzGenerator, sys: PDESystem, s: int,
     for i in range(sig.q):
         pieces.append(_nmul([ans.deta_du(s, i), sys.rhs(i)]))
     pieces.append(_nmul([Rat(-1), alpha, ans.tau_prime, sys.rhs(s)]))
-    local_expr = simplify(_nadd(pieces))
+    local_expr = _nadd(pieces)
 
     series_u: dict[int, tuple[Expr, ...]] = {}
     series_ux: dict[int, tuple[Expr, ...]] = {}
@@ -200,7 +199,7 @@ def eta_alpha_ansatz(ans: AnsatzGenerator, sys: PDESystem, s: int,
                 for _ in range(k + 1):
                     dtau = total_derivative(dtau, t)
                 coeff = coeff - _nmul([gen_binomial(alpha, k + 1), dtau])
-            row.append(simplify(expand(coeff)))
+            row.append(expand(coeff))
         series_u[k] = tuple(row)
         rowx = []
         for i in range(sig.p):
@@ -208,7 +207,7 @@ def eta_alpha_ansatz(ans: AnsatzGenerator, sys: PDESystem, s: int,
             dk = dxi
             for _ in range(k):
                 dk = total_derivative(dk, t)
-            rowx.append(simplify(expand(_nmul([Rat(-1), gen_binomial(alpha, k), dk]))))
+            rowx.append(expand(_nmul([Rat(-1), gen_binomial(alpha, k), dk])))
         series_ux[k] = tuple(rowx)
     return EtaAlpha(local_expr, series_u, series_ux)
 
@@ -227,7 +226,7 @@ def check_aux_conditions(ans: AnsatzGenerator, k_max: int, *,
     sig = ans.sig
     t = sig.t
     alpha = ans.alpha
-    tau_expr = simplify(as_expr(tau)) if tau is not None else ans.tau
+    tau_expr = as_expr(tau) if tau is not None else ans.tau
     residuals: list[tuple[int, str, Expr]] = []
     for s in range(sig.q):
         r = _nadd([ans.g(s), _nmul([ans.gamma(s), total_derivative(tau_expr, t)])])
@@ -238,9 +237,9 @@ def check_aux_conditions(ans: AnsatzGenerator, k_max: int, *,
             dtau = tau_expr
             for _ in range(k + 1):
                 dtau = total_derivative(dtau, t)
-            res = simplify(expand(
+            res = expand(
                 _nmul([gen_binomial(alpha, k), dk])
-                - _nmul([gen_binomial(alpha, k + 1), dtau])))
+                - _nmul([gen_binomial(alpha, k + 1), dtau]))
             if res != ZERO:
                 residuals.append((k, f"Dt^(alpha-{k}) u_{s + 1}", res))
             for i in range(sig.q):
@@ -250,7 +249,7 @@ def check_aux_conditions(ans: AnsatzGenerator, k_max: int, *,
                 dk2 = d
                 for _ in range(k):
                     dk2 = partial_derivative(dk2, t)
-                res2 = simplify(expand(_nmul([gen_binomial(alpha, k), dk2])))
+                res2 = expand(_nmul([gen_binomial(alpha, k), dk2]))
                 if res2 != ZERO:
                     residuals.append((k, f"Dt^(alpha-{k}) u_{i + 1} in eq {s + 1}", res2))
     return (not residuals), residuals
@@ -277,7 +276,6 @@ def mu_truncated(eta: Expr, N: int, q: int, *, alpha: Expr,
     if N < 2:
         raise ValueError("truncation order must be at least 2")
     t = tvar if tvar is not None else Var("t", -1)
-    eta = simplify(eta)
     for j in atoms(eta, Jet):
         if j.t_order or j.frac is not None or any(j.theta):
             raise ValueError("eta may only depend on undifferentiated dependents")
@@ -288,7 +286,7 @@ def mu_truncated(eta: Expr, N: int, q: int, *, alpha: Expr,
         return us.get(i, Jet(i, ()))
 
     total = ZERO
-    alpha = simplify(as_expr(alpha))
+    alpha = as_expr(alpha)
     for n in range(2, N + 1):
         weight = _nmul([
             gen_binomial(alpha, n),
@@ -330,7 +328,7 @@ def mu_truncated(eta: Expr, N: int, q: int, *, alpha: Expr,
                     if dead:
                         continue
                     total = total + _nmul(inner)
-    return simplify(expand(total))
+    return expand(total)
 
 
 def _alpha_form(alpha: Expr) -> ExponentForm:
@@ -370,4 +368,4 @@ def _inner_sum(u: Jet, k: int, m: int, t: Var) -> Expr:
             continue
         coeff = Fraction(math.comb(k, r), math.factorial(k)) * (-1) ** r
         pieces.append(_nmul([Rat(coeff), _npow(u, ExponentForm.rational(r)), body]))
-    return simplify(_nadd(pieces))
+    return _nadd(pieces)

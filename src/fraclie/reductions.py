@@ -9,14 +9,13 @@ system with the closed-form power rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
 from .expr import (Expr, Jet, Var, ZERO, ONE, _eform_mul, _eform_pow,
                    _nadd, _nmul, _npow, atoms, depends_on_jets, diff_wrt,
-                   expand, map_children, partial_derivative, simplify,
-                   substitute, to_eform)
+                   expand, map_children, partial_derivative, substitute,
+                   to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Field
 from .model import PDESystem, Signature, make_system
@@ -58,7 +57,7 @@ def _drop_axis(e: Expr, axis: int, new_sig: Signature) -> Expr:
             return x
         return map_children(x, walk)
 
-    return simplify(walk(e))
+    return walk(e)
 
 
 def translation_reduction(sys: PDESystem, gen: Generator) -> TranslationReduction:
@@ -126,13 +125,10 @@ class EKReduction:
 
 def _linear_coefficient(e: Expr, atom: Expr) -> Expr:
     """c with e == c*atom exactly, else None."""
-    c = diff_wrt(e, atom) if not isinstance(atom, Var) else None
-    if isinstance(atom, Var):
-        c = partial_derivative(e, atom)
-    res = simplify(expand(e - _nmul([c, atom])))
-    if res != ZERO:
+    c = diff_wrt(e, atom)
+    if expand(e - _nmul([c, atom])) != ZERO:
         return None
-    return simplify(c)
+    return c
 
 
 def scaling_similarity(gen: Generator, alpha: Expr,
@@ -162,7 +158,7 @@ def scaling_similarity(gen: Generator, alpha: Expr,
         bs = _linear_coefficient(gen.eta[s], sig.u(s))
         if bs is None or depends_on_jets(gen.eta[s] - _nmul([bs, sig.u(s)])):
             raise NotScaling("eta must be a multiple of the dependent")
-        if simplify(expand(gen.eta[s] - _nmul([bs, sig.u(s)]))) != ZERO:
+        if expand(gen.eta[s] - _nmul([bs, sig.u(s)])) != ZERO:
             raise NotScaling("eta must be exactly b_s * u_s")
         fb = to_eform(bs)
         if fb is None:
@@ -194,7 +190,7 @@ def similarity_invariance_residuals(gen: Generator, red: EKReduction) -> list[Ex
             pieces.append(_nmul([gen.xi[i], partial_derivative(expr, sig.x(i))]))
         for s in range(sig.q):
             pieces.append(_nmul([gen.eta[s], diff_wrt(expr, sig.u(s))]))
-        return simplify(expand(_nadd(pieces)))
+        return expand(_nadd(pieces))
 
     for i in range(sig.p):
         z = _nmul([sig.x(i), _npow(t, -red.z_exponents[i])])
@@ -219,7 +215,6 @@ def verify_exact_solution(sys: PDESystem, sol: list[Expr],
     asm = assumptions if assumptions is not None else sys.assumptions()
     fld = Field(asm)
     sig = sys.sig
-    sol = [simplify(e) for e in sol]
 
     bindings: dict[Expr, Expr] = {}
     for s in range(sys.q):

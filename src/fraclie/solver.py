@@ -18,9 +18,8 @@ from .exponents import Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    _nadd, _nmul, _npow, add_terms, atoms, depends_on_jets,
                    diff_wrt, expand, gamma_simplify, map_children,
-                   mul_factors, partial_derivative, render, simplify,
-                   split_factors, split_power, substitute, to_eform,
-                   total_derivative)
+                   mul_factors, partial_derivative, render, split_factors,
+                   split_power, substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, nullspace
 from .model import PDESystem, Signature, classify_terms
@@ -98,7 +97,7 @@ class ConcreteGenerator:
                  assumptions: Optional[Assumptions] = None):
         self.gen = gen
         self.sig = gen.sig
-        self.alpha = simplify(alpha)
+        self.alpha = alpha
         self.asm = assumptions if assumptions is not None else Assumptions()
 
     @property
@@ -123,7 +122,7 @@ class ConcreteGenerator:
         pieces = [e]
         for j in range(self.sig.q):
             pieces.append(_nmul([Rat(-1), self.deta_du(s, j), self.sig.u(j)]))
-        return simplify(_nadd(pieces))
+        return _nadd(pieces)
 
     def h_frac(self, s: int) -> Expr:
         h = self.h(s)
@@ -151,9 +150,9 @@ def generator_shape(gen: Generator, alpha: Expr,
             raise ShapeViolation("tau must be a polynomial in t with constant "
                                  "coefficients")
         if texp == ExponentForm.rational(1):
-            chi1 = simplify(chi1 + coeff)
+            chi1 = chi1 + coeff
         elif texp == ExponentForm.rational(2):
-            chi2 = simplify(chi2 + coeff)
+            chi2 = chi2 + coeff
         else:
             raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
     for i in range(sig.p):
@@ -173,8 +172,8 @@ def generator_shape(gen: Generator, alpha: Expr,
                     raise ShapeViolation(
                         "cross coefficients of eta must be x-functions only")
             else:
-                expected = simplify(_nmul([_nadd([alpha, Rat(-1)]), chi2]))
-                if simplify(expand(dt - expected)) != ZERO:
+                expected = _nmul([_nadd([alpha, Rat(-1)]), chi2])
+                if expand(dt - expected) != ZERO:
                     raise ShapeViolation(
                         "the t-slope of the u_s-coefficient of eta_s must equal "
                         "(alpha-1)*chi2")
@@ -345,7 +344,7 @@ def _instantiate_expr(e: Expr, inst: _Instantiation, sig: Signature) -> Expr:
             return value_of(x)
         return map_children(x, walk)
 
-    return expand(walk(simplify(e)))
+    return expand(walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field
 def _gamma_subs(ds: DeterminingSystem) -> dict:
     """gamma_s = (alpha-1)/2.  Its chi1 part folds into the constant term of
     g_s, so this one system holds the chi2 = 0 solutions as well."""
-    gamma = simplify((ds.sys.alpha - ONE) * Rat(Fraction(1, 2)))
+    gamma = (ds.sys.alpha - ONE) * Rat(Fraction(1, 2))
     return {Sym(name): gamma
             for name in ds.ans.with_branch(BRANCH_UNIFIED).gamma_symbols()}
 
@@ -457,17 +456,19 @@ def _ratnorm_components(e: Expr, fld: Field) -> Expr:
         mono, c = groups[k]
         if not c.is_zero():
             out.append(_nmul([fld.to_expr(c), mono]))
-    return simplify(_nadd(out))
+    return _nadd(out)
 
 
 def _vector_to_generator(ds: DeterminingSystem, inst: _Instantiation,
                          vec: list[Expr], fld: Field) -> Generator:
     sig = ds.sys.sig
-    values = {Sym(name): vec[i] for i, name in enumerate(inst.columns)}
-    gsubs = _gamma_subs(ds)
+    # the gamma symbols and the columns are disjoint, and no value mentions
+    # a key of the other map, so one simultaneous substitution does both
+    values = {**_gamma_subs(ds),
+              **{Sym(name): vec[i] for i, name in enumerate(inst.columns)}}
 
     def val(e: Expr) -> Expr:
-        return _ratnorm_components(substitute(substitute(e, gsubs), values), fld)
+        return _ratnorm_components(substitute(e, values), fld)
 
     ans = ds.ans
     tau = val(ans.tau)
@@ -508,7 +509,7 @@ def _rebuild_generator(sig: Signature, ordered, columns, row, fld: Field
         if e.is_zero():
             continue
         ci, mono = columns[k]
-        comps[ci] = simplify(comps[ci] + _nmul([fld.to_expr(e), mono]))
+        comps[ci] = comps[ci] + _nmul([fld.to_expr(e), mono])
     return Generator(sig, comps[0], tuple(comps[1:1 + sig.p]),
                      tuple(comps[1 + sig.p:]))
 

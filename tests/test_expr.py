@@ -5,20 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
                      NonPolynomial, Rat, Sym, Var, ZERO, ONE, add,
                      collect_monomials, div, expand, gamma_simplify, mul, neg,
                      partial_derivative, pow_, simplify, substitute,
                      total_derivative)
-from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow, any_node,
-                          map_children, mul_factors)
+from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
+                          UnsupportedDerivative, any_node, map_children,
+                          mul_factors)
 
 F = Fraction
 t = Var("t", -1)
 x = Var("x", 0)
 y = Var("y", 1)
+z = Var("z", 2)
 u = Jet(0, (0, 0))
 ux = Jet(0, (1, 0))
 uy = Jet(0, (0, 1))
@@ -176,6 +178,72 @@ class TestTraversal:
 
         any_node(e, visit)
         assert seen == _all_nodes(e)
+
+
+# Trees built only through the kernel's constructors over canonical leaves.
+_KERNEL_LEAVES = st.one_of(
+    st.sampled_from([F(0), F(1), F(-2), F(1, 3)]).map(Rat),
+    st.sampled_from([a, n, t, x, y, u, ux, Jet(0, (0, 0), frac=1),
+                     Fn("g", (x,))]),
+)
+
+
+def _kernel_compound(kids):
+    return st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: add(*cs)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: mul(*cs)),
+        kids.map(neg),
+        st.tuples(kids, st.sampled_from(_EXPONENTS)).map(lambda p: pow_(*p)),
+        st.tuples(kids, kids.filter(lambda d: d != ZERO)).map(lambda p: div(*p)),
+        kids.map(Gamma),
+        st.lists(kids, min_size=1, max_size=2).map(lambda cs: Fn("f", tuple(cs))),
+        # merges that hand back a sum as a term, 2*s - s, or a product as a
+        # factor, (p^(1/2))^2 for a product p
+        st.tuples(kids, kids, kids).map(
+            lambda p: add(mul(2, add(p[0], p[1])), neg(add(p[0], p[1])), p[2])),
+        st.tuples(kids, kids, kids).map(
+            lambda p: mul(*[pow_(mul(p[0], p[1]), F(1, 2))] * 2, p[2])),
+    )
+
+
+_KERNEL_TREES = st.recursive(_KERNEL_LEAVES, _kernel_compound, max_leaves=8)
+
+_KERNEL_OPS = [
+    lambda e: e,
+    expand,
+    lambda e: substitute(e, {x: add(y, 1), a: Rat(F(1, 2)), u: mul(t, ux)}),
+    lambda e: partial_derivative(e, x),
+    lambda e: gamma_simplify(e, Assumptions("a")),
+]
+
+
+class TestCanonicalByConstruction:
+    @settings(max_examples=300, deadline=None)
+    @given(_KERNEL_TREES, st.sampled_from(_KERNEL_OPS))
+    def test_kernel_output_is_fixed_point_of_simplify(self, e, op):
+        try:
+            out = op(e)
+        except UnsupportedDerivative:
+            reject()        # d/dx of a Gamma of an x-dependent argument
+        assert simplify(out) == out
+
+    def test_sum_regaining_coefficient_one_is_spliced(self):
+        s = add(x, y)
+        got = add(mul(2, s), mul(-1, s), z)
+        assert got == add(x, y, z)
+        assert simplify(got) == got
+
+    def test_merged_power_of_product_is_flattened(self):
+        h = pow_(mul(x, y), F(1, 2))
+        got = mul(h, h, z)
+        assert got == mul(x, y, z)
+        assert simplify(got) == got
+
+    def test_merged_power_of_power_merges_with_its_base(self):
+        r = pow_(pow_(x, F(1, 2)), F(1, 3))
+        got = mul(r, r, r, r, r, r, x)
+        assert got == pow_(x, 2)
+        assert simplify(got) == got
 
 
 class TestPartialDerivative:

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fraclie import Assumptions, Gamma, Rat, Sym, Var, ZERO, ONE, add, mul, \
     neg, pow_, simplify
-from fraclie.linsolve import Elem, Field, nullspace, rref
+from fraclie.linsolve import Elem, Field, _poly_divide, nullspace, rref
 
 F = Fraction
 a = Sym("a")
@@ -43,6 +43,14 @@ class TestFieldArithmetic:
         from fraclie.expr import expand
         e = fld.elem(expand(num), base)
         assert fld.to_expr(e) == n
+
+    def test_long_exact_division_completes(self):
+        # (a^10001 - 1)/(a - 1) = a^10000 + ... + a + 1 takes 10 001 steps
+        ak = a.key()
+        f = {((ak, 10001),): F(1), (): F(-1)}
+        g = {((ak, 1),): F(1), (): F(-1)}
+        want = {(((ak, k),) if k else ()): F(1) for k in range(10001)}
+        assert _poly_divide(f, g) == want
 
     def test_zero_and_sign(self):
         fld = field()

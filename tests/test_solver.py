@@ -281,3 +281,17 @@ class TestNormalizeBasis:
                                     reports=(), shift_reports=())
         out = normalize_basis(empty)
         assert out.generators == () and out.shift_generators == ()
+
+
+class TestCanonicalOutputs:
+    """The solver builds canonical trees only: simplify leaves every
+    determining equation and every emitted generator component unchanged."""
+
+    @pytest.mark.parametrize("name", ["zk", "tele_pow"])
+    def test_fixed_points_of_simplify(self, name, request):
+        ds, basis = solve_system(request.getfixturevalue(name))
+        exprs = list(ds.integer_eqs) + list(ds.frac_eqs)
+        for g in basis.generators + basis.shift_generators:
+            exprs += [g.tau, *g.xi, *g.eta]
+        assert ds.integer_eqs and ds.frac_eqs and basis.generators
+        assert [simplify(e) for e in exprs] == exprs

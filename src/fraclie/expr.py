@@ -260,6 +260,11 @@ def _npow(base: Expr, exp: ExponentForm) -> Expr:
         k = exp.as_integer()
         if k is not None:
             return _npow(base.base, base.exp.scale(k))
+        # b^p with an even denominator in p is real only for b >= 0, and
+        # there (b^p)^q = b^(p*q); (x^2)^(1/2) = |x| stays as it is
+        p = base.exp.as_rational()
+        if p is not None and p.denominator % 2 == 0:
+            return _npow(base.base, exp.scale(p))
         return Pow(base, exp)
     if isinstance(base, Mul) and exp.as_integer() is not None:
         return _nmul([_npow(f, exp) for f in base.factors])

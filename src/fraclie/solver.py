@@ -6,6 +6,11 @@ instantiates unknown x-functions by total-degree polynomials and the
 inhomogeneous parts h_s by a certified template library, reduces everything
 to exact rational-function linear algebra, and emits a normalized basis with
 machine-checked residual certificates.
+
+The equations are instantiated and split into rows once, at degree d+1.
+The degree-d system is that matrix restricted to the degree-<=d columns; it
+gives the basis, and the rank of the full matrix checks that d is not
+binding (see solve).
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    mul_factors, partial_derivative, render, split_factors,
                    split_power, substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
-from .linsolve import Elem, Field, nullspace
+from .linsolve import Elem, Field, nullspace, rref
 from .model import PDESystem, Signature, classify_terms
 from .prolong import BRANCH_UNIFIED
 from .determining import (DeterminingSystem, build_determining, h_condition,
@@ -286,7 +291,7 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
     def poly_for(fname: str) -> Expr:
         terms = []
         for beta in monos:
-            tag = "".join(str(b) for b in beta)
+            tag = ".".join(str(b) for b in beta)
             cname = _coeff_name(fname, tag)
             columns.append(cname)
             factors: list[Expr] = [Sym(cname)]
@@ -351,8 +356,12 @@ def _instantiate_expr(e: Expr, inst: _Instantiation, sig: Signature) -> Expr:
 # Row extraction: split by (t-power, x-monomial, jet-monomial) classes
 # ---------------------------------------------------------------------------
 
-def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field
+def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field,
+                  ledger_columns: Optional[set[int]] = None
                   ) -> tuple[list[list[Elem]], list[str]]:
+    """One row per class of the expanded equation, plus the t-power
+    separation notes.  With `ledger_columns`, the notes come only from the
+    classes holding an entry in one of those columns, zero sums included."""
     e = fld.norm_expr(e)
     if e == ZERO:
         return [], []
@@ -375,7 +384,8 @@ def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field
         row[col] = fld.add(row.get(col, fld.zero), fld.elem(coeff))
 
     notes: list[str] = []
-    forms = [class_forms[k] for k in sorted(class_forms)]
+    forms = [class_forms[k] for k in sorted(class_forms)
+             if ledger_columns is None or not ledger_columns.isdisjoint(classes[k])]
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             d = forms[i] - forms[j]
@@ -411,7 +421,8 @@ def _gamma_subs(ds: DeterminingSystem) -> dict:
             for name in ds.ans.with_branch(BRANCH_UNIFIED).gamma_symbols()}
 
 
-def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field
+def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field,
+                      ledger_columns: Optional[set[int]] = None
                       ) -> tuple[list[list[Elem]], list[str]]:
     gsubs = _gamma_subs(ds)
     rows: list[list[Elem]] = []
@@ -419,13 +430,23 @@ def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field
     for eq in list(ds.integer_eqs) + list(ds.frac_eqs):
         body = _instantiate_expr(substitute(eq, gsubs), inst, ds.sys.sig)
         try:
-            r, n = equation_rows(body, inst, ds.sys.sig, fld)
+            r, n = equation_rows(body, inst, ds.sys.sig, fld, ledger_columns)
         except NonAffineRow as exc:
             raise TemplateResidual(
                 f"a condition failed to reduce to linear rows ({exc})") from exc
         rows.extend(r)
         notes.extend(n)
     return rows, notes
+
+
+def _restrict(rows: list[list[Elem]], keep: list[int]) -> list[list[Elem]]:
+    """The rows on the columns `keep`, in that order; rows left empty drop."""
+    out = []
+    for row in rows:
+        r = [row[c] for c in keep]
+        if any(not e.is_zero() for e in r):
+            out.append(r)
+    return out
 
 
 def _structural(b: Expr, _) -> bool:
@@ -521,7 +542,6 @@ def normalize_generators(gens: Sequence[Generator], sig: Signature, fld: Field
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    from .linsolve import rref
     rows, ordered, columns = _generator_vector_space(gens, fld)
     res = rref(rows, fld)
     return [_rebuild_generator(sig, ordered, columns, row, fld)
@@ -547,19 +567,47 @@ class SolutionBasis:
         return len(self.generators)
 
 
-def _solve_once(ds: DeterminingSystem, cfg: SolverConfig) -> tuple[
-        list[Generator], list[str], list[tuple[str, int]]]:
+def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
+          ) -> SolutionBasis:
+    """Solve the determining system with the unknown x-functions taken as
+    polynomials of degree d = cfg.poly_degree, and certify each generator.
+
+    With cfg.check_degree_stability the equations are instantiated and split
+    into rows once, at degree d+1, and the degree-d system is read off that
+    matrix.  Every determining equation is homogeneous linear in the
+    unknowns, so the d+1 rows restricted to the degree-<=d columns are the
+    degree-d rows, once rows left empty are dropped; the ledger keeps only
+    the separation notes of the classes with an entry in those columns,
+    which are the degree-d classes.  The basis comes from the restricted
+    matrix.
+
+    The check that d is not binding then needs only the rank of the full
+    d+1 matrix, the chi2 = 0 row included under branch "zero".  The padded
+    degree-d null space lies inside the d+1 null space, and each new column
+    maps to its own degree-(d+1) monomial (x^b in xi_i, x^b*u_j in eta_s)
+    that no old column or template produces.  So a d+1 solution whose
+    generator vanishes has no new entry: it is a padded degree-d solution,
+    and the map to generators has the same kernel on both null spaces.  The
+    normalized generator count at d+1 is therefore the degree-d count plus
+    ncols(d+1) - rank(d+1) - dim(d)."""
+    cfg = cfg if cfg is not None else SolverConfig()
     asm = ds.sys.assumptions()
     fld = Field(asm)
     inst = build_instantiation(ds, cfg, asm)
-    rows, notes = _determining_rows(ds, inst, fld)
-    chi2 = inst.col_index["chi2"]
+    big = inst
+    if cfg.check_degree_stability:
+        big = build_instantiation(
+            ds, replace(cfg, poly_degree=cfg.poly_degree + 1), asm)
+    keep = [big.col_index[name] for name in inst.columns]
+    big_rows, notes = _determining_rows(ds, big, fld, set(keep))
     if cfg.branch == "zero":
-        row = [fld.zero] * len(inst.columns)
-        row[chi2] = fld.one
-        rows.append(row)
+        row = [fld.zero] * len(big.columns)
+        row[big.col_index["chi2"]] = fld.one
+        big_rows.append(row)
+    rows = _restrict(big_rows, keep)
     vecs, piv_notes = nullspace(rows, len(inst.columns), fld)
     # chi2 is one column: the chi2 = 0 subspace loses at most one dimension
+    chi2 = inst.col_index["chi2"]
     dim = len(vecs)
     zero_dim = dim - 1 if any(not v[chi2].is_zero() for v in vecs) else dim
     dims = {"both": [("zero", zero_dim), ("nonzero", dim)],
@@ -568,21 +616,13 @@ def _solve_once(ds: DeterminingSystem, cfg: SolverConfig) -> tuple[
     gens = [_vector_to_generator(ds, inst, [fld.to_expr(e) for e in v], fld)
             for v in vecs]
     final = normalize_generators(gens, ds.sys.sig, fld)
-    return final, sorted(set(list(ds.assumptions) + notes + piv_notes)), dims
-
-
-def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
-          ) -> SolutionBasis:
-    cfg = cfg if cfg is not None else SolverConfig()
-    final, notes, dims = _solve_once(ds, cfg)
     if cfg.check_degree_stability:
-        bigger, _, _ = _solve_once(ds, replace(cfg, poly_degree=cfg.poly_degree + 1,
-                                               check_degree_stability=False))
-        if len(bigger) != len(final):
+        grown = len(big.columns) - len(rref(big_rows, fld).pivots) - dim
+        if grown:
             raise DegreeInsufficient(
-                f"solution dimension moved from {len(final)} to {len(bigger)} "
-                f"when the polynomial degree was raised from {cfg.poly_degree} "
-                f"to {cfg.poly_degree + 1}")
+                f"solution dimension moved from {len(final)} to "
+                f"{len(final) + grown} when the polynomial degree was raised "
+                f"from {cfg.poly_degree} to {cfg.poly_degree + 1}")
     main = [g for g in final if not g.is_shift()]
     shifts = [g for g in final if g.is_shift()]
     reports = []
@@ -594,7 +634,8 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
                 f"emitted generator {g.describe()} left nonzero residuals: "
                 + "; ".join(bad[:4]))
         reports.append(rep)
-    return SolutionBasis(ds.sys, tuple(main), tuple(shifts), tuple(notes),
+    ledger = sorted(set(list(ds.assumptions) + notes + piv_notes))
+    return SolutionBasis(ds.sys, tuple(main), tuple(shifts), tuple(ledger),
                          tuple(dims), tuple(reports[:len(main)]),
                          tuple(reports[len(main):]))
 

@@ -48,6 +48,19 @@ class TestSimplify:
         assert pow_(u, 0) == ONE
         assert pow_(t, ExponentForm.rational(0)) == ONE
 
+    def test_power_of_even_root_folds(self):
+        # x^(1/2) is real only for x >= 0, where (x^(1/2))^(1/3) = x^(1/6)
+        r = pow_(pow_(x, F(1, 2)), F(1, 3))
+        assert r == pow_(x, F(1, 6))
+        assert add(r, neg(pow_(x, F(1, 6)))) == ZERO
+        assert pow_(pow_(x, F(-3, 4)), A_FORM) == pow_(x, A_FORM.scale(F(-3, 4)))
+
+    def test_root_of_even_power_stays(self):
+        # (x^2)^(1/2) is |x|, not x
+        r = pow_(pow_(x, 2), F(1, 2))
+        assert r == Pow(pow_(x, 2), ExponentForm.rational(F(1, 2)))
+        assert add(r, neg(x)) != ZERO
+
     def test_negation_does_not_change_term_order(self):
         e = add(Fn("g", (x,)), neg(mul(3, Fn("xi", (x,), (1,)))))
         assert simplify(neg(neg(e))) == e

@@ -11,7 +11,10 @@ from fraclie import (DegreeInsufficient, ExponentForm, Generator, Rat, ShapeViol
                      solve, solve_system, verify_generator)
 from fraclie.determining import normalize_equation
 from fraclie.expr import simplify
-from conftest import TELE_POW_GEN
+from fraclie.linsolve import Field
+from fraclie.solver import (_determining_rows, _restrict, build_instantiation,
+                            equation_rows)
+from conftest import TELE_POW_GEN, DEMOS
 
 F = Fraction
 a = Sym("a")
@@ -217,6 +220,66 @@ class TestStability:
         b1 = solve(ds, SolverConfig())
         b2 = solve(ds2, SolverConfig())
         assert set(b1.generators) == set(b2.generators)
+
+
+PROJ_SRC = (DEMOS.parent / "perfbench" / "inputs" / "proj.fpde").read_text()
+
+
+class TestDegreeLift:
+    """The solve instantiates once, at degree d+1, and reads the degree-d
+    system off that matrix."""
+
+    @pytest.mark.parametrize("d", [0, 3])
+    @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj"])
+    def test_restricted_rows_and_notes_are_the_degree_d_ones(self, name, d, request):
+        sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
+        ds = build_determining(sys)
+        asm = sys.assumptions()
+        fld = Field(asm)
+        inst = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
+        big = build_instantiation(ds, SolverConfig(poly_degree=d + 1), asm)
+        keep = [big.col_index[c] for c in inst.columns]
+        assert keep == sorted(keep) and len(big.columns) > len(keep)
+        rows, notes = _determining_rows(ds, inst, fld)
+        big_rows, big_notes = _determining_rows(ds, big, fld, set(keep))
+        assert _restrict(big_rows, keep) == rows
+        assert sorted(set(big_notes)) == sorted(set(notes))
+
+    def test_ledger_ignores_classes_of_new_columns_only(self):
+        sys = parse_system(HEAT_SRC)
+        ds = build_determining(sys)
+        fld = Field(sys.assumptions())
+        big = build_instantiation(ds, SolverConfig(poly_degree=1), sys.assumptions())
+        t = sys.sig.t
+        two_a = ExponentForm.symbol("a", coeff=2)
+        e = add(mul(Sym("c[g.0]"), t), mul(Sym("c[g.1]"), pow_(t, two_a)))
+        note = "2*a-1 != 0 (separates t-power classes during the solve)"
+        assert equation_rows(e, big, sys.sig, fld)[1] == [note]
+        old = {big.col_index["c[g.0]"]}
+        rows, notes = equation_rows(e, big, sys.sig, fld, old)
+        assert len(rows) == 2 and notes == []
+
+    def test_column_names_distinct_at_high_degree(self, zk):
+        # with p = 2, the exponents (1, 11) and (11, 1) must not share a name
+        ds = build_determining(zk)
+        inst = build_instantiation(ds, SolverConfig(poly_degree=11), zk.assumptions())
+        assert len(inst.columns) == 242
+        assert len(inst.col_index) == len(inst.columns)
+
+    def test_degree_insufficient_message(self, zk):
+        ds = build_determining(zk)
+        with pytest.raises(DegreeInsufficient) as exc:
+            solve(ds, SolverConfig(poly_degree=0))
+        assert str(exc.value) == ("solution dimension moved from 2 to 3 when the "
+                                  "polynomial degree was raised from 0 to 1")
+
+    def test_zero_branch_dims_and_ledger(self, zk):
+        basis = solve(build_determining(zk), SolverConfig(branch="zero"))
+        assert basis.branch_dims == (("zero", 3),)
+        assert basis.assumptions == (
+            "-4*a-3*a*n+3*n != 0 (assumed to pivot during elimination)",
+            "2*a-1 != 0 (separates t-power classes during the solve)",
+            "n-1 != 0 (separates u from u^(n))")
 
 
 class TestVerifyGenerator:

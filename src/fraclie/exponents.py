@@ -7,6 +7,7 @@ Every exponent in the target problem class has this shape: a-1, 2a-1,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -154,13 +155,23 @@ UNIT_FORM = ExponentForm.rational(1)
 # Intervals and sign decisions
 # ---------------------------------------------------------------------------
 
-_INF = Fraction(10) ** 60  # stand-in for +infinity; fine for open-ended bounds
+def _end_mul(a, a_open: bool, b, b_open: bool):
+    """Product of two interval ends and whether it is left out; an infinite
+    end is a float, and an infinite end times zero is zero.  A closed zero
+    end makes the product an attained zero."""
+    if (a == 0 and not a_open) or (b == 0 and not b_open):
+        return Fraction(0), False
+    if a == 0 or b == 0:
+        return Fraction(0), True
+    return a * b, a_open or b_open
 
 
 @dataclass(frozen=True)
 class Interval:
-    lo: Fraction
-    hi: Fraction
+    """An interval of the rationals; a None end is infinite (lo = None is
+    minus infinity, hi = None plus infinity) and always open."""
+    lo: Optional[Fraction]
+    hi: Optional[Fraction]
     lo_open: bool = True
     hi_open: bool = True
 
@@ -171,46 +182,53 @@ class Interval:
 
     @staticmethod
     def everything() -> "Interval":
-        return Interval(-_INF, _INF, True, True)
+        return Interval(None, None, True, True)
 
     def scale(self, f: Fraction) -> "Interval":
         if f == 0:
             return Interval.point(0)
+        lo = None if self.lo is None else self.lo * f
+        hi = None if self.hi is None else self.hi * f
         if f > 0:
-            return Interval(self.lo * f, self.hi * f, self.lo_open, self.hi_open)
-        return Interval(self.hi * f, self.lo * f, self.hi_open, self.lo_open)
+            return Interval(lo, hi, self.lo_open, self.hi_open)
+        return Interval(hi, lo, self.hi_open, self.lo_open)
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi,
-                        self.lo_open or other.lo_open, self.hi_open or other.hi_open)
+        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
+        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
+        return Interval(lo, hi, self.lo_open or other.lo_open,
+                        self.hi_open or other.hi_open)
+
+    def _ends(self):
+        """Both ends with their openness, an infinite end as a float."""
+        return ((-math.inf if self.lo is None else self.lo, self.lo_open),
+                (math.inf if self.hi is None else self.hi, self.hi_open))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        cands = []
-        for a, ao in ((self.lo, self.lo_open), (self.hi, self.hi_open)):
-            for b, bo in ((other.lo, other.lo_open), (other.hi, other.hi_open)):
-                cands.append((a * b, ao or bo))
+        cands = [_end_mul(a, ao, b, bo)
+                 for a, ao in self._ends() for b, bo in other._ends()]
         lo = min(c for c, _ in cands)
         hi = max(c for c, _ in cands)
         lo_open = all(o for c, o in cands if c == lo)
         hi_open = all(o for c, o in cands if c == hi)
-        return Interval(lo, hi, lo_open, hi_open)
+        return Interval(None if lo == -math.inf else lo,
+                        None if hi == math.inf else hi, lo_open, hi_open)
 
     def invert(self) -> "Interval":
         # 1/I, only when the interval is sign-definite.
-        if self.lo >= 0 and not (self.lo == 0 and not self.lo_open):
+        if self.is_positive():
+            lo = Fraction(0) if self.hi is None else 1 / self.hi
+            lo_open = self.hi is None or self.hi_open
             if self.lo == 0:
-                return Interval(Fraction(1, 1) / self.hi if self.hi < _INF else Fraction(0), _INF,
-                                self.hi_open, True)
-            return Interval(1 / self.hi if self.hi < _INF else Fraction(0),
-                            1 / self.lo, self.hi_open if self.hi < _INF else True, self.lo_open)
-        if self.hi <= 0 and not (self.hi == 0 and not self.hi_open):
+                return Interval(lo, None, lo_open, True)
+            return Interval(lo, 1 / self.lo, lo_open, self.lo_open)
+        if self.is_negative():
             return self.scale(Fraction(-1)).invert().scale(Fraction(-1))
         return Interval.everything()
 
     def power(self, k: int) -> "Interval":
         if k == 0:
             return Interval.point(1)
-        out = self
         base = self if k > 0 else self.invert()
         out = base
         for _ in range(abs(k) - 1):
@@ -218,19 +236,20 @@ class Interval:
         return out
 
     def is_positive(self) -> bool:
-        return self.lo > 0 or (self.lo == 0 and self.lo_open)
+        return self.lo is not None and (
+            self.lo > 0 or (self.lo == 0 and self.lo_open))
 
     def is_negative(self) -> bool:
-        return self.hi < 0 or (self.hi == 0 and self.hi_open)
+        return self.hi is not None and (
+            self.hi < 0 or (self.hi == 0 and self.hi_open))
 
     def contains_zero(self) -> bool:
         return not self.is_positive() and not self.is_negative()
 
     def excludes_integers(self) -> bool:
         """True when the interval fits strictly inside (m, m+1) for integer m."""
-        if self.hi - self.lo > 1:
+        if self.lo is None or self.hi is None or self.hi - self.lo > 1:
             return False
-        import math
         m = math.floor(self.lo)
         if self.lo == m and not self.lo_open:
             return False
@@ -271,7 +290,7 @@ class Assumptions:
         self._intervals[name] = Interval(Fraction(lo), Fraction(hi), True, True)
 
     def declare_positive(self, name: str) -> None:
-        self._intervals[name] = Interval(Fraction(0), _INF, True, True)
+        self._intervals[name] = Interval(Fraction(0), None, True, True)
 
     def declare_nonzero(self, name: str) -> None:
         self._nonzero.add(name)

@@ -2,9 +2,11 @@
 parameters (alpha, user parameters, branch constants, Gamma atoms).
 
 Entries are pairs (numerator, denominator) of canonical polynomial
-expressions; zero-testing is structural on the expanded numerator.  Pivots
-prefer rational entries, then entries provably nonzero under the declared
-assumptions; pivoting on anything else records a genericity assumption.
+expressions; zero-testing is structural on the expanded numerator.  Most
+entries of a determining matrix are rational, and arithmetic on two of
+them is plain Fraction arithmetic.  Pivots prefer rational entries, then
+entries provably nonzero under the declared assumptions; pivoting on
+anything else records a genericity assumption.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ from typing import Optional
 from .exponents import Assumptions
 from .expr import (Add, Expr, Gamma, Jet, Mul, Rat, Sym, Var, ZERO,
                    ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   _rational_content, add_terms, expand, gamma_simplify,
-                   mul_factors, render, split_factors, to_eform)
+                   _rational_content, add_terms, any_node, expand,
+                   gamma_simplify, mul_factors, render, split_factors,
+                   to_eform)
 from .exponents import ExponentForm
 
 
@@ -32,11 +35,19 @@ class Elem:
 class Field:
     def __init__(self, assumptions: Optional[Assumptions] = None):
         self.asm = assumptions if assumptions is not None else Assumptions()
+        self._ratnorms: dict[tuple, Elem] = {}   # expression key -> normal form
 
     def norm_expr(self, e: Expr) -> Expr:
-        return gamma_simplify(expand(e), self.asm)
+        e = expand(e)
+        # expand's output is canonical, so without a Gamma node
+        # gamma_simplify would rebuild the same tree
+        if any_node(e, lambda x: isinstance(x, Gamma)):
+            return gamma_simplify(e, self.asm)
+        return e
 
     def elem(self, num: Expr, den: Expr = ONE) -> Elem:
+        if isinstance(num, Rat) and den == ONE:
+            return _rat_elem(num.value)
         a = self._ratnorm(num)
         if den == ONE:
             return a
@@ -45,7 +56,16 @@ class Field:
 
     def _ratnorm(self, e: Expr) -> Elem:
         """Normalize an expression that may hold inverse factors of sums
-        (rational-function form) into a single cancelled fraction."""
+        (rational-function form) into a single cancelled fraction.  The
+        result depends only on the expression and the assumptions, so each
+        expression is normalized once per field."""
+        key = e.key()
+        out = self._ratnorms.get(key)
+        if out is None:
+            out = self._ratnorms[key] = self._ratnorm_of(e)
+        return out
+
+    def _ratnorm_of(self, e: Expr) -> Elem:
         e = self.norm_expr(e)
         if e == ZERO:
             return Elem(ZERO, ONE)
@@ -74,18 +94,29 @@ class Field:
     one = property(lambda self: Elem(ONE, ONE))
 
     # -- arithmetic ---------------------------------------------------------
+    # With both operands rational and nonzero, Fraction arithmetic gives the
+    # Elem the general path builds: a Rat numerator over a positive Rat
+    # denominator, in lowest terms.
     def add(self, a: Elem, b: Elem) -> Elem:
+        if _nonzero_rationals(a, b):
+            return _rat_elem(_value(a) + _value(b))
         return self._add_frac(a, b)
 
     def neg(self, a: Elem) -> Elem:
+        if isinstance(a.num, Rat):
+            return Elem(Rat(-a.num.value), a.den)
         return Elem(self.norm_expr(_nmul([Rat(-1), a.num])), a.den)
 
     def sub(self, a: Elem, b: Elem) -> Elem:
+        if _nonzero_rationals(a, b):
+            return _rat_elem(_value(a) - _value(b))
         return self._add_frac(a, self.neg(b))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         if a.is_zero() or b.is_zero():
             return self.zero
+        if _nonzero_rationals(a, b):
+            return _rat_elem(_value(a) * _value(b))
         return self._cancel(self.norm_expr(_nmul([a.num, b.num])),
                             _nmul([a.den, b.den]))
 
@@ -94,6 +125,8 @@ class Field:
             raise ZeroDivisionError("division by zero field element")
         if a.is_zero():
             return self.zero
+        if _nonzero_rationals(a, b):
+            return _rat_elem(_value(a) / _value(b))
         return self._cancel(self.norm_expr(_nmul([a.num, b.den])),
                             _nmul([a.den, b.num]))
 
@@ -132,11 +165,13 @@ class Field:
         polynomials in the parameter atoms."""
         if den == ONE or num == ZERO:
             return num, den
+        cd, fd = _factor_map(den)
+        if all((ex.as_integer() or 0) <= 0 for _, ex in fd.values()):
+            return num, den
         num_p = _poly_dict(self.norm_expr(num))
         if num_p is None:
             return num, den
         num_d, atoms = num_p
-        cd, fd = _factor_map(den)
         changed = False
         for key in sorted(fd):
             b, ex = fd[key]
@@ -181,6 +216,23 @@ class Field:
                 continue
             return False
         return True
+
+
+def _nonzero_rationals(a: Elem, b: Elem) -> bool:
+    return (isinstance(a.num, Rat) and isinstance(a.den, Rat)
+            and isinstance(b.num, Rat) and isinstance(b.den, Rat)
+            and a.num.value != 0 and b.num.value != 0)
+
+
+def _value(a: Elem) -> Fraction:
+    return a.num.value if a.den.value == 1 else a.num.value / a.den.value
+
+
+def _rat_elem(v: Fraction) -> Elem:
+    """The normal form of a rational element."""
+    if v.denominator == 1:
+        return Elem(Rat(v), ONE)
+    return Elem(Rat(Fraction(v.numerator)), Rat(Fraction(v.denominator)))
 
 
 def _inverse_factor(b: Expr, ex: ExponentForm) -> bool:
@@ -383,15 +435,27 @@ class RrefResult:
     assumptions: list[str]         # genericity facts used at pivots
 
 
-def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
+def rref(rows: list[list[Elem]], field: Field, lead: Optional[int] = None
+         ) -> RrefResult:
     """Reduced row-echelon form.  The working rows are sparse (column ->
     nonzero entry), so a pivot step touches only the pivot row's nonzero
-    columns of the rows that have an entry in the pivot column."""
+    columns of the rows that have an entry in the pivot column.
+
+    With `lead`, the columns before `lead` are a system of their own: rows
+    with no entry there move to the end, in order, and the assumptions of
+    the pivots on later columns are not recorded.  The pivots on the lead
+    columns, their rows cut to those columns and the recorded assumptions
+    are then those of an rref of the rows cut to the lead columns, empty
+    ones dropped; len(pivots) is the rank of the whole matrix."""
     if not rows:
         return RrefResult([], [], [])
     ncols = len(rows[0])
     work = [{c: e for c, e in enumerate(row) if not e.is_zero()}
             for row in rows]
+    if lead is not None:
+        first = [any(c < lead for c in row) for row in work]
+        work = ([row for row, f in zip(work, first) if f]
+                + [row for row, f in zip(work, first) if not f])
     zero = field.zero
     pivots: list[int] = []
     notes: list[str] = []
@@ -415,7 +479,7 @@ def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
                 break
         if best is None:
             continue
-        if best_class == 2:
+        if best_class == 2 and (lead is None or col < lead):
             piv_num = work[best][col].num
             f = to_eform(piv_num)
             shown = f.render() if f is not None else render(piv_num)
@@ -444,18 +508,25 @@ def rref(rows: list[list[Elem]], field: Field) -> RrefResult:
     return RrefResult(dense, pivots, notes)
 
 
-def nullspace(rows: list[list[Elem]], ncols: int, field: Field
+def nullspace(rows, ncols: int, field: Field
               ) -> tuple[list[list[Elem]], list[str]]:
-    """Basis of the solution space of the homogeneous system, one vector per
-    free column, plus any pivot genericity assumptions."""
-    res = rref(rows, field) if rows else RrefResult([], [], [])
-    pivot_set = set(res.pivots)
+    """Basis of the solution space of the homogeneous system on ncols
+    columns, one vector per free column, plus any pivot genericity
+    assumptions.  `rows` is the matrix, or the RrefResult of an rref with
+    lead=ncols of a matrix whose first ncols columns are the system."""
+    if isinstance(rows, RrefResult):
+        res = rows
+    else:
+        res = rref(rows, field) if rows else RrefResult([], [], [])
+    pivoted = [(prow, pcol) for prow, pcol in zip(res.rows, res.pivots)
+               if pcol < ncols]
+    pivot_set = {pcol for _, pcol in pivoted}
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[list[Elem]] = []
     for fc in free_cols:
         v = [field.zero] * ncols
         v[fc] = field.one
-        for prow, pcol in zip(res.rows, res.pivots):
+        for prow, pcol in pivoted:
             if not prow[fc].is_zero():
                 v[pcol] = field.neg(prow[fc])
         basis.append(v)

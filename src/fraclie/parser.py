@@ -108,7 +108,10 @@ def _num_fraction(s: _Stream) -> Fraction:
     if s.peek().text == "/":
         s.next()
         t2 = s.expect_kind("NUM")
-        val = val / Fraction(t2.text)
+        den = Fraction(t2.text)
+        if den == 0:
+            raise DslSemanticError("division by zero", t2.line, t2.col)
+        val = val / den
     return val
 
 
@@ -150,7 +153,10 @@ class ExprParser:
         e = self._power()
         while self.s.peek().text in ("*", "/"):
             op = self.s.next().text
+            at = self.s.peek()
             rhs = self._power()
+            if op == "/" and rhs == ZERO:
+                raise DslSemanticError("division by zero", at.line, at.col)
             e = mul(e, rhs) if op == "*" else div(e, rhs)
         return e
 

@@ -1,28 +1,38 @@
 """Exact solver for the determining system.
 
 Fixes gamma_s = (alpha-1)/2, so one linear system holds both the chi2 = 0
-and the chi2 != 0 solutions, t-splits mixed-coefficient equations,
-instantiates unknown x-functions by total-degree polynomials and the
-inhomogeneous parts h_s by a certified template library, reduces everything
-to exact rational-function linear algebra, and emits a normalized basis with
-machine-checked residual certificates.
+and the chi2 != 0 solutions.  The unknown x-functions are taken as
+total-degree polynomials and the inhomogeneous parts h_s as combinations of
+a certified template library; each coefficient is a column of an exact
+linear system over the rational functions in the parameters.  The solver
+emits a normalized basis with machine-checked residual certificates.
 
-The equations are instantiated and split into rows once, at degree d+1.
-The degree-d system is that matrix restricted to the degree-<=d columns; it
-gives the basis, and the rank of the full matrix checks that d is not
-binding (see solve).
+Every determining equation is homogeneous linear in the unknowns, so each
+is compiled once into operator form: per term, the unknown, its derivative
+multi-index and fractional marker, and the rest of the term split into a
+t-power, a structural monomial and a field coefficient.  A column is then
+the image of its basis function: d^k x^b = ff(b, k) x^(b-k), in integers,
+for a monomial, and for h_s the template, its derivative or its RL image,
+each computed once per solve.  The rows are the (t-power, monomial)
+classes of those images; no instantiated equation is built or expanded.
+
+The columns go up to degree d+1, the degree-<=d ones first, and the matrix
+is eliminated once.  The first phase of the elimination, over the
+degree-<=d columns, gives the basis and the ledger; the rank at its end
+checks that d is not binding (see solve).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .exponents import Assumptions, ExponentForm
+from .exponents import ZERO_FORM, Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
-                   _nadd, _nmul, _npow, add_terms, atoms, depends_on_jets,
-                   diff_wrt, expand, gamma_simplify, map_children,
+                   _nadd, _nmul, _npow, add_terms, any_node, atoms,
+                   depends_on_jets, diff_wrt, expand, gamma_simplify,
                    mul_factors, partial_derivative, render, split_factors,
                    split_power, substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
@@ -250,30 +260,134 @@ class SolverConfig:
     check_degree_stability: bool = True
 
 
-def _graded_monomials(p: int, degree: int):
-    out = []
-    for total in range(degree + 1):
-        for beta in iproduct(range(degree + 1), repeat=p):
-            if sum(beta) == total:
-                out.append(beta)
-    return out
+_CHI = ("chi1", "chi2")
 
 
-@dataclass
-class _Instantiation:
-    columns: list[str]
-    col_index: dict[str, int]
-    fn_values: dict[str, Expr]        # unknown fn name -> expr in coeff syms
-    templates: list[Expr]
-    rl_templates: list[Expr]
+def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
+    """Exponents of the x-monomials of one total degree, in lexicographic
+    order."""
+    return [beta for beta in iproduct(range(total + 1), repeat=p)
+            if sum(beta) == total]
+
+
+def _x_monomial(sig: Signature, beta: tuple[int, ...]) -> Expr:
+    return _nmul([_npow(sig.x(i), ExponentForm.rational(b))
+                  for i, b in enumerate(beta) if b])
 
 
 def _coeff_name(fn: str, tag: str) -> str:
     return f"c[{fn}.{tag}]"
 
 
+def _split_term(term: Expr, t: Var) -> tuple[ExponentForm, Expr, Expr]:
+    """(t-power, structural monomial without t, field coefficient)."""
+    struct, coeff = split_factors(term, _structural)
+    texp, mono = split_power(struct, t)
+    return texp, mono, coeff
+
+
+@dataclass
+class _Instantiation:
+    """The columns of the linear system and the images of their basis
+    functions.
+
+    `basis` maps each unknown to its columns, each with its basis function:
+    the exponents of an x-monomial for xi_i, g_s and f_si, a template index
+    for h_s, and None for chi1 and chi2, which are columns themselves.  The
+    first `ndeg` columns are those of degree <= d.
+
+    A shape is a t-power with a structural monomial free of t; the row
+    classes of an equation are the shapes of its instantiated terms.
+    Shapes, the shape of a product and the images are computed once per
+    instantiation, so once per solve."""
+
+    sig: Signature
+    columns: list[str]
+    basis: dict[str, list[tuple[int, object]]]
+    args: dict[str, tuple[Var, ...]]        # function unknown -> arguments
+    templates: list[Expr]
+    rl_templates: list[Expr]
+    ndeg: int
+    shapes: list[tuple[ExponentForm, Expr, tuple]] = field(default_factory=list)
+    _shape_ids: dict[tuple, int] = field(default_factory=dict)
+    _products: dict[tuple[int, int], int] = field(default_factory=dict)
+    _images: dict[tuple, list] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.col_index = {c: i for i, c in enumerate(self.columns)}
+
+    def is_unknown(self, b: Expr, _=None) -> bool:
+        return ((isinstance(b, Fn) and b.fname in self.args)
+                or (isinstance(b, Sym) and b.name in _CHI))
+
+    def shape(self, texp: ExponentForm, mono: Expr) -> int:
+        """Id of a shape; its key is the row-class key."""
+        key = (texp.sort_key(), tuple(f.key() for f in mul_factors(mono)))
+        sid = self._shape_ids.get(key)
+        if sid is None:
+            sid = self._shape_ids[key] = len(self.shapes)
+            self.shapes.append((texp, mono, key))
+        return sid
+
+    def product(self, a: int, b: int) -> int:
+        """The shape of the product of two terms of shapes a and b."""
+        sid = self._products.get((a, b))
+        if sid is None:
+            ta, ma, _ = self.shapes[a]
+            tb, mb, _ = self.shapes[b]
+            sid = self._products[(a, b)] = self.shape(ta + tb, _nmul([ma, mb]))
+        return sid
+
+    def basis_function(self, b: object) -> Expr:
+        if b is None:
+            return ONE
+        if isinstance(b, tuple):
+            return _x_monomial(self.sig, b)
+        return self.templates[b]
+
+    def image(self, name: str, deriv: tuple[int, ...], frac: bool
+              ) -> list[tuple[int, list[tuple[int, Expr, Optional[Fraction]]]]]:
+        """Each basis function of an unknown under the derivative multi-index
+        `deriv`, after Dt^alpha when `frac`: (column, terms), a term being
+        (shape, coefficient, the coefficient when rational)."""
+        key = (name, deriv, frac)
+        out = self._images.get(key)
+        if out is not None:
+            return out
+        out = []
+        for col, b in self.basis[name]:
+            if b is None:
+                terms = [(self.shape(ZERO_FORM, ONE), ONE, Fraction(1))]
+            elif isinstance(b, tuple):
+                # d^k x^b = ff(b, k) x^(b-k), with ff the falling factorial
+                if any(k > e for e, k in zip(b, deriv)):
+                    continue
+                ff = math.prod(math.perm(e, k) for e, k in zip(b, deriv))
+                mono = _x_monomial(self.sig, tuple(e - k for e, k in zip(b, deriv)))
+                terms = [(self.shape(ZERO_FORM, mono), Rat(ff), Fraction(ff))]
+            else:
+                f = self.rl_templates[b] if frac else self.templates[b]
+                for v, k in zip(self.args[name], deriv):
+                    for _ in range(k):
+                        f = partial_derivative(f, v)
+                terms = []
+                for term in add_terms(expand(f)):
+                    if term != ZERO:
+                        texp, mono, c = _split_term(term, self.sig.t)
+                        terms.append((self.shape(texp, mono), c,
+                                      c.value if isinstance(c, Rat) else None))
+            out.append((col, terms))
+        self._images[key] = out
+        return out
+
+
 def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
                         assumptions: Assumptions) -> _Instantiation:
+    """The columns: chi1, chi2, one per x-monomial of total degree <= d =
+    cfg.poly_degree in each of xi_i, g_s and f_si, and one per template in
+    each h_s.  With cfg.check_degree_stability the monomials of degree d+1
+    get columns as well, after all of these.  The templates' RL images are
+    computed here."""
     sig = ds.sys.sig
     ans = ds.ans
     templates = list(cfg.h_templates) if cfg.h_templates is not None \
@@ -284,108 +398,120 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
         rl_templates.append(rl_derivative(ps, ds.sys.alpha, tvar=sig.t,
                                           assumptions=assumptions).to_expr())
 
-    columns: list[str] = ["chi1", "chi2"]
-    fn_values: dict[str, Expr] = {}
-    monos = _graded_monomials(sig.p, cfg.poly_degree)
+    columns: list[str] = list(_CHI)
+    basis: dict[str, list[tuple[int, object]]] = {
+        name: [(i, None)] for i, name in enumerate(_CHI)}
 
-    def poly_for(fname: str) -> Expr:
-        terms = []
-        for beta in monos:
-            tag = ".".join(str(b) for b in beta)
-            cname = _coeff_name(fname, tag)
-            columns.append(cname)
-            factors: list[Expr] = [Sym(cname)]
-            for i, b in enumerate(beta):
-                if b:
-                    factors.append(_npow(sig.x(i), ExponentForm.rational(b)))
-            terms.append(_nmul(factors))
-        return _nadd(terms)
+    def add_column(fname: str, b: object, tag: str) -> None:
+        basis.setdefault(fname, []).append((len(columns), b))
+        columns.append(_coeff_name(fname, tag))
 
-    for i in range(sig.p):
-        fn_values[ans.xi(i).fname] = poly_for(ans.xi(i).fname)
-    for s in range(sig.q):
-        fn_values[ans.g(s).fname] = poly_for(ans.g(s).fname)
+    polys = [ans.xi(i).fname for i in range(sig.p)]
+    polys += [ans.g(s).fname for s in range(sig.q)]
     for s in range(sig.q):
         for i in range(sig.q):
-            if i != s:
-                name = ans.f(s, i).fname
-                if name not in fn_values:
-                    fn_values[name] = poly_for(name)
+            if i != s and ans.f(s, i).fname not in polys:
+                polys.append(ans.f(s, i).fname)
+    degrees = range(cfg.poly_degree + 1)
+    for name in polys:
+        for beta in (b for total in degrees for b in _monomials(sig.p, total)):
+            add_column(name, beta, ".".join(str(b) for b in beta))
     for s in range(sig.q):
-        name = ans.h(s).fname
-        terms = []
-        for j, T in enumerate(templates):
-            cname = _coeff_name(name, f"T{j}")
-            columns.append(cname)
-            terms.append(_nmul([Sym(cname), T]))
-        fn_values[name] = _nadd(terms)
-
-    return _Instantiation(columns, {c: i for i, c in enumerate(columns)},
-                          fn_values, templates, rl_templates)
-
-
-def _instantiate_expr(e: Expr, inst: _Instantiation, sig: Signature) -> Expr:
-    """Replace unknown-function atoms by their polynomial/template values,
-    applying stored derivative multi-indices and the fractional marker."""
-    def value_of(f: Fn) -> Expr:
-        base = inst.fn_values[f.fname]
-        if f.frac:
-            out_terms = []
-            for j, T in enumerate(inst.templates):
-                cname = _coeff_name(f.fname, f"T{j}")
-                out_terms.append(_nmul([Sym(cname), inst.rl_templates[j]]))
-            out = _nadd(out_terms)
-        else:
-            out = base
-        for slot, k in enumerate(f.deriv):
-            v = f.args[slot]
-            assert isinstance(v, Var)
-            for _ in range(k):
-                out = partial_derivative(out, v)
-        return out
-
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Fn) and x.fname in inst.fn_values:
-            return value_of(x)
-        return map_children(x, walk)
-
-    return expand(walk(e))
+        for j in range(len(templates)):
+            add_column(ans.h(s).fname, j, f"T{j}")
+    ndeg = len(columns)
+    if cfg.check_degree_stability:
+        for name in polys:
+            for beta in _monomials(sig.p, cfg.poly_degree + 1):
+                add_column(name, beta, ".".join(str(b) for b in beta))
+    return _Instantiation(sig, columns, basis, ans.unknown_fn_names(),
+                          templates, rl_templates, ndeg)
 
 
 # ---------------------------------------------------------------------------
-# Row extraction: split by (t-power, x-monomial, jet-monomial) classes
+# Rows: the operator form of an equation applied to the basis functions
 # ---------------------------------------------------------------------------
 
-def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field,
-                  ledger_columns: Optional[set[int]] = None
-                  ) -> tuple[list[list[Elem]], list[str]]:
-    """One row per class of the expanded equation, plus the t-power
-    separation notes.  With `ledger_columns`, the notes come only from the
-    classes holding an entry in one of those columns, zero sums included."""
-    e = fld.norm_expr(e)
-    if e == ZERO:
-        return [], []
-    classes: dict[tuple, dict[int, Elem]] = {}
-    class_forms: dict[tuple, ExponentForm] = {}
-    for term in add_terms(e):
-        struct, rest = split_factors(term, _structural)
-        texp, struct = split_power(struct, sig.t)
-        unknown, coeff = split_factors(
-            rest, lambda b, _: isinstance(b, Sym) and b.name in inst.col_index)
+def _operator_form(eq: Expr, inst: _Instantiation
+                   ) -> list[tuple[str, tuple[int, ...], bool, int, Expr]]:
+    """The equation as operators on the unknowns, one per term: (unknown,
+    derivative multi-index, fractional marker, shape of the rest of the
+    term, field coefficient)."""
+    out = []
+    for term in add_terms(expand(eq)):
+        if term == ZERO:
+            continue
+        unknown, rest = split_factors(term, inst.is_unknown)
         if unknown == ONE:
             raise NonAffineRow(f"term {render(term)} carries no solver unknown")
-        if not isinstance(unknown, Sym):
+        if not isinstance(unknown, (Fn, Sym)) or any_node(rest, inst.is_unknown):
             raise NonAffineRow(f"term {render(term)} is not affine in "
                                "the solver unknowns")
-        key = (texp.sort_key(), tuple(f.key() for f in mul_factors(struct)))
-        class_forms[key] = texp
-        row = classes.setdefault(key, {})
-        col = inst.col_index[unknown.name]
-        row[col] = fld.add(row.get(col, fld.zero), fld.elem(coeff))
+        texp, mono, coeff = _split_term(rest, inst.sig.t)
+        if isinstance(unknown, Fn):
+            out.append((unknown.fname, unknown.deriv, unknown.frac,
+                        inst.shape(texp, mono), coeff))
+        else:
+            out.append((unknown.name, (), False, inst.shape(texp, mono), coeff))
+    return out
+
+
+def _entry(rational: Fraction, others: list[Expr], column: Sym, fld: Field
+           ) -> Optional[Elem]:
+    """The field element of one (class, column) entry from the coefficients
+    of its products, or None when they cancel as expressions (the class then
+    has no term in that column).  The coefficients are carried times the
+    column's symbol and normalized as the instantiated equation would be,
+    so the terms and their order are those of that equation's terms in the
+    entry, and the Elem is the same sum of the same per-term Elems."""
+    if not others:
+        return fld.elem(Rat(rational)) if rational else None
+    terms = [_nmul([column, c]) for c in others]
+    if rational:
+        terms.append(_nmul([Rat(rational), column]))
+    out = None
+    for term in add_terms(fld.norm_expr(_nadd(terms))):
+        if term != ZERO:
+            c = fld.elem(split_power(term, column)[1])
+            out = c if out is None else fld.add(out, c)
+    return out
+
+
+def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
+                  ledger_columns: Optional[set[int]] = None
+                  ) -> tuple[list[list[Elem]], list[str]]:
+    """One row per (t-power, structural monomial) class of the instantiated
+    equation, in class-key order, plus the t-power separation notes.  Each
+    operator of the equation adds its coefficient times the image of each
+    basis function of its unknown.  With `ledger_columns`, the notes come
+    only from the classes holding an entry in one of those columns, zero
+    sums included."""
+    sums: dict[tuple[int, int], list] = {}   # (class, column) -> [rational, others]
+    for name, deriv, frac, shape, coeff in _operator_form(eq, inst):
+        rc = coeff.value if isinstance(coeff, Rat) else None
+        for col, terms in inst.image(name, deriv, frac):
+            for ishape, icoeff, ir in terms:
+                key = (inst.product(shape, ishape), col)
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = [Fraction(0), []]
+                if rc is not None and ir is not None:
+                    acc[0] += rc * ir
+                else:
+                    acc[1].append(_nmul([coeff, icoeff]))
+    classes: dict[int, dict[int, Elem]] = {}
+    for (cls, col), (rational, others) in sums.items():
+        entry = _entry(rational, others, Sym(inst.columns[col]), fld)
+        if entry is not None:
+            classes.setdefault(cls, {})[col] = entry
+    order = sorted(classes, key=lambda c: inst.shapes[c][2])
 
     notes: list[str] = []
-    forms = [class_forms[k] for k in sorted(class_forms)
-             if ledger_columns is None or not ledger_columns.isdisjoint(classes[k])]
+    # a note depends only on the two t-powers, so each distinct pair is
+    # compared once
+    forms = list({inst.shapes[c][0]: None for c in order
+                  if ledger_columns is None
+                  or not ledger_columns.isdisjoint(classes[c])})
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             d = forms[i] - forms[j]
@@ -401,11 +527,10 @@ def equation_rows(e: Expr, inst: _Instantiation, sig: Signature, fld: Field,
     rows = []
     ncols = len(inst.columns)
     zero = fld.zero
-    for key in sorted(classes):
-        rowmap = classes[key]
-        row = [rowmap.get(c, zero) for c in range(ncols)]
-        if any(not e2.is_zero() for e2 in row):
-            rows.append(row)
+    for c in order:
+        rowmap = classes[c]
+        if any(not e.is_zero() for e in rowmap.values()):
+            rows.append([rowmap.get(j, zero) for j in range(ncols)])
     return rows, sorted(set(notes))
 
 
@@ -428,25 +553,14 @@ def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field,
     rows: list[list[Elem]] = []
     notes: list[str] = []
     for eq in list(ds.integer_eqs) + list(ds.frac_eqs):
-        body = _instantiate_expr(substitute(eq, gsubs), inst, ds.sys.sig)
         try:
-            r, n = equation_rows(body, inst, ds.sys.sig, fld, ledger_columns)
+            r, n = equation_rows(substitute(eq, gsubs), inst, fld, ledger_columns)
         except NonAffineRow as exc:
             raise TemplateResidual(
                 f"a condition failed to reduce to linear rows ({exc})") from exc
         rows.extend(r)
         notes.extend(n)
     return rows, notes
-
-
-def _restrict(rows: list[list[Elem]], keep: list[int]) -> list[list[Elem]]:
-    """The rows on the columns `keep`, in that order; rows left empty drop."""
-    out = []
-    for row in rows:
-        r = [row[c] for c in keep]
-        if any(not e.is_zero() for e in r):
-            out.append(r)
-    return out
 
 
 def _structural(b: Expr, _) -> bool:
@@ -482,22 +596,25 @@ def _ratnorm_components(e: Expr, fld: Field) -> Expr:
 
 def _vector_to_generator(ds: DeterminingSystem, inst: _Instantiation,
                          vec: list[Expr], fld: Field) -> Generator:
-    sig = ds.sys.sig
-    # the gamma symbols and the columns are disjoint, and no value mentions
+    """The generator of a null vector on the leading len(vec) columns: each
+    unknown is the combination of its basis functions with the vector's
+    entries as coefficients, and gamma_s = (alpha-1)/2."""
+    # the gamma symbols and the unknowns are disjoint, and no value mentions
     # a key of the other map, so one simultaneous substitution does both
-    values = {**_gamma_subs(ds),
-              **{Sym(name): vec[i] for i, name in enumerate(inst.columns)}}
+    values = _gamma_subs(ds)
+    for name, cols in inst.basis.items():
+        atom = Sym(name) if name in _CHI else Fn(name, inst.args[name])
+        values[atom] = _nadd([_nmul([vec[c], inst.basis_function(b)])
+                              for c, b in cols if c < len(vec)])
 
     def val(e: Expr) -> Expr:
         return _ratnorm_components(substitute(e, values), fld)
 
     ans = ds.ans
-    tau = val(ans.tau)
-    xi = tuple(val(_instantiate_expr(ans.xi(i), inst, sig)) for i in range(sig.p))
-    eta = []
-    for s in range(sig.q):
-        eta.append(val(_instantiate_expr(ans.eta(s), inst, sig)))
-    return Generator(sig, tau, xi, tuple(eta))
+    sig = ds.sys.sig
+    return Generator(sig, val(ans.tau),
+                     tuple(val(ans.xi(i)) for i in range(sig.p)),
+                     tuple(val(ans.eta(s)) for s in range(sig.q)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,40 +689,45 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     """Solve the determining system with the unknown x-functions taken as
     polynomials of degree d = cfg.poly_degree, and certify each generator.
 
-    With cfg.check_degree_stability the equations are instantiated and split
-    into rows once, at degree d+1, and the degree-d system is read off that
-    matrix.  Every determining equation is homogeneous linear in the
-    unknowns, so the d+1 rows restricted to the degree-<=d columns are the
-    degree-d rows, once rows left empty are dropped; the ledger keeps only
-    the separation notes of the classes with an entry in those columns,
-    which are the degree-d classes.  The basis comes from the restricted
-    matrix.
+    With cfg.check_degree_stability the columns go up to degree d+1, the
+    degree-<=d columns first, and the matrix is built and eliminated once.
+    Every determining equation is homogeneous linear in the unknowns, so
+    the rows restricted to the leading columns are the degree-d rows, once
+    rows left empty are dropped; the ledger keeps only the separation notes
+    of the classes with an entry in those columns, the degree-d classes.
 
-    The check that d is not binding then needs only the rank of the full
-    d+1 matrix, the chi2 = 0 row included under branch "zero".  The padded
-    degree-d null space lies inside the d+1 null space, and each new column
-    maps to its own degree-(d+1) monomial (x^b in xi_i, x^b*u_j in eta_s)
-    that no old column or template produces.  So a d+1 solution whose
-    generator vanishes has no new entry: it is a padded degree-d solution,
-    and the map to generators has the same kernel on both null spaces.  The
+    rref eliminates the leading columns first, with the rows empty there
+    moved to the end.  Those rows never hold a pivot candidate and no pivot
+    step on a leading column touches them, and the other rows keep their
+    order, so this first phase makes the pivot choices, row operations and
+    assumptions of an rref of the restricted matrix.  Later steps subtract
+    only rows that are zero on the leading columns, so the first phase's
+    pivot rows, cut to those columns, are that rref's rows: they give the
+    degree-d null space, the basis and the ledger.  The elimination then
+    goes on over the new columns, its assumptions dropped, and ends with
+    the rank of the full d+1 matrix, the chi2 = 0 row included under
+    branch "zero".
+
+    That rank checks that d is not binding.  The padded degree-d null space
+    lies inside the d+1 null space, and each new column maps to its own
+    degree-(d+1) monomial (x^b in xi_i, x^b*u_j in eta_s) that no old
+    column or template produces.  So a d+1 solution whose generator
+    vanishes has no new entry: it is a padded degree-d solution, and the
+    map to generators has the same kernel on both null spaces.  The
     normalized generator count at d+1 is therefore the degree-d count plus
     ncols(d+1) - rank(d+1) - dim(d)."""
     cfg = cfg if cfg is not None else SolverConfig()
     asm = ds.sys.assumptions()
     fld = Field(asm)
     inst = build_instantiation(ds, cfg, asm)
-    big = inst
-    if cfg.check_degree_stability:
-        big = build_instantiation(
-            ds, replace(cfg, poly_degree=cfg.poly_degree + 1), asm)
-    keep = [big.col_index[name] for name in inst.columns]
-    big_rows, notes = _determining_rows(ds, big, fld, set(keep))
+    ncols = inst.ndeg
+    rows, notes = _determining_rows(ds, inst, fld, set(range(ncols)))
     if cfg.branch == "zero":
-        row = [fld.zero] * len(big.columns)
-        row[big.col_index["chi2"]] = fld.one
-        big_rows.append(row)
-    rows = _restrict(big_rows, keep)
-    vecs, piv_notes = nullspace(rows, len(inst.columns), fld)
+        row = [fld.zero] * len(inst.columns)
+        row[inst.col_index["chi2"]] = fld.one
+        rows.append(row)
+    res = rref(rows, fld, lead=ncols)
+    vecs, piv_notes = nullspace(res, ncols, fld)
     # chi2 is one column: the chi2 = 0 subspace loses at most one dimension
     chi2 = inst.col_index["chi2"]
     dim = len(vecs)
@@ -617,7 +739,7 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
             for v in vecs]
     final = normalize_generators(gens, ds.sys.sig, fld)
     if cfg.check_degree_stability:
-        grown = len(big.columns) - len(rref(big_rows, fld).pivots) - dim
+        grown = len(inst.columns) - len(res.pivots) - dim
         if grown:
             raise DegreeInsufficient(
                 f"solution dimension moved from {len(final)} to "

@@ -21,8 +21,7 @@ from fraclie import (AnsatzGenerator, Jet, Fn, Rat, Sym, Var,
                      substitute)
 from fraclie.determining import check_affine, unknown_atoms_of
 from fraclie.linsolve import Field, rref
-from fraclie.solver import SolverConfig, build_instantiation, equation_rows, \
-    _instantiate_expr
+from fraclie.solver import SolverConfig, build_instantiation, equation_rows
 from fraclie.expr import atoms
 
 F = Fraction
@@ -31,8 +30,7 @@ F = Fraction
 def rowspace_rref(eqs, ds, inst, fld):
     rows = []
     for eq in eqs:
-        body = _instantiate_expr(eq, inst, ds.sys.sig)
-        r, _ = equation_rows(body, inst, ds.sys.sig, fld)
+        r, _ = equation_rows(eq, inst, fld)
         rows.extend(r)
     return rref(rows, fld)
 

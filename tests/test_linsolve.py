@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fraclie import Assumptions, Gamma, Rat, Sym, Var, ZERO, ONE, add, mul, \
     neg, pow_, simplify
+from fraclie.expr import _nmul
 from fraclie.linsolve import Elem, Field, _poly_divide, nullspace, rref
 
 F = Fraction
@@ -93,6 +94,37 @@ class TestFieldArithmetic:
         # the sign is still fixed by the denominator's leading term
         assert fld.elem(ONE, add(-3, mul(6, a))) == \
             fld.elem(Rat(-1), add(3, mul(-6, a)))
+
+
+_RATIONALS = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    st.sampled_from([F(0), F(1), F(-1), F(10 ** 30, 7), F(-3, 10 ** 20)]))
+
+
+class TestRationalFastPath:
+    """Rational operands take a Fraction fast path; it must build the Elem
+    that the general _add_frac/_cancel path builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_RATIONALS, _RATIONALS)
+    def test_fast_path_equals_general_path(self, p, q):
+        fld = field()
+        x, y = fld._ratnorm(Rat(p)), fld._ratnorm(Rat(q))
+        assert fld.elem(Rat(p)) == x and fld.elem(Rat(q)) == y
+        neg_y = Elem(fld.norm_expr(_nmul([Rat(-1), y.num])), y.den)
+        assert fld.neg(y) == neg_y
+        assert fld.add(x, y) == fld._add_frac(x, y)
+        assert fld.sub(x, y) == fld._add_frac(x, neg_y)
+        if not x.is_zero() and not y.is_zero():
+            assert fld.mul(x, y) == fld._cancel(
+                fld.norm_expr(_nmul([x.num, y.num])), _nmul([x.den, y.den]))
+            assert fld.div(x, y) == fld._cancel(
+                fld.norm_expr(_nmul([x.num, y.den])), _nmul([x.den, y.num]))
+        for e in (fld.add(x, y), fld.sub(x, y), fld.mul(x, y)):
+            assert isinstance(e.num, Rat) and isinstance(e.den, Rat)
+            assert e.den.value > 0
+            assert e.num.value / e.den.value == Fraction(e.num.value, e.den.value)
+            assert F(e.num.value, e.den.value).denominator == e.den.value
 
 
 class TestRref:
@@ -221,3 +253,48 @@ class TestSparseRrefMatchesDense:
         assert got.pivots == want.pivots
         assert got.assumptions == want.assumptions
         assert got.rows == want.rows
+
+
+@st.composite
+def _sparse_matrices(draw):
+    nrows = draw(st.integers(2, 6))
+    ncols = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(ZERO), st.sampled_from(_ENTRIES))
+    return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)], \
+        draw(st.integers(1, ncols - 1))
+
+
+class TestLeadColumnsFirst:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_sparse_matrices())
+    def test_first_phase_is_rref_of_lead_columns_then_rank(self, case):
+        # rref(lead=k): pivots, rows cut to the lead columns and assumptions
+        # of the lead phase are those of an rref of the rows cut to them;
+        # the pivot count is the rank of the whole matrix
+        matrix, k = case
+        fld = field()
+        rows = [[fld.elem(x) for x in row] for row in matrix]
+        cut = [r[:k] for r in rows if any(not e.is_zero() for e in r[:k])]
+        want = rref(cut, fld)
+        got = rref(rows, fld, lead=k)
+        first = [(row[:k], p) for row, p in zip(got.rows, got.pivots) if p < k]
+        assert [p for _, p in first] == want.pivots
+        assert [row for row, _ in first] == want.rows
+        assert got.assumptions == want.assumptions
+        assert len(got.pivots) == len(rref(rows, fld).pivots)
+        assert nullspace(got, k, fld) == nullspace(cut, k, fld)
+
+    def test_rows_empty_on_lead_columns_wait_at_the_end(self):
+        # without the empty first row, the pivot on column 0 swaps the
+        # rational row to the top and leaves 3a-1 first in column 1
+        fld = field()
+        e = fld.elem
+        u, w = add(mul(2, a), Rat(-1)), add(mul(3, a), Rat(-1))
+        rows = [[e(ZERO), e(ZERO), e(ONE)],
+                [e(ZERO), e(u), e(ZERO)],
+                [e(ZERO), e(w), e(ZERO)],
+                [e(ONE), e(ZERO), e(ZERO)]]
+        want = rref([r[:2] for r in rows[1:]], fld)
+        assert want.assumptions == ["3*a-1 != 0 (assumed to pivot during elimination)"]
+        assert rref(rows, fld, lead=2).assumptions == want.assumptions

@@ -97,6 +97,14 @@ class TestCli:
         assert out.returncode == 1
         assert "error" in out.stderr
 
+    def test_division_by_zero_is_a_located_error(self, tmp_path):
+        f = tmp_path / "div0.fpde"
+        f.write_text("alpha a; space x; dep u;\nDt^a(u) = u^(1/0);\n")
+        out = run_cli("analyze", str(f))
+        assert out.returncode == 1
+        assert out.stderr == "error: semantic error at 2:16: division by zero\n"
+        assert "Traceback" not in out.stderr
+
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")
         assert out.returncode == 1

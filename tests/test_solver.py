@@ -11,9 +11,8 @@ from fraclie import (DegreeInsufficient, ExponentForm, Generator, Rat, ShapeViol
                      solve, solve_system, verify_generator)
 from fraclie.determining import normalize_equation
 from fraclie.expr import simplify
-from fraclie.linsolve import Field
-from fraclie.solver import (_determining_rows, _restrict, build_instantiation,
-                            equation_rows)
+from fraclie.linsolve import Field, rref
+from fraclie.solver import _determining_rows, build_instantiation, equation_rows
 from conftest import TELE_POW_GEN, DEMOS
 
 F = Fraction
@@ -225,9 +224,19 @@ class TestStability:
 PROJ_SRC = (DEMOS.parent / "perfbench" / "inputs" / "proj.fpde").read_text()
 
 
+def _restrict(rows, keep):
+    """The rows on the columns `keep`, in that order; rows left empty drop."""
+    out = []
+    for row in rows:
+        r = [row[c] for c in keep]
+        if any(not e.is_zero() for e in r):
+            out.append(r)
+    return out
+
+
 class TestDegreeLift:
-    """The solve instantiates once, at degree d+1, and reads the degree-d
-    system off that matrix."""
+    """The solve builds its rows once, with columns up to degree d+1, reads
+    the degree-d system off that matrix and eliminates it once."""
 
     @pytest.mark.parametrize("d", [0, 3])
     @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj"])
@@ -236,33 +245,66 @@ class TestDegreeLift:
         ds = build_determining(sys)
         asm = sys.assumptions()
         fld = Field(asm)
-        inst = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
-        big = build_instantiation(ds, SolverConfig(poly_degree=d + 1), asm)
+        inst = build_instantiation(
+            ds, SolverConfig(poly_degree=d, check_degree_stability=False), asm)
+        big = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
+        plain = build_instantiation(
+            ds, SolverConfig(poly_degree=d + 1, check_degree_stability=False), asm)
         keep = [big.col_index[c] for c in inst.columns]
         assert keep == sorted(keep) and len(big.columns) > len(keep)
+        assert keep == list(range(big.ndeg))
+        assert sorted(big.columns) == sorted(plain.columns)
         rows, notes = _determining_rows(ds, inst, fld)
         big_rows, big_notes = _determining_rows(ds, big, fld, set(keep))
         assert _restrict(big_rows, keep) == rows
         assert sorted(set(big_notes)) == sorted(set(notes))
 
+    @pytest.mark.parametrize("branch", ["both", "zero"])
+    @pytest.mark.parametrize("d", [0, 3])
+    @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj"])
+    def test_one_elimination_is_restricted_rref_then_rank(self, name, d, branch,
+                                                         request):
+        sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
+        ds = build_determining(sys)
+        asm = sys.assumptions()
+        fld = Field(asm)
+        big = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
+        k = big.ndeg
+        rows, _ = _determining_rows(ds, big, fld, set(range(k)))
+        if branch == "zero":
+            rows.append([fld.one if c == big.col_index["chi2"] else fld.zero
+                         for c in range(len(big.columns))])
+        res = rref(rows, fld, lead=k)
+        want = rref(_restrict(rows, list(range(k))), fld)
+        first = [(row[:k], p) for row, p in zip(res.rows, res.pivots) if p < k]
+        assert [p for _, p in first] == want.pivots
+        assert [row for row, _ in first] == want.rows
+        assert res.assumptions == want.assumptions
+        assert len(res.pivots) == len(rref(rows, fld).pivots)
+
     def test_ledger_ignores_classes_of_new_columns_only(self):
         sys = parse_system(HEAT_SRC)
         ds = build_determining(sys)
         fld = Field(sys.assumptions())
-        big = build_instantiation(ds, SolverConfig(poly_degree=1), sys.assumptions())
+        big = build_instantiation(
+            ds, SolverConfig(poly_degree=1, check_degree_stability=False),
+            sys.assumptions())
         t = sys.sig.t
         two_a = ExponentForm.symbol("a", coeff=2)
-        e = add(mul(Sym("c[g.0]"), t), mul(Sym("c[g.1]"), pow_(t, two_a)))
+        # xi_x = c[xi.1] in the class t, g_x = c[g.1] in the class t^(2a)
+        e = add(mul(ds.ans.xi(0).bump(0), t), mul(ds.ans.g(0).bump(0), pow_(t, two_a)))
         note = "2*a-1 != 0 (separates t-power classes during the solve)"
-        assert equation_rows(e, big, sys.sig, fld)[1] == [note]
-        old = {big.col_index["c[g.0]"]}
-        rows, notes = equation_rows(e, big, sys.sig, fld, old)
+        assert equation_rows(e, big, fld)[1] == [note]
+        old = {big.col_index["c[xi.1]"]}
+        rows, notes = equation_rows(e, big, fld, old)
         assert len(rows) == 2 and notes == []
 
     def test_column_names_distinct_at_high_degree(self, zk):
         # with p = 2, the exponents (1, 11) and (11, 1) must not share a name
         ds = build_determining(zk)
-        inst = build_instantiation(ds, SolverConfig(poly_degree=11), zk.assumptions())
+        inst = build_instantiation(
+            ds, SolverConfig(poly_degree=11, check_degree_stability=False),
+            zk.assumptions())
         assert len(inst.columns) == 242
         assert len(inst.col_index) == len(inst.columns)
 

@@ -155,15 +155,21 @@ UNIT_FORM = ExponentForm.rational(1)
 # Intervals and sign decisions
 # ---------------------------------------------------------------------------
 
-def _end_mul(a, a_open: bool, b, b_open: bool):
-    """Product of two interval ends and whether it is left out; an infinite
-    end is a float, and an infinite end times zero is zero.  A closed zero
+def _end_mul(a, a_inf: int, a_open: bool, b, b_inf: int, b_open: bool):
+    """Product of two interval ends as ((rank, value), open).  A None end is
+    infinite with sign a_inf (b_inf); rank is -1, 0, +1 for minus infinity,
+    a finite value and plus infinity, so the pairs order like the
+    extended reals.  An infinite end times zero is zero, and a closed zero
     end makes the product an attained zero."""
     if (a == 0 and not a_open) or (b == 0 and not b_open):
-        return Fraction(0), False
+        return (0, Fraction(0)), False
     if a == 0 or b == 0:
-        return Fraction(0), True
-    return a * b, a_open or b_open
+        return (0, Fraction(0)), True
+    if a is None or b is None:
+        sa = a_inf if a is None else (1 if a > 0 else -1)
+        sb = b_inf if b is None else (1 if b > 0 else -1)
+        return (sa * sb, Fraction(0)), True
+    return (0, a * b), a_open or b_open
 
 
 @dataclass(frozen=True)
@@ -199,20 +205,18 @@ class Interval:
         return Interval(lo, hi, self.lo_open or other.lo_open,
                         self.hi_open or other.hi_open)
 
-    def _ends(self):
-        """Both ends with their openness, an infinite end as a float."""
-        return ((-math.inf if self.lo is None else self.lo, self.lo_open),
-                (math.inf if self.hi is None else self.hi, self.hi_open))
-
     def __mul__(self, other: "Interval") -> "Interval":
-        cands = [_end_mul(a, ao, b, bo)
-                 for a, ao in self._ends() for b, bo in other._ends()]
+        cands = [_end_mul(a, ai, ao, b, bi, bo)
+                 for a, ai, ao in ((self.lo, -1, self.lo_open),
+                                   (self.hi, 1, self.hi_open))
+                 for b, bi, bo in ((other.lo, -1, other.lo_open),
+                                   (other.hi, 1, other.hi_open))]
         lo = min(c for c, _ in cands)
         hi = max(c for c, _ in cands)
         lo_open = all(o for c, o in cands if c == lo)
         hi_open = all(o for c, o in cands if c == hi)
-        return Interval(None if lo == -math.inf else lo,
-                        None if hi == math.inf else hi, lo_open, hi_open)
+        return Interval(None if lo[0] else lo[1], None if hi[0] else hi[1],
+                        lo_open, hi_open)
 
     def invert(self) -> "Interval":
         # 1/I, only when the interval is sign-definite.
@@ -304,14 +308,16 @@ class Assumptions:
 
     # -- evaluation ------------------------------------------------------------
     def interval_of(self, form: ExponentForm) -> Interval:
-        total = Interval.point(0)
+        total = None
         for mono, c in form.coeffs:
-            piece = Interval.point(1)
+            piece = None
             for name, k in mono:
-                base = self._intervals.get(name, Interval.everything())
-                piece = piece * base.power(k)
-            total = total + piece.scale(c)
-        return total
+                base = self._intervals.get(name)
+                base = (Interval.everything() if base is None else base).power(k)
+                piece = base if piece is None else piece * base
+            piece = Interval.point(c) if piece is None else piece.scale(c)
+            total = piece if total is None else total + piece
+        return Interval.point(0) if total is None else total
 
     def sign(self, form: ExponentForm) -> Optional[int]:
         """+1, -1, 0, or None when undecided."""

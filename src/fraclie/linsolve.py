@@ -35,7 +35,6 @@ class Elem:
 class Field:
     def __init__(self, assumptions: Optional[Assumptions] = None):
         self.asm = assumptions if assumptions is not None else Assumptions()
-        self._ratnorms: dict[tuple, Elem] = {}   # expression key -> normal form
 
     def norm_expr(self, e: Expr) -> Expr:
         e = expand(e)
@@ -56,16 +55,7 @@ class Field:
 
     def _ratnorm(self, e: Expr) -> Elem:
         """Normalize an expression that may hold inverse factors of sums
-        (rational-function form) into a single cancelled fraction.  The
-        result depends only on the expression and the assumptions, so each
-        expression is normalized once per field."""
-        key = e.key()
-        out = self._ratnorms.get(key)
-        if out is None:
-            out = self._ratnorms[key] = self._ratnorm_of(e)
-        return out
-
-    def _ratnorm_of(self, e: Expr) -> Elem:
+        (rational-function form) into a single cancelled fraction."""
         e = self.norm_expr(e)
         if e == ZERO:
             return Elem(ZERO, ONE)
@@ -441,21 +431,21 @@ def rref(rows: list[list[Elem]], field: Field, lead: Optional[int] = None
     nonzero entry), so a pivot step touches only the pivot row's nonzero
     columns of the rows that have an entry in the pivot column.
 
-    With `lead`, the columns before `lead` are a system of their own: rows
-    with no entry there move to the end, in order, and the assumptions of
-    the pivots on later columns are not recorded.  The pivots on the lead
-    columns, their rows cut to those columns and the recorded assumptions
-    are then those of an rref of the rows cut to the lead columns, empty
-    ones dropped; len(pivots) is the rank of the whole matrix."""
+    The columns before `lead` (default: all of them) are a system of their
+    own: rows with no entry there move to the end, in order, and the
+    assumptions of the pivots on later columns are not recorded.  The
+    pivots on the lead columns, their rows cut to those columns and the
+    recorded assumptions are then those of an rref of the rows cut to the
+    lead columns; len(pivots) is the rank of the whole matrix."""
     if not rows:
         return RrefResult([], [], [])
     ncols = len(rows[0])
+    lead = ncols if lead is None else lead
     work = [{c: e for c, e in enumerate(row) if not e.is_zero()}
             for row in rows]
-    if lead is not None:
-        first = [any(c < lead for c in row) for row in work]
-        work = ([row for row, f in zip(work, first) if f]
-                + [row for row, f in zip(work, first) if not f])
+    first = [any(c < lead for c in row) for row in work]
+    work = ([row for row, f in zip(work, first) if f]
+            + [row for row, f in zip(work, first) if not f])
     zero = field.zero
     pivots: list[int] = []
     notes: list[str] = []
@@ -479,7 +469,7 @@ def rref(rows: list[list[Elem]], field: Field, lead: Optional[int] = None
                 break
         if best is None:
             continue
-        if best_class == 2 and (lead is None or col < lead):
+        if best_class == 2 and col < lead:
             piv_num = work[best][col].num
             f = to_eform(piv_num)
             shown = f.render() if f is not None else render(piv_num)
@@ -508,16 +498,12 @@ def rref(rows: list[list[Elem]], field: Field, lead: Optional[int] = None
     return RrefResult(dense, pivots, notes)
 
 
-def nullspace(rows, ncols: int, field: Field
+def nullspace(res: RrefResult, ncols: int, field: Field
               ) -> tuple[list[list[Elem]], list[str]]:
-    """Basis of the solution space of the homogeneous system on ncols
-    columns, one vector per free column, plus any pivot genericity
-    assumptions.  `rows` is the matrix, or the RrefResult of an rref with
-    lead=ncols of a matrix whose first ncols columns are the system."""
-    if isinstance(rows, RrefResult):
-        res = rows
-    else:
-        res = rref(rows, field) if rows else RrefResult([], [], [])
+    """Basis of the solution space of the homogeneous system on the first
+    ncols columns, one vector per free column, plus any pivot genericity
+    assumptions.  `res` is an rref with lead=ncols (the default when the
+    matrix has ncols columns)."""
     pivoted = [(prow, pcol) for prow, pcol in zip(res.rows, res.pivots)
                if pcol < ncols]
     pivot_set = {pcol for _, pcol in pivoted}

@@ -36,6 +36,8 @@ class TestUnboundedEnds:
         assert Interval(F(2), None, False).invert() == Interval(F(0), F(1, 2), True, False)
         assert (pos + Interval.point(-5)) == Interval(F(-5), None)
         assert pos.scale(F(-2)) == Interval(None, F(0))
+        assert Interval(F(1), F(2)) * Interval(None, F(5)) == Interval(None, F(10))
+        assert Interval(None, F(-1)) * Interval(None, F(-1)) == Interval(F(1), None)
         assert not Interval(F(0), None).excludes_integers()
 
 

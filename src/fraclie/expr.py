@@ -249,6 +249,9 @@ def _npow(base: Expr, exp: ExponentForm) -> Expr:
         return base
     if isinstance(base, Rat):
         if base.value == 0:
+            r = exp.as_rational()
+            if r is None or r < 0:
+                raise ZeroDivisionError(f"zero to the power {exp.render()}")
             return ZERO
         if base.value == 1:
             return ONE

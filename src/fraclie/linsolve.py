@@ -1,40 +1,152 @@
 """Exact linear algebra over the field of rational functions in the declared
 parameters (alpha, user parameters, branch constants, Gamma atoms).
 
-Entries are pairs (numerator, denominator) of canonical polynomial
-expressions; zero-testing is structural on the expanded numerator.  Most
-entries of a determining matrix are rational, and arithmetic on two of
-them is plain Fraction arithmetic.  Pivots prefer rational entries, then
-entries provably nonzero under the declared assumptions; pivoting on
-anything else records a genericity assumption.
+Polynomials are sparse and distributed: a dict from monomial to nonzero
+Fraction, a monomial being a tuple of (atom id, exponent) pairs sorted by
+id.  An atom is the base of a power factor: a parameter, a Gamma
+application, or in verification residuals a variable or a function.  The
+Field that makes an element numbers its atoms, so an element belongs to
+that Field.  An exponent is an int, or an ExponentForm when it is not an
+integer.
+
+An element is a numerator polynomial over a denominator kept as its factor
+map: a positive rational content times atoms and content-free sums, each
+with an exponent.  Arithmetic runs on these dicts: products and sums of
+polynomials, cancellation of shared factors, exact division of the
+numerator by the denominator's factors, and a sign rule that puts the sign
+of a lone sum denominator on the numerator.  The forms are those of the
+canonical expressions the elements render to (Elem.num, Elem.den,
+Field.to_expr), so rendering is the only conversion back to expressions.
+Most entries of a determining matrix are rational, and arithmetic on two of
+them is plain Fraction arithmetic.  Zero-testing is structural on the
+numerator.
+
+Pivots prefer rational entries, then entries provably nonzero under the
+declared assumptions; pivoting on anything else records a genericity
+assumption.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Union
 
-from .exponents import Assumptions
-from .expr import (Add, Expr, Gamma, Jet, Mul, Rat, Sym, Var, ZERO,
-                   ONE, _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   _rational_content, add_terms, any_node, expand,
-                   gamma_simplify, mul_factors, render, split_factors,
+from .exponents import Assumptions, ExponentForm
+from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
+                   _base_exp, _coeff_mono, _nadd, _nmul, _npow, add_terms,
+                   any_node, expand, gamma_simplify, mul_factors, render,
                    to_eform)
-from .exponents import ExponentForm
+
+Mono = tuple     # ((atom id, exponent), ...), sorted by atom id
+Poly = dict      # Mono -> nonzero Fraction
+Term = tuple     # (Fraction, Mono): a rational times a monomial
+
+# Bases whose merged powers stay powers of themselves; a merged power of
+# any other base (Rat, Pow, Mul, Add) goes through the kernel's _nmul.
+_SAFE = (Sym, Var, Jet, Fn, Gamma)
 
 
-@dataclass(frozen=True)
+def _exp(ex: ExponentForm):
+    k = ex.as_integer()
+    return ex if k is None else k
+
+
+def _eform(e) -> ExponentForm:
+    return ExponentForm.rational(e) if type(e) is int else e
+
+
+def _eadd(x, y):
+    if type(x) is int and type(y) is int:
+        return x + y
+    return _exp(_eform(x) + _eform(y))
+
+
+def _eneg(x):
+    return -x if type(x) is int else x.scale(-1)
+
+
+def _erational(x) -> Optional[Fraction]:
+    return Fraction(x) if type(x) is int else x.as_rational()
+
+
+def _le(x, y) -> bool:
+    """x <= y when both exponents are rational; False otherwise."""
+    rx, ry = _erational(x), _erational(y)
+    return rx is not None and ry is not None and rx <= ry
+
+
+def _padd(f: Poly, g: Poly) -> Poly:
+    out = dict(f)
+    for m, c in g.items():
+        s = out.get(m, 0) + c
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def _content(values: Iterable[Fraction]) -> Fraction:
+    """Positive rational content: the gcd of the numerators over the lcm of
+    the denominators."""
+    num, den = 0, 1
+    for c in values:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
 class Elem:
-    num: Expr
-    den: Expr
+    """p / (c * prod(f)): numerator polynomial p, positive rational content
+    c and factor map f (atom or sum id -> exponent) of the denominator.
+    r is the value when the element is rational, else None."""
+
+    __slots__ = ("p", "c", "f", "r", "_fld", "_num", "_den", "_dp")
+
+    def __init__(self, fld: "Field", p: Poly, c: Fraction, f: dict,
+                 r: Optional[Fraction] = None):
+        self._fld = fld
+        self.p, self.c, self.f, self.r = p, c, f, r
+        self._num = self._den = self._dp = None
 
     def is_zero(self) -> bool:
-        return self.num == ZERO
+        return not self.p
+
+    @property
+    def num(self) -> Expr:
+        if self._num is None:
+            self._num = self._fld._poly_expr(self.p)
+        return self._num
+
+    @property
+    def den(self) -> Expr:
+        if self._den is None:
+            self._den = self._fld._den_expr(self.c, self.f)
+        return self._den
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Elem) and self.p == other.p
+                and self.c == other.c and self.f == other.f)
+
+    def __repr__(self) -> str:
+        return f"Elem({render(self.num)}, {render(self.den)})"
 
 
 class Field:
     def __init__(self, assumptions: Optional[Assumptions] = None):
         self.asm = assumptions if assumptions is not None else Assumptions()
+        # atoms and content-free sums share one id space; per id: the atom
+        # (None for a sum), the sum (None for an atom) and its expression
+        self._ids: dict = {}
+        self._keys: list = []
+        self._atoms: list[Optional[Expr]] = []
+        self._sums: list[Optional[Poly]] = []
+        self._exprs: list[Optional[Expr]] = []
+        self._safe: list[bool] = []
+        self._varjet: list[bool] = []
+        self.zero = Elem(self, {}, Fraction(1), {}, Fraction(0))
+        self.one = self._rat(Fraction(1))
 
     def norm_expr(self, e: Expr) -> Expr:
         e = expand(e)
@@ -44,240 +156,418 @@ class Field:
             return gamma_simplify(e, self.asm)
         return e
 
+    # -- atoms, terms and polynomials -------------------------------------
+    def _new_id(self, atom: Optional[Expr], s: Optional[Poly], key=None) -> int:
+        self._keys.append(key)
+        self._atoms.append(atom)
+        self._sums.append(s)
+        self._exprs.append(atom)
+        self._safe.append(isinstance(atom, _SAFE))
+        self._varjet.append(isinstance(atom, (Var, Jet)))
+        return len(self._atoms) - 1
+
+    def _atom(self, b: Expr) -> int:
+        k = b.key()
+        i = self._ids.get(k)
+        if i is None:
+            i = self._ids[k] = self._new_id(b, None, k)
+        return i
+
+    def _sum(self, s: Poly) -> int:
+        """Id of a content-free sum."""
+        k = frozenset(s.items())
+        i = self._ids.get(k)
+        if i is None:
+            i = self._ids[k] = self._new_id(None, s)
+        return i
+
+    def _base_expr(self, i: int) -> Expr:
+        if self._exprs[i] is None:
+            self._exprs[i] = self._poly_expr(self._sums[i])
+        return self._exprs[i]
+
+    def term(self, t: Expr) -> Term:
+        """A canonical non-sum expression as a rational times a monomial."""
+        c, mono = _coeff_mono(t)
+        if mono is None:
+            return c, ()
+        return c, tuple(sorted((self._atom(b), _exp(ex))
+                               for b, ex in map(_base_exp, mul_factors(mono))))
+
+    def mono_key(self, m: Mono, extra: tuple = ()) -> tuple:
+        """The key of the monomial's canonical expression times factors with
+        the keys `extra`: the order of the terms of a canonical sum."""
+        keys = [self._keys[i] if e == 1 else (6, self._keys[i], _eform(e).sort_key())
+                for i, e in m] + list(extra)
+        if len(keys) < 2:
+            return keys[0] if keys else ()
+        return (7, len(keys), tuple(sorted(keys)))
+
+    def terms(self, e: Expr) -> list[Term]:
+        """The terms of an expression after norm_expr, in canonical order."""
+        return [self.term(t) for t in add_terms(self.norm_expr(e)) if t != ZERO]
+
+    def _expr_poly(self, e: Expr) -> Poly:
+        """An expanded expression as a polynomial."""
+        out: Poly = {}
+        for t in add_terms(e):
+            if t != ZERO:
+                c, m = self.term(t)
+                out[m] = out.get(m, 0) + c
+        return {m: c for m, c in out.items() if c}
+
+    def _mono_factors(self, m: Mono) -> list[Expr]:
+        return [_npow(self._base_expr(i), _eform(e)) for i, e in m]
+
+    def _poly_expr(self, p: Poly) -> Expr:
+        return _nadd([_nmul([Rat(c)] + self._mono_factors(m)) for m, c in p.items()])
+
+    def mono_mul(self, m1: Mono, m2: Mono) -> Optional[Mono]:
+        """The product of two monomials, or None when a merged power of a
+        base other than an atom of _SAFE has to go through _nmul."""
+        if not m1:
+            return m2
+        if not m2:
+            return m1
+        d = dict(m1)
+        for i, e in m2:
+            if i in d:
+                if not self._safe[i]:
+                    return None
+                s = _eadd(d[i], e)
+                if s == 0:
+                    del d[i]
+                else:
+                    d[i] = s
+            else:
+                d[i] = e
+        return tuple(sorted(d.items()))
+
+    def term_mul(self, s: Term, t: Term) -> list[Term]:
+        """The terms of a product of two terms: one, unless a merged power
+        rebuilds through _nmul and expands."""
+        m = self.mono_mul(s[1], t[1])
+        if m is not None:
+            return [(s[0] * t[0], m)]
+        prod = _nmul(self._mono_factors(s[1]) + self._mono_factors(t[1]))
+        return [(s[0] * t[0] * c, m) for c, m in self.terms(prod)]
+
+    def _pmul(self, f: Poly, g: Poly) -> Poly:
+        out: Poly = {}
+        for m1, c1 in f.items():
+            for m2, c2 in g.items():
+                m = self.mono_mul(m1, m2)
+                if m is not None:
+                    out[m] = out.get(m, 0) + c1 * c2
+                    continue
+                for c, m in self.term_mul((c1, m1), (c2, m2)):
+                    out[m] = out.get(m, 0) + c
+        return {m: c for m, c in out.items() if c}
+
+    def _ppow(self, p: Poly, k: int) -> Poly:
+        out = p
+        for _ in range(k - 1):
+            out = self._pmul(out, p)
+        return out
+
+    def _power(self, i: int, e) -> Poly:
+        """Factor i to the exponent e, expanded."""
+        s = self._sums[i]
+        return {((i, e),): Fraction(1)} if s is None else self._ppow(s, e)
+
+    def _dpoly(self, a: Elem) -> Poly:
+        """The expanded denominator."""
+        if a._dp is None:
+            p = {(): a.c}
+            for i, e in a.f.items():
+                p = self._pmul(p, self._power(i, e))
+            a._dp = p
+        return a._dp
+
+    def _fmap(self, p: Poly) -> tuple[Fraction, dict]:
+        """Rational coefficient and factor map of a nonzero polynomial: a
+        monomial's coefficient and atoms, or a sum's positive content and
+        the sum divided by it, so (2 + 4*a)/2 and 1 + 2*a share one form."""
+        if len(p) == 1:
+            (m, c), = p.items()
+            return c, dict(m)
+        content = _content(p.values())
+        s = p if content == 1 else {m: c / content for m, c in p.items()}
+        return content, {self._sum(s): 1}
+
+    def _den_expr(self, c: Fraction, f: dict) -> Expr:
+        if not f:
+            return Rat(c)
+        if len(f) == 1:
+            (i, e), = f.items()
+            if e == 1 and self._sums[i] is not None:
+                # a lone sum keeps its expanded form
+                return self._poly_expr({m: c * v for m, v in self._sums[i].items()})
+        return _nmul([Rat(c)] + [_npow(self._base_expr(i), _eform(e))
+                                 for i, e in f.items()])
+
+    def _is_poly(self, p: Poly) -> bool:
+        """Positive integer exponents only, and no variable or jet."""
+        return all(type(e) is int and e > 0 and not self._varjet[i]
+                   for m in p for i, e in m)
+
+    def _rat(self, v: Fraction) -> Elem:
+        """The normal form of a rational element."""
+        if not v:
+            return self.zero
+        return Elem(self, {(): Fraction(v.numerator)}, Fraction(v.denominator), {}, v)
+
+    def _make(self, p: Poly, c: Fraction, f: dict) -> Elem:
+        if not p:
+            return self.zero
+        if not f and len(p) == 1 and () in p:
+            return self._rat(p[()] / c)
+        return Elem(self, p, c, f)
+
+    # -- conversion ----------------------------------------------------------
     def elem(self, num: Expr, den: Expr = ONE) -> Elem:
         if isinstance(num, Rat) and den == ONE:
-            return _rat_elem(num.value)
-        a = self._ratnorm(num)
+            return self._rat(num.value)
+        a = self.fold(self.terms(num))
         if den == ONE:
             return a
-        b = self._ratnorm(den)
-        return self.div(a, b)
+        return self.div(a, self.fold(self.terms(den)))
 
-    def _ratnorm(self, e: Expr) -> Elem:
-        """Normalize an expression that may hold inverse factors of sums
-        (rational-function form) into a single cancelled fraction."""
-        e = self.norm_expr(e)
-        if e == ZERO:
-            return Elem(ZERO, ONE)
-        acc = Elem(ZERO, ONE)
-        for term in add_terms(e):
-            inverse, num = split_factors(term, _inverse_factor)
-            piece = self._cancel(self.norm_expr(num), self.norm_expr(
-                _npow(inverse, ExponentForm.rational(-1))))
-            acc = self._add_frac(acc, piece)
+    def fold(self, terms: Iterable[Term]) -> Elem:
+        """The sum of the elements of the terms, added in the given order."""
+        acc = self.zero
+        for c, m in terms:
+            acc = self.add(acc, self._term_elem(c, m))
         return acc
 
-    def _add_frac(self, a: Elem, b: Elem) -> Elem:
-        if a.is_zero():
-            return b
-        if b.is_zero():
-            return a
-        if a.den == b.den:
-            num = self.norm_expr(_nadd([a.num, b.num]))
-            return self._cancel(num, a.den) if num != ZERO else Elem(ZERO, ONE)
-        num = self.norm_expr(_nadd([_nmul([a.num, b.den]), _nmul([b.num, a.den])]))
-        if num == ZERO:
-            return Elem(ZERO, ONE)
-        return self._cancel(num, self.norm_expr(_nmul([a.den, b.den])))
+    def _term_elem(self, c: Fraction, m: Mono) -> Elem:
+        """The element of one term: the factors with a negative rational
+        exponent, variables and jets aside, form the denominator."""
+        num: list = []
+        inv: list = []
+        for i, e in m:
+            r = e if type(e) is int else e.as_rational()
+            (inv if r is not None and r < 0 and not self._varjet[i] else num).append((i, e))
+        if not inv:
+            return self._make({tuple(num): Fraction(c.numerator)},
+                              Fraction(c.denominator), {})
+        dp: Poly = {(): Fraction(1)}
+        for i, e in inv:
+            b, k = self._atoms[i], _eneg(e)
+            if isinstance(b, Add) and type(k) is int:
+                q = self._ppow(self._expr_poly(b), k)
+            elif self._safe[i] or isinstance(b, Add):
+                q = {((i, k),): Fraction(1)}
+            else:
+                q = self._expr_poly(self.norm_expr(_npow(b, _eform(k))))
+            dp = self._pmul(dp, q)
+        cd, fd = self._fmap(dp)
+        return self._cancel({tuple(num): c}, cd, fd)
 
-    zero = property(lambda self: Elem(ZERO, ONE))
-    one = property(lambda self: Elem(ONE, ONE))
+    def to_expr(self, a: Elem) -> Expr:
+        if not a.f and a.c == 1:
+            return a.num
+        return _nmul([a.num, _npow(a.den, ExponentForm.rational(-1))])
 
     # -- arithmetic ---------------------------------------------------------
-    # With both operands rational and nonzero, Fraction arithmetic gives the
-    # Elem the general path builds: a Rat numerator over a positive Rat
-    # denominator, in lowest terms.
+    # With both operands rational, Fraction arithmetic gives the Elem the
+    # general path builds.
     def add(self, a: Elem, b: Elem) -> Elem:
-        if _nonzero_rationals(a, b):
-            return _rat_elem(_value(a) + _value(b))
-        return self._add_frac(a, b)
+        if a.r is not None and b.r is not None:
+            return self._rat(a.r + b.r)
+        return self._add(a, b)
+
+    def _add(self, a: Elem, b: Elem) -> Elem:
+        if not a.p:
+            return b
+        if not b.p:
+            return a
+        if a.c == b.c and a.f == b.f:
+            num = _padd(a.p, b.p)
+            return self._cancel(num, a.c, a.f) if num else self.zero
+        num = _padd(self._pmul(a.p, self._dpoly(b)), self._pmul(b.p, self._dpoly(a)))
+        if not num:
+            return self.zero
+        cd, fd = self._fmap(self._pmul(self._dpoly(a), self._dpoly(b)))
+        return self._cancel(num, cd, fd)
 
     def neg(self, a: Elem) -> Elem:
-        if isinstance(a.num, Rat):
-            return Elem(Rat(-a.num.value), a.den)
-        return Elem(self.norm_expr(_nmul([Rat(-1), a.num])), a.den)
+        if a.r is not None:
+            return self._rat(-a.r)
+        return Elem(self, {m: -c for m, c in a.p.items()}, a.c, a.f)
 
     def sub(self, a: Elem, b: Elem) -> Elem:
-        if _nonzero_rationals(a, b):
-            return _rat_elem(_value(a) - _value(b))
-        return self._add_frac(a, self.neg(b))
+        if a.r is not None and b.r is not None:
+            return self._rat(a.r - b.r)
+        return self._add(a, self.neg(b))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
-        if a.is_zero() or b.is_zero():
+        if not a.p or not b.p:
             return self.zero
-        if _nonzero_rationals(a, b):
-            return _rat_elem(_value(a) * _value(b))
-        return self._cancel(self.norm_expr(_nmul([a.num, b.num])),
-                            _nmul([a.den, b.den]))
+        if a.r is not None and b.r is not None:
+            return self._rat(a.r * b.r)
+        return self._cancel(self._pmul(a.p, b.p), a.c * b.c, _merge(a.f, b.f))
 
     def div(self, a: Elem, b: Elem) -> Elem:
-        if b.is_zero():
+        if not b.p:
             raise ZeroDivisionError("division by zero field element")
-        if a.is_zero():
+        if not a.p:
             return self.zero
-        if _nonzero_rationals(a, b):
-            return _rat_elem(_value(a) / _value(b))
-        return self._cancel(self.norm_expr(_nmul([a.num, b.den])),
-                            _nmul([a.den, b.num]))
+        if a.r is not None and b.r is not None:
+            return self._rat(a.r / b.r)
+        cb, fb = self._fmap(b.p)
+        return self._cancel(self._pmul(a.p, self._dpoly(b)), a.c * cb, _merge(a.f, fb))
 
     def eq(self, a: Elem, b: Elem) -> bool:
         return self.sub(a, b).is_zero()
 
-    def to_expr(self, a: Elem) -> Expr:
-        if a.den == ONE:
-            return a.num
-        return _nmul([a.num, _npow(a.den, ExponentForm.rational(-1))])
-
     # -- factor cancellation -------------------------------------------------
-    def _cancel(self, num: Expr, den: Expr) -> Elem:
-        cn, fn_ = _factor_map(num)
-        cd, fd = _factor_map(den)
-        for k in list(fn_):
-            if k in fd:
-                bn, en = fn_[k]
-                _, ed = fd[k]
-                shared_n = en if _eform_le(en, ed) else ed
-                fn_[k] = (bn, en - shared_n)
-                fd[k] = (bn, ed - shared_n)
+    def _cancel(self, num: Poly, cd: Fraction, fd: dict) -> Elem:
+        """num / (cd * fd) with shared factors cancelled, the denominator's
+        factors divided out of the numerator where they divide it exactly,
+        and the sign of a lone sum denominator's leading term moved to the
+        numerator."""
+        cn, fn = self._fmap(num)
+        fd = dict(fd)
+        for i, en in fn.items():
+            ed = fd.get(i)
+            if ed is not None:
+                shared = en if _le(en, ed) else ed
+                fn[i] = _eadd(en, _eneg(shared))
+                fd[i] = _eadd(ed, _eneg(shared))
         coeff = cn / cd
-        num2 = _from_factor_map(Fraction(coeff.numerator), fn_)
-        den2 = _from_factor_map(Fraction(coeff.denominator), fd)
-        num2, den2 = self._divide_out(num2, den2)
-        # canonical sign on the denominator's leading coefficient
-        lead = _leading_coeff(den2)
-        if lead < 0:
-            num2 = self.norm_expr(_nmul([Rat(-1), num2]))
-            den2 = self.norm_expr(_nmul([Rat(-1), den2]))
-        return Elem(num2, den2)
+        num = self._from_fmap(Fraction(coeff.numerator), fn)
+        dc = Fraction(coeff.denominator)
+        num, dc, fd = self._divide_out(num, dc, {i: e for i, e in fd.items() if e != 0})
+        if len(fd) == 1:
+            (i, e), = fd.items()
+            if e == 1 and self._sums[i] is not None and self._leading_negative(i):
+                num = {m: -c for m, c in num.items()}
+                fd = {self._sum({m: -c for m, c in self._sums[i].items()}): 1}
+        return self._make(num, dc, fd)
 
-    def _divide_out(self, num: Expr, den: Expr) -> tuple[Expr, Expr]:
-        """Cancel denominator factors that divide the numerator exactly as
-        polynomials in the parameter atoms."""
-        if den == ONE or num == ZERO:
-            return num, den
-        cd, fd = _factor_map(den)
-        if all((ex.as_integer() or 0) <= 0 for _, ex in fd.values()):
-            return num, den
-        num_p = _poly_dict(self.norm_expr(num))
-        if num_p is None:
-            return num, den
-        num_d, atoms = num_p
+    def _from_fmap(self, coeff: Fraction, fm: dict) -> Poly:
+        mono = []
+        p: Poly = {}
+        for i, e in fm.items():
+            if e == 0:
+                continue
+            if self._sums[i] is None:
+                mono.append((i, e))
+            else:
+                p = self._power(i, e) if not p else self._pmul(p, self._power(i, e))
+        base = {tuple(sorted(mono)): coeff}
+        return self._pmul(base, p) if p else base
+
+    def _divide_out(self, num: Poly, dc: Fraction, fd: dict
+                    ) -> tuple[Poly, Fraction, dict]:
+        """Divide the numerator by the denominator factors with a positive
+        integer exponent that divide it exactly, as polynomials, in the order
+        of their expressions' keys.  A monomial numerator has had its atoms
+        cancelled already, and no sum divides a monomial."""
+        if len(num) < 2 or not self._is_poly(num):
+            return num, dc, fd
+        eligible = [i for i, e in fd.items() if type(e) is int and e > 0]
+        if not eligible:
+            return num, dc, fd
+        left = dict(fd)
         changed = False
-        for key in sorted(fd):
-            b, ex = fd[key]
-            k = ex.as_integer()
-            if k is None or k <= 0:
+        for i in sorted(eligible, key=lambda i: self._base_expr(i).key()):
+            g = self._power(i, 1)
+            if not self._is_poly(g):
                 continue
-            g_p = _poly_dict(self.norm_expr(b))
-            if g_p is None or not g_p[0]:
-                continue
-            g_d, g_atoms = g_p
-            atoms.update(g_atoms)
-            while k > 0:
-                q = _poly_divide(num_d, g_d)
+            while left[i] > 0:
+                q = _poly_divide(num, g)
                 if q is None:
                     break
-                num_d = q
-                k -= 1
+                num = q
+                left[i] -= 1
                 changed = True
-            fd[key] = (b, ExponentForm.rational(k))
         if not changed:
-            return num, den
-        den2 = _from_factor_map(cd, fd)
-        return _poly_expr(num_d, atoms), self.norm_expr(den2)
+            return num, dc, fd
+        dp = {(): dc}
+        for i, e in left.items():
+            if e != 0:
+                dp = self._pmul(dp, self._power(i, e))
+        dc, fd = self._fmap(dp)
+        return num, dc, fd
+
+    def _leading_negative(self, i: int) -> bool:
+        """The first term of the sum's canonical expression has a negative
+        coefficient."""
+        return _coeff_mono(add_terms(self._base_expr(i))[0])[0] < 0
 
     # -- pivot admissibility ---------------------------------------------------
-    def provably_nonzero(self, e: Expr) -> bool:
-        e = self.norm_expr(e)
-        if e == ZERO:
+    def provably_nonzero(self, e: Union[Elem, Expr]) -> bool:
+        """Whether a field element's numerator, or an expression, is nonzero
+        under the declared assumptions: every factor of its common monomial
+        is, and so is the rest, a sum whose sign is decided."""
+        p = e.p if isinstance(e, Elem) else self._expr_poly(self.norm_expr(e))
+        if not p:
             return False
-        if isinstance(e, Rat):
+        if len(p) == 1:
+            (m, _), = p.items()
+            return all(self._atom_nonzero(i) for i, _ in m)
+        common: Optional[dict] = None
+        for m in p:
+            powers = {i: e for i, e in m if _erational(e) is not None}
+            if common is None:
+                common = powers
+            else:
+                common = {i: (e if _le(e, common[i]) else common[i])
+                          for i, e in powers.items() if i in common}
+            if not common:
+                break
+        if common and not all(self._atom_nonzero(i) for i in common):
+            return False
+        rest = p
+        if common:
+            rest = {}
+            for m, c in p.items():
+                d = dict(m)
+                for i, e in common.items():
+                    d[i] = _eadd(d[i], _eneg(e))
+                rest[tuple(sorted((i, e) for i, e in d.items() if e != 0))] = c
+        f = self._eform_of(rest)
+        return f is not None and self.asm.sign(f) in (1, -1)
+
+    def _atom_nonzero(self, i: int) -> bool:
+        b = self._atoms[i]
+        if isinstance(b, (Rat, Gamma)):
             return True
-        for factor in mul_factors(_factor_common(e)):
-            b, _ = _base_exp(factor)
-            if isinstance(b, Rat):
-                continue
-            if isinstance(b, Gamma):
-                continue
-            if isinstance(b, Sym) and self.asm.is_declared_nonzero(b.name):
-                continue
-            fb = to_eform(b)
-            if fb is not None and self.asm.sign(fb) in (1, -1):
-                continue
-            return False
-        return True
+        if isinstance(b, Sym) and self.asm.is_declared_nonzero(b.name):
+            return True
+        f = to_eform(b)
+        return f is not None and self.asm.sign(f) in (1, -1)
+
+    def _eform_of(self, p: Poly) -> Optional[ExponentForm]:
+        """A polynomial in parameters with integer exponents as an
+        ExponentForm, or None."""
+        acc = {}
+        for m, c in p.items():
+            key = []
+            for i, e in m:
+                b = self._atoms[i]
+                if not isinstance(b, Sym) or type(e) is not int:
+                    return None
+                key.append((b.name, e))
+            acc[tuple(sorted(key))] = c
+        return ExponentForm(acc)
 
 
-def _nonzero_rationals(a: Elem, b: Elem) -> bool:
-    return (isinstance(a.num, Rat) and isinstance(a.den, Rat)
-            and isinstance(b.num, Rat) and isinstance(b.den, Rat)
-            and a.num.value != 0 and b.num.value != 0)
-
-
-def _value(a: Elem) -> Fraction:
-    return a.num.value if a.den.value == 1 else a.num.value / a.den.value
-
-
-def _rat_elem(v: Fraction) -> Elem:
-    """The normal form of a rational element."""
-    if v.denominator == 1:
-        return Elem(Rat(v), ONE)
-    return Elem(Rat(Fraction(v.numerator)), Rat(Fraction(v.denominator)))
-
-
-def _inverse_factor(b: Expr, ex: ExponentForm) -> bool:
-    """A parameter factor with a negative rational exponent: it belongs to
-    the denominator of a field element."""
-    r = ex.as_rational()
-    return r is not None and r < 0 and not isinstance(b, (Var, Jet))
+def _merge(f: dict, g: dict) -> dict:
+    """The factor map of a product of two factor maps."""
+    out = dict(f)
+    for i, e in g.items():
+        out[i] = _eadd(out[i], e) if i in out else e
+    return {i: e for i, e in out.items() if e != 0}
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial division over the parameter atoms
+# Exact polynomial division
 # ---------------------------------------------------------------------------
 
-_PolyDict = dict  # monomial key tuple -> Fraction
-_Atoms = dict     # atom key -> atom
-
-
-def _poly_dict(e: Expr) -> Optional[tuple[_PolyDict, _Atoms]]:
-    """View an expanded expression as a polynomial in its non-rational atoms
-    (parameters, Gamma applications), beside the atoms by key; None when it
-    is not one (negative or symbolic powers, jet/variable content)."""
-    out: _PolyDict = {}
-    atoms: _Atoms = {}
-    for term in add_terms(e):
-        if term == ZERO:
-            continue
-        coeff = Fraction(1)
-        mono: dict[tuple, int] = {}
-        for f in mul_factors(term):
-            if isinstance(f, Rat):
-                coeff *= f.value
-                continue
-            b, ex = _base_exp(f)
-            k = ex.as_integer()
-            if k is None or k <= 0 or isinstance(b, (Var, Jet)):
-                return None
-            bk = b.key()
-            atoms[bk] = b
-            mono[bk] = mono.get(bk, 0) + k
-        key = tuple(sorted(mono.items()))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: c for k, c in out.items() if c != 0}, atoms
-
-
-def _poly_expr(d: _PolyDict, atoms: _Atoms) -> Expr:
-    terms = []
-    for mono, c in d.items():
-        factors: list[Expr] = [Rat(c)]
-        for key, k in mono:
-            factors.append(_npow(atoms[key], ExponentForm.rational(k)))
-        terms.append(_nmul(factors))
-    return _nadd(terms)
-
-
-def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
+def _poly_divide(f: Poly, g: Poly) -> Optional[Poly]:
     """Exact division f/g as polynomials; None when not exactly divisible.
     Uses graded lexicographic order on dense exponent vectors.  Each step
     cancels the leading monomial of the remainder and adds only smaller
@@ -303,7 +593,7 @@ def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
     gvec = dense(glead)
     gc = g[glead]
     work = dict(f)
-    quotient: _PolyDict = {}
+    quotient: Poly = {}
     while work:
         flead = max(work, key=order)
         fvec = dense(flead)
@@ -323,95 +613,6 @@ def _poly_divide(f: _PolyDict, g: _PolyDict) -> Optional[_PolyDict]:
             else:
                 work[mm] = nv
     return quotient
-
-
-def _factor_common(e: Expr) -> Expr:
-    """Pull the common monomial factor out of a sum: 8a^2-8a -> 8*a*(a-1)."""
-    terms = add_terms(e)
-    if len(terms) < 2:
-        return e
-    common: Optional[dict] = None
-    for t in terms:
-        powers: dict[tuple, tuple[Expr, ExponentForm]] = {}
-        for f in mul_factors(t):
-            if isinstance(f, Rat):
-                continue
-            b, ex = _base_exp(f)
-            if ex.as_rational() is None:
-                continue
-            powers[b.key()] = (b, ex)
-        if common is None:
-            common = powers
-        else:
-            merged = {}
-            for k, (b, ex) in powers.items():
-                if k in common:
-                    other = common[k][1]
-                    lo = ex if ex.as_rational() <= other.as_rational() else other
-                    merged[k] = (b, lo)
-            common = merged
-        if not common:
-            return e
-    factor = _nmul([_npow(b, ex) for b, ex in common.values()])
-    if factor == ONE:
-        return e
-    inv = _npow(factor, ExponentForm.rational(-1))
-    rest = expand(_nmul([inv, e]))
-    return _nmul([factor, rest])
-
-
-def _eform_le(a, b) -> bool:
-    """Componentwise min helper: True if a is the smaller exponent (both are
-    rational multiples of the same monomial in practice)."""
-    ra, rb = a.as_rational(), b.as_rational()
-    if ra is not None and rb is not None:
-        return ra <= rb
-    return False
-
-
-def _factor_map(e: Expr):
-    """Rational coefficient and base-keyed factors of a product.  The
-    positive rational content of every sum factor with an integer exponent
-    moves into the coefficient, so equal elements get equal factors:
-    (2 + 4*a)/2 and 1 + 2*a both map to 1 * (1 + 2*a)."""
-    coeff = Fraction(1)
-    out: dict[tuple, tuple[Expr, ExponentForm]] = {}
-    if isinstance(e, Rat):
-        return e.value, out
-    for f in mul_factors(e):
-        if isinstance(f, Rat):
-            coeff *= f.value
-            continue
-        b, ex = _base_exp(f)
-        k = ex.as_integer()
-        if isinstance(b, Add) and k is not None:
-            content = _rational_content(b.terms)
-            if content != 1:
-                coeff *= content ** k
-                b = _nadd([_nmul([Rat(1 / content), t]) for t in b.terms])
-        key = b.key()
-        if key in out:
-            out[key] = (b, out[key][1] + ex)
-        else:
-            out[key] = (b, ex)
-    return coeff, out
-
-
-def _from_factor_map(coeff: Fraction, fm) -> Expr:
-    factors: list[Expr] = [Rat(coeff)]
-    for _, (b, ex) in sorted(fm.items()):
-        factors.append(_npow(b, ex))
-    e = _nmul(factors)
-    # a lone sum keeps its expanded form, so its leading term fixes the sign
-    if (isinstance(e, Mul) and len(e.factors) == 2
-            and isinstance(e.factors[0], Rat) and isinstance(e.factors[1], Add)):
-        return _nadd([_nmul([e.factors[0], t]) for t in e.factors[1].terms])
-    return e
-
-
-def _leading_coeff(e: Expr) -> Fraction:
-    first = add_terms(e)[0]
-    return _coeff_mono(first)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +658,9 @@ def rref(rows: list[list[Elem]], field: Field, lead: Optional[int] = None
             e = work[i].get(col)
             if e is None:
                 continue
-            if isinstance(e.num, Rat) and isinstance(e.den, Rat):
+            if e.r is not None:
                 cls = 0
-            elif field.provably_nonzero(e.num):
+            elif field.provably_nonzero(e):
                 cls = 1
             else:
                 cls = 2

@@ -161,11 +161,15 @@ class ExprParser:
         return e
 
     def _power(self) -> Expr:
+        at = self.s.peek()
         base = self._primary()
         if self.s.peek().text == "^":
             tok = self.s.next()
             exp = self._exponent(tok)
-            return pow_(base, exp)
+            try:
+                return pow_(base, exp)
+            except ZeroDivisionError as exc:
+                raise DslSemanticError(str(exc), at.line, at.col) from exc
         return base
 
     def _exponent(self, at: Token):

@@ -15,6 +15,13 @@ the image of its basis function: d^k x^b = ff(b, k) x^(b-k), in integers,
 for a monomial, and for h_s the template, its derivative or its RL image,
 each computed once per solve.  The rows are the (t-power, monomial)
 classes of those images; no instantiated equation is built or expanded.
+The field coefficients are carried as terms of the Field (a rational times
+a monomial in the parameter and Gamma atoms), and an entry is the sum of
+the elements of its product terms, in the order of the expanded
+expression's terms.  The components of the generators are compiled the
+same way once per solve, so a null vector becomes a generator coefficient
+by coefficient: the sum over columns of the entry times the column's
+coefficient.
 
 The columns go up to degree d+1, the degree-<=d ones first, and the matrix
 is eliminated once.  The first phase of the elimination, over the
@@ -36,7 +43,7 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    mul_factors, partial_derivative, render, split_factors,
                    split_power, substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
-from .linsolve import Elem, Field, nullspace, rref
+from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature, classify_terms
 from .prolong import BRANCH_UNIFIED
 from .determining import (DeterminingSystem, build_determining, h_condition,
@@ -312,6 +319,8 @@ class _Instantiation:
     _shape_ids: dict[tuple, int] = field(default_factory=dict)
     _products: dict[tuple[int, int], int] = field(default_factory=dict)
     _images: dict[tuple, list] = field(default_factory=dict)
+    _field: Optional[Field] = None
+    _field_images: dict[tuple, list] = field(default_factory=dict)
 
     def __post_init__(self):
         self.col_index = {c: i for i, c in enumerate(self.columns)}
@@ -337,6 +346,21 @@ class _Instantiation:
             tb, mb, _ = self.shapes[b]
             sid = self._products[(a, b)] = self.shape(ta + tb, _nmul([ma, mb]))
         return sid
+
+    def field_image(self, fld: Field, name: str, deriv: tuple[int, ...],
+                    frac: bool) -> list[tuple[int, list[tuple[int, Term]]]]:
+        """image(), with each coefficient as a term of `fld`; computed once
+        per instantiation and field."""
+        if fld is not self._field:
+            self._field, self._field_images = fld, {}
+        key = (name, deriv, frac)
+        out = self._field_images.get(key)
+        if out is None:
+            out = self._field_images[key] = [
+                (col, [(shape, (r, ()) if r is not None else fld.term(c))
+                       for shape, c, r in terms])
+                for col, terms in self.image(name, deriv, frac)]
+        return out
 
     def basis_function(self, b: object) -> Expr:
         if b is None:
@@ -432,11 +456,11 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
 # Rows: the operator form of an equation applied to the basis functions
 # ---------------------------------------------------------------------------
 
-def _operator_form(eq: Expr, inst: _Instantiation
-                   ) -> list[tuple[str, tuple[int, ...], bool, int, Expr]]:
+def _operator_form(eq: Expr, inst: _Instantiation, fld: Field
+                   ) -> list[tuple[str, tuple[int, ...], bool, int, Term]]:
     """The equation as operators on the unknowns, one per term: (unknown,
     derivative multi-index, fractional marker, shape of the rest of the
-    term, field coefficient)."""
+    term, field coefficient as a term of fld)."""
     out = []
     for term in add_terms(expand(eq)):
         if term == ZERO:
@@ -448,33 +472,52 @@ def _operator_form(eq: Expr, inst: _Instantiation
             raise NonAffineRow(f"term {render(term)} is not affine in "
                                "the solver unknowns")
         texp, mono, coeff = _split_term(rest, inst.sig.t)
+        c = fld.term(coeff)
         if isinstance(unknown, Fn):
             out.append((unknown.fname, unknown.deriv, unknown.frac,
-                        inst.shape(texp, mono), coeff))
+                        inst.shape(texp, mono), c))
         else:
-            out.append((unknown.name, (), False, inst.shape(texp, mono), coeff))
+            out.append((unknown.name, (), False, inst.shape(texp, mono), c))
     return out
 
 
-def _entry(rational: Fraction, others: list[Expr], column: Sym, fld: Field
-           ) -> Optional[Elem]:
-    """The field element of one (class, column) entry from the coefficients
-    of its products, or None when they cancel as expressions (the class then
-    has no term in that column).  The coefficients are carried times the
-    column's symbol and normalized as the instantiated equation would be,
-    so the terms and their order are those of that equation's terms in the
-    entry, and the Elem is the same sum of the same per-term Elems."""
-    if not others:
-        return fld.elem(Rat(rational)) if rational else None
-    terms = [_nmul([column, c]) for c in others]
-    if rational:
-        terms.append(_nmul([Rat(rational), column]))
-    out = None
-    for term in add_terms(fld.norm_expr(_nadd(terms))):
-        if term != ZERO:
-            c = fld.elem(split_power(term, column)[1])
-            out = c if out is None else fld.add(out, c)
-    return out
+def _products(ops, inst: _Instantiation, fld: Field, ncols: int
+              ) -> dict[tuple[int, int], dict]:
+    """Each operator's coefficient times the image of each basis function of
+    its unknown, on the first ncols columns: per (shape, column), the sum of
+    the product terms, a dict from monomial to coefficient.  Terms with
+    equal monomials merge, as in the expanded expression."""
+    sums: dict[tuple[int, int], dict] = {}
+    for name, deriv, frac, shape, (oc, om) in ops:
+        for col, terms in inst.field_image(fld, name, deriv, frac):
+            if col >= ncols:
+                continue
+            for ishape, (ic, im) in terms:
+                key = (inst.product(shape, ishape), col)
+                acc = sums.get(key)
+                if acc is None:
+                    acc = sums[key] = {}
+                m = fld.mono_mul(om, im)
+                if m is not None:
+                    acc[m] = acc.get(m, 0) + oc * ic
+                    continue
+                for c, m in fld.term_mul((oc, om), (ic, im)):
+                    acc[m] = acc.get(m, 0) + c
+    return sums
+
+
+def _entry(terms: dict, fld: Field, extra: tuple = ()) -> Optional[Elem]:
+    """The field element of a sum of terms, or None when they cancel as
+    expressions.  The terms are added in the order of the expanded
+    expression's terms, each times the factors whose keys are `extra`, so
+    the Elem is the same sum of the same per-term Elems as the expression's
+    would be."""
+    terms = [(m, c) for m, c in terms.items() if c]
+    if not terms:
+        return None
+    if len(terms) > 1:
+        terms.sort(key=lambda mc: fld.mono_key(mc[0], extra))
+    return fld.fold((c, m) for m, c in terms)
 
 
 def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
@@ -486,22 +529,10 @@ def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
     basis function of its unknown.  With `ledger_columns`, the notes come
     only from the classes holding an entry in one of those columns, zero
     sums included."""
-    sums: dict[tuple[int, int], list] = {}   # (class, column) -> [rational, others]
-    for name, deriv, frac, shape, coeff in _operator_form(eq, inst):
-        rc = coeff.value if isinstance(coeff, Rat) else None
-        for col, terms in inst.image(name, deriv, frac):
-            for ishape, icoeff, ir in terms:
-                key = (inst.product(shape, ishape), col)
-                acc = sums.get(key)
-                if acc is None:
-                    acc = sums[key] = [Fraction(0), []]
-                if rc is not None and ir is not None:
-                    acc[0] += rc * ir
-                else:
-                    acc[1].append(_nmul([coeff, icoeff]))
+    sums = _products(_operator_form(eq, inst, fld), inst, fld, len(inst.columns))
     classes: dict[int, dict[int, Elem]] = {}
-    for (cls, col), (rational, others) in sums.items():
-        entry = _entry(rational, others, Sym(inst.columns[col]), fld)
+    for (cls, col), terms in sums.items():
+        entry = _entry(terms, fld, (Sym(inst.columns[col]).key(),))
         if entry is not None:
             classes.setdefault(cls, {})[col] = entry
     order = sorted(classes, key=lambda c: inst.shapes[c][2])
@@ -583,61 +614,69 @@ def _structural_groups(e: Expr, fld: Field) -> dict[tuple, tuple[Expr, Elem]]:
     return groups
 
 
-def _ratnorm_components(e: Expr, fld: Field) -> Expr:
-    """Combine parameter-fraction coefficients per structural monomial."""
-    groups = _structural_groups(expand(e), fld)
+# A generator as a vector: (component index, structural monomial key) ->
+# (structural monomial, nonzero field coefficient); the components are tau,
+# the xi_i and the eta_s, in that order.
+GeneratorVector = dict
+
+
+def _component_coefficients(ds: DeterminingSystem, inst: _Instantiation,
+                            fld: Field) -> list[dict[tuple[int, int], Elem]]:
+    """Per component (tau, the xi_i, the eta_s, with gamma_s =
+    (alpha-1)/2), the coefficient of each (shape, column) on the leading
+    inst.ndeg columns: the component with one column's basis function for
+    its unknown and no other unknown."""
+    gsubs = _gamma_subs(ds)
+    ans, sig = ds.ans, ds.sys.sig
+    comps = [ans.tau] + [ans.xi(i) for i in range(sig.p)] \
+        + [ans.eta(s) for s in range(sig.q)]
     out = []
-    for k in sorted(groups):
-        mono, c = groups[k]
-        if not c.is_zero():
-            out.append(_nmul([fld.to_expr(c), mono]))
-    return _nadd(out)
+    for comp in comps:
+        ops = _operator_form(substitute(comp, gsubs), inst, fld)
+        coeffs = {}
+        for key, terms in _products(ops, inst, fld, inst.ndeg).items():
+            c = _entry(terms, fld)
+            if c is not None and not c.is_zero():
+                coeffs[key] = c
+        out.append(coeffs)
+    return out
 
 
-def _vector_to_generator(ds: DeterminingSystem, inst: _Instantiation,
-                         vec: list[Expr], fld: Field) -> Generator:
-    """The generator of a null vector on the leading len(vec) columns: each
-    unknown is the combination of its basis functions with the vector's
-    entries as coefficients, and gamma_s = (alpha-1)/2."""
-    # the gamma symbols and the unknowns are disjoint, and no value mentions
-    # a key of the other map, so one simultaneous substitution does both
-    values = _gamma_subs(ds)
-    for name, cols in inst.basis.items():
-        atom = Sym(name) if name in _CHI else Fn(name, inst.args[name])
-        values[atom] = _nadd([_nmul([vec[c], inst.basis_function(b)])
-                              for c, b in cols if c < len(vec)])
-
-    def val(e: Expr) -> Expr:
-        return _ratnorm_components(substitute(e, values), fld)
-
-    ans = ds.ans
-    sig = ds.sys.sig
-    return Generator(sig, val(ans.tau),
-                     tuple(val(ans.xi(i)) for i in range(sig.p)),
-                     tuple(val(ans.eta(s)) for s in range(sig.q)))
+def _vector_to_generator(coeffs: list[dict[tuple[int, int], Elem]],
+                         inst: _Instantiation, vec: list[Elem], fld: Field
+                         ) -> GeneratorVector:
+    """The generator of a null vector on the leading columns: each unknown
+    is the combination of its basis functions with the vector's entries as
+    coefficients, so the coefficient of a shape in a component is the sum
+    over columns of the entry times the column's coefficient there."""
+    out: GeneratorVector = {}
+    t = inst.sig.t
+    for ci, comp in enumerate(coeffs):
+        per_shape: dict[int, Elem] = {}
+        for (shape, col), c in comp.items():
+            if not vec[col].is_zero():
+                prod = fld.mul(vec[col], c)
+                per_shape[shape] = (fld.add(per_shape[shape], prod)
+                                    if shape in per_shape else prod)
+        for shape, c in per_shape.items():
+            if not c.is_zero():
+                texp, smono, _ = inst.shapes[shape]
+                mono = _nmul([_npow(t, texp), smono])
+                out[(ci, mono.key())] = (mono, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Generator-space normalization
 # ---------------------------------------------------------------------------
 
-def _generator_vector_space(gens: Sequence[Generator], fld: Field):
-    """Vectorize generators over the monomial basis of their components."""
-    columns: dict[tuple, tuple[int, Expr]] = {}
-    rows = []
-    decomposed = []
-    for g in gens:
-        comps = [g.tau] + list(g.xi) + list(g.eta)
-        entry: dict[tuple, Elem] = {}
-        for ci, comp in enumerate(comps):
-            for k, (mono, c) in _structural_groups(fld.norm_expr(comp), fld).items():
-                columns.setdefault((ci, k), (ci, mono))
-                entry[(ci, k)] = c
-        decomposed.append(entry)
-    ordered = sorted(columns)
-    for entry in decomposed:
-        rows.append([entry.get(k, fld.zero) for k in ordered])
-    return rows, ordered, columns
+def _generator_vector(g: Generator, fld: Field) -> GeneratorVector:
+    """The vector of a generator given as expressions."""
+    out: GeneratorVector = {}
+    for ci, comp in enumerate([g.tau] + list(g.xi) + list(g.eta)):
+        for k, (mono, c) in _structural_groups(fld.norm_expr(comp), fld).items():
+            out[(ci, k)] = (mono, c)
+    return out
 
 
 def _rebuild_generator(sig: Signature, ordered, columns, row, fld: Field
@@ -646,20 +685,25 @@ def _rebuild_generator(sig: Signature, ordered, columns, row, fld: Field
     for k, e in zip(ordered, row):
         if e.is_zero():
             continue
-        ci, mono = columns[k]
-        comps[ci] = comps[ci] + _nmul([fld.to_expr(e), mono])
+        ci, _ = k
+        comps[ci] = comps[ci] + _nmul([fld.to_expr(e), columns[k]])
     return Generator(sig, comps[0], tuple(comps[1:1 + sig.p]),
                      tuple(comps[1 + sig.p:]))
 
 
-def normalize_generators(gens: Sequence[Generator], sig: Signature, fld: Field
-                         ) -> list[Generator]:
-    """RREF over the ordered component-monomial vector; deterministic,
+def normalize_generators(vectors: Sequence[GeneratorVector], sig: Signature,
+                         fld: Field) -> list[Generator]:
+    """RREF over the ordered component-monomial vectors; deterministic,
     idempotent, removes linear dependencies."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    vectors = [v for v in vectors if any(not c.is_zero() for _, c in v.values())]
+    if not vectors:
         return []
-    rows, ordered, columns = _generator_vector_space(gens, fld)
+    columns: dict[tuple, Expr] = {}
+    for v in vectors:
+        for k, (mono, _) in v.items():
+            columns.setdefault(k, mono)
+    ordered = sorted(columns)
+    rows = [[v[k][1] if k in v else fld.zero for k in ordered] for v in vectors]
     res = rref(rows, fld)
     return [_rebuild_generator(sig, ordered, columns, row, fld)
             for row in res.rows]
@@ -735,9 +779,9 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     dims = {"both": [("zero", zero_dim), ("nonzero", dim)],
             "zero": [("zero", dim)],
             "nonzero": [("nonzero", dim)]}[cfg.branch]
-    gens = [_vector_to_generator(ds, inst, [fld.to_expr(e) for e in v], fld)
-            for v in vecs]
-    final = normalize_generators(gens, ds.sys.sig, fld)
+    coeffs = _component_coefficients(ds, inst, fld)
+    final = normalize_generators(
+        [_vector_to_generator(coeffs, inst, v, fld) for v in vecs], ds.sys.sig, fld)
     if cfg.check_degree_stability:
         grown = len(inst.columns) - len(res.pivots) - dim
         if grown:
@@ -765,9 +809,10 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
 def normalize_basis(basis: SolutionBasis) -> SolutionBasis:
     """Reduced row-echelon normal form of the emitted generators; idempotent."""
     fld = Field(basis.sys.assumptions())
-    merged = normalize_generators(list(basis.generators) +
-                                  list(basis.shift_generators),
-                                  basis.sys.sig, fld)
+    merged = normalize_generators(
+        [_generator_vector(g, fld)
+         for g in basis.generators + basis.shift_generators],
+        basis.sys.sig, fld)
     main = tuple(g for g in merged if not g.is_shift())
     shifts = tuple(g for g in merged if g.is_shift())
     reports = tuple(verify_generator(basis.sys, g) for g in main)

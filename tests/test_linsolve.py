@@ -5,8 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fraclie import Assumptions, Gamma, Rat, Sym, Var, ZERO, ONE, add, mul, \
     neg, pow_, simplify
-from fraclie.expr import _nmul
-from fraclie.linsolve import Elem, Field, _poly_divide, nullspace, rref
+from fraclie.linsolve import Field, _poly_divide, nullspace, rref
 
 F = Fraction
 a = Sym("a")
@@ -44,6 +43,22 @@ class TestFieldArithmetic:
         from fraclie.expr import expand
         e = fld.elem(expand(num), base)
         assert fld.to_expr(e) == n
+
+    def test_atoms_and_sums_divide_out(self):
+        fld = field()
+        # (n + a*n)/n = 1 + a, and (n - n*a^2)/(n*(1 - a)) = 1 + a
+        one_plus_a = fld.elem(add(1, a))
+        assert fld.elem(add(n, mul(a, n)), n) == one_plus_a
+        num = add(n, mul(-1, n, pow_(a, 2)))
+        assert fld.elem(num, mul(n, add(1, neg(a)))) == one_plus_a
+        assert fld.to_expr(one_plus_a) == add(1, a)
+
+    def test_shared_factors_cancel_to_the_smaller_exponent(self):
+        fld = field()
+        e = fld.elem(mul(n, a), mul(pow_(n, 3), a))
+        assert e.num == ONE and e.den == pow_(n, 2)
+        e = fld.elem(mul(pow_(n, 3), a), mul(n, pow_(a, 2)))
+        assert e.num == pow_(n, 2) and e.den == a
 
     def test_long_exact_division_completes(self):
         # (a^10001 - 1)/(a - 1) = a^10000 + ... + a + 1 takes 10 001 steps
@@ -103,23 +118,22 @@ _RATIONALS = st.one_of(
 
 class TestRationalFastPath:
     """Rational operands take a Fraction fast path; it must build the Elem
-    that the general _add_frac/_cancel path builds."""
+    that the general polynomial path (_add, _cancel) builds."""
 
     @settings(max_examples=200, deadline=None)
     @given(_RATIONALS, _RATIONALS)
     def test_fast_path_equals_general_path(self, p, q):
         fld = field()
-        x, y = fld._ratnorm(Rat(p)), fld._ratnorm(Rat(q))
+        x, y = fld.fold([(p, ())]), fld.fold([(q, ())])
         assert fld.elem(Rat(p)) == x and fld.elem(Rat(q)) == y
-        neg_y = Elem(fld.norm_expr(_nmul([Rat(-1), y.num])), y.den)
-        assert fld.neg(y) == neg_y
-        assert fld.add(x, y) == fld._add_frac(x, y)
-        assert fld.sub(x, y) == fld._add_frac(x, neg_y)
+        assert fld.neg(y) == fld.fold([(-q, ())])
+        assert fld.add(x, y) == fld._add(x, y)
+        assert fld.sub(x, y) == fld._add(x, fld.fold([(-q, ())]))
         if not x.is_zero() and not y.is_zero():
-            assert fld.mul(x, y) == fld._cancel(
-                fld.norm_expr(_nmul([x.num, y.num])), _nmul([x.den, y.den]))
-            assert fld.div(x, y) == fld._cancel(
-                fld.norm_expr(_nmul([x.num, y.den])), _nmul([x.den, y.num]))
+            assert fld.mul(x, y) == fld._cancel(fld._pmul(x.p, y.p), x.c * y.c, {})
+            cy, fy = fld._fmap(y.p)
+            assert fld.div(x, y) == fld._cancel(fld._pmul(x.p, fld._dpoly(y)),
+                                                x.c * cy, fy)
         for e in (fld.add(x, y), fld.sub(x, y), fld.mul(x, y)):
             assert isinstance(e.num, Rat) and isinstance(e.den, Rat)
             assert e.den.value > 0

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fraclie import PipelineConfig, emit, run_pipeline
+from fraclie import PipelineConfig, emit, parse_system, run_pipeline
 from conftest import DEMOS, TELE_POW_GEN, ZK_SRC
 
 NO_SYMMETRY_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + x*u^3 + u^2 + u^4;"
@@ -104,6 +104,22 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr == "error: semantic error at 2:16: division by zero\n"
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("power", ["0^(-1)", "0^(a-1)"])
+    def test_zero_to_a_negative_power_is_a_located_error(self, tmp_path, power):
+        f = tmp_path / "zero_base.fpde"
+        f.write_text(f"alpha a; space x; dep u;\nDt^a(u) = Dx(u) + {power}*x;\n")
+        out = run_cli("analyze", str(f))
+        assert out.returncode == 1
+        assert out.stderr == ("error: semantic error at 2:19: zero to the power "
+                              f"{power[3:-1]}\n")
+
+    @pytest.mark.parametrize("power", ["0^2", "0^(1/2)"])
+    def test_zero_to_a_positive_power_is_zero(self, power):
+        src = f"alpha a; space x; dep u;\nDt^a(u) = Dx(u) + {power}*x;\n"
+        plain = "alpha a; space x; dep u;\nDt^a(u) = Dx(u);\n"
+        assert parse_system(src).F == parse_system(plain).F
+        assert parse_system(src).H == parse_system(plain).H
 
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")

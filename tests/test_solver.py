@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from fraclie import (DegreeInsufficient, ExponentForm, Generator, Rat, ShapeViolation, SolverConfig, Sym, ZERO, ONE,
-                     add, build_determining, mul, neg, normalize_basis,
+from fraclie import (Assumptions, DegreeInsufficient, ExponentForm, Gamma,
+                     Generator, Rat, ShapeViolation, SolverConfig, Sym, ZERO,
+                     ONE, add, build_determining, mul, neg, normalize_basis,
                      parse_generator, parse_system, partial_derivative, pow_,
                      solve, solve_system, verify_generator)
 from fraclie.determining import normalize_equation
-from fraclie.expr import simplify
-from fraclie.linsolve import Field, rref
-from fraclie.solver import _determining_rows, build_instantiation, equation_rows
+from fraclie.expr import add_terms, simplify, split_power
+from fraclie.linsolve import Field, nullspace, rref
+from fraclie.solver import (_component_coefficients, _determining_rows, _entry,
+                            _generator_vector, _rebuild_generator,
+                            _vector_to_generator, build_instantiation,
+                            equation_rows)
 from conftest import TELE_POW_GEN, DEMOS
 
 F = Fraction
@@ -400,3 +404,45 @@ class TestCanonicalOutputs:
             exprs += [g.tau, *g.xi, *g.eta]
         assert ds.integer_eqs and ds.frac_eqs and basis.generators
         assert [simplify(e) for e in exprs] == exprs
+
+
+class TestFieldAssembly:
+    """Entries and generators are assembled from field terms and elements;
+    they must be the elements the expression route gives."""
+
+    def test_entry_adds_in_the_expanded_expressions_order(self):
+        # a sum whose element depends on the order of addition
+        asm = Assumptions("a")
+        asm.declare_nonzero("n")
+        fld = Field(asm)
+        column = Sym("c[g.1]")
+        parts = [mul(-2, a), mul(2, a, Gamma(a), pow_(n, -1)), pow_(add(a, n), -1),
+                 mul(-3, Gamma(a), pow_(n, -1), pow_(add(a, n), -1))]
+        terms = {}
+        for p in parts:
+            c, m = fld.term(p)
+            terms[m] = c
+        expr = add(*(mul(column, p) for p in parts))
+        want = fld.fold(fld.term(split_power(t, column)[1])
+                        for t in add_terms(fld.norm_expr(expr)))
+        assert _entry(terms, fld, (column.key(),)) == want
+        assert fld.fold((c, m) for m, c in reversed(list(terms.items()))) != want
+
+    @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj"])
+    def test_generator_vectors_are_those_of_their_expressions(self, name, request):
+        sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
+        ds = build_determining(sys)
+        asm = sys.assumptions()
+        fld = Field(asm)
+        inst = build_instantiation(ds, SolverConfig(), asm)
+        rows, _ = _determining_rows(ds, inst, fld, set(range(inst.ndeg)))
+        vecs, _ = nullspace(rref(rows, fld, lead=inst.ndeg), inst.ndeg, fld)
+        coeffs = _component_coefficients(ds, inst, fld)
+        assert vecs
+        for v in vecs:
+            direct = _vector_to_generator(coeffs, inst, v, fld)
+            ordered = sorted(direct)
+            gen = _rebuild_generator(sys.sig, ordered, {k: direct[k][0] for k in ordered},
+                                     [direct[k][1] for k in ordered], fld)
+            assert _generator_vector(gen, fld) == direct
+

@@ -126,8 +126,9 @@ class Elem:
         return self._den
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Elem) and self.p == other.p
-                and self.c == other.c and self.f == other.f)
+        # atom ids are per Field, so elements of two Fields do not compare
+        return (isinstance(other, Elem) and self._fld is other._fld
+                and self.p == other.p and self.c == other.c and self.f == other.f)
 
     def __repr__(self) -> str:
         return f"Elem({render(self.num)}, {render(self.den)})"

@@ -60,6 +60,10 @@ class TestFieldArithmetic:
         e = fld.elem(mul(pow_(n, 3), a), mul(n, pow_(a, 2)))
         assert e.num == pow_(n, 2) and e.den == a
 
+    def test_elements_of_two_fields_never_compare_equal(self):
+        # each field numbers its own atoms: a and n are both atom 0 here
+        assert field().elem(a) != field().elem(n)
+
     def test_long_exact_division_completes(self):
         # (a^10001 - 1)/(a - 1) = a^10000 + ... + a + 1 takes 10 001 steps
         ak = a.key()

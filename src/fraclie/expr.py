@@ -192,7 +192,7 @@ class Pow(Expr):
     exp: ExponentForm
 
     def key(self):
-        return (6, self.base.key(), self.exp.sort_key())
+        return _pow_key(self.base.key(), self.exp)
 
 
 @dataclass(frozen=True, repr=False)
@@ -200,7 +200,7 @@ class Mul(Expr):
     factors: tuple[Expr, ...]
 
     def key(self):
-        return (7, len(self.factors), tuple(f.key() for f in self.factors))
+        return _mul_key(tuple(f.key() for f in self.factors))
 
 
 @dataclass(frozen=True, repr=False)
@@ -209,6 +209,29 @@ class Add(Expr):
 
     def key(self):
         return (8, len(self.terms), tuple(t.key() for t in self.terms))
+
+
+# A canonical sum orders its terms by their monomials' keys, so code that
+# orders terms it builds outside the kernel takes their keys from here.
+
+def _pow_key(base_key: tuple, exp: ExponentForm) -> tuple:
+    """The key of the canonical power, to exp, of the base with key
+    base_key."""
+    return (6, base_key, exp.sort_key())
+
+
+def _mul_key(factor_keys: tuple) -> tuple:
+    return (7, len(factor_keys), factor_keys)
+
+
+def _product_key(factor_keys: Iterable[tuple]) -> tuple:
+    """The key of the canonical product of non-rational factors, no two of
+    one base, with the keys factor_keys: the factor's own key when there is
+    one, and () when there is none."""
+    keys = sorted(factor_keys)
+    if len(keys) < 2:
+        return keys[0] if keys else ()
+    return _mul_key(tuple(keys))
 
 
 ZERO = Rat(Fraction(0))

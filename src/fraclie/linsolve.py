@@ -4,10 +4,11 @@ parameters (alpha, user parameters, branch constants, Gamma atoms).
 Polynomials are sparse and distributed: a dict from monomial to nonzero
 Fraction, a monomial being a tuple of (atom id, exponent) pairs sorted by
 id.  An atom is the base of a power factor: a parameter, a Gamma
-application, or in verification residuals a variable or a function.  The
-Field that makes an element numbers its atoms, so an element belongs to
-that Field.  An exponent is an int, or an ExponentForm when it is not an
-integer.
+application, or in verification residuals a variable or a function.  A
+content-free sum as a base, as in (1 + a)^(1/2), has the id of that sum.
+The Field that makes an element numbers its atoms and sums, so an element
+belongs to that Field.  An exponent is an int, or an ExponentForm when it
+is not an integer.
 
 An element is a numerator polynomial over a denominator kept as its factor
 map: a positive rational content times atoms and content-free sums, each
@@ -34,7 +35,8 @@ from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
-                   _base_exp, _coeff_mono, _nadd, _nmul, _npow, add_terms,
+                   _base_exp, _coeff_mono, _nadd, _nmul, _npow, _pow_key,
+                   _product_key, add_terms,
                    any_node, expand, gamma_simplify, mul_factors, render,
                    to_eform)
 
@@ -102,28 +104,23 @@ class Elem:
     c and factor map f (atom or sum id -> exponent) of the denominator.
     r is the value when the element is rational, else None."""
 
-    __slots__ = ("p", "c", "f", "r", "_fld", "_num", "_den", "_dp")
+    __slots__ = ("p", "c", "f", "r", "_fld")
 
     def __init__(self, fld: "Field", p: Poly, c: Fraction, f: dict,
                  r: Optional[Fraction] = None):
         self._fld = fld
         self.p, self.c, self.f, self.r = p, c, f, r
-        self._num = self._den = self._dp = None
 
     def is_zero(self) -> bool:
         return not self.p
 
     @property
     def num(self) -> Expr:
-        if self._num is None:
-            self._num = self._fld._poly_expr(self.p)
-        return self._num
+        return self._fld._poly_expr(self.p)
 
     @property
     def den(self) -> Expr:
-        if self._den is None:
-            self._den = self._fld._den_expr(self.c, self.f)
-        return self._den
+        return self._fld._den_expr(self.c, self.f)
 
     def __eq__(self, other) -> bool:
         # atom ids are per Field, so elements of two Fields do not compare
@@ -137,8 +134,9 @@ class Elem:
 class Field:
     def __init__(self, assumptions: Optional[Assumptions] = None):
         self.asm = assumptions if assumptions is not None else Assumptions()
-        # atoms and content-free sums share one id space; per id: the atom
-        # (None for a sum), the sum (None for an atom) and its expression
+        # atoms and content-free sums share one id space; per id: the key
+        # and the expression of the base, the atom (None for a sum) and the
+        # sum (None for an atom)
         self._ids: dict = {}
         self._keys: list = []
         self._atoms: list[Optional[Expr]] = []
@@ -168,10 +166,18 @@ class Field:
         return len(self._atoms) - 1
 
     def _atom(self, b: Expr) -> int:
+        """Id of a power's base.  A content-free sum, as in (1 + a)^(1/2),
+        has the id of that sum, so it cancels against the sum's factors."""
         k = b.key()
         i = self._ids.get(k)
         if i is None:
-            i = self._ids[k] = self._new_id(b, None, k)
+            s = self._expr_poly(b) if isinstance(b, Add) else None
+            if s is not None and _content(s.values()) == 1:
+                i = self._sum(s)
+                self._keys[i], self._exprs[i] = k, b
+            else:
+                i = self._new_id(b, None, k)
+            self._ids[k] = i
         return i
 
     def _sum(self, s: Poly) -> int:
@@ -187,6 +193,11 @@ class Field:
             self._exprs[i] = self._poly_expr(self._sums[i])
         return self._exprs[i]
 
+    def _key(self, i: int) -> tuple:
+        if self._keys[i] is None:
+            self._keys[i] = self._base_expr(i).key()
+        return self._keys[i]
+
     def term(self, t: Expr) -> Term:
         """A canonical non-sum expression as a rational times a monomial."""
         c, mono = _coeff_mono(t)
@@ -198,11 +209,9 @@ class Field:
     def mono_key(self, m: Mono, extra: tuple = ()) -> tuple:
         """The key of the monomial's canonical expression times factors with
         the keys `extra`: the order of the terms of a canonical sum."""
-        keys = [self._keys[i] if e == 1 else (6, self._keys[i], _eform(e).sort_key())
-                for i, e in m] + list(extra)
-        if len(keys) < 2:
-            return keys[0] if keys else ()
-        return (7, len(keys), tuple(sorted(keys)))
+        return _product_key([self._key(i) if e == 1
+                             else _pow_key(self._key(i), _eform(e))
+                             for i, e in m] + list(extra))
 
     def terms(self, e: Expr) -> list[Term]:
         """The terms of an expression after norm_expr, in canonical order."""
@@ -272,18 +281,19 @@ class Field:
         return out
 
     def _power(self, i: int, e) -> Poly:
-        """Factor i to the exponent e, expanded."""
+        """Factor i to the exponent e, expanded when it is a sum to a
+        positive integer power."""
         s = self._sums[i]
-        return {((i, e),): Fraction(1)} if s is None else self._ppow(s, e)
+        if s is None or type(e) is not int or e < 1:
+            return {((i, e),): Fraction(1)}
+        return self._ppow(s, e)
 
     def _dpoly(self, a: Elem) -> Poly:
         """The expanded denominator."""
-        if a._dp is None:
-            p = {(): a.c}
-            for i, e in a.f.items():
-                p = self._pmul(p, self._power(i, e))
-            a._dp = p
-        return a._dp
+        p = {(): a.c}
+        for i, e in a.f.items():
+            p = self._pmul(p, self._power(i, e))
+        return p
 
     def _fmap(self, p: Poly) -> tuple[Fraction, dict]:
         """Rational coefficient and factor map of a nonzero polynomial: a
@@ -357,8 +367,8 @@ class Field:
             b, k = self._atoms[i], _eneg(e)
             if isinstance(b, Add) and type(k) is int:
                 q = self._ppow(self._expr_poly(b), k)
-            elif self._safe[i] or isinstance(b, Add):
-                q = {((i, k),): Fraction(1)}
+            elif self._safe[i] or b is None or isinstance(b, Add):
+                q = self._power(i, k)
             else:
                 q = self._expr_poly(self.norm_expr(_npow(b, _eform(k))))
             dp = self._pmul(dp, q)
@@ -386,10 +396,11 @@ class Field:
         if a.c == b.c and a.f == b.f:
             num = _padd(a.p, b.p)
             return self._cancel(num, a.c, a.f) if num else self.zero
-        num = _padd(self._pmul(a.p, self._dpoly(b)), self._pmul(b.p, self._dpoly(a)))
+        da, db = self._dpoly(a), self._dpoly(b)
+        num = _padd(self._pmul(a.p, db), self._pmul(b.p, da))
         if not num:
             return self.zero
-        cd, fd = self._fmap(self._pmul(self._dpoly(a), self._dpoly(b)))
+        cd, fd = self._fmap(self._pmul(da, db))
         return self._cancel(num, cd, fd)
 
     def neg(self, a: Elem) -> Elem:
@@ -453,7 +464,7 @@ class Field:
         for i, e in fm.items():
             if e == 0:
                 continue
-            if self._sums[i] is None:
+            if self._sums[i] is None or type(e) is not int:
                 mono.append((i, e))
             else:
                 p = self._power(i, e) if not p else self._pmul(p, self._power(i, e))
@@ -533,7 +544,7 @@ class Field:
         return f is not None and self.asm.sign(f) in (1, -1)
 
     def _atom_nonzero(self, i: int) -> bool:
-        b = self._atoms[i]
+        b = self._base_expr(i)
         if isinstance(b, (Rat, Gamma)):
             return True
         if isinstance(b, Sym) and self.asm.is_declared_nonzero(b.name):

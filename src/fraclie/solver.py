@@ -319,8 +319,6 @@ class _Instantiation:
     _shape_ids: dict[tuple, int] = field(default_factory=dict)
     _products: dict[tuple[int, int], int] = field(default_factory=dict)
     _images: dict[tuple, list] = field(default_factory=dict)
-    _field: Optional[Field] = None
-    _field_images: dict[tuple, list] = field(default_factory=dict)
 
     def __post_init__(self):
         self.col_index = {c: i for i, c in enumerate(self.columns)}
@@ -346,21 +344,6 @@ class _Instantiation:
             tb, mb, _ = self.shapes[b]
             sid = self._products[(a, b)] = self.shape(ta + tb, _nmul([ma, mb]))
         return sid
-
-    def field_image(self, fld: Field, name: str, deriv: tuple[int, ...],
-                    frac: bool) -> list[tuple[int, list[tuple[int, Term]]]]:
-        """image(), with each coefficient as a term of `fld`; computed once
-        per instantiation and field."""
-        if fld is not self._field:
-            self._field, self._field_images = fld, {}
-        key = (name, deriv, frac)
-        out = self._field_images.get(key)
-        if out is None:
-            out = self._field_images[key] = [
-                (col, [(shape, (r, ()) if r is not None else fld.term(c))
-                       for shape, c, r in terms])
-                for col, terms in self.image(name, deriv, frac)]
-        return out
 
     def basis_function(self, b: object) -> Expr:
         if b is None:
@@ -489,10 +472,11 @@ def _products(ops, inst: _Instantiation, fld: Field, ncols: int
     equal monomials merge, as in the expanded expression."""
     sums: dict[tuple[int, int], dict] = {}
     for name, deriv, frac, shape, (oc, om) in ops:
-        for col, terms in inst.field_image(fld, name, deriv, frac):
+        for col, terms in inst.image(name, deriv, frac):
             if col >= ncols:
                 continue
-            for ishape, (ic, im) in terms:
+            for ishape, c, r in terms:
+                ic, im = (r, ()) if r is not None else fld.term(c)
                 key = (inst.product(shape, ishape), col)
                 acc = sums.get(key)
                 if acc is None:

@@ -44,6 +44,15 @@ class TestFieldArithmetic:
         e = fld.elem(expand(num), base)
         assert fld.to_expr(e) == n
 
+    def test_power_of_a_sum_cancels_against_the_sum(self):
+        fld = field()
+        # (1 + a)^(-1/2) + a*(1 + a)^(-1/2) = (1 + a)^(1/2)
+        root = pow_(add(1, a), F(-1, 2))
+        e = fld.add(fld.elem(root), fld.elem(mul(a, root)))
+        assert (e.num, e.den) == (pow_(add(1, a), F(1, 2)), ONE)
+        # (1 + a)/(1 + a)^(1/2) as one element
+        assert fld.elem(add(1, a), pow_(add(1, a), F(1, 2))) == e
+
     def test_atoms_and_sums_divide_out(self):
         fld = field()
         # (n + a*n)/n = 1 + a, and (n - n*a^2)/(n*(1 - a)) = 1 + a

@@ -11,12 +11,14 @@ from fraclie import (Assumptions, DegreeInsufficient, ExponentForm, Gamma,
                      parse_generator, parse_system, partial_derivative, pow_,
                      solve, solve_system, verify_generator)
 from fraclie.determining import normalize_equation
-from fraclie.expr import add_terms, simplify, split_power
+from fraclie.expr import (Fn, _nadd, _nmul, add_terms, expand, simplify,
+                          split_power, substitute)
 from fraclie.linsolve import Field, nullspace, rref
-from fraclie.solver import (_component_coefficients, _determining_rows, _entry,
-                            _generator_vector, _rebuild_generator,
+from fraclie.solver import (_CHI, _component_coefficients, _determining_rows,
+                            _entry, _gamma_subs, _generator_vector,
+                            _rebuild_generator, _structural_groups,
                             _vector_to_generator, build_instantiation,
-                            equation_rows)
+                            equation_rows, normalize_generators)
 from conftest import TELE_POW_GEN, DEMOS
 
 F = Fraction
@@ -226,6 +228,29 @@ class TestStability:
 
 
 PROJ_SRC = (DEMOS.parent / "perfbench" / "inputs" / "proj.fpde").read_text()
+CORPUS = DEMOS.parent / "tests" / "corpus"
+
+
+def _reference_generator(ds, inst, vec, fld):
+    """The generator of a null vector as the solver assembled it before the
+    component coefficients: the entries, as expressions, times the basis
+    functions substituted into the ansatz with gamma_s = (alpha-1)/2, each
+    component expanded and its field coefficients combined per structural
+    monomial."""
+    values = _gamma_subs(ds)
+    for name, cols in inst.basis.items():
+        atom = Sym(name) if name in _CHI else Fn(name, inst.args[name])
+        values[atom] = _nadd([_nmul([fld.to_expr(vec[c]), inst.basis_function(b)])
+                              for c, b in cols if c < len(vec)])
+
+    def val(e):
+        groups = _structural_groups(expand(substitute(e, values)), fld)
+        return _nadd([_nmul([fld.to_expr(c), mono])
+                      for _, (mono, c) in sorted(groups.items()) if not c.is_zero()])
+
+    ans, sig = ds.ans, ds.sys.sig
+    return Generator(sig, val(ans.tau), tuple(val(ans.xi(i)) for i in range(sig.p)),
+                     tuple(val(ans.eta(s)) for s in range(sig.q)))
 
 
 def _restrict(rows, keep):
@@ -445,4 +470,42 @@ class TestFieldAssembly:
             gen = _rebuild_generator(sys.sig, ordered, {k: direct[k][0] for k in ordered},
                                      [direct[k][1] for k in ordered], fld)
             assert _generator_vector(gen, fld) == direct
+
+    @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj",
+                                      "burgers", "kdv", "u2_uxx", "zk3d"])
+    def test_generators_are_those_of_the_substituted_ansatz(self, name, request):
+        # An element over a sum has no unique form, so the two routes may
+        # give equal coefficients in two forms: on tele_pow, eta's
+        # coefficient of u1 is (2a^3 + 6a^4)/(a^2 + 6a^3 + 9a^4) directly
+        # and (2a^5 + 12a^6 + 18a^7)/(a^4 + 9a^5 + 27a^6 + 27a^7) by the
+        # expressions.  The coefficients are equal in value and the
+        # normalized generators, which are emitted, are the same.
+        if name in ("zk", "hs", "tele", "tele_pow"):
+            sys = request.getfixturevalue(name)
+        else:
+            sys = parse_system(PROJ_SRC if name == "proj"
+                               else (CORPUS / f"{name}.fpde").read_text())
+        ds = build_determining(sys)
+        asm = sys.assumptions()
+        fld = Field(asm)
+        inst = build_instantiation(ds, SolverConfig(), asm)
+        rows, _ = _determining_rows(ds, inst, fld, set(range(inst.ndeg)))
+        vecs, _ = nullspace(rref(rows, fld, lead=inst.ndeg), inst.ndeg, fld)
+        coeffs = _component_coefficients(ds, inst, fld)
+        direct = [_vector_to_generator(coeffs, inst, v, fld) for v in vecs]
+        want = [_generator_vector(_reference_generator(ds, inst, v, fld), fld)
+                for v in vecs]
+        same = 0
+        for d, w in zip(direct, want):
+            w = {k: mc for k, mc in w.items() if not mc[1].is_zero()}
+            assert d.keys() == w.keys()
+            assert all(d[k][0] == w[k][0] and fld.eq(d[k][1], w[k][1]) for k in d)
+            same += d == w
+        assert same == len(vecs) - (name == "tele_pow")
+        assert (normalize_generators(direct, sys.sig, fld)
+                == normalize_generators(want, sys.sig, fld))
+        # every system but tele and proj has coefficients over a sum
+        sum_dens = sum(any(fld._sums[i] is not None for i in c.f)
+                       for d in direct for _, c in d.values())
+        assert (sum_dens == 0) == (name in ("tele", "proj"))
 

@@ -8,7 +8,6 @@ Genericity facts used to keep monomial classes apart are recorded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .exponents import ExponentForm
@@ -20,6 +19,7 @@ from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    substitute, total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
 from .prolong import AnsatzGenerator, eta_theta_of
+from .records import record
 
 
 class NonAffineSystem(Exception):
@@ -195,7 +195,7 @@ def normalize_equation(e: Expr) -> Expr:
 # The determining system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeterminingSystem:
     sys: PDESystem
     ans: AnsatzGenerator

@@ -8,9 +8,10 @@ Every exponent in the target problem class has this shape: a-1, 2a-1,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
+
+from .records import record
 
 # A basis monomial is a sorted tuple of (symbol name, integer power).
 Monomial = tuple[tuple[str, int], ...]
@@ -31,14 +32,16 @@ class ExponentForm:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[Monomial, Fraction] = {}
         for mono, c in items:
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
-                acc[mono] = acc.get(mono, Fraction(0)) + c
-        object.__setattr__(self, "coeffs", tuple(sorted((m, c) for m, c in acc.items() if c != 0)))
-        object.__setattr__(self, "_hash", hash(self.coeffs))
+                prev = acc.get(mono)
+                acc[mono] = c if prev is None else prev + c
+        self.coeffs = tuple(sorted([mc for mc in acc.items() if mc[1]]))
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -53,7 +56,8 @@ class ExponentForm:
     def __add__(self, other: "ExponentForm") -> "ExponentForm":
         acc = dict(self.coeffs)
         for m, c in other.coeffs:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            prev = acc.get(m)
+            acc[m] = c if prev is None else prev + c
         return ExponentForm(acc)
 
     def __sub__(self, other: "ExponentForm") -> "ExponentForm":
@@ -116,7 +120,10 @@ class ExponentForm:
         return isinstance(other, ExponentForm) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.coeffs)
+        return h
 
     def sort_key(self):
         return self.coeffs
@@ -172,7 +179,7 @@ def _end_mul(a, a_inf: int, a_open: bool, b, b_inf: int, b_open: bool):
     return (0, a * b), a_open or b_open
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interval:
     """An interval of the rationals; a None end is infinite (lo = None is
     minus infinity, hi = None plus infinity) and always open."""

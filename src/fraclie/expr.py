@@ -11,7 +11,7 @@ add, mul, neg, pow_, div, the operators on Expr, and expand, substitute,
 the derivatives and gamma_simplify) is canonical when its inputs are, that
 is, a fixed point of simplify.  A canonical Mul holds no Mul and a
 canonical Add no Add.  simplify is only for trees built by hand from the
-Mul, Add and Pow dataclasses; on kernel trees, structural equality and
+Mul, Add and Pow classes; on kernel trees, structural equality and
 Expr.key() are exact tests with no simplify first.
 
 Traversal contract: the children of a node are the operands of a Mul or
@@ -24,7 +24,6 @@ map_children (rebuild canonically) and any_node (pre-order search).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -57,7 +56,11 @@ class UnsupportedDerivative(KernelError):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    __slots__ = ()
+    """An expression node.  Each subclass declares its data fields as its
+    own __slots__; the slots here are caches, None until first use: the
+    key and the hash.  Nodes are immutable by convention: the caches are
+    the only attributes written after construction."""
+    __slots__ = ("_key", "_hash")
 
     def __add__(self, other):
         return add(self, other)
@@ -90,41 +93,67 @@ class Expr:
         return pow_(self, exponent)
 
     def key(self):
+        """The structural key: equal exactly for equal trees, and the sort
+        order of canonical forms.  Computed once per node."""
+        k = self._key
+        if k is None:
+            k = self._key = self._make_key()
+        return k
+
+    def _make_key(self):
         raise NotImplementedError
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.key())
+        return h
 
     def __repr__(self):
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Rat(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        self.value = value if isinstance(value, Fraction) else Fraction(value)
+        self._key = self._hash = None
 
-    def key(self):
+    def _make_key(self):
         return (0, self.value)
 
 
-@dataclass(frozen=True, repr=False)
 class Sym(Expr):
     """A named scalar: declared parameter, the fractional order, or an
     unknown constant introduced by the ansatz/solver."""
-    name: str
+    __slots__ = ("name",)
 
-    def key(self):
+    def __init__(self, name: str):
+        self.name = name
+        self._key = self._hash = None
+
+    def _make_key(self):
         return (1, self.name)
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Expr):
     """Independent variable.  axis == -1 is time, axis >= 0 a space slot."""
-    name: str
-    axis: int
+    __slots__ = ("name", "axis")
 
-    def key(self):
+    def __init__(self, name: str, axis: int):
+        self.name = name
+        self.axis = axis
+        self._key = self._hash = None
+
+    def _make_key(self):
         return (2, self.axis, self.name)
 
     @property
@@ -132,43 +161,47 @@ class Var(Expr):
         return self.axis < 0
 
 
-@dataclass(frozen=True, repr=False)
 class Jet(Expr):
     """Jet coordinate u_s^theta, with optional integer t-order or a
     fractional marker: frac == k means the object Dt^(alpha-k) u_s."""
-    dep: int
-    theta: tuple[int, ...] = ()
-    t_order: int = 0
-    frac: Optional[int] = None
+    __slots__ = ("dep", "theta", "t_order", "frac")
 
-    def __post_init__(self):
-        if any(k < 0 for k in self.theta) or self.t_order < 0:
+    def __init__(self, dep: int, theta: tuple[int, ...] = (), t_order: int = 0,
+                 frac: Optional[int] = None):
+        if any(k < 0 for k in theta) or t_order < 0:
             raise ValueError("negative derivative index")
-        if self.frac is not None and (self.frac < 0 or self.t_order > 0):
+        if frac is not None and (frac < 0 or t_order > 0):
             raise ValueError("frac offset excludes positive t_order")
+        self.dep = dep
+        self.theta = theta
+        self.t_order = t_order
+        self.frac = frac
+        self._key = self._hash = None
 
-    def key(self):
+    def _make_key(self):
         return (3, self.dep, sum(self.theta), self.theta, self.t_order,
                 0 if self.frac is None else 1, self.frac or 0)
 
 
-@dataclass(frozen=True, repr=False)
 class Fn(Expr):
     """Unknown/opaque function application with a derivative multi-index
     aligned with its argument list.  frac marks an opaque Dt^alpha applied
     on top (the argument list must then contain the time variable)."""
-    fname: str
-    args: tuple[Expr, ...]
-    deriv: tuple[int, ...] = ()
-    frac: bool = False
+    __slots__ = ("fname", "args", "deriv", "frac")
 
-    def __post_init__(self):
-        if not self.deriv:
-            object.__setattr__(self, "deriv", (0,) * len(self.args))
-        if len(self.deriv) != len(self.args):
+    def __init__(self, fname: str, args: tuple[Expr, ...],
+                 deriv: tuple[int, ...] = (), frac: bool = False):
+        if not deriv:
+            deriv = (0,) * len(args)
+        elif len(deriv) != len(args):
             raise ValueError("derivative multi-index length mismatch")
+        self.fname = fname
+        self.args = args
+        self.deriv = deriv
+        self.frac = frac
+        self._key = self._hash = None
 
-    def key(self):
+    def _make_key(self):
         return (4, self.fname, tuple(a.key() for a in self.args), self.deriv,
                 1 if self.frac else 0)
 
@@ -178,36 +211,55 @@ class Fn(Expr):
         return Fn(self.fname, self.args, tuple(d), self.frac)
 
 
-@dataclass(frozen=True, repr=False)
 class Gamma(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
-    def key(self):
+    def __init__(self, arg: Expr):
+        self.arg = arg
+        self._key = self._hash = None
+
+    def _make_key(self):
         return (5, self.arg.key())
 
 
-@dataclass(frozen=True, repr=False)
-class Pow(Expr):
-    base: Expr
-    exp: ExponentForm
+# Pow, Mul and Add memoize their expansion in the slot _expanded: None
+# until expand has seen the node, _EXPANDED when the node is its own
+# expansion, and the expansion otherwise.  A sentinel rather than the node
+# itself, so that an expanded node does not refer to itself.
+_EXPANDED = object()
 
-    def key(self):
+
+class Pow(Expr):
+    __slots__ = ("base", "exp", "_expanded")
+
+    def __init__(self, base: Expr, exp: ExponentForm):
+        self.base = base
+        self.exp = exp
+        self._key = self._hash = self._expanded = None
+
+    def _make_key(self):
         return _pow_key(self.base.key(), self.exp)
 
 
-@dataclass(frozen=True, repr=False)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors", "_expanded")
 
-    def key(self):
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.factors = factors
+        self._key = self._hash = self._expanded = None
+
+    def _make_key(self):
         return _mul_key(tuple(f.key() for f in self.factors))
 
 
-@dataclass(frozen=True, repr=False)
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms", "_expanded")
 
-    def key(self):
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.terms = terms
+        self._key = self._hash = self._expanded = None
+
+    def _make_key(self):
         return (8, len(self.terms), tuple(t.key() for t in self.terms))
 
 
@@ -236,6 +288,7 @@ def _product_key(factor_keys: Iterable[tuple]) -> tuple:
 
 ZERO = Rat(Fraction(0))
 ONE = Rat(Fraction(1))
+_ONE_VALUE = ONE.value
 
 ExprLike = Union[Expr, int, Fraction]
 
@@ -304,21 +357,20 @@ def _base_exp(f: Expr) -> tuple[Expr, ExponentForm]:
 
 
 def _nmul(factors: Iterable[Expr]) -> Expr:
-    coeff = Fraction(1)
-    merged: dict[tuple, list] = {}
+    coeff = _ONE_VALUE      # the first rational factor replaces it unmultiplied
+    merged: dict[Expr, list] = {}       # base -> [base, exponent]
     for f in factors:
         for g in (f.factors if isinstance(f, Mul) else (f,)):
             if isinstance(g, Rat):
                 if g.value == 0:
                     return ZERO
-                coeff *= g.value
+                coeff = g.value if coeff is _ONE_VALUE else coeff * g.value
                 continue
             b, e = _base_exp(g)
-            k = b.key()
-            if k in merged:
-                merged[k][1] = merged[k][1] + e
+            if b in merged:
+                merged[b][1] = merged[b][1] + e
             else:
-                merged[k] = [b, e]
+                merged[b] = [b, e]
     out: list[Expr] = []
     remerge = False
     for b, e in merged.values():
@@ -511,7 +563,7 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Canonical form of a tree built by hand from the node dataclasses:
+    """Canonical form of a tree built by hand from the node classes:
     flattened, sorted, like monomials merged, exponent algebra applied.
     Idempotent.  Does not distribute products over sums.  Every tree the
     kernel builds is canonical already, so simplify returns it unchanged."""
@@ -520,35 +572,65 @@ def simplify(e: Expr) -> Expr:
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and integer powers of sums; result is a
-    canonical sum of monomial terms."""
+    canonical sum of monomial terms.  Memoized per node, and the result is
+    its own expansion."""
     return _expand(e)
 
 
 def _expand(e: Expr) -> Expr:
-    if isinstance(e, Add):
-        return _nadd([_expand(t) for t in e.terms])
-    if isinstance(e, Pow):
+    cls = e.__class__
+    if cls is not Add and cls is not Mul and cls is not Pow:
+        return e
+    out = e._expanded
+    if out is not None:
+        return e if out is _EXPANDED else out
+    if cls is Add:
+        out = _nadd([_expand(t) for t in e.terms])
+    elif cls is Pow:
         base = _expand(e.base)
         k = e.exp.as_integer()
         if isinstance(base, Add) and k is not None and k > 1:
             out = base
             for _ in range(k - 1):
                 out = _mul_expanded(out, base)
-            return out
-        return _npow(base, e.exp)
-    if isinstance(e, Mul):
-        parts = [_expand(f) for f in e.factors]
+        else:
+            out = _settle(_npow(base, e.exp))
+    else:
         out = ONE
-        for p in parts:
-            out = _mul_expanded(out, p)
-        return out
-    return e
+        for f in e.factors:
+            out = _mul_expanded(out, _expand(f))
+    if out is e:
+        e._expanded = _EXPANDED
+    else:
+        e._expanded = out
+        if out.__class__ in (Add, Mul, Pow):
+            out._expanded = _EXPANDED
+    return out
 
 
 def _mul_expanded(a: Expr, b: Expr) -> Expr:
     aa = a.terms if isinstance(a, Add) else (a,)
     bb = b.terms if isinstance(b, Add) else (b,)
-    return _nadd([_nmul([x, y]) for x in aa for y in bb])
+    return _nadd([_settle(_nmul([x, y])) for x in aa for y in bb])
+
+
+def _settle(p: Expr) -> Expr:
+    """The expansion of p, a product or power of expanded terms.  Merging
+    powers of one sum, (1 + x)^(1/2) times (1 + x)^(1/2), can leave the sum
+    as a factor or to an integer power, and then p is expanded again."""
+    if p.__class__ is Mul:
+        if any(f.__class__ is Add or _sum_power(f) for f in p.factors):
+            return _expand(p)
+    elif _sum_power(p):
+        return _expand(p)
+    return p
+
+
+def _sum_power(f: Expr) -> bool:
+    if f.__class__ is not Pow or f.base.__class__ is not Add:
+        return False
+    k = f.exp.as_integer()
+    return k is not None and k > 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ numeric evaluation happens here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -16,6 +15,7 @@ from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, ONE, _nadd,
                    _nmul, _npow, add_terms, any_node, as_expr, as_eform,
                    expand, from_eform, gamma_simplify, render, split_power,
                    total_derivative)
+from .records import record
 
 
 class NegativeIndex(ValueError):
@@ -52,7 +52,7 @@ def gen_binomial(alpha: ExprLike, k: int) -> Expr:
 # Power sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerSum:
     """Sum of c_j(x, ...) * t^(gamma_j) with exponents pairwise distinct."""
     tvar: Var

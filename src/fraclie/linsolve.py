@@ -29,7 +29,6 @@ assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -39,6 +38,7 @@ from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
                    _product_key, add_terms,
                    any_node, expand, gamma_simplify, mul_factors, render,
                    to_eform)
+from .records import record
 
 Mono = tuple     # ((atom id, exponent), ...), sorted by atom id
 Poly = dict      # Mono -> nonzero Fraction
@@ -631,7 +631,7 @@ def _poly_divide(f: Poly, g: Poly) -> Optional[Poly]:
 # RREF and null space
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class RrefResult:
     rows: list[list[Elem]]
     pivots: list[int]              # pivot column per pivot row

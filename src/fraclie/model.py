@@ -2,7 +2,6 @@
 and validation diagnostics."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -10,9 +9,10 @@ from .exponents import Assumptions
 from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
                    _coeff_mono, _nadd, _nmul, add_terms, atoms,
                    depends_on_jets, expand, split_factors)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamDecl:
     name: str
     kind: str = "free"            # free | nonzero | positive | interval
@@ -20,7 +20,7 @@ class ParamDecl:
     hi: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Signature:
     """Variable names of a system; the bridge between index-based kernel
     objects and human-readable input/output."""
@@ -73,7 +73,7 @@ class Signature:
         return asm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     code: str
     message: str
@@ -82,7 +82,7 @@ class Diagnostic:
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PDESystem:
     """q equations Dt^alpha u_s = F_s + H_s over p space variables; every
     term of F_s involves u or its x-derivatives, H_s is a pure (t,x) source."""
@@ -172,7 +172,7 @@ def validate_system(sys: PDESystem) -> list[Diagnostic]:
 # Term classification (the I_s / J_s split)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class JTerm:
     coeff: Expr       # free of all jets
     jet: Jet
@@ -181,7 +181,7 @@ class JTerm:
         return _nmul([self.coeff, self.jet])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TermClassification:
     """Per equation: all F-terms (I), the linear single-jet terms (J) with
     their coefficients, and the complement I \\ J."""

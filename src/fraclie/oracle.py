@@ -16,13 +16,13 @@ importing the package does not load them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .exponents import ExponentForm
 from .expr import Add, Expr, Gamma, Mul, Pow, Rat, Sym, Var
 from .fraccalc import PowerSum
+from .records import record
 
 
 class SingularInput(ValueError):
@@ -88,7 +88,7 @@ def _powersum_terms(ps: PowerSum, env: dict[str, float]
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleResult:
     values: tuple[float, ...]
     errors: tuple[float, ...]

@@ -19,13 +19,13 @@ Expressions may also be parsed standalone against an existing signature
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .expr import (Expr, Fn, Gamma, Rat, Sym, ZERO, add, div, mul,
                    neg, pow_, to_eform, total_derivative)
 from .model import ParamDecl, PDESystem, Signature, make_system, validate_system
+from .records import record
 
 
 class DslSyntaxError(Exception):
@@ -43,7 +43,7 @@ class DslSemanticError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str       # IDENT NUM PUNCT EOF
     text: str

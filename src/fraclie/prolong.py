@@ -11,7 +11,6 @@ is linear in u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -21,6 +20,7 @@ from .expr import (Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
                    expand, partial_derivative, total_derivative)
 from .fraccalc import gen_binomial
 from .model import PDESystem, Signature
+from .records import record
 
 
 BRANCH_UNIFIED = "unified"
@@ -40,7 +40,7 @@ def _indexed(base: str, s: int, q: int) -> str:
     return base if q == 1 else f"{base}{s + 1}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnsatzGenerator:
     """Unknown-coefficient generator of the admitted structural form."""
     sig: Signature
@@ -162,7 +162,7 @@ def eta_theta(ans: AnsatzGenerator, s: int, theta: tuple[int, ...]) -> Expr:
 # Fractional extended infinitesimal under the ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EtaAlpha:
     """Local part (solution-space form) and the series coefficients of
     Dt^(alpha-k) objects for k >= 1."""

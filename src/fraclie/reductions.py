@@ -8,7 +8,6 @@ system with the closed-form power rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
@@ -19,6 +18,7 @@ from .expr import (Expr, Jet, Var, ZERO, ONE, _eform_mul, _eform_pow,
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Field
 from .model import PDESystem, Signature, make_system
+from .records import record
 from .solver import Generator
 
 
@@ -34,7 +34,7 @@ class NotScaling(Exception):
 # Translation reductions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TranslationReduction:
     system: PDESystem
     removed: str
@@ -94,7 +94,7 @@ def translation_reduction(sys: PDESystem, gen: Generator) -> TranslationReductio
 # Scaling reductions and Erdelyi-Kober metadata
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EKReduction:
     """Similarity variables z_i = x_i t^(-A_i), transformed dependents
     U_s = u_s t^(-B_s), and the recorded Erdelyi-Kober parameters of the

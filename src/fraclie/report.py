@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -26,13 +24,14 @@ from .parser import parse_expression, parse_generator, parse_system
 from .reductions import (NotScaling, NotTranslation,
                          scaling_similarity, translation_reduction)
 from .determining import DeterminingSystem, build_determining
+from .records import record
 from .solver import (Generator, SolutionBasis, SolverConfig, solve,
                      verify_generator)
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PipelineConfig:
     poly_degree: int = 3
     h_templates: tuple[str, ...] = ()
@@ -42,7 +41,7 @@ class PipelineConfig:
     verify_generator_text: Optional[str] = None
 
 
-@dataclass
+@record
 class Report:
     source: str
     sys: PDESystem
@@ -132,6 +131,7 @@ def run_generator_check(sys: PDESystem, text: str) -> dict:
 def run_oracle_check(sys: PDESystem) -> dict:
     """Power rule vs the quadrature oracle on the fixed grid plus seeded
     random samples (FRACLIE_SEED)."""
+    import random       # only this check draws samples; kept off start-up
     t = sys.sig.t
     grid_g = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)]
     grid_a = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]

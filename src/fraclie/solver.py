@@ -31,7 +31,6 @@ checks that d is not binding (see solve).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
@@ -48,6 +47,7 @@ from .model import PDESystem, Signature, classify_terms
 from .prolong import BRANCH_UNIFIED
 from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, separate)
+from .records import field, record
 
 
 class DegreeInsufficient(Exception):
@@ -74,7 +74,7 @@ class NonAffineRow(Exception):
 # Concrete generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Generator:
     """A concrete infinitesimal generator tau*d_t + xi_i*d_{x_i} + eta_s*d_{u_s}."""
     sig: Signature
@@ -204,7 +204,7 @@ def generator_shape(gen: Generator, alpha: Expr,
     return chi1, chi2
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VerificationReport:
     ok: bool
     frac_residuals: tuple[Expr, ...]
@@ -259,7 +259,7 @@ def default_h_templates(sys: PDESystem) -> list[Expr]:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolverConfig:
     poly_degree: int = 3
     h_templates: Optional[tuple[Expr, ...]] = None
@@ -277,11 +277,6 @@ def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
             if sum(beta) == total]
 
 
-def _x_monomial(sig: Signature, beta: tuple[int, ...]) -> Expr:
-    return _nmul([_npow(sig.x(i), ExponentForm.rational(b))
-                  for i, b in enumerate(beta) if b])
-
-
 def _coeff_name(fn: str, tag: str) -> str:
     return f"c[{fn}.{tag}]"
 
@@ -293,7 +288,7 @@ def _split_term(term: Expr, t: Var) -> tuple[ExponentForm, Expr, Expr]:
     return texp, mono, coeff
 
 
-@dataclass
+@record
 class _Instantiation:
     """The columns of the linear system and the images of their basis
     functions.
@@ -319,6 +314,7 @@ class _Instantiation:
     _shape_ids: dict[tuple, int] = field(default_factory=dict)
     _products: dict[tuple[int, int], int] = field(default_factory=dict)
     _images: dict[tuple, list] = field(default_factory=dict)
+    _x_monomials: dict[tuple[int, ...], tuple[Expr, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.col_index = {c: i for i, c in enumerate(self.columns)}
@@ -345,11 +341,20 @@ class _Instantiation:
             sid = self._products[(a, b)] = self.shape(ta + tb, _nmul([ma, mb]))
         return sid
 
+    def x_monomial(self, beta: tuple[int, ...]) -> tuple[Expr, int]:
+        """The x-monomial with the exponents beta, and the id of its shape."""
+        out = self._x_monomials.get(beta)
+        if out is None:
+            mono = _nmul([_npow(self.sig.x(i), ExponentForm.rational(b))
+                          for i, b in enumerate(beta) if b])
+            out = self._x_monomials[beta] = (mono, self.shape(ZERO_FORM, mono))
+        return out
+
     def basis_function(self, b: object) -> Expr:
         if b is None:
             return ONE
         if isinstance(b, tuple):
-            return _x_monomial(self.sig, b)
+            return self.x_monomial(b)[0]
         return self.templates[b]
 
     def image(self, name: str, deriv: tuple[int, ...], frac: bool
@@ -370,8 +375,8 @@ class _Instantiation:
                 if any(k > e for e, k in zip(b, deriv)):
                     continue
                 ff = math.prod(math.perm(e, k) for e, k in zip(b, deriv))
-                mono = _x_monomial(self.sig, tuple(e - k for e, k in zip(b, deriv)))
-                terms = [(self.shape(ZERO_FORM, mono), Rat(ff), Fraction(ff))]
+                _, sid = self.x_monomial(tuple(e - k for e, k in zip(b, deriv)))
+                terms = [(sid, Rat(ff), Fraction(ff))]
             else:
                 f = self.rl_templates[b] if frac else self.templates[b]
                 for v, k in zip(self.args[name], deriv):
@@ -697,7 +702,7 @@ def normalize_generators(vectors: Sequence[GeneratorVector], sig: Signature,
 # The solve entry point
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolutionBasis:
     sys: PDESystem
     generators: tuple[Generator, ...]          # point-symmetry basis

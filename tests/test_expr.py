@@ -1,6 +1,5 @@
 """Expression kernel: canonical form, substitution, differentiation,
 monomial collection, Gamma normalization."""
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -161,10 +160,13 @@ _PREDICATES = [
 
 
 def _all_nodes(e):
-    """Every node of e in pre-order, found through the dataclass fields."""
+    """Every node of e in pre-order, found through the data fields its class
+    declares (its slots, less the underscored cache slots)."""
     out = [e]
-    for field in dataclasses.fields(e):
-        value = getattr(e, field.name)
+    for name in type(e).__slots__:
+        if name.startswith("_"):
+            continue
+        value = getattr(e, name)
         for c in (value if isinstance(value, tuple) else (value,)):
             if isinstance(c, Expr):
                 out += _all_nodes(c)
@@ -277,6 +279,86 @@ class TestCanonicalByConstruction:
         got = mul(r, r, r, r, r, r, x)
         assert got == pow_(x, 2)
         assert simplify(got) == got
+
+
+def _fresh(e):
+    """A structurally equal copy of e, node by node, with empty caches."""
+    values = []
+    for name in type(e).__slots__:
+        if name.startswith("_"):
+            continue
+        value = getattr(e, name)
+        if isinstance(value, Expr):
+            value = _fresh(value)
+        elif isinstance(value, tuple):
+            value = tuple(_fresh(c) if isinstance(c, Expr) else c for c in value)
+        values.append(value)
+    return type(e)(*values)
+
+
+def _simplified(e):
+    try:
+        return simplify(e)
+    except ZeroDivisionError:
+        return None
+
+
+def _half_powers_meeting(p):
+    """p0 * s^(1/2) * (s^(1/2) + p2) for the sum s = p1 + 1: expanding it
+    merges two half powers of one sum."""
+    h = pow_(add(p[1], 1), F(1, 2))
+    return mul(p[0], h, add(h, p[2]))
+
+
+# Canonical trees by two routes, the kernel constructors and simplify of
+# trees built by hand, and products whose expansion merges powers of a sum.
+_CANONICAL_TREES = st.one_of(
+    _KERNEL_TREES, _TREES.map(_simplified).filter(lambda e: e is not None),
+    st.tuples(_KERNEL_TREES, _KERNEL_TREES, _KERNEL_TREES).map(_half_powers_meeting))
+
+
+class TestNodeIdentity:
+    """Keys and hashes are cached per node and expand is memoized per node;
+    none of it may be seen from outside."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_TREES, _CANONICAL_TREES), st.one_of(_TREES, _CANONICAL_TREES))
+    def test_equality_is_key_equality(self, e, f):
+        for a_, b_ in ((e, f), (e, _fresh(e)), (_fresh(f), f), (e, _simplified(f))):
+            if b_ is None:
+                continue
+            assert (a_ == b_) == (a_.key() == b_.key())
+            assert (a_ != b_) == (a_.key() != b_.key())
+            if a_ == b_:
+                assert hash(a_) == hash(b_)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CANONICAL_TREES)
+    def test_expand_is_memoized_and_idempotent(self, e):
+        out = expand(e)
+        assert expand(e) is out
+        assert expand(out) is out
+        # the memo equals a computation from scratch, and the expansion of
+        # the result, computed from scratch, is the result itself
+        assert expand(_fresh(e)) == out
+        assert expand(_fresh(out)) == out
+        assert simplify(out) == out
+
+    def test_merged_powers_of_a_sum_are_expanded(self):
+        # (1 + x)^(1/2) twice is 1 + x: a product of expanded terms that
+        # leaves a sum as a factor is expanded again
+        h = pow_(add(x, 1), F(1, 2))
+        got = expand(mul(x, h, add(h, y)))
+        assert got == add(x, pow_(x, 2), mul(x, y, h))
+        assert expand(_fresh(got)) == got
+        assert expand(pow_(mul(x, h), 4)) == add(pow_(x, 4), mul(2, pow_(x, 5)),
+                                                   pow_(x, 6))
+
+    def test_key_and_hash_are_cached(self):
+        e = mul(x, add(y, 1))
+        assert e.key() is e.key()
+        assert e.key() == _fresh(e).key()
+        assert hash(e) == hash(_fresh(e))
 
 
 class TestPartialDerivative:

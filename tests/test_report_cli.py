@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import fraclie
 from fraclie import PipelineConfig, emit, parse_system, run_pipeline
 from conftest import DEMOS, TELE_POW_GEN, ZK_SRC
 
@@ -155,3 +156,25 @@ def test_demo_json_matches_recorded_contract(name):
                          capture_output=True, cwd=str(DEMOS.parent))
     assert out.returncode == 0, out.stderr
     assert out.stdout == (REFERENCE_JSON / f"{name}.json").read_bytes()
+
+
+# Start-up: the CLI path needs no code generation (dataclasses, inspect) and
+# no numerics; random and numpy/scipy load only under --oracle-check.
+STARTUP_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import {module}
+print(" ".join(m for m in {banned!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("module", ["fraclie", "fraclie.cli"])
+def test_import_leaves_heavy_modules_unloaded(module):
+    # -S: no site hooks, so nothing but this import can load the modules
+    src = str(pathlib.Path(fraclie.__file__).resolve().parents[1])
+    banned = ("dataclasses", "inspect", "random", "numpy", "scipy")
+    probe = STARTUP_PROBE.format(src=src, module=module, banned=banned)
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []

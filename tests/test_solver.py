@@ -1,6 +1,5 @@
 """Exact solve: golden bases for the worked examples, verification
 certificates, normalization, degree stability, branch behavior."""
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,6 +13,7 @@ from fraclie.determining import normalize_equation
 from fraclie.expr import (Fn, _nadd, _nmul, add_terms, expand, simplify,
                           split_power, substitute)
 from fraclie.linsolve import Field, nullspace, rref
+from fraclie.records import replace
 from fraclie.solver import (_CHI, _component_coefficients, _determining_rows,
                             _entry, _gamma_subs, _generator_vector,
                             _rebuild_generator, _structural_groups,
@@ -221,7 +221,7 @@ class TestStability:
     def test_equation_scaling_invariance(self, zk):
         ds = build_determining(zk)
         scaled = (mul(F(7, 3), ds.integer_eqs[0]),) + ds.integer_eqs[1:]
-        ds2 = dataclasses.replace(ds, integer_eqs=scaled)
+        ds2 = replace(ds, integer_eqs=scaled)
         b1 = solve(ds, SolverConfig())
         b2 = solve(ds2, SolverConfig())
         assert set(b1.generators) == set(b2.generators)
@@ -396,7 +396,7 @@ class TestNormalizeBasis:
         sig = zk.sig
         dx = exp_gen(sig, xi=[ONE, ZERO])
         dy = exp_gen(sig, xi=[ZERO, ONE])
-        messy = dataclasses.replace(
+        messy = replace(
             basis, generators=(exp_gen(sig, xi=[Rat(2), ZERO]),
                                exp_gen(sig, xi=[ONE, ONE])),
             shift_generators=(), reports=(), shift_reports=())
@@ -411,7 +411,7 @@ class TestNormalizeBasis:
 
     def test_empty(self, zk):
         _, basis = solve_system(zk)
-        empty = dataclasses.replace(basis, generators=(), shift_generators=(),
+        empty = replace(basis, generators=(), shift_generators=(),
                                     reports=(), shift_reports=())
         out = normalize_basis(empty)
         assert out.generators == () and out.shift_generators == ()

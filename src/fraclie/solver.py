@@ -300,8 +300,8 @@ class _Instantiation:
 
     A shape is a t-power with a structural monomial free of t; the row
     classes of an equation are the shapes of its instantiated terms.
-    Shapes, the shape of a product and the images are computed once per
-    instantiation, so once per solve."""
+    Shapes, the shape of a product, the x-monomials and the images are
+    computed once per instantiation, so once per solve."""
 
     sig: Signature
     columns: list[str]

@@ -412,7 +412,7 @@ class TestNormalizeBasis:
     def test_empty(self, zk):
         _, basis = solve_system(zk)
         empty = replace(basis, generators=(), shift_generators=(),
-                                    reports=(), shift_reports=())
+                        reports=(), shift_reports=())
         out = normalize_basis(empty)
         assert out.generators == () and out.shift_generators == ()
 

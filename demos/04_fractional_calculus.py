@@ -8,8 +8,8 @@ two oracle paths.
 from fractions import Fraction
 
 from fraclie import (Assumptions, ExponentForm, PowerSum, Sym, Var, ONE,
-                     evaluate, gen_binomial, leibniz_expand, numeric_rl_oracle,
-                     render, rl_derivative, rl_series_truncated)
+                     evaluate, numeric_rl_oracle, render, rl_derivative)
+from fraclie.lemmas import gen_binomial, leibniz_expand, rl_series_truncated
 
 F = Fraction
 t = Var("t", -1)

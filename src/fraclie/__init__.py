@@ -4,25 +4,23 @@ time-fractional PDEs (Riemann-Liouville, 0 < alpha < 1).
 The package computes the structured generator ansatz, generates and separates
 the two determining conditions, solves the resulting linear system exactly,
 and verifies with both symbolic rules and a numeric fractional-derivative
-oracle.
+oracle.  The paper's lemmas, as test fixtures, live in fraclie.lemmas, which
+this package does not import.
 """
 
 from .exponents import Assumptions, ExponentForm, UndecidableExponent
 from .expr import (Add, CyclicBinding, Expr, Fn, FractionalChain, Gamma, Jet,
                    KernelError, Mul, NonPolynomial, Pow, Rat, Sym, Var, ZERO,
-                   ONE, add, collect_monomials, diff_wrt, div, expand,
-                   gamma_simplify, mul, neg, partial_derivative, pow_, render,
-                   simplify, substitute, total_derivative)
-from .fraccalc import (NegativeIndex, NotPowerSum, PowerSum, gen_binomial,
-                       leibniz_expand, rl_derivative, rl_series_truncated)
+                   ONE, add, diff_wrt, div, expand, gamma_simplify, mul, neg,
+                   partial_derivative, pow_, render, simplify, substitute,
+                   total_derivative)
+from .fraccalc import NotPowerSum, PowerSum, rl_derivative
 from .model import (Diagnostic, PDESystem, Signature, TermClassification,
                     classify_terms, emit_dsl, make_system, split_rhs,
                     validate_system)
 from .parser import (DslSemanticError, DslSyntaxError, parse_expression,
                      parse_generator, parse_system)
-from .prolong import (AnsatzGenerator, BRANCH_NONZERO, BRANCH_UNIFIED,
-                      BRANCH_ZERO, check_aux_conditions, eta_alpha_ansatz,
-                      eta_theta, mu_truncated)
+from .prolong import AnsatzGenerator
 from .determining import (DeterminingSystem, NonAffineSystem,
                           build_determining, h_condition,
                           invariance_condition, normalize_equation, separate)

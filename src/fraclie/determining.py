@@ -15,8 +15,8 @@ from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
                    _rational_content, add_terms, atoms, depends_on_jets,
                    diff_wrt, expand, group_by_monomial, map_children,
-                   mul_factors, partial_derivative, render, split_factors,
-                   substitute, total_derivative)
+                   mul_factors, partial_derivative, render, substitute,
+                   total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
 from .prolong import AnsatzGenerator, eta_theta_of
 from .records import record
@@ -112,13 +112,6 @@ def _jet_factor(b: Expr, _) -> bool:
     return True
 
 
-def split_jet_coefficient(term: Expr) -> tuple[Expr, Expr]:
-    """(monomial, coefficient): jet-dependent factors, incl. opaque function
-    applications of dependents, form the monomial.  Jets buried inside a
-    Gamma application admit no separation."""
-    return split_factors(term, _jet_factor)
-
-
 def separate(cond: Expr, sys: PDESystem) -> tuple[list[tuple[Expr, Expr]], list[str]]:
     """Separate a jet-polynomial condition into (monomial, coefficient)
     equations plus the genericity assumptions that keep distinct monomial
@@ -199,7 +192,6 @@ def normalize_equation(e: Expr) -> Expr:
 class DeterminingSystem:
     sys: PDESystem
     ans: AnsatzGenerator
-    branch: str
     fragments: tuple[tuple[tuple[Expr, Expr], ...], ...]  # per equation s
     integer_eqs: tuple[Expr, ...]
     frac_eqs: tuple[Expr, ...]
@@ -242,10 +234,8 @@ def check_affine(e: Expr, ans: AnsatzGenerator) -> None:
                 "equations must be homogeneous linear in the ansatz unknowns")
 
 
-def build_determining(sys: PDESystem, ans: Optional[AnsatzGenerator] = None
-                      ) -> DeterminingSystem:
-    if ans is None:
-        ans = AnsatzGenerator(sys.sig, sys.alpha)
+def build_determining(sys: PDESystem) -> DeterminingSystem:
+    ans = AnsatzGenerator(sys.sig, sys.alpha)
     cl = classify_terms(sys)
     cond2 = invariance_condition(sys, ans, cl)
     cond1 = h_condition(sys, ans, cl)
@@ -265,7 +255,7 @@ def build_determining(sys: PDESystem, ans: Optional[AnsatzGenerator] = None
                 seen.add(norm.key())
                 eqs.append(norm)
     eqs.sort(key=lambda e: e.key())
-    return DeterminingSystem(sys, ans, ans.branch, tuple(fragments), tuple(eqs),
+    return DeterminingSystem(sys, ans, tuple(fragments), tuple(eqs),
                              tuple(cond1), tuple(sorted(notes)))
 
 

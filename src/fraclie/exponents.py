@@ -107,12 +107,6 @@ class ExponentForm:
             return int(r)
         return None
 
-    def constant_part(self) -> Fraction:
-        for m, c in self.coeffs:
-            if m == UNIT:
-                return c
-        return Fraction(0)
-
     def symbols(self) -> set[str]:
         return {name for mono, _ in self.coeffs for name, _ in mono}
 
@@ -340,15 +334,6 @@ class Assumptions:
         if (-form) in self._positive_forms:
             return -1
         return None
-
-    def decide_sign(self, form: ExponentForm, context: str = "") -> int:
-        s = self.sign(form)
-        if s is None:
-            where = f" ({context})" if context else ""
-            raise UndecidableExponent(
-                f"cannot decide the sign of exponent {form.render()} from the declared "
-                f"assumptions{where}; declare an assumption to proceed")
-        return s
 
     def nonpositive_integer(self, form: ExponentForm) -> Optional[bool]:
         """Is the form an exact nonpositive integer?  None when undecidable."""

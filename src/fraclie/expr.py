@@ -39,8 +39,8 @@ class FractionalChain(KernelError):
 
 
 class NonPolynomial(KernelError):
-    """collect_monomials met a basis jet inside Gamma or an unknown-function
-    argument."""
+    """Separating the determining condition over jet monomials met a jet
+    inside a Gamma application."""
 
 
 class CyclicBinding(KernelError):
@@ -776,10 +776,6 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
     return rep(e)
 
 
-def subs_params(e: Expr, values: Mapping[str, Fraction]) -> Expr:
-    return substitute(e, {Sym(n): Rat(Fraction(v)) for n, v in values.items()})
-
-
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
@@ -926,30 +922,6 @@ def add_terms(e: Expr) -> tuple[Expr, ...]:
 
 def mul_factors(e: Expr) -> tuple[Expr, ...]:
     return e.factors if isinstance(e, Mul) else (e,)
-
-
-# ---------------------------------------------------------------------------
-# Monomial collection
-# ---------------------------------------------------------------------------
-
-def collect_monomials(e: Expr, basis: Iterable[Jet]) -> dict[Expr, Expr]:
-    """Collect an expression polynomial in the given jets: returns a map
-    monomial -> coefficient with coefficients free of basis jets.  Powers of a
-    basis jet with symbolic exponent are distinct monomial atoms."""
-    basis_keys = {as_expr(b).key() for b in basis}
-
-    def is_basis(x: Expr) -> bool:
-        return x.key() in basis_keys
-
-    def basis_factor(b: Expr, _) -> bool:
-        if is_basis(b):
-            return True
-        if isinstance(b, (Gamma, Fn)) and any_node(b, is_basis):
-            raise NonPolynomial(
-                f"basis jet inside an opaque application: {render(b)}")
-        return False
-
-    return dict(group_by_monomial(expand(e), basis_factor))
 
 
 # ---------------------------------------------------------------------------

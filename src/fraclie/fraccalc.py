@@ -1,25 +1,17 @@
 """Closed-form Riemann-Liouville rules on power sums.
 
-The power rule, linearity, the Leibniz expansion and the truncated series
-form.  Everything is exact: generalized binomial coefficients are polynomials
-in the order symbol, Gamma ratios are normalized by the recurrence, and no
-numeric evaluation happens here.
+The power rule, termwise and so linear.  Everything is exact: Gamma ratios
+are normalized by the recurrence, and no numeric evaluation happens here.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
-from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, ONE, _nadd,
-                   _nmul, _npow, add_terms, any_node, as_expr, as_eform,
-                   expand, from_eform, gamma_simplify, render, split_power,
-                   total_derivative)
+from .expr import (Expr, ExprLike, Gamma, Sym, Var, ZERO, _nadd, _nmul, _npow,
+                   add_terms, any_node, as_expr, as_eform, expand, from_eform,
+                   gamma_simplify, render, split_power)
 from .records import record
-
-
-class NegativeIndex(ValueError):
-    pass
 
 
 class NotPowerSum(ValueError):
@@ -30,22 +22,6 @@ def default_assumptions(alpha: Expr) -> Assumptions:
     if isinstance(alpha, Sym):
         return Assumptions(alpha.name)
     return Assumptions()
-
-
-# ---------------------------------------------------------------------------
-# Generalized binomial coefficients
-# ---------------------------------------------------------------------------
-
-def gen_binomial(alpha: ExprLike, k: int) -> Expr:
-    """C(alpha, k) by the recurrence C(a,0)=1, C(a,k)=C(a,k-1)*(a-k+1)/k.
-    The result is a polynomial in alpha with rational coefficients."""
-    if k < 0:
-        raise NegativeIndex(f"binomial index must be nonnegative, got {k}")
-    a = as_expr(alpha)
-    out: Expr = ONE
-    for j in range(1, k + 1):
-        out = expand(_nmul([out, _nadd([a, Rat(Fraction(-(j - 1)))]), Rat(Fraction(1, j))]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +65,6 @@ class PowerSum:
 
     def to_expr(self) -> Expr:
         return _nadd([_nmul([c, _npow(self.tvar, g)]) for c, g in self.terms])
-
-    def scale(self, factor: ExprLike) -> "PowerSum":
-        f = as_expr(factor)
-        return PowerSum.build(self.tvar, [(_nmul([f, c]), g) for c, g in self.terms])
-
-    def __add__(self, other: "PowerSum") -> "PowerSum":
-        return PowerSum.build(self.tvar, self.terms + other.terms)
-
-    def derivative(self) -> "PowerSum":
-        """Ordinary d/dt, termwise (integer calculus only)."""
-        out = []
-        for c, g in self.terms:
-            if g.is_zero():
-                continue
-            out.append((_nmul([from_eform(g), c]), g - UNIT_FORM))
-        return PowerSum.build(self.tvar, out)
-
-    def exponents(self) -> list[ExponentForm]:
-        return [g for _, g in self.terms]
 
 
 def as_power_sum(e: Union[PowerSum, ExprLike], tvar: Var) -> PowerSum:
@@ -156,63 +113,3 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                        _npow(Gamma(from_eform(zeta)), ExponentForm.rational(-1))])
         out.append((gamma_simplify(_nmul([c, ratio]), asm), g - order_form))
     return PowerSum.build(tvar, out)
-
-
-# ---------------------------------------------------------------------------
-# Leibniz expansion and the truncated series form
-# ---------------------------------------------------------------------------
-
-def leibniz_expand(u: ExprLike, v: Union[PowerSum, ExprLike], alpha: ExprLike,
-                   K: int = 12, *, tvar: Optional[Var] = None,
-                   assumptions: Optional[Assumptions] = None) -> Expr:
-    """Sum_{k=0..K} C(alpha,k) * Dt^k(u) * Dt^(alpha-k)(v).  Exact whenever u
-    is a t-polynomial of degree <= K (higher terms vanish identically); the
-    default truncation covers the test-fixture uses."""
-    if K < 0:
-        raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
-    alpha = as_expr(alpha)
-    if tvar is None:
-        tvar = v.tvar if isinstance(v, PowerSum) else Var("t", -1)
-    asm = assumptions if assumptions is not None else default_assumptions(alpha)
-    vps = as_power_sum(v, tvar)
-    u = as_expr(u)
-
-    pieces: list[Expr] = []
-    du = u
-    for k in range(K + 1):
-        if du == ZERO:
-            break
-        dv = rl_derivative(vps, alpha, order=alpha - Rat(Fraction(k)),
-                           tvar=tvar, assumptions=asm)
-        pieces.append(_nmul([gen_binomial(alpha, k), du, dv.to_expr()]))
-        du = total_derivative(du, tvar)
-    return gamma_simplify(_nadd(pieces), asm)
-
-
-def rl_series_truncated(e: ExprLike, alpha: ExprLike, K: int, *,
-                        tvar: Optional[Var] = None,
-                        assumptions: Optional[Assumptions] = None) -> Expr:
-    """Sum_{k=0..K} C(alpha,k) * t^(k-alpha)/Gamma(k+1-alpha) * Dt^k(e), with
-    Dt the kernel total derivative.  Test-fixture use only."""
-    if K < 0:
-        raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
-    alpha = as_expr(alpha)
-    if tvar is None:
-        tvar = Var("t", -1)
-    asm = assumptions if assumptions is not None else default_assumptions(alpha)
-    aform = as_eform(alpha)
-
-    pieces: list[Expr] = []
-    de = as_expr(e)
-    for k in range(K + 1):
-        if de == ZERO:
-            break
-        weight = _nmul([
-            gen_binomial(alpha, k),
-            _npow(tvar, ExponentForm.rational(k) - aform),
-            _npow(Gamma(from_eform(ExponentForm.rational(k + 1) - aform)),
-                  ExponentForm.rational(-1)),
-        ])
-        pieces.append(_nmul([weight, de]))
-        de = total_derivative(de, tvar)
-    return gamma_simplify(_nadd(pieces), asm)

@@ -1,0 +1,354 @@
+"""The paper's lemmas as executable fixtures.
+
+Generalized binomials, the Leibniz expansion and the truncated series form
+of the Riemann-Liouville derivative; the fractional extended infinitesimal
+under the ansatz, its auxiliary conditions and the nonlinearity tail mu.
+Tests and demos check the lemmas with these; the pipeline never imports
+this module.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterable, Mapping, Optional, Union
+
+from .exponents import Assumptions, ExponentForm
+from .expr import (Expr, ExprLike, Fn, Gamma, Jet, NonPolynomial, Rat, Sym,
+                   Var, ZERO, ONE, _nadd, _nmul, _npow, any_node, as_expr,
+                   as_eform, atoms, diff_wrt, expand, from_eform,
+                   gamma_simplify, group_by_monomial, partial_derivative,
+                   render, substitute, to_eform, total_derivative)
+from .fraccalc import PowerSum, as_power_sum, default_assumptions, rl_derivative
+from .model import PDESystem
+from .prolong import AnsatzGenerator, eta_theta_of
+from .records import record
+
+
+class NegativeIndex(ValueError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# Expression helpers
+# ---------------------------------------------------------------------------
+
+def subs_params(e: Expr, values: Mapping[str, Fraction]) -> Expr:
+    return substitute(e, {Sym(n): Rat(Fraction(v)) for n, v in values.items()})
+
+
+def collect_monomials(e: Expr, basis: Iterable[Jet]) -> dict[Expr, Expr]:
+    """Collect an expression polynomial in the given jets: returns a map
+    monomial -> coefficient with coefficients free of basis jets.  Powers of a
+    basis jet with symbolic exponent are distinct monomial atoms."""
+    basis_keys = {as_expr(b).key() for b in basis}
+
+    def is_basis(x: Expr) -> bool:
+        return x.key() in basis_keys
+
+    def basis_factor(b: Expr, _) -> bool:
+        if is_basis(b):
+            return True
+        if isinstance(b, (Gamma, Fn)) and any_node(b, is_basis):
+            raise NonPolynomial(
+                f"basis jet inside an opaque application: {render(b)}")
+        return False
+
+    return dict(group_by_monomial(expand(e), basis_factor))
+
+
+# ---------------------------------------------------------------------------
+# Generalized binomial coefficients
+# ---------------------------------------------------------------------------
+
+def gen_binomial(alpha: ExprLike, k: int) -> Expr:
+    """C(alpha, k) by the recurrence C(a,0)=1, C(a,k)=C(a,k-1)*(a-k+1)/k.
+    The result is a polynomial in alpha with rational coefficients."""
+    if k < 0:
+        raise NegativeIndex(f"binomial index must be nonnegative, got {k}")
+    a = as_expr(alpha)
+    out: Expr = ONE
+    for j in range(1, k + 1):
+        out = expand(_nmul([out, _nadd([a, Rat(Fraction(-(j - 1)))]), Rat(Fraction(1, j))]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Leibniz expansion and the truncated series form
+# ---------------------------------------------------------------------------
+
+def leibniz_expand(u: ExprLike, v: Union[PowerSum, ExprLike], alpha: ExprLike,
+                   K: int = 12, *, tvar: Optional[Var] = None,
+                   assumptions: Optional[Assumptions] = None) -> Expr:
+    """Sum_{k=0..K} C(alpha,k) * Dt^k(u) * Dt^(alpha-k)(v).  Exact whenever u
+    is a t-polynomial of degree <= K (higher terms vanish identically)."""
+    if K < 0:
+        raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
+    alpha = as_expr(alpha)
+    if tvar is None:
+        tvar = v.tvar if isinstance(v, PowerSum) else Var("t", -1)
+    asm = assumptions if assumptions is not None else default_assumptions(alpha)
+    vps = as_power_sum(v, tvar)
+    u = as_expr(u)
+
+    pieces: list[Expr] = []
+    du = u
+    for k in range(K + 1):
+        if du == ZERO:
+            break
+        dv = rl_derivative(vps, alpha, order=alpha - Rat(Fraction(k)),
+                           tvar=tvar, assumptions=asm)
+        pieces.append(_nmul([gen_binomial(alpha, k), du, dv.to_expr()]))
+        du = total_derivative(du, tvar)
+    return gamma_simplify(_nadd(pieces), asm)
+
+
+def rl_series_truncated(e: ExprLike, alpha: ExprLike, K: int, *,
+                        tvar: Optional[Var] = None,
+                        assumptions: Optional[Assumptions] = None) -> Expr:
+    """Sum_{k=0..K} C(alpha,k) * t^(k-alpha)/Gamma(k+1-alpha) * Dt^k(e), with
+    Dt the kernel total derivative."""
+    if K < 0:
+        raise NegativeIndex(f"truncation order must be nonnegative, got {K}")
+    alpha = as_expr(alpha)
+    if tvar is None:
+        tvar = Var("t", -1)
+    asm = assumptions if assumptions is not None else default_assumptions(alpha)
+    aform = as_eform(alpha)
+
+    pieces: list[Expr] = []
+    de = as_expr(e)
+    for k in range(K + 1):
+        if de == ZERO:
+            break
+        weight = _nmul([
+            gen_binomial(alpha, k),
+            _npow(tvar, ExponentForm.rational(k) - aform),
+            _npow(Gamma(from_eform(ExponentForm.rational(k + 1) - aform)),
+                  ExponentForm.rational(-1)),
+        ])
+        pieces.append(_nmul([weight, de]))
+        de = total_derivative(de, tvar)
+    return gamma_simplify(_nadd(pieces), asm)
+
+
+# ---------------------------------------------------------------------------
+# Extended infinitesimals under the ansatz
+# ---------------------------------------------------------------------------
+
+def eta_theta(ans: AnsatzGenerator, s: int, theta: tuple[int, ...]) -> Expr:
+    return eta_theta_of(ans.sig, ans.eta(s),
+                        [ans.xi(i) for i in range(ans.sig.p)], s, theta)
+
+
+@record(frozen=True)
+class EtaAlpha:
+    """Local part (solution-space form) and the series coefficients of
+    Dt^(alpha-k) objects for k >= 1."""
+    local: Expr
+    series_u: dict          # k -> tuple over i of coeff of Dt^(alpha-k) u_i
+    series_ux: dict         # k -> tuple over i of coeff of Dt^(alpha-k) u_s^(x_i)
+
+
+def eta_alpha_ansatz(ans: AnsatzGenerator, sys: PDESystem, s: int,
+                     k_max: int = 4) -> EtaAlpha:
+    sig = ans.sig
+    t = sig.t
+    alpha = sys.alpha
+    local = Fn(ans.h(s).fname, (t,) + tuple(sig.x(i) for i in range(sig.p)),
+               frac=True)
+    pieces: list[Expr] = [local]
+    for i in range(sig.q):
+        pieces.append(_nmul([ans.deta_du(s, i), sys.rhs(i)]))
+    pieces.append(_nmul([Rat(-1), alpha, ans.tau_prime, sys.rhs(s)]))
+    local_expr = _nadd(pieces)
+
+    series_u: dict[int, tuple[Expr, ...]] = {}
+    series_ux: dict[int, tuple[Expr, ...]] = {}
+    for k in range(1, k_max + 1):
+        row = []
+        for i in range(sig.q):
+            d = ans.deta_du(s, i)
+            dk = d
+            for _ in range(k):
+                dk = partial_derivative(dk, t)
+            coeff = _nmul([gen_binomial(alpha, k), dk])
+            if i == s:
+                dtau = ans.tau
+                for _ in range(k + 1):
+                    dtau = total_derivative(dtau, t)
+                coeff = coeff - _nmul([gen_binomial(alpha, k + 1), dtau])
+            row.append(expand(coeff))
+        series_u[k] = tuple(row)
+        rowx = []
+        for i in range(sig.p):
+            dxi = ans.xi(i)
+            dk = dxi
+            for _ in range(k):
+                dk = total_derivative(dk, t)
+            rowx.append(expand(_nmul([Rat(-1), gen_binomial(alpha, k), dk])))
+        series_ux[k] = tuple(rowx)
+    return EtaAlpha(local_expr, series_u, series_ux)
+
+
+# ---------------------------------------------------------------------------
+# Auxiliary separated conditions
+# ---------------------------------------------------------------------------
+
+def check_aux_conditions(ans: AnsatzGenerator, k_max: int, *,
+                         tau: Optional[Expr] = None,
+                         subs: Optional[Mapping[Expr, ExprLike]] = None
+                         ) -> tuple[bool, list[tuple[int, str, Expr]]]:
+    """Verify that for 1 <= k <= k_max the series coefficients of
+    Dt^(alpha-k) u_s and Dt^(alpha-k) u_i vanish identically under the
+    ansatz, after the bindings subs (say gamma_s = (alpha-1)/2) are applied.
+    A tau override installs a corrupted time coefficient (the
+    u_s-coefficient of eta is rebuilt as g_s + gamma_s * Dt(tau))."""
+    sig = ans.sig
+    t = sig.t
+    alpha = ans.alpha
+    tau_expr = as_expr(tau) if tau is not None else ans.tau
+
+    def residual(e: Expr) -> Expr:
+        return expand(substitute(e, subs or {}))
+
+    residuals: list[tuple[int, str, Expr]] = []
+    for s in range(sig.q):
+        r = _nadd([ans.g(s), _nmul([ans.gamma(s), total_derivative(tau_expr, t)])])
+        for k in range(1, k_max + 1):
+            dk = r
+            for _ in range(k):
+                dk = partial_derivative(dk, t)
+            dtau = tau_expr
+            for _ in range(k + 1):
+                dtau = total_derivative(dtau, t)
+            res = residual(
+                _nmul([gen_binomial(alpha, k), dk])
+                - _nmul([gen_binomial(alpha, k + 1), dtau]))
+            if res != ZERO:
+                residuals.append((k, f"Dt^(alpha-{k}) u_{s + 1}", res))
+            for i in range(sig.q):
+                if i == s:
+                    continue
+                d = ans.deta_du(s, i)
+                dk2 = d
+                for _ in range(k):
+                    dk2 = partial_derivative(dk2, t)
+                res2 = residual(_nmul([gen_binomial(alpha, k), dk2]))
+                if res2 != ZERO:
+                    residuals.append((k, f"Dt^(alpha-{k}) u_{i + 1} in eq {s + 1}", res2))
+    return (not residuals), residuals
+
+
+# ---------------------------------------------------------------------------
+# The nonlinearity tail mu_s
+# ---------------------------------------------------------------------------
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def mu_truncated(eta: Expr, N: int, q: int, *, alpha: Expr,
+                 tvar: Optional[Var] = None) -> Expr:
+    """The double-sum nonlinearity tail, truncated at n <= N.  eta must be a
+    function of (t, x, u_1..u_q) without jet derivatives.  Identically zero
+    iff eta is linear in the u_i."""
+    if N < 2:
+        raise ValueError("truncation order must be at least 2")
+    t = tvar if tvar is not None else Var("t", -1)
+    for j in atoms(eta, Jet):
+        if j.t_order or j.frac is not None or any(j.theta):
+            raise ValueError("eta may only depend on undifferentiated dependents")
+
+    us = {j.dep: j for j in atoms(eta, Jet)}
+
+    def u_of(i: int) -> Jet:
+        return us.get(i, Jet(i, ()))
+
+    total = ZERO
+    alpha = as_expr(alpha)
+    for n in range(2, N + 1):
+        weight = _nmul([
+            gen_binomial(alpha, n),
+            _npow(t, ExponentForm.rational(n) - _alpha_form(alpha)),
+            _npow(Gamma(_nadd([Rat(n + 1), _nmul([Rat(-1), alpha])])),
+                  ExponentForm.rational(-1)),
+        ])
+        for M in range(2, n + 1):
+            for m in _compositions(M, q):
+                m0 = n - M
+                multinom = 1
+                left = n
+                for mi in m:
+                    multinom *= math.comb(left, mi)
+                    left -= mi
+                for k in _iter_k(m):
+                    if sum(k) < 2:
+                        continue
+                    dpart = eta
+                    for i, ki in enumerate(k):
+                        for _ in range(ki):
+                            dpart = diff_wrt(dpart, u_of(i))
+                        if dpart == ZERO:
+                            break
+                    if dpart == ZERO:
+                        continue
+                    for _ in range(m0):
+                        dpart = partial_derivative(dpart, t)
+                    if dpart == ZERO:
+                        continue
+                    inner = [Rat(multinom), weight, dpart]
+                    dead = False
+                    for i, (ki, mi) in enumerate(zip(k, m)):
+                        si = _inner_sum(u_of(i), ki, mi, t)
+                        if si == ZERO:
+                            dead = True
+                            break
+                        inner.append(si)
+                    if dead:
+                        continue
+                    total = total + _nmul(inner)
+    return expand(total)
+
+
+def _alpha_form(alpha: Expr) -> ExponentForm:
+    f = to_eform(alpha)
+    if f is None:
+        raise ValueError("fractional order must be exponent-affine")
+    return f
+
+
+def _iter_k(m: tuple[int, ...]):
+    ranges = [range(mi + 1) for mi in m]
+
+    def rec(idx: int, acc: tuple[int, ...]):
+        if idx == len(ranges):
+            yield acc
+            return
+        for v in ranges[idx]:
+            yield from rec(idx + 1, acc + (v,))
+
+    yield from rec(0, ())
+
+
+def _inner_sum(u: Jet, k: int, m: int, t: Var) -> Expr:
+    """sum_{r=0..k} (1/k!) C(k,r) (-u)^r Dt^m(u^(k-r)), zero factors dropped."""
+    if k == 0:
+        return ONE if m == 0 else ZERO
+    pieces = []
+    for r in range(k + 1):
+        p = k - r
+        if p == 0 and m > 0:
+            continue
+        body: Expr = _npow(u, ExponentForm.rational(p)) if p else ONE
+        for _ in range(m):
+            body = total_derivative(body, t)
+        if body == ZERO:
+            continue
+        coeff = Fraction(math.comb(k, r), math.factorial(k)) * (-1) ** r
+        pieces.append(_nmul([Rat(coeff), _npow(u, ExponentForm.rational(r)), body]))
+    return _nadd(pieces)

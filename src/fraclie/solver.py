@@ -44,7 +44,6 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature, classify_terms
-from .prolong import BRANCH_UNIFIED
 from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, separate)
 from .records import field, record
@@ -563,7 +562,7 @@ def _gamma_subs(ds: DeterminingSystem) -> dict:
     g_s, so this one system holds the chi2 = 0 solutions as well."""
     gamma = (ds.sys.alpha - ONE) * Rat(Fraction(1, 2))
     return {Sym(name): gamma
-            for name in ds.ans.with_branch(BRANCH_UNIFIED).gamma_symbols()}
+            for name in ds.ans.gamma_symbols()}
 
 
 def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field,

@@ -1,8 +1,9 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from fraclie import parse_system
+from fraclie import ONE, ZERO, Rat, parse_system
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
@@ -11,6 +12,17 @@ HS_SRC = (DEMOS / "hs.fpde").read_text()
 TELE_SRC = (DEMOS / "telegraph.fpde").read_text()
 TELE_POW_SRC = (DEMOS / "telegraph_power.fpde").read_text()
 TELE_POW_GEN = (DEMOS / "telegraph_power.gen").read_text()
+
+
+def chi2_zero_case(ans):
+    """The paper's chi2 = 0 case of the ansatz: chi2 = 0 and gamma_s = 0."""
+    return {ans.chi2: ZERO, **{ans.gamma(s): ZERO for s in range(ans.sig.q)}}
+
+
+def chi2_nonzero_case(ans):
+    """The paper's chi2 != 0 case of the ansatz: gamma_s = (alpha-1)/2."""
+    gamma = (ans.alpha - ONE) * Rat(Fraction(1, 2))
+    return {ans.gamma(s): gamma for s in range(ans.sig.q)}
 
 
 @pytest.fixture(scope="session")

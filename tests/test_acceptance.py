@@ -10,16 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from fraclie import (AnsatzGenerator, BRANCH_NONZERO, BRANCH_ZERO,
-                     ExponentForm, Fn, Gamma, Generator, Jet, PipelineConfig,
-                     PowerSum, Rat, Sym, Var, ZERO, ONE, add,
-                     check_aux_conditions, leibniz_expand, mul,
-                     mu_truncated, neg, numeric_rl_oracle, pow_, rl_derivative, run_pipeline, simplify,
-                     verify_generator)
-from fraclie.expr import expand, subs_params
+from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Generator, Jet,
+                     PipelineConfig, PowerSum, Rat, Sym, Var, ZERO, ONE, add,
+                     mul, neg, numeric_rl_oracle, pow_, rl_derivative,
+                     run_pipeline, simplify, verify_generator)
+from fraclie.expr import expand
 from fraclie.fraccalc import default_assumptions
+from fraclie.lemmas import (check_aux_conditions, leibniz_expand, mu_truncated,
+                            subs_params)
 
-from conftest import HS_SRC, TELE_POW_SRC, TELE_POW_GEN, TELE_SRC, ZK_SRC
+from conftest import (HS_SRC, TELE_POW_SRC, TELE_POW_GEN, TELE_SRC, ZK_SRC,
+                      chi2_nonzero_case, chi2_zero_case)
 from test_determining import assert_same_constraint_set, _paper_T
 from test_fraccalc import ALPHA_SAMPLES
 
@@ -205,12 +206,12 @@ def test_criterion_6_mu_linearity_property():
 
 def test_criterion_7_auxiliary_conditions(zk):
     t0 = time.perf_counter()
-    for branch in (BRANCH_ZERO, BRANCH_NONZERO):
-        ans = AnsatzGenerator(zk.sig, zk.alpha, branch)
-        ok, residuals = check_aux_conditions(ans, 6)
+    ans = AnsatzGenerator(zk.sig, zk.alpha)
+    for case in (chi2_zero_case, chi2_nonzero_case):
+        ok, residuals = check_aux_conditions(ans, 6, subs=case(ans))
         assert ok, residuals
-    ans = AnsatzGenerator(zk.sig, zk.alpha, BRANCH_NONZERO)
-    ok, residuals = check_aux_conditions(ans, 6, tau=pow_(zk.sig.t, 3))
+    ok, residuals = check_aux_conditions(ans, 6, tau=pow_(zk.sig.t, 3),
+                                         subs=chi2_nonzero_case(ans))
     assert not ok
     assert min(k for k, _, _ in residuals) == 2
     report(7, "auxiliary conditions hold for both branches to k=6; "

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
-                     NonPolynomial, Rat, Sym, Var, ZERO, ONE, add,
-                     collect_monomials, div, expand, gamma_simplify, mul, neg,
-                     partial_derivative, pow_, simplify, substitute,
-                     total_derivative)
+                     NonPolynomial, Rat, Sym, Var, ZERO, ONE, add, div, expand,
+                     gamma_simplify, mul, neg, partial_derivative, pow_,
+                     simplify, substitute, total_derivative)
 from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
                           UnsupportedDerivative, any_node, map_children,
                           mul_factors)
+from fraclie.lemmas import collect_monomials
 
 F = Fraction
 t = Var("t", -1)

@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from fraclie import (Assumptions, ExponentForm, Fn, Gamma, Jet, NegativeIndex,
-                     PowerSum, Rat, Sym, UndecidableExponent, Var, ZERO, ONE,
-                     add, div, expand, gamma_simplify, gen_binomial,
-                     leibniz_expand, mul, neg, pow_, rl_derivative,
-                     rl_series_truncated, simplify)
-from fraclie.expr import subs_params
+from fraclie import (Assumptions, ExponentForm, Fn, Gamma, Jet, PowerSum, Rat,
+                     Sym, UndecidableExponent, Var, ZERO, ONE, add, div,
+                     expand, gamma_simplify, mul, neg, pow_, rl_derivative,
+                     simplify)
+from fraclie.lemmas import (NegativeIndex, gen_binomial, leibniz_expand,
+                            rl_series_truncated, subs_params)
 
 F = Fraction
 t = Var("t", -1)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from fraclie import (AnsatzGenerator, BRANCH_NONZERO, BRANCH_UNIFIED,
-                     BRANCH_ZERO, ExponentForm, Fn, Gamma, Jet, Rat, Sym, Var,
-                     ZERO, ONE, add, check_aux_conditions, eta_alpha_ansatz,
-                     eta_theta, expand, mul, mu_truncated, neg,
-                     pow_, simplify, substitute)
+from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Jet, Rat, Sym,
+                     Var, ZERO, ONE, add, expand, mul, neg, pow_, simplify,
+                     substitute)
 from fraclie.expr import atoms
+from fraclie.lemmas import (check_aux_conditions, eta_alpha_ansatz, eta_theta,
+                            mu_truncated)
+
+from conftest import chi2_nonzero_case, chi2_zero_case
 
 F = Fraction
 a = Sym("a")
@@ -70,16 +72,17 @@ class TestEtaTheta:
 
 class TestEtaAlpha:
     def test_series_coefficients_vanish_under_ansatz(self, zk):
-        for branch in (BRANCH_ZERO, BRANCH_NONZERO):
-            ans = AnsatzGenerator(zk.sig, zk.alpha, branch)
-            ea = eta_alpha_ansatz(ans, zk, 0, k_max=4)
+        ans = AnsatzGenerator(zk.sig, zk.alpha)
+        ea = eta_alpha_ansatz(ans, zk, 0, k_max=4)
+        for case in (chi2_zero_case, chi2_nonzero_case):
+            subs = case(ans)
             for k, row in ea.series_u.items():
-                assert all(c == ZERO for c in row), (branch, k)
+                assert all(expand(substitute(c, subs)) == ZERO for c in row), (case, k)
             for k, row in ea.series_ux.items():
-                assert all(c == ZERO for c in row), (branch, k)
+                assert all(expand(substitute(c, subs)) == ZERO for c in row), (case, k)
 
     def test_local_part_structure(self, zk):
-        ans = AnsatzGenerator(zk.sig, zk.alpha, BRANCH_ZERO)
+        ans = AnsatzGenerator(zk.sig, zk.alpha)
         ea = eta_alpha_ansatz(ans, zk, 0)
         jets = atoms(ea.local, Jet)
         assert all(j.frac is None for j in jets)
@@ -88,7 +91,7 @@ class TestEtaAlpha:
 
     def test_unified_series_k1_is_branch_algebra(self, zk):
         # C(a,1) dt(deta/du) - C(a,2) Dt^2 tau = 2 chi2 [a gamma - a(a-1)/2]
-        ans = AnsatzGenerator(zk.sig, zk.alpha, BRANCH_UNIFIED)
+        ans = AnsatzGenerator(zk.sig, zk.alpha)
         ea = eta_alpha_ansatz(ans, zk, 0, k_max=1)
         got = ea.series_u[1][0]
         want = mul(2, Sym("chi2"), a,
@@ -99,15 +102,16 @@ class TestEtaAlpha:
 class TestAuxConditions:
     def test_both_branches_pass(self, zk, hs):
         for sys in (zk, hs):
-            for branch in (BRANCH_ZERO, BRANCH_NONZERO):
-                ans = AnsatzGenerator(sys.sig, sys.alpha, branch)
-                ok, residuals = check_aux_conditions(ans, 6)
+            ans = AnsatzGenerator(sys.sig, sys.alpha)
+            for case in (chi2_zero_case, chi2_nonzero_case):
+                ok, residuals = check_aux_conditions(ans, 6, subs=case(ans))
                 assert ok, residuals
 
     def test_corrupted_tau_fails_at_k2(self, zk):
-        ans = AnsatzGenerator(zk.sig, zk.alpha, BRANCH_NONZERO)
+        ans = AnsatzGenerator(zk.sig, zk.alpha)
         t = zk.sig.t
-        ok, residuals = check_aux_conditions(ans, 6, tau=pow_(t, 3))
+        ok, residuals = check_aux_conditions(ans, 6, tau=pow_(t, 3),
+                                             subs=chi2_nonzero_case(ans))
         assert not ok
         ks = sorted({k for k, _, _ in residuals})
         assert 2 in ks and 1 not in ks
@@ -168,8 +172,9 @@ class TestMuTruncated:
         #   C(a,n) C(n,m) C(k,r)/k! t^(n-a) (-u)^r / Gamma(n+1-a)
         #   * Dt^m(u^(k-r)) * dt^(n-m)(d^k eta/du^k)
         import math
-        from fraclie import (Gamma, Rat, diff_wrt, gen_binomial,
-                             partial_derivative, total_derivative)
+        from fraclie import (Gamma, Rat, diff_wrt, partial_derivative,
+                             total_derivative)
+        from fraclie.lemmas import gen_binomial
 
         t, xv = Var("t", -1), Var("x", 0)
         u = Jet(0, (0,))

@@ -1,5 +1,6 @@
 """Reports, emission determinism, CLI surface and exit codes."""
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -158,8 +159,9 @@ def test_demo_json_matches_recorded_contract(name):
     assert out.stdout == (REFERENCE_JSON / f"{name}.json").read_bytes()
 
 
-# Start-up: the CLI path needs no code generation (dataclasses, inspect) and
-# no numerics; random and numpy/scipy load only under --oracle-check.
+# Start-up: the CLI path needs no code generation (dataclasses, inspect), no
+# numerics and no lemma fixtures; random and numpy/scipy load only under
+# --oracle-check.
 STARTUP_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
@@ -172,9 +174,22 @@ print(" ".join(m for m in {banned!r} if m in sys.modules))
 def test_import_leaves_heavy_modules_unloaded(module):
     # -S: no site hooks, so nothing but this import can load the modules
     src = str(pathlib.Path(fraclie.__file__).resolve().parents[1])
-    banned = ("dataclasses", "inspect", "random", "numpy", "scipy")
+    banned = ("dataclasses", "inspect", "random", "numpy", "scipy",
+              "fraclie.lemmas")
     probe = STARTUP_PROBE.format(src=src, module=module, banned=banned)
     out = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("0*.py")))
+def test_demo_script_runs(script):
+    # each narrative demo runs to completion in a fresh interpreter
+    src = str(pathlib.Path(fraclie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, str(DEMOS / script)],
+                         capture_output=True, text=True, env=env,
+                         cwd=str(DEMOS.parent))
+    assert out.returncode == 0, out.stderr

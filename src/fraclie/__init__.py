@@ -4,8 +4,8 @@ time-fractional PDEs (Riemann-Liouville, 0 < alpha < 1).
 The package computes the structured generator ansatz, generates and separates
 the two determining conditions, solves the resulting linear system exactly,
 and verifies with both symbolic rules and a numeric fractional-derivative
-oracle.  The paper's lemmas, as test fixtures, live in fraclie.lemmas, which
-this package does not import.
+oracle.  The paper's lemmas, as test fixtures, and the helpers only tests
+use live in fraclie.lemmas, which this package does not import.
 """
 
 from .exponents import Assumptions, ExponentForm, UndecidableExponent
@@ -16,21 +16,19 @@ from .expr import (Add, CyclicBinding, Expr, Fn, FractionalChain, Gamma, Jet,
                    total_derivative)
 from .fraccalc import NotPowerSum, PowerSum, rl_derivative
 from .model import (Diagnostic, PDESystem, Signature, TermClassification,
-                    classify_terms, emit_dsl, make_system, split_rhs,
-                    validate_system)
+                    classify_terms, make_system, split_rhs, validate_system)
 from .parser import (DslSemanticError, DslSyntaxError, parse_expression,
                      parse_generator, parse_system)
 from .prolong import AnsatzGenerator
-from .determining import (DeterminingSystem, NonAffineSystem,
-                          build_determining, h_condition,
+from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, normalize_equation, separate)
 from .solver import (DegreeInsufficient, Generator, ShapeViolation,
                      SolutionBasis, SolverConfig, TemplateResidual,
-                     VerificationFailed, default_h_templates, normalize_basis,
-                     solve, solve_system, verify_generator)
+                     VerificationFailed, default_h_templates, solve,
+                     solve_system, verify_generator)
 from .reductions import (EKReduction, NotScaling, NotTranslation,
-                         scaling_similarity, similarity_invariance_residuals,
-                         translation_reduction, verify_exact_solution)
+                         scaling_similarity, translation_reduction,
+                         verify_exact_solution)
 from .oracle import OracleResult, SingularInput, evaluate, numeric_rl_oracle
 from .report import PipelineConfig, Report, emit, run_pipeline
 

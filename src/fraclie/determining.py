@@ -18,12 +18,8 @@ from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    mul_factors, partial_derivative, render, substitute,
                    total_derivative)
 from .model import PDESystem, TermClassification, classify_terms
-from .prolong import AnsatzGenerator, eta_theta_of
+from .prolong import AnsatzGenerator, eta_theta_of, is_unknown
 from .records import record
-
-
-class NonAffineSystem(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +198,9 @@ class DeterminingSystem:
 
 
 def unknown_atoms_of(e: Expr, ans: AnsatzGenerator) -> list[Expr]:
-    names = set(ans.unknown_fn_names())
-    out = [f for f in atoms(e, Fn) if f.fname in names]
-    for s in atoms(e, Sym):
-        if s.name in ("chi1", "chi2"):
-            out.append(s)
-    return out
-
-
-def check_affine(e: Expr, ans: AnsatzGenerator) -> None:
-    names = set(ans.unknown_fn_names())
-
-    def unknown_degree(term: Expr) -> int:
-        deg = 0
-        for f in mul_factors(term):
-            b, ex = _base_exp(f)
-            is_unknown = (isinstance(b, Fn) and b.fname in names) or (
-                isinstance(b, Sym) and b.name in ("chi1", "chi2"))
-            if is_unknown:
-                k = ex.as_integer()
-                deg += abs(k) if k is not None else 2
-        return deg
-
-    for term in add_terms(expand(e)):
-        if term == ZERO:
-            continue
-        d = unknown_degree(term)
-        if d != 1:
-            raise NonAffineSystem(
-                f"term {render(term)} has unknown-degree {d}; the determining "
-                "equations must be homogeneous linear in the ansatz unknowns")
+    names = ans.unknown_names()
+    return [a for kind in (Fn, Sym) for a in atoms(e, kind)
+            if is_unknown(a, names)]
 
 
 def build_determining(sys: PDESystem) -> DeterminingSystem:
@@ -249,7 +218,6 @@ def build_determining(sys: PDESystem) -> DeterminingSystem:
         fragments.append(tuple(frags))
         notes.update(fnotes)
         for _, coeff in frags:
-            check_affine(coeff, ans)
             norm = normalize_equation(coeff)
             if norm != ZERO and norm.key() not in seen:
                 seen.add(norm.key())

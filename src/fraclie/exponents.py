@@ -70,9 +70,6 @@ class ExponentForm:
     def __neg__(self) -> "ExponentForm":
         return self.scale(-1)
 
-    def shift(self, value) -> "ExponentForm":
-        return self + ExponentForm.rational(value)
-
     def subs(self, values: Mapping[str, Fraction]) -> "ExponentForm":
         """Substitute exact rational values for symbols."""
         acc: dict[Monomial, Fraction] = {}

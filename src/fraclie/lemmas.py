@@ -1,10 +1,12 @@
-"""The paper's lemmas as executable fixtures.
+"""The paper's lemmas as executable fixtures, and the helpers only tests use.
 
 Generalized binomials, the Leibniz expansion and the truncated series form
 of the Riemann-Liouville derivative; the fractional extended infinitesimal
 under the ansatz, its auxiliary conditions and the nonlinearity tail mu.
 Tests and demos check the lemmas with these; the pipeline never imports
-this module.
+this module.  The helpers: DSL emission, the parser's inverse; the normal
+form of a basis given as expressions; the basis function of a solver
+column; and the action of a generator on its similarity variables.
 """
 from __future__ import annotations
 
@@ -13,15 +15,20 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .exponents import Assumptions, ExponentForm
-from .expr import (Expr, ExprLike, Fn, Gamma, Jet, NonPolynomial, Rat, Sym,
-                   Var, ZERO, ONE, _nadd, _nmul, _npow, any_node, as_expr,
-                   as_eform, atoms, diff_wrt, expand, from_eform,
-                   gamma_simplify, group_by_monomial, partial_derivative,
-                   render, substitute, to_eform, total_derivative)
+from .expr import (Add, Expr, ExprLike, Fn, Gamma, Jet, Mul, NonPolynomial, Pow,
+                   Rat, Sym, Var, ZERO, ONE, _coeff_mono, _nadd, _nmul, _npow,
+                   add_terms, any_node, as_expr, as_eform, atoms, diff_wrt,
+                   expand, from_eform, gamma_simplify, group_by_monomial,
+                   partial_derivative, render, split_factors, substitute,
+                   to_eform, total_derivative)
 from .fraccalc import PowerSum, as_power_sum, default_assumptions, rl_derivative
-from .model import PDESystem
+from .linsolve import Elem, Field
+from .model import PDESystem, Signature
 from .prolong import AnsatzGenerator, eta_theta_of
 from .records import record
+from .reductions import EKReduction
+from .solver import (Generator, GeneratorVector, SolutionBasis, _Instantiation,
+                     _structural, normalize_generators, verify_generator)
 
 
 class NegativeIndex(ValueError):
@@ -352,3 +359,178 @@ def _inner_sum(u: Jet, k: int, m: int, t: Var) -> Expr:
         coeff = Fraction(math.comb(k, r), math.factorial(k)) * (-1) ** r
         pieces.append(_nmul([Rat(coeff), _npow(u, ExponentForm.rational(r)), body]))
     return _nadd(pieces)
+
+
+# ---------------------------------------------------------------------------
+# DSL emission (the inverse of the parser, for round trips)
+# ---------------------------------------------------------------------------
+
+def emit_expr_dsl(e: Expr, sig: Signature) -> str:
+    def jet_dsl(j: Jet) -> str:
+        body = sig.dep_names[j.dep]
+        if j.t_order or j.frac is not None:
+            raise ValueError("t-derivative jets have no DSL form")
+        for i in range(sig.p - 1, -1, -1):
+            k = j.theta[i] if i < len(j.theta) else 0
+            if k:
+                op = f"D{sig.space_names[i]}"
+                body = f"{op}^{k}({body})" if k > 1 else f"{op}({body})"
+        return body
+
+    def go(x: Expr, prec: int) -> str:
+        if isinstance(x, Rat):
+            if x.value.denominator == 1:
+                s = str(x.value)
+            else:
+                s = f"{x.value.numerator}/{x.value.denominator}"
+                if prec >= 2:
+                    s = f"({s})"
+            return f"({s})" if (x.value < 0 and prec >= 1) else s
+        if isinstance(x, Sym):
+            return x.name
+        if isinstance(x, Var):
+            return x.name
+        if isinstance(x, Jet):
+            return jet_dsl(x)
+        if isinstance(x, Fn):
+            if any(x.deriv) or x.frac:
+                raise ValueError("derived unknown functions have no DSL form")
+            inner = ", ".join(go(a, 0) for a in x.args)
+            return f"{x.fname}({inner})"
+        if isinstance(x, Gamma):
+            return f"Gamma({go(x.arg, 0)})"
+        if isinstance(x, Pow):
+            b = go(x.base, 2)
+            if isinstance(x.base, (Add, Mul, Pow)):
+                b = f"({b})"
+            return f"{b}^({go(from_eform(x.exp), 0)})"
+        if isinstance(x, Mul):
+            factors = list(x.factors)
+            sign = ""
+            if isinstance(factors[0], Rat) and factors[0].value == -1 and len(factors) > 1:
+                sign = "-"
+                factors = factors[1:]
+            s = sign + "*".join(go(f, 1) if not isinstance(f, Add) else f"({go(f, 0)})"
+                                for f in factors)
+            return f"({s})" if (sign and prec >= 1) else s
+        if isinstance(x, Add):
+            c0, m0 = _coeff_mono(x.terms[0])
+            first = (_nmul([Rat(-c0)] + ([m0] if m0 is not None else []))
+                     if c0 < 0 else x.terms[0])
+            out = ("-" if c0 < 0 else "") + go(first, 1 if c0 < 0 else 0)
+            for term in x.terms[1:]:
+                c, mono = _coeff_mono(term)
+                if c < 0:
+                    out += " - " + go(_nmul([Rat(-c)] + ([mono] if mono is not None else [])), 1)
+                else:
+                    out += " + " + go(term, 1)
+            return f"({out})" if prec >= 1 else out
+        raise TypeError(f"not an expression: {x!r}")
+
+    return go(e, 0)
+
+
+def emit_dsl(sys: PDESystem) -> str:
+    sig = sys.sig
+    lines = []
+    for p in sig.params:
+        if p.kind == "free":
+            lines.append(f"param {p.name};")
+        elif p.kind == "interval":
+            lines.append(f"param {p.name} in ({p.lo}, {p.hi});")
+        else:
+            lines.append(f"param {p.name} {p.kind};")
+    if isinstance(sys.alpha, Rat):
+        v = sys.alpha.value
+        lines.append(f"alpha {v.numerator}/{v.denominator};")
+    else:
+        lines.append(f"alpha {sig.alpha_name};")
+    if sig.space_names:
+        lines.append("space " + ", ".join(sig.space_names) + ";")
+    lines.append("dep " + ", ".join(sig.dep_names) + ";")
+    for fname, arg in sig.fn_decls:
+        lines.append(f"fn {fname}({arg});")
+    for s in range(sys.q):
+        rhs = emit_expr_dsl(sys.rhs(s), sig)
+        lines.append(f"Dt^{sig.alpha_name}({sig.dep_names[s]}) = {rhs};")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Solver columns and the basis normal form from expressions
+# ---------------------------------------------------------------------------
+
+def basis_function(inst: _Instantiation, b: object) -> Expr:
+    """The basis function of a column: ONE for chi1 and chi2, the
+    x-monomial with exponents b, or the template with index b."""
+    if b is None:
+        return ONE
+    if isinstance(b, tuple):
+        return inst.x_monomial(b)[0]
+    return inst.templates[b]
+
+
+def _structural_groups(e: Expr, fld: Field) -> dict[tuple, tuple[Expr, Elem]]:
+    """Field coefficient of each structural monomial of an expanded
+    expression, keyed by the monomial's key; zero sums are kept."""
+    groups: dict[tuple, tuple[Expr, Elem]] = {}
+    for term in add_terms(e):
+        if term == ZERO:
+            continue
+        mono, coeff = split_factors(term, _structural)
+        k = mono.key()
+        c = fld.elem(coeff)
+        groups[k] = (mono, fld.add(groups[k][1], c) if k in groups else c)
+    return groups
+
+
+def _generator_vector(g: Generator, fld: Field) -> GeneratorVector:
+    """The vector of a generator given as expressions."""
+    out: GeneratorVector = {}
+    for ci, comp in enumerate([g.tau] + list(g.xi) + list(g.eta)):
+        for k, (mono, c) in _structural_groups(fld.norm_expr(comp), fld).items():
+            out[(ci, k)] = (mono, c)
+    return out
+
+
+def normalize_basis(basis: SolutionBasis) -> SolutionBasis:
+    """Reduced row-echelon normal form of the emitted generators; idempotent."""
+    fld = Field(basis.sys.assumptions())
+    merged = normalize_generators(
+        [_generator_vector(g, fld)
+         for g in basis.generators + basis.shift_generators],
+        basis.sys.sig, fld)
+    main = tuple(g for g in merged if not g.is_shift())
+    shifts = tuple(g for g in merged if g.is_shift())
+    reports = tuple(verify_generator(basis.sys, g) for g in main)
+    shift_reports = tuple(verify_generator(basis.sys, g) for g in shifts)
+    return SolutionBasis(basis.sys, main, shifts, basis.assumptions,
+                         basis.branch_dims, reports, shift_reports)
+
+
+# ---------------------------------------------------------------------------
+# Similarity variables
+# ---------------------------------------------------------------------------
+
+def similarity_invariance_residuals(gen: Generator, red: EKReduction) -> list[Expr]:
+    """The generator must annihilate every similarity variable: X(z_i) = 0
+    and X(u_s t^(-B_s)) = 0 by construction."""
+    sig = gen.sig
+    t = sig.t
+    out = []
+
+    def apply_x(expr: Expr) -> Expr:
+        pieces = [_nmul([gen.tau, partial_derivative(expr, t)])]
+        for i in range(sig.p):
+            pieces.append(_nmul([gen.xi[i], partial_derivative(expr, sig.x(i))]))
+        for s in range(sig.q):
+            pieces.append(_nmul([gen.eta[s], diff_wrt(expr, sig.u(s))]))
+        return expand(_nadd(pieces))
+
+    for i in range(sig.p):
+        z = _nmul([sig.x(i), _npow(t, -red.z_exponents[i])])
+        out.append(apply_x(z))
+    for s in range(sig.q):
+        U = _nmul([sig.u(s), _npow(t, -red.u_exponents[s])])
+        out.append(apply_x(U))
+    return out

@@ -6,9 +6,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exponents import Assumptions
-from .expr import (Add, Expr, Fn, Gamma, Jet, Mul, Pow, Rat, Sym, Var, ZERO,
-                   _coeff_mono, _nadd, _nmul, add_terms, atoms,
-                   depends_on_jets, expand, split_factors)
+from .expr import (Expr, Jet, Rat, Sym, Var, ZERO, _nadd, _nmul, add_terms,
+                   atoms, depends_on_jets, expand, split_factors)
 from .records import record
 
 
@@ -220,99 +219,3 @@ def classify_terms(sys: PDESystem) -> TermClassification:
         j_all.append(tuple(j_terms))
         rest_all.append(tuple(rest))
     return TermClassification(tuple(i_all), tuple(j_all), tuple(rest_all))
-
-
-# ---------------------------------------------------------------------------
-# DSL emission (inverse of the parser, used for round-trips and reports)
-# ---------------------------------------------------------------------------
-
-def emit_expr_dsl(e: Expr, sig: Signature) -> str:
-    def jet_dsl(j: Jet) -> str:
-        body = sig.dep_names[j.dep]
-        if j.t_order or j.frac is not None:
-            raise ValueError("t-derivative jets have no DSL form")
-        for i in range(sig.p - 1, -1, -1):
-            k = j.theta[i] if i < len(j.theta) else 0
-            if k:
-                op = f"D{sig.space_names[i]}"
-                body = f"{op}^{k}({body})" if k > 1 else f"{op}({body})"
-        return body
-
-    def go(x: Expr, prec: int) -> str:
-        if isinstance(x, Rat):
-            if x.value.denominator == 1:
-                s = str(x.value)
-            else:
-                s = f"{x.value.numerator}/{x.value.denominator}"
-                if prec >= 2:
-                    s = f"({s})"
-            return f"({s})" if (x.value < 0 and prec >= 1) else s
-        if isinstance(x, Sym):
-            return x.name
-        if isinstance(x, Var):
-            return x.name
-        if isinstance(x, Jet):
-            return jet_dsl(x)
-        if isinstance(x, Fn):
-            if any(x.deriv) or x.frac:
-                raise ValueError("derived unknown functions have no DSL form")
-            inner = ", ".join(go(a, 0) for a in x.args)
-            return f"{x.fname}({inner})"
-        if isinstance(x, Gamma):
-            return f"Gamma({go(x.arg, 0)})"
-        if isinstance(x, Pow):
-            b = go(x.base, 2)
-            if isinstance(x.base, (Add, Mul, Pow)):
-                b = f"({b})"
-            from .expr import from_eform
-            return f"{b}^({go(from_eform(x.exp), 0)})"
-        if isinstance(x, Mul):
-            factors = list(x.factors)
-            sign = ""
-            if isinstance(factors[0], Rat) and factors[0].value == -1 and len(factors) > 1:
-                sign = "-"
-                factors = factors[1:]
-            s = sign + "*".join(go(f, 1) if not isinstance(f, Add) else f"({go(f, 0)})"
-                                for f in factors)
-            return f"({s})" if (sign and prec >= 1) else s
-        if isinstance(x, Add):
-            c0, m0 = _coeff_mono(x.terms[0])
-            first = (_nmul([Rat(-c0)] + ([m0] if m0 is not None else []))
-                     if c0 < 0 else x.terms[0])
-            out = ("-" if c0 < 0 else "") + go(first, 1 if c0 < 0 else 0)
-            for term in x.terms[1:]:
-                c, mono = _coeff_mono(term)
-                if c < 0:
-                    out += " - " + go(_nmul([Rat(-c)] + ([mono] if mono is not None else [])), 1)
-                else:
-                    out += " + " + go(term, 1)
-            return f"({out})" if prec >= 1 else out
-        raise TypeError(f"not an expression: {x!r}")
-
-    return go(e, 0)
-
-
-def emit_dsl(sys: PDESystem) -> str:
-    sig = sys.sig
-    lines = []
-    for p in sig.params:
-        if p.kind == "free":
-            lines.append(f"param {p.name};")
-        elif p.kind == "interval":
-            lines.append(f"param {p.name} in ({p.lo}, {p.hi});")
-        else:
-            lines.append(f"param {p.name} {p.kind};")
-    if isinstance(sys.alpha, Rat):
-        v = sys.alpha.value
-        lines.append(f"alpha {v.numerator}/{v.denominator};")
-    else:
-        lines.append(f"alpha {sig.alpha_name};")
-    if sig.space_names:
-        lines.append("space " + ", ".join(sig.space_names) + ";")
-    lines.append("dep " + ", ".join(sig.dep_names) + ";")
-    for fname, arg in sig.fn_decls:
-        lines.append(f"fn {fname}({arg});")
-    for s in range(sys.q):
-        rhs = emit_expr_dsl(sys.rhs(s), sig)
-        lines.append(f"Dt^{sig.alpha_name}({sig.dep_names[s]}) = {rhs};")
-    return "\n".join(lines) + "\n"

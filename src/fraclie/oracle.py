@@ -76,15 +76,14 @@ def evaluate(e: Expr, env: Optional[dict[str, float]] = None) -> float:
 # Power-sum helpers
 # ---------------------------------------------------------------------------
 
-def _powersum_terms(ps: PowerSum, env: dict[str, float]
-                    ) -> list[tuple[float, Fraction]]:
+def _powersum_terms(ps: PowerSum) -> list[tuple[float, Fraction]]:
     out = []
     for c, g in ps.terms:
         r = g.as_rational()
         if r is None:
             raise ValueError("oracle inputs need exact rational exponents; "
                              "substitute parameter values first")
-        out.append((evaluate(c, env), r))
+        out.append((evaluate(c), r))
     return out
 
 
@@ -95,32 +94,36 @@ class OracleResult:
     method: str
 
 
+# Gauss-Jacobi nodes for power sums; the error estimate uses half as many
+_NODES = 64
+# Grunwald-Letnikov step for sampled inputs, as a fraction of t
+_GL_STEP_SCALE = 2.0 ** -12
+
+
 def numeric_rl_oracle(f: Union[PowerSum, Callable[[float], float]],
                       alpha: Union[Fraction, float],
-                      t_grid: Sequence[float], *,
-                      env: Optional[dict[str, float]] = None,
-                      nodes: int = 64,
-                      gl_step_scale: float = 2.0 ** -12) -> OracleResult:
+                      t_grid: Sequence[float]) -> OracleResult:
     """Approximate (1/Gamma(1-alpha)) d/dt int_0^t (t-s)^(-alpha) f(s) ds on
-    the grid, with an error estimate per point."""
+    the grid, with an error estimate per point.  A power sum's coefficients
+    must be numbers."""
     a = float(alpha)
     if not (0.0 < a < 1.0):
         raise ValueError("the order must lie in (0, 1)")
     if isinstance(f, PowerSum):
-        terms = _powersum_terms(f, env or {})
+        terms = _powersum_terms(f)
         for _, g in terms:
             if g <= -1:
                 raise SingularInput(f"exponent {g} <= -1")
         vals, errs = [], []
         for t in t_grid:
-            v1 = _gauss_jacobi_rl(terms, a, float(t), nodes)
-            v0 = _gauss_jacobi_rl(terms, a, float(t), max(8, nodes // 2))
+            v1 = _gauss_jacobi_rl(terms, a, float(t), _NODES)
+            v0 = _gauss_jacobi_rl(terms, a, float(t), _NODES // 2)
             vals.append(v1)
             errs.append(abs(v1 - v0))
         return OracleResult(tuple(vals), tuple(errs), "gauss-jacobi")
     vals, errs = [], []
     for t in t_grid:
-        h = float(t) * gl_step_scale
+        h = float(t) * _GL_STEP_SCALE
         v_h = _grunwald_letnikov(f, a, float(t), h)
         v_h2 = _grunwald_letnikov(f, a, float(t), h / 2.0)
         vals.append(2.0 * v_h2 - v_h)

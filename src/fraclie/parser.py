@@ -25,6 +25,7 @@ from typing import Optional
 from .expr import (Expr, Fn, Gamma, Rat, Sym, ZERO, add, div, mul,
                    neg, pow_, to_eform, total_derivative)
 from .model import ParamDecl, PDESystem, Signature, make_system, validate_system
+from .prolong import AnsatzGenerator
 from .records import record
 
 
@@ -124,11 +125,10 @@ class ExprParser:
     admits additional free constants (generator files declare their own)."""
 
     def __init__(self, sig: Signature, stream: _Stream,
-                 extra_syms: Optional[set[str]] = None, allow_dt: bool = False):
+                 extra_syms: Optional[set[str]] = None):
         self.sig = sig
         self.s = stream
         self.extra = extra_syms or set()
-        self.allow_dt = allow_dt
         self.fn_args = dict(sig.fn_decls)
 
     def parse(self) -> Expr:
@@ -214,11 +214,10 @@ class ExprParser:
 
     def _deriv_op(self, t: Token) -> Expr:
         var_name = t.text[1:]
-        if var_name == self.sig.t_name and not self.allow_dt:
+        if var_name == self.sig.t_name:
             raise DslSemanticError("t-derivatives may not appear on a right-hand side",
                                    t.line, t.col)
-        v = (self.sig.t if var_name == self.sig.t_name
-             else self.sig.space(var_name))
+        v = self.sig.space(var_name)
         order = 1
         if self.s.peek().text == "^":
             self.s.next()
@@ -348,14 +347,14 @@ def parse_system(text: str) -> PDESystem:
     spaces: list[str] = []
     deps: list[str] = []
     fns: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    seen: dict[str, Token] = {}
 
     def declare(tok: Token):
         if tok.text in _RESERVED:
             raise DslSemanticError(f"{tok.text!r} is reserved", tok.line, tok.col)
         if tok.text in seen:
             raise DslSemanticError(f"{tok.text!r} declared twice", tok.line, tok.col)
-        seen.add(tok.text)
+        seen[tok.text] = tok
 
     while stream.peek().text in ("param", "alpha", "space", "dep", "fn"):
         head = stream.next()
@@ -432,6 +431,14 @@ def parse_system(text: str) -> PDESystem:
                     dep_names=tuple(deps), params=tuple(params),
                     fn_decls=tuple(fns))
     alpha_expr: Expr = Rat(alpha_value) if alpha_value is not None else Sym(alpha_name)
+    # the generator's unknowns and gamma_s depend on the counts of space
+    # variables and dependents, so they are checked once all are declared
+    ans = AnsatzGenerator(sig, alpha_expr)
+    taken = ans.unknown_names() | set(ans.gamma_symbols())
+    for name, tok in seen.items():
+        if name in taken:
+            raise DslSemanticError(f"{name!r} names an unknown of the "
+                                   "symmetry generator", tok.line, tok.col)
 
     rhs_by_dep: dict[str, Expr] = {}
     while stream.peek().kind != "EOF":

@@ -105,6 +105,18 @@ class AnsatzGenerator:
                     out[self.f(s, i).fname] = self._xvars()
         return out
 
+    def unknown_names(self) -> frozenset[str]:
+        """The names of all unknowns: the functions' and chi1, chi2.  A
+        system may declare none of them (see parser.parse_system)."""
+        return frozenset(self.unknown_fn_names()) | {self.chi1.name,
+                                                     self.chi2.name}
+
+
+def is_unknown(b: Expr, names: frozenset[str]) -> bool:
+    """Whether b is an unknown, names being the ansatz's unknown_names()."""
+    return ((isinstance(b, Fn) and b.fname in names)
+            or (isinstance(b, Sym) and b.name in names))
+
 
 # ---------------------------------------------------------------------------
 # Integer-order extended infinitesimals (simplified: tau-free)

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
 from .expr import (Expr, Jet, Var, ZERO, ONE, _eform_mul, _eform_pow,
-                   _nadd, _nmul, _npow, atoms, depends_on_jets, diff_wrt,
+                   _nadd, _nmul, atoms, depends_on_jets, diff_wrt,
                    expand, map_children, partial_derivative, substitute,
                    to_eform)
 from .fraccalc import PowerSum, rl_derivative
@@ -175,30 +175,6 @@ def _inv_form(A: ExponentForm) -> Optional[ExponentForm]:
     if len(A.coeffs) != 1:
         return None
     return _eform_pow(A, -1)
-
-
-def similarity_invariance_residuals(gen: Generator, red: EKReduction) -> list[Expr]:
-    """The generator must annihilate every similarity variable: X(z_i) = 0
-    and X(u_s t^(-B_s)) = 0 by construction."""
-    sig = gen.sig
-    t = sig.t
-    out = []
-
-    def apply_x(expr: Expr) -> Expr:
-        pieces = [_nmul([gen.tau, partial_derivative(expr, t)])]
-        for i in range(sig.p):
-            pieces.append(_nmul([gen.xi[i], partial_derivative(expr, sig.x(i))]))
-        for s in range(sig.q):
-            pieces.append(_nmul([gen.eta[s], diff_wrt(expr, sig.u(s))]))
-        return expand(_nadd(pieces))
-
-    for i in range(sig.p):
-        z = _nmul([sig.x(i), _npow(t, -red.z_exponents[i])])
-        out.append(apply_x(z))
-    for s in range(sig.q):
-        U = _nmul([sig.u(s), _npow(t, -red.u_exponents[s])])
-        out.append(apply_x(U))
-    return out
 
 
 # ---------------------------------------------------------------------------

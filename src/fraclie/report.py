@@ -60,15 +60,7 @@ def run_pipeline(source: str, cfg: Optional[PipelineConfig] = None) -> Report:
     if diags:
         raise ValueError("; ".join(str(d) for d in diags))
     ds = build_determining(sys)
-    templates = None
-    if cfg.h_templates:
-        from .solver import default_h_templates
-        extra = [parse_expression(t, sys.sig) for t in cfg.h_templates]
-        merged = list(default_h_templates(sys))
-        for e in extra:
-            if e not in merged:
-                merged.append(e)
-        templates = tuple(merged)
+    templates = tuple(parse_expression(t, sys.sig) for t in cfg.h_templates)
     scfg = SolverConfig(poly_degree=cfg.poly_degree, h_templates=templates,
                         branch=cfg.branch)
     basis = solve(ds, scfg)

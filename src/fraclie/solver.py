@@ -44,6 +44,7 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature, classify_terms
+from .prolong import is_unknown
 from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, separate)
 from .records import field, record
@@ -62,10 +63,6 @@ class ShapeViolation(Exception):
 
 
 class VerificationFailed(Exception):
-    pass
-
-
-class NonAffineRow(Exception):
     pass
 
 
@@ -260,13 +257,11 @@ def default_h_templates(sys: PDESystem) -> list[Expr]:
 
 @record(frozen=True)
 class SolverConfig:
+    """h_templates are templates for the h_s beyond default_h_templates."""
     poly_degree: int = 3
-    h_templates: Optional[tuple[Expr, ...]] = None
+    h_templates: tuple[Expr, ...] = ()
     branch: str = "both"            # both | zero | nonzero
     check_degree_stability: bool = True
-
-
-_CHI = ("chi1", "chi2")
 
 
 def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
@@ -306,6 +301,7 @@ class _Instantiation:
     columns: list[str]
     basis: dict[str, list[tuple[int, object]]]
     args: dict[str, tuple[Var, ...]]        # function unknown -> arguments
+    unknowns: frozenset[str]                # AnsatzGenerator.unknown_names()
     templates: list[Expr]
     rl_templates: list[Expr]
     ndeg: int
@@ -319,8 +315,7 @@ class _Instantiation:
         self.col_index = {c: i for i, c in enumerate(self.columns)}
 
     def is_unknown(self, b: Expr, _=None) -> bool:
-        return ((isinstance(b, Fn) and b.fname in self.args)
-                or (isinstance(b, Sym) and b.name in _CHI))
+        return is_unknown(b, self.unknowns)
 
     def shape(self, texp: ExponentForm, mono: Expr) -> int:
         """Id of a shape; its key is the row-class key."""
@@ -348,13 +343,6 @@ class _Instantiation:
                           for i, b in enumerate(beta) if b])
             out = self._x_monomials[beta] = (mono, self.shape(ZERO_FORM, mono))
         return out
-
-    def basis_function(self, b: object) -> Expr:
-        if b is None:
-            return ONE
-        if isinstance(b, tuple):
-            return self.x_monomial(b)[0]
-        return self.templates[b]
 
     def image(self, name: str, deriv: tuple[int, ...], frac: bool
               ) -> list[tuple[int, list[tuple[int, Expr, Optional[Fraction]]]]]:
@@ -396,22 +384,25 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
                         assumptions: Assumptions) -> _Instantiation:
     """The columns: chi1, chi2, one per x-monomial of total degree <= d =
     cfg.poly_degree in each of xi_i, g_s and f_si, and one per template in
-    each h_s.  With cfg.check_degree_stability the monomials of degree d+1
-    get columns as well, after all of these.  The templates' RL images are
-    computed here."""
+    each h_s.  The templates are default_h_templates, then each of
+    cfg.h_templates not among them.  With cfg.check_degree_stability the
+    monomials of degree d+1 get columns as well, after all of these.  The
+    templates' RL images are computed here."""
     sig = ds.sys.sig
     ans = ds.ans
-    templates = list(cfg.h_templates) if cfg.h_templates is not None \
-        else default_h_templates(ds.sys)
+    templates = default_h_templates(ds.sys)
+    for T in cfg.h_templates:
+        if T not in templates:
+            templates.append(T)
     rl_templates = []
     for T in templates:
         ps = PowerSum.from_expr(T, sig.t)
         rl_templates.append(rl_derivative(ps, ds.sys.alpha, tvar=sig.t,
                                           assumptions=assumptions).to_expr())
 
-    columns: list[str] = list(_CHI)
+    columns = [ans.chi1.name, ans.chi2.name]
     basis: dict[str, list[tuple[int, object]]] = {
-        name: [(i, None)] for i, name in enumerate(_CHI)}
+        name: [(i, None)] for i, name in enumerate(columns)}
 
     def add_column(fname: str, b: object, tag: str) -> None:
         basis.setdefault(fname, []).append((len(columns), b))
@@ -436,7 +427,7 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
             for beta in _monomials(sig.p, cfg.poly_degree + 1):
                 add_column(name, beta, ".".join(str(b) for b in beta))
     return _Instantiation(sig, columns, basis, ans.unknown_fn_names(),
-                          templates, rl_templates, ndeg)
+                          ans.unknown_names(), templates, rl_templates, ndeg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +438,17 @@ def _operator_form(eq: Expr, inst: _Instantiation, fld: Field
                    ) -> list[tuple[str, tuple[int, ...], bool, int, Term]]:
     """The equation as operators on the unknowns, one per term: (unknown,
     derivative multi-index, fractional marker, shape of the rest of the
-    term, field coefficient as a term of fld)."""
+    term, field coefficient as a term of fld).  Raises TemplateResidual
+    unless each term is one unknown, to the first power, times factors free
+    of unknowns: the determining equations are homogeneous linear in them."""
     out = []
     for term in add_terms(expand(eq)):
         if term == ZERO:
             continue
         unknown, rest = split_factors(term, inst.is_unknown)
-        if unknown == ONE:
-            raise NonAffineRow(f"term {render(term)} carries no solver unknown")
         if not isinstance(unknown, (Fn, Sym)) or any_node(rest, inst.is_unknown):
-            raise NonAffineRow(f"term {render(term)} is not affine in "
-                               "the solver unknowns")
+            raise TemplateResidual(f"term {render(term)} is not linear in "
+                                   "the solver unknowns")
         texp, mono, coeff = _split_term(rest, inst.sig.t)
         c = fld.term(coeff)
         if isinstance(unknown, Fn):
@@ -572,11 +563,7 @@ def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field,
     rows: list[list[Elem]] = []
     notes: list[str] = []
     for eq in list(ds.integer_eqs) + list(ds.frac_eqs):
-        try:
-            r, n = equation_rows(substitute(eq, gsubs), inst, fld, ledger_columns)
-        except NonAffineRow as exc:
-            raise TemplateResidual(
-                f"a condition failed to reduce to linear rows ({exc})") from exc
+        r, n = equation_rows(substitute(eq, gsubs), inst, fld, ledger_columns)
         rows.extend(r)
         notes.extend(n)
     return rows, notes
@@ -586,20 +573,6 @@ def _structural(b: Expr, _) -> bool:
     """Factors that carry the variables: powers of Vars and Jets and opaque
     functions of the dependents."""
     return isinstance(b, (Var, Jet)) or (isinstance(b, Fn) and depends_on_jets(b))
-
-
-def _structural_groups(e: Expr, fld: Field) -> dict[tuple, tuple[Expr, Elem]]:
-    """Field coefficient of each structural monomial of an expanded
-    expression, keyed by the monomial's key; zero sums are kept."""
-    groups: dict[tuple, tuple[Expr, Elem]] = {}
-    for term in add_terms(e):
-        if term == ZERO:
-            continue
-        mono, coeff = split_factors(term, _structural)
-        k = mono.key()
-        c = fld.elem(coeff)
-        groups[k] = (mono, fld.add(groups[k][1], c) if k in groups else c)
-    return groups
 
 
 # A generator as a vector: (component index, structural monomial key) ->
@@ -657,15 +630,6 @@ def _vector_to_generator(coeffs: list[dict[tuple[int, int], Elem]],
 # ---------------------------------------------------------------------------
 # Generator-space normalization
 # ---------------------------------------------------------------------------
-
-def _generator_vector(g: Generator, fld: Field) -> GeneratorVector:
-    """The vector of a generator given as expressions."""
-    out: GeneratorVector = {}
-    for ci, comp in enumerate([g.tau] + list(g.xi) + list(g.eta)):
-        for k, (mono, c) in _structural_groups(fld.norm_expr(comp), fld).items():
-            out[(ci, k)] = (mono, c)
-    return out
-
 
 def _rebuild_generator(sig: Signature, ordered, columns, row, fld: Field
                        ) -> Generator:
@@ -756,12 +720,12 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     rows, notes = _determining_rows(ds, inst, fld, set(range(ncols)))
     if cfg.branch == "zero":
         row = [fld.zero] * len(inst.columns)
-        row[inst.col_index["chi2"]] = fld.one
+        row[inst.col_index[ds.ans.chi2.name]] = fld.one
         rows.append(row)
     res = rref(rows, fld, lead=ncols)
     vecs, piv_notes = nullspace(res, ncols, fld)
     # chi2 is one column: the chi2 = 0 subspace loses at most one dimension
-    chi2 = inst.col_index["chi2"]
+    chi2 = inst.col_index[ds.ans.chi2.name]
     dim = len(vecs)
     zero_dim = dim - 1 if any(not v[chi2].is_zero() for v in vecs) else dim
     dims = {"both": [("zero", zero_dim), ("nonzero", dim)],
@@ -792,21 +756,6 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     return SolutionBasis(ds.sys, tuple(main), tuple(shifts), tuple(ledger),
                          tuple(dims), tuple(reports[:len(main)]),
                          tuple(reports[len(main):]))
-
-
-def normalize_basis(basis: SolutionBasis) -> SolutionBasis:
-    """Reduced row-echelon normal form of the emitted generators; idempotent."""
-    fld = Field(basis.sys.assumptions())
-    merged = normalize_generators(
-        [_generator_vector(g, fld)
-         for g in basis.generators + basis.shift_generators],
-        basis.sys.sig, fld)
-    main = tuple(g for g in merged if not g.is_shift())
-    shifts = tuple(g for g in merged if g.is_shift())
-    reports = tuple(verify_generator(basis.sys, g) for g in main)
-    shift_reports = tuple(verify_generator(basis.sys, g) for g in shifts)
-    return SolutionBasis(basis.sys, main, shifts, basis.assumptions,
-                         basis.branch_dims, reports, shift_reports)
 
 
 def solve_system(sys: PDESystem, cfg: Optional[SolverConfig] = None

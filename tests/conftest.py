@@ -1,3 +1,4 @@
+import os
 import pathlib
 from fractions import Fraction
 
@@ -6,6 +7,11 @@ import pytest
 from fraclie import ONE, ZERO, Rat, parse_system
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+# Tests that start `python -m fraclie.cli` need this checkout's package, which
+# pytest's `pythonpath` setting puts on sys.path of this process only.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 ZK_SRC = (DEMOS / "zk.fpde").read_text()
 HS_SRC = (DEMOS / "hs.fpde").read_text()

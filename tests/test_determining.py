@@ -19,7 +19,7 @@ from fraclie import (AnsatzGenerator, Jet, Fn, Rat, Sym, Var,
                      invariance_condition, mul, neg, normalize_equation,
                      parse_system, separate, simplify,
                      substitute)
-from fraclie.determining import check_affine, unknown_atoms_of
+from fraclie.determining import unknown_atoms_of
 from fraclie.linsolve import Field, rref
 from fraclie.solver import SolverConfig, build_instantiation, equation_rows
 from fraclie.expr import atoms
@@ -111,7 +111,6 @@ class TestSeparate:
         ds = build_determining(zk)
         rng = random.Random(5)
         for eq in ds.integer_eqs:
-            check_affine(eq, ds.ans)
             unknowns = unknown_atoms_of(eq, ds.ans)
             vals = {uatom: Rat(F(rng.randint(1, 9), rng.randint(1, 4)))
                     for uatom in unknowns}

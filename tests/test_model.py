@@ -3,8 +3,9 @@ round trips."""
 import pytest
 
 from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, ZERO,
-                     add, classify_terms, emit_dsl, expand, mul, neg,
+                     add, classify_terms, expand, mul, neg,
                      parse_system, pow_, simplify, validate_system)
+from fraclie.lemmas import emit_dsl
 from fraclie.model import make_system, Signature
 from fraclie.expr import add_terms
 from conftest import HS_SRC, TELE_SRC, ZK_SRC

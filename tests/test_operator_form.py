@@ -17,10 +17,10 @@ from fraclie import build_determining, parse_expression, parse_system
 from fraclie.expr import (Fn, Sym, ZERO, _nadd, _nmul, add_terms, expand,
                           map_children, mul_factors, partial_derivative,
                           split_factors, split_power, substitute)
+from fraclie.lemmas import basis_function
 from fraclie.linsolve import Field
 from fraclie.solver import (SolverConfig, _determining_rows, _gamma_subs,
-                            _structural, build_instantiation,
-                            default_h_templates)
+                            _structural, build_instantiation)
 from conftest import DEMOS
 
 PERF_INPUTS = DEMOS.parent / "perfbench" / "inputs"
@@ -35,7 +35,7 @@ def _instantiate_expr(e, inst):
     applying stored derivative multi-indices and the fractional marker."""
     def value_of(f):
         out = _nadd([_nmul([Sym(inst.columns[c]),
-                            inst.rl_templates[b] if f.frac else inst.basis_function(b)])
+                            inst.rl_templates[b] if f.frac else basis_function(inst, b)])
                      for c, b in inst.basis[f.fname]])
         for v, k in zip(f.args, f.deriv):
             for _ in range(k):
@@ -99,7 +99,7 @@ def _reference_rows(ds, inst, fld, ledger_columns):
     return rows, notes
 
 
-def _assert_rows_match(ds, d, templates=None):
+def _assert_rows_match(ds, d, templates=()):
     asm = ds.sys.assumptions()
     fld = Field(asm)
     inst = build_instantiation(ds, SolverConfig(poly_degree=d, h_templates=templates),
@@ -149,8 +149,7 @@ def _systems(draw):
 def test_random_systems(case):
     text, extra, d = case
     sys = parse_system(text)
-    templates = tuple(default_h_templates(sys)) + tuple(
-        parse_expression(e, sys.sig) for e in extra)
+    templates = tuple(parse_expression(e, sys.sig) for e in extra)
     _assert_rows_match(build_determining(sys), d, templates)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from fraclie import (ExponentForm, Fn, Gamma, Generator, NotScaling, NotTranslation, Sym, UndecidableExponent,
                      ZERO, ONE, add, expand, mul, neg, pow_, scaling_similarity,
-                     similarity_invariance_residuals, simplify,
-                     translation_reduction, verify_exact_solution)
+                     simplify, translation_reduction, verify_exact_solution)
+from fraclie.lemmas import similarity_invariance_residuals
 
 F = Fraction
 a = Sym("a")

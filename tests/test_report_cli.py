@@ -123,6 +123,31 @@ class TestCli:
         assert parse_system(src).F == parse_system(plain).F
         assert parse_system(src).H == parse_system(plain).H
 
+    @pytest.mark.parametrize("name, src, where", [
+        ("xi", "alpha a; space x; dep u;\nparam xi nonzero;\n"
+         "Dt^a(u) = Dx^2(u) + xi*u;\n", "2:7"),
+        ("psi", "alpha a; dep u;\nspace x, psi;\n"
+         "Dt^a(u) = Dx^2(u) + Dpsi^2(u);\n", "2:10"),
+        ("g", "alpha a; space x; dep u;\nfn g(u);\n"
+         "Dt^a(u) = Dx^2(u) + g(u);\n", "2:4"),
+        ("h", "space x; dep u;\nalpha h;\nDt^h(u) = Dx^2(u);\n", "2:7"),
+        ("f1", "alpha a; space x;\ndep u, f1;\n"
+         "Dt^a(u) = Dx^2(u); Dt^a(f1) = Dx(u);\n", "2:8"),
+        ("gamma", "alpha a; space x; dep u;\nparam gamma nonzero;\n"
+         "Dt^a(u) = Dx^2(u) + gamma*u*Dx(u);\n", "2:7"),
+        ("chi1", "alpha a; space x; dep u;\nparam chi1;\n"
+         "Dt^a(u) = Dx^2(u) + chi1*u*Dx(u);\n", "2:7"),
+        ("chi2", "alpha a; dep u;\nspace chi2;\nDt^a(u) = Dchi2^2(u);\n", "2:7"),
+    ])
+    def test_names_of_generator_unknowns_are_rejected(self, tmp_path, name,
+                                                      src, where):
+        f = tmp_path / "clash.fpde"
+        f.write_text(src)
+        out = run_cli("analyze", str(f))
+        assert out.returncode == 1
+        assert out.stderr == (f"error: semantic error at {where}: {name!r} "
+                              "names an unknown of the symmetry generator\n")
+
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")
         assert out.returncode == 1

@@ -5,18 +5,20 @@ from fractions import Fraction
 import pytest
 
 from fraclie import (Assumptions, DegreeInsufficient, ExponentForm, Gamma,
-                     Generator, Rat, ShapeViolation, SolverConfig, Sym, ZERO,
-                     ONE, add, build_determining, mul, neg, normalize_basis,
-                     parse_generator, parse_system, partial_derivative, pow_,
+                     Generator, Rat, ShapeViolation, Signature, SolverConfig,
+                     Sym, TemplateResidual, ZERO,
+                     ONE, add, build_determining, mul, neg, parse_generator, parse_system, partial_derivative, pow_,
                      solve, solve_system, verify_generator)
 from fraclie.determining import normalize_equation
 from fraclie.expr import (Fn, _nadd, _nmul, add_terms, expand, simplify,
                           split_power, substitute)
 from fraclie.linsolve import Field, nullspace, rref
+from fraclie.model import ParamDecl, make_system
 from fraclie.records import replace
-from fraclie.solver import (_CHI, _component_coefficients, _determining_rows,
-                            _entry, _gamma_subs, _generator_vector,
-                            _rebuild_generator, _structural_groups,
+from fraclie.lemmas import (_generator_vector, _structural_groups,
+                            basis_function, normalize_basis)
+from fraclie.solver import (_component_coefficients, _determining_rows,
+                            _entry, _gamma_subs, _rebuild_generator,
                             _vector_to_generator, build_instantiation,
                             equation_rows, normalize_generators)
 from conftest import TELE_POW_GEN, DEMOS
@@ -239,8 +241,8 @@ def _reference_generator(ds, inst, vec, fld):
     monomial."""
     values = _gamma_subs(ds)
     for name, cols in inst.basis.items():
-        atom = Sym(name) if name in _CHI else Fn(name, inst.args[name])
-        values[atom] = _nadd([_nmul([fld.to_expr(vec[c]), inst.basis_function(b)])
+        atom = Fn(name, inst.args[name]) if name in inst.args else Sym(name)
+        values[atom] = _nadd([_nmul([fld.to_expr(vec[c]), basis_function(inst, b)])
                               for c, b in cols if c < len(vec)])
 
     def val(e):
@@ -343,6 +345,26 @@ class TestDegreeLift:
             solve(ds, SolverConfig(poly_degree=0))
         assert str(exc.value) == ("solution dimension moved from 2 to 3 when the "
                                   "polynomial degree was raised from 0 to 1")
+
+    def test_extra_templates_follow_the_defaults(self, zk):
+        ds = build_determining(zk)
+        asm = zk.assumptions()
+        defaults = build_instantiation(ds, SolverConfig(), asm).templates
+        t_a = pow_(zk.sig.t, a)
+        inst = build_instantiation(ds, SolverConfig(h_templates=(ONE, t_a)), asm)
+        assert ONE in defaults and t_a not in defaults
+        assert inst.templates == defaults + [t_a]
+
+    def test_non_linear_system_is_a_template_residual(self):
+        # the parser rejects a parameter named after an unknown; a system
+        # built directly can still hold one, and the solve must refuse it
+        sig = Signature(alpha_name="a", space_names=("x",), dep_names=("u",),
+                        params=(ParamDecl("chi1"),))
+        u = sig.u(0)
+        sys = make_system(sig, [add(sig.u(0, (2,)),
+                                    mul(Sym("chi1"), u, sig.u(0, (1,))))])
+        with pytest.raises(TemplateResidual, match="not linear in the solver"):
+            solve(build_determining(sys))
 
     def test_zero_branch_dims_and_ledger(self, zk):
         basis = solve(build_determining(zk), SolverConfig(branch="zero"))

@@ -13,10 +13,11 @@ from typing import Optional
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   _rational_content, add_terms, atoms, depends_on_jets,
+                   add_terms, atoms, depends_on_jets,
                    diff_wrt, expand, group_by_monomial, map_children,
                    mul_factors, partial_derivative, render, substitute,
                    total_derivative)
+from .linsolve import _content
 from .model import PDESystem, TermClassification, classify_terms
 from .prolong import AnsatzGenerator, eta_theta_of, is_unknown
 from .records import record
@@ -141,19 +142,13 @@ def _genericity(fragments: list[tuple[Expr, Expr]], sys: PDESystem) -> list[str]
             if ska != skb:
                 continue
             for dep in set(pa) | set(pb):
-                d = pa.get(dep, ExponentForm()) - pb.get(dep, ExponentForm())
-                if d.is_zero() or d.is_rational():
+                d = asm.undecided(pa.get(dep, ExponentForm())
+                                  - pb.get(dep, ExponentForm()))
+                if d is None or (len(d.coeffs) == 1 and all(
+                        asm.is_declared_nonzero(nm) for nm, _ in d.coeffs[0][0])):
                     continue
-                if len(d.coeffs) == 1 and all(
-                        asm.is_declared_nonzero(nm) for nm, _ in d.coeffs[0][0]):
-                    continue
-                if asm.sign(d) is None and asm.sign(-d) is None:
-                    # canonical sign: first non-constant monomial positive
-                    lead = next(c for m, c in d.coeffs if m != ())
-                    if lead < 0:
-                        d = -d
-                    forms.setdefault(d.sort_key(), (
-                        d, f"separates {render(ma, sys.sig)} from {render(mb, sys.sig)}"))
+                forms.setdefault(d.sort_key(), (
+                    d, f"separates {render(ma, sys.sig)} from {render(mb, sys.sig)}"))
     notes = [f"{d.render()} != 0 ({why})" for d, why in
              (forms[k] for k in sorted(forms))]
     fn_names = sorted({f.fname for m, _ in fragments for f in atoms(m, Fn)})
@@ -174,7 +169,7 @@ def normalize_equation(e: Expr) -> Expr:
     if e == ZERO:
         return ZERO
     terms = add_terms(e)
-    scale = 1 / _rational_content(terms)
+    scale = 1 / _content(_coeff_mono(t)[0] for t in terms)
     if _coeff_mono(terms[0])[0] < 0:
         scale = -scale
     return expand(_nmul([Rat(scale), e]))

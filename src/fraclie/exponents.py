@@ -19,13 +19,6 @@ Monomial = tuple[tuple[str, int], ...]
 UNIT: Monomial = ()
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    acc: dict[str, int] = {}
-    for name, k in a + b:
-        acc[name] = acc.get(name, 0) + k
-    return tuple(sorted((n, k) for n, k in acc.items() if k != 0))
-
-
 class ExponentForm:
     """Q-linear combination of basis monomials; UNIT is the constant slot."""
 
@@ -62,6 +55,29 @@ class ExponentForm:
 
     def __sub__(self, other: "ExponentForm") -> "ExponentForm":
         return self + other.scale(-1)
+
+    def __mul__(self, other: "ExponentForm") -> "ExponentForm":
+        acc: dict[Monomial, Fraction] = {}
+        for m1, c1 in self.coeffs:
+            for m2, c2 in other.coeffs:
+                powers = dict(m1)
+                for name, k in m2:
+                    powers[name] = powers.get(name, 0) + k
+                m = tuple(sorted((n, k) for n, k in powers.items() if k))
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return ExponentForm(acc)
+
+    def __pow__(self, k: int) -> "ExponentForm":
+        """An integer power; a negative one only of a single monomial."""
+        if k < 0:
+            if len(self.coeffs) != 1:
+                raise ValueError("cannot invert a non-monomial exponent form")
+            (mono, c), = self.coeffs
+            return ExponentForm({tuple((n, -p) for n, p in mono): 1 / c}) ** -k
+        out = UNIT_FORM
+        for _ in range(k):
+            out = out * self
+        return out
 
     def scale(self, factor) -> "ExponentForm":
         f = Fraction(factor)
@@ -267,25 +283,15 @@ class Assumptions:
     """Declared facts about exponent atoms.
 
     The fractional order symbol always lies in the open interval (0, 1).
-    Parameters may be declared positive / nonzero / inside an interval, and
-    ad-hoc positivity facts about whole forms can be registered.
+    Parameters may be declared positive / nonzero / inside an interval.
     """
 
     def __init__(self, alpha_name: Optional[str] = None):
         self.alpha_name = alpha_name
         self._intervals: dict[str, Interval] = {}
         self._nonzero: set[str] = set()
-        self._positive_forms: set[ExponentForm] = set()
         if alpha_name is not None:
             self._intervals[alpha_name] = Interval(Fraction(0), Fraction(1), True, True)
-
-    def copy(self) -> "Assumptions":
-        out = Assumptions()
-        out.alpha_name = self.alpha_name
-        out._intervals = dict(self._intervals)
-        out._nonzero = set(self._nonzero)
-        out._positive_forms = set(self._positive_forms)
-        return out
 
     # -- declarations --------------------------------------------------------
     def declare_interval(self, name: str, lo, hi) -> None:
@@ -296,9 +302,6 @@ class Assumptions:
 
     def declare_nonzero(self, name: str) -> None:
         self._nonzero.add(name)
-
-    def declare_form_positive(self, form: ExponentForm) -> None:
-        self._positive_forms.add(form)
 
     def is_declared_nonzero(self, name: str) -> bool:
         return name in self._nonzero or (name in self._intervals and
@@ -326,11 +329,16 @@ class Assumptions:
             return 1
         if iv.is_negative():
             return -1
-        if form in self._positive_forms:
-            return 1
-        if (-form) in self._positive_forms:
-            return -1
         return None
+
+    def undecided(self, form: ExponentForm) -> Optional[ExponentForm]:
+        """The form, signed so that its first non-constant coefficient is
+        positive, when it is not rational and its sign is undecided: the
+        form of a separation note.  None otherwise."""
+        if form.is_rational() or self.sign(form) is not None:
+            return None
+        lead = next(c for m, c in form.coeffs if m != UNIT)
+        return -form if lead < 0 else form
 
     def nonpositive_integer(self, form: ExponentForm) -> Optional[bool]:
         """Is the form an exact nonpositive integer?  None when undecidable."""

@@ -238,7 +238,7 @@ class Pow(Expr):
         self._key = self._hash = self._expanded = None
 
     def _make_key(self):
-        return _pow_key(self.base.key(), self.exp)
+        return (6, self.base.key(), self.exp.sort_key())
 
 
 class Mul(Expr):
@@ -249,7 +249,7 @@ class Mul(Expr):
         self._key = self._hash = self._expanded = None
 
     def _make_key(self):
-        return _mul_key(tuple(f.key() for f in self.factors))
+        return (7, len(self.factors), tuple(f.key() for f in self.factors))
 
 
 class Add(Expr):
@@ -261,29 +261,6 @@ class Add(Expr):
 
     def _make_key(self):
         return (8, len(self.terms), tuple(t.key() for t in self.terms))
-
-
-# A canonical sum orders its terms by their monomials' keys, so code that
-# orders terms it builds outside the kernel takes their keys from here.
-
-def _pow_key(base_key: tuple, exp: ExponentForm) -> tuple:
-    """The key of the canonical power, to exp, of the base with key
-    base_key."""
-    return (6, base_key, exp.sort_key())
-
-
-def _mul_key(factor_keys: tuple) -> tuple:
-    return (7, len(factor_keys), factor_keys)
-
-
-def _product_key(factor_keys: Iterable[tuple]) -> tuple:
-    """The key of the canonical product of non-rational factors, no two of
-    one base, with the keys factor_keys: the factor's own key when there is
-    one, and () when there is none."""
-    keys = sorted(factor_keys)
-    if len(keys) < 2:
-        return keys[0] if keys else ()
-    return _mul_key(tuple(keys))
 
 
 ZERO = Rat(Fraction(0))
@@ -403,17 +380,6 @@ def _coeff_mono(term: Expr) -> tuple[Fraction, Optional[Expr]]:
         mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
     return Fraction(1), term
-
-
-def _rational_content(terms: Iterable[Expr]) -> Fraction:
-    """Positive rational content of nonzero canonical terms: the gcd of the
-    numerators of their coefficients over the lcm of the denominators."""
-    num, den = 0, 1
-    for t in terms:
-        c = _coeff_mono(t)[0]
-        num = math.gcd(num, c.numerator)
-        den = math.lcm(den, c.denominator)
-    return Fraction(num, den)
 
 
 def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
@@ -680,35 +646,10 @@ def eform_subs(f: ExponentForm, bindings: Mapping[str, Expr]) -> ExponentForm:
                 if rep is None:
                     raise ValueError(
                         f"binding for exponent symbol {name} is not exponent-affine")
-                piece = _eform_mul(piece, _eform_pow(rep, k))
+                piece = piece * rep ** k
             else:
-                piece = _eform_mul(piece, ExponentForm.symbol(name, k))
+                piece = piece * ExponentForm.symbol(name, k)
         out = out + piece
-    return out
-
-
-def _eform_mul(a: ExponentForm, b: ExponentForm) -> ExponentForm:
-    from .exponents import _mono_mul
-    acc: dict = {}
-    for m1, c1 in a.coeffs:
-        for m2, c2 in b.coeffs:
-            m = _mono_mul(m1, m2)
-            acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-    return ExponentForm(acc)
-
-
-def _eform_pow(a: ExponentForm, k: int) -> ExponentForm:
-    if k == 0:
-        return UNIT_FORM
-    if k < 0:
-        if len(a.coeffs) != 1:
-            raise ValueError("cannot invert a non-monomial exponent form")
-        mono, c = a.coeffs[0]
-        inv = ExponentForm({tuple((n, -p) for n, p in mono): 1 / c})
-        return _eform_pow(inv, -k)
-    out = a
-    for _ in range(k - 1):
-        out = _eform_mul(out, a)
     return out
 
 
@@ -786,9 +727,7 @@ def _diff(e: Expr, leaf: Callable[[Expr], Optional[Expr]]) -> Expr:
     d = leaf(e)
     if d is not None:
         return d
-    if isinstance(e, (Rat, Sym)):
-        return ZERO
-    if isinstance(e, (Var, Jet, Fn)):
+    if isinstance(e, (Rat, Sym, Var, Jet, Fn)):
         return ZERO
     if isinstance(e, Gamma):
         inner = _diff(e.arg, leaf)
@@ -814,25 +753,33 @@ def _diff(e: Expr, leaf: Callable[[Expr], Optional[Expr]]) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def partial_derivative(e: Expr, v: Var) -> Expr:
-    """Explicit partial derivative: jets are independent coordinates."""
+def partial_derivative(e: Expr, atom: ExprLike) -> Expr:
+    """Partial derivative with respect to an atom: a variable, a jet
+    coordinate or a symbol.  Every other variable, jet and symbol is an
+    independent coordinate; an opaque function is differentiated in each
+    argument equal to the atom."""
+    atom = as_expr(atom)
+
     def leaf(x: Expr) -> Optional[Expr]:
-        if isinstance(x, Var):
-            return ONE if x == v else ZERO
-        if isinstance(x, Jet):
-            return ZERO
+        if x == atom:
+            return ONE
         if isinstance(x, Fn):
             out = []
             for i, a in enumerate(x.args):
-                if isinstance(a, Var) and a == v:
-                    if x.frac and v.is_time:
+                if a == atom:
+                    if x.frac and isinstance(atom, Var) and atom.is_time:
                         raise FractionalChain(
                             "t-derivative through an opaque fractional application")
                     out.append(x.bump(i))
             return _nadd(out)
+        if isinstance(x, (Var, Jet, Sym)):
+            return ZERO
         return None
 
     return _diff(e, leaf)
+
+
+diff_wrt = partial_derivative
 
 
 def _bump_jet(j: Jet, v: Var) -> Jet:
@@ -867,29 +814,6 @@ def total_derivative(e: Expr, v: Var) -> Expr:
                         "t-derivative through an opaque fractional application")
                 out.append(_nmul([x.bump(i), da]))
             return _nadd(out)
-        return None
-
-    return _diff(e, leaf)
-
-
-def diff_wrt(e: Expr, atom: Expr) -> Expr:
-    """Partial derivative with respect to a jet coordinate (or Var/Sym)."""
-    atom = as_expr(atom)
-    if isinstance(atom, Var):
-        return partial_derivative(e, atom)
-    akey = atom.key()
-
-    def leaf(x: Expr) -> Optional[Expr]:
-        if x.key() == akey:
-            return ONE
-        if isinstance(x, Fn):
-            out = []
-            for i, a in enumerate(x.args):
-                if a.key() == akey:
-                    out.append(x.bump(i))
-            return _nadd(out) if out else ZERO
-        if isinstance(x, (Var, Jet, Sym)):
-            return ZERO
         return None
 
     return _diff(e, leaf)

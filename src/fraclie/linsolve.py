@@ -20,7 +20,8 @@ canonical expressions the elements render to (Elem.num, Elem.den,
 Field.to_expr), so rendering is the only conversion back to expressions.
 Most entries of a determining matrix are rational, and arithmetic on two of
 them is plain Fraction arithmetic.  Zero-testing is structural on the
-numerator.
+numerator.  A value over a sum can have more than one form, so elements
+compare by value: a == b when the numerator of a - b is zero.
 
 Pivots prefer rational entries, then entries provably nonzero under the
 declared assumptions; pivoting on anything else records a genericity
@@ -34,8 +35,7 @@ from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
-                   _base_exp, _coeff_mono, _nadd, _nmul, _npow, _pow_key,
-                   _product_key, add_terms,
+                   _base_exp, _coeff_mono, _nadd, _nmul, _npow, add_terms,
                    any_node, expand, gamma_simplify, mul_factors, render,
                    to_eform)
 from .records import record
@@ -123,9 +123,10 @@ class Elem:
         return self._fld._den_expr(self.c, self.f)
 
     def __eq__(self, other) -> bool:
-        # atom ids are per Field, so elements of two Fields do not compare
+        """Equal values: the difference's numerator is zero.  Atom ids are
+        per Field, so elements of two Fields do not compare."""
         return (isinstance(other, Elem) and self._fld is other._fld
-                and self.p == other.p and self.c == other.c and self.f == other.f)
+                and self._fld.sub(self, other).is_zero())
 
     def __repr__(self) -> str:
         return f"Elem({render(self.num)}, {render(self.den)})"
@@ -134,11 +135,10 @@ class Elem:
 class Field:
     def __init__(self, assumptions: Optional[Assumptions] = None):
         self.asm = assumptions if assumptions is not None else Assumptions()
-        # atoms and content-free sums share one id space; per id: the key
-        # and the expression of the base, the atom (None for a sum) and the
-        # sum (None for an atom)
+        # atoms and content-free sums share one id space; per id: the
+        # expression of the base, the atom (None for a sum) and the sum
+        # (None for an atom)
         self._ids: dict = {}
-        self._keys: list = []
         self._atoms: list[Optional[Expr]] = []
         self._sums: list[Optional[Poly]] = []
         self._exprs: list[Optional[Expr]] = []
@@ -156,8 +156,7 @@ class Field:
         return e
 
     # -- atoms, terms and polynomials -------------------------------------
-    def _new_id(self, atom: Optional[Expr], s: Optional[Poly], key=None) -> int:
-        self._keys.append(key)
+    def _new_id(self, atom: Optional[Expr], s: Optional[Poly]) -> int:
         self._atoms.append(atom)
         self._sums.append(s)
         self._exprs.append(atom)
@@ -174,9 +173,9 @@ class Field:
             s = self._expr_poly(b) if isinstance(b, Add) else None
             if s is not None and _content(s.values()) == 1:
                 i = self._sum(s)
-                self._keys[i], self._exprs[i] = k, b
+                self._exprs[i] = b
             else:
-                i = self._new_id(b, None, k)
+                i = self._new_id(b, None)
             self._ids[k] = i
         return i
 
@@ -193,11 +192,6 @@ class Field:
             self._exprs[i] = self._poly_expr(self._sums[i])
         return self._exprs[i]
 
-    def _key(self, i: int) -> tuple:
-        if self._keys[i] is None:
-            self._keys[i] = self._base_expr(i).key()
-        return self._keys[i]
-
     def term(self, t: Expr) -> Term:
         """A canonical non-sum expression as a rational times a monomial."""
         c, mono = _coeff_mono(t)
@@ -205,13 +199,6 @@ class Field:
             return c, ()
         return c, tuple(sorted((self._atom(b), _exp(ex))
                                for b, ex in map(_base_exp, mul_factors(mono))))
-
-    def mono_key(self, m: Mono, extra: tuple = ()) -> tuple:
-        """The key of the monomial's canonical expression times factors with
-        the keys `extra`: the order of the terms of a canonical sum."""
-        return _product_key([self._key(i) if e == 1
-                             else _pow_key(self._key(i), _eform(e))
-                             for i, e in m] + list(extra))
 
     def terms(self, e: Expr) -> list[Term]:
         """The terms of an expression after norm_expr, in canonical order."""
@@ -429,9 +416,6 @@ class Field:
             return self._rat(a.r / b.r)
         cb, fb = self._fmap(b.p)
         return self._cancel(self._pmul(a.p, self._dpoly(b)), a.c * cb, _merge(a.f, fb))
-
-    def eq(self, a: Elem, b: Elem) -> bool:
-        return self.sub(a, b).is_zero()
 
     # -- factor cancellation -------------------------------------------------
     def _cancel(self, num: Poly, cd: Fraction, fd: dict) -> Elem:

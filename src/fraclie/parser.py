@@ -435,10 +435,14 @@ def parse_system(text: str) -> PDESystem:
     # variables and dependents, so they are checked once all are declared
     ans = AnsatzGenerator(sig, alpha_expr)
     taken = ans.unknown_names() | set(ans.gamma_symbols())
+    operators = {f"D{v}" for v in (sig.t_name, *spaces)}
     for name, tok in seen.items():
         if name in taken:
             raise DslSemanticError(f"{name!r} names an unknown of the "
                                    "symmetry generator", tok.line, tok.col)
+        if name in operators:
+            raise DslSemanticError(f"{name!r} names a derivative operator",
+                                   tok.line, tok.col)
 
     rhs_by_dep: dict[str, Expr] = {}
     while stream.peek().kind != "EOF":

@@ -11,10 +11,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
-from .expr import (Expr, Jet, Var, ZERO, ONE, _eform_mul, _eform_pow,
-                   _nadd, _nmul, atoms, depends_on_jets, diff_wrt,
-                   expand, map_children, partial_derivative, substitute,
-                   to_eform)
+from .expr import (Expr, Jet, Var, ZERO, ONE, _nadd, _nmul, atoms,
+                   depends_on_jets, expand, map_children, partial_derivative,
+                   substitute, to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Field
 from .model import PDESystem, Signature, make_system
@@ -104,7 +103,7 @@ class EKReduction:
     z_exponents: tuple[ExponentForm, ...]       # A_i
     u_exponents: tuple[ExponentForm, ...]       # B_s
     ek_epsilon: tuple[ExponentForm, ...]        # 1 + B_s - alpha
-    ek_delta: tuple[Optional[ExponentForm], ...]  # 1/A_i (None if A_i = 0)
+    ek_delta: tuple[Optional[ExponentForm], ...]  # 1/A_i, None unless A_i is a monomial
 
     def describe(self) -> list[str]:
         sig = self.sig
@@ -114,8 +113,10 @@ class EKReduction:
         for s, B in enumerate(self.u_exponents):
             out.append(f"U{s + 1} = {sig.dep_names[s]}*{sig.t_name}^({(-B).render()})")
         for s in range(len(self.u_exponents)):
-            delta = ", ".join(d.render() if d is not None else "inf"
-                              for d in self.ek_delta)
+            delta = ", ".join(
+                d.render() if d is not None
+                else "inf" if A.is_zero() else f"1/({A.render()})"
+                for d, A in zip(self.ek_delta, self.z_exponents))
             pre = (self.u_exponents[s] - to_eform(self.alpha)).render()
             out.append(f"Dt^alpha {sig.dep_names[s]} = {sig.t_name}^({pre}) * "
                        f"(P[eps={self.ek_epsilon[s].render()}, alpha, "
@@ -125,7 +126,7 @@ class EKReduction:
 
 def _linear_coefficient(e: Expr, atom: Expr) -> Expr:
     """c with e == c*atom exactly, else None."""
-    c = diff_wrt(e, atom)
+    c = partial_derivative(e, atom)
     if expand(e - _nmul([c, atom])) != ZERO:
         return None
     return c
@@ -141,7 +142,7 @@ def scaling_similarity(gen: Generator, alpha: Expr,
     chi1_form = to_eform(chi1)
     if chi1_form is None or len(chi1_form.coeffs) != 1:
         raise NotScaling("the t-coefficient of tau must be a parameter monomial")
-    inv_chi1 = _eform_pow(chi1_form, -1)
+    inv_chi1 = chi1_form ** -1
 
     a_forms = []
     for i in range(sig.p):
@@ -152,7 +153,7 @@ def scaling_similarity(gen: Generator, alpha: Expr,
         fa = to_eform(ai)
         if fa is None:
             raise NotScaling("space scaling coefficients must be exponent-affine")
-        a_forms.append(_eform_mul(fa, inv_chi1))
+        a_forms.append(fa * inv_chi1)
     b_forms = []
     for s in range(sig.q):
         bs = _linear_coefficient(gen.eta[s], sig.u(s))
@@ -163,18 +164,12 @@ def scaling_similarity(gen: Generator, alpha: Expr,
         fb = to_eform(bs)
         if fb is None:
             raise NotScaling("dependent scaling coefficients must be exponent-affine")
-        b_forms.append(_eform_mul(fb, inv_chi1))
+        b_forms.append(fb * inv_chi1)
 
     af = to_eform(alpha)
     eps = tuple(UNIT_FORM + B - af for B in b_forms)
-    delta = tuple(None if A.is_zero() else _inv_form(A) for A in a_forms)
+    delta = tuple(A ** -1 if len(A.coeffs) == 1 else None for A in a_forms)
     return EKReduction(sig, alpha, tuple(a_forms), tuple(b_forms), eps, delta)
-
-
-def _inv_form(A: ExponentForm) -> Optional[ExponentForm]:
-    if len(A.coeffs) != 1:
-        return None
-    return _eform_pow(A, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ each computed once per solve.  The rows are the (t-power, monomial)
 classes of those images; no instantiated equation is built or expanded.
 The field coefficients are carried as terms of the Field (a rational times
 a monomial in the parameter and Gamma atoms), and an entry is the sum of
-the elements of its product terms, in the order of the expanded
-expression's terms.  The components of the generators are compiled the
+the elements of its product terms.  The components of the generators are compiled the
 same way once per solve, so a null vector becomes a generator coefficient
 by coefficient: the sum over columns of the entry times the column's
 coefficient.
@@ -485,18 +484,11 @@ def _products(ops, inst: _Instantiation, fld: Field, ncols: int
     return sums
 
 
-def _entry(terms: dict, fld: Field, extra: tuple = ()) -> Optional[Elem]:
+def _entry(terms: dict, fld: Field) -> Optional[Elem]:
     """The field element of a sum of terms, or None when they cancel as
-    expressions.  The terms are added in the order of the expanded
-    expression's terms, each times the factors whose keys are `extra`, so
-    the Elem is the same sum of the same per-term Elems as the expression's
-    would be."""
-    terms = [(m, c) for m, c in terms.items() if c]
-    if not terms:
-        return None
-    if len(terms) > 1:
-        terms.sort(key=lambda mc: fld.mono_key(mc[0], extra))
-    return fld.fold((c, m) for m, c in terms)
+    expressions."""
+    terms = [(c, m) for m, c in terms.items() if c]
+    return fld.fold(terms) if terms else None
 
 
 def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
@@ -511,7 +503,7 @@ def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
     sums = _products(_operator_form(eq, inst, fld), inst, fld, len(inst.columns))
     classes: dict[int, dict[int, Elem]] = {}
     for (cls, col), terms in sums.items():
-        entry = _entry(terms, fld, (Sym(inst.columns[col]).key(),))
+        entry = _entry(terms, fld)
         if entry is not None:
             classes.setdefault(cls, {})[col] = entry
     order = sorted(classes, key=lambda c: inst.shapes[c][2])
@@ -524,13 +516,8 @@ def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
                   or not ledger_columns.isdisjoint(classes[c])})
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
-            d = forms[i] - forms[j]
-            if d.is_zero() or d.is_rational():
-                continue
-            if fld.asm.sign(d) is None and fld.asm.sign(-d) is None:
-                lead = next(c for m, c in d.coeffs if m != ())
-                if lead < 0:
-                    d = -d
+            d = fld.asm.undecided(forms[i] - forms[j])
+            if d is not None:
                 notes.append(f"{d.render()} != 0 (separates t-power "
                              "classes during the solve)")
 

@@ -44,7 +44,7 @@ def assert_same_constraint_set(mine, paper, ds):
     assert len(r1.rows) == len(r2.rows)
     for row1, row2 in zip(r1.rows, r2.rows):
         for e1, e2 in zip(row1, row2):
-            assert fld.eq(e1, e2)
+            assert e1 == e2
 
 
 class TestHCondition:

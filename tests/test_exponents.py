@@ -1,10 +1,13 @@
-"""Sign decisions over the declared parameter domains."""
+"""Sign decisions over the declared parameter domains, and the ring
+operations of exponent forms."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclie import Assumptions, ExponentForm
-from fraclie.exponents import Interval
+from fraclie import Assumptions, ExponentForm, mul, pow_
+from fraclie.exponents import UNIT_FORM, Interval
+from fraclie.expr import from_eform, to_eform
 
 F = Fraction
 k = ExponentForm.symbol("k")
@@ -67,3 +70,44 @@ def test_decided_signs_hold_at_every_point(form, a, m_val, k_val, k_negative):
     value = form.subs({"a": a, "m": m_val, "k": -k_val if k_negative else k_val})
     v = value.as_rational()
     assert (v > 0) - (v < 0) == sign
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _small_forms(draw, max_size=3):
+    terms = draw(st.lists(st.tuples(st.sampled_from(_MONOMIALS), _SMALL),
+                          max_size=max_size))
+    return ExponentForm(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_forms(), _small_forms(), _small_forms())
+def test_product_is_a_commutative_ring_product(f, g, h):
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f * UNIT_FORM == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_forms(), _small_forms(), st.integers(0, 3))
+def test_products_and_powers_agree_with_the_kernel(f, g, k):
+    assert to_eform(mul(from_eform(f), from_eform(g))) == f * g
+    assert to_eform(pow_(from_eform(f), k)) == f ** k
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_MONOMIALS), _SMALL.filter(bool), st.integers(1, 3))
+def test_a_monomial_has_an_inverse(mono, c, k):
+    m = ExponentForm({mono: c})
+    assert m * m ** -1 == UNIT_FORM
+    assert m ** -k == (m ** k) ** -1
+
+
+def test_only_a_monomial_is_inverted():
+    with pytest.raises(ValueError):
+        (k + m) ** -1
+    with pytest.raises(ValueError):
+        ExponentForm() ** -1

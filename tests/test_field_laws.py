@@ -1,10 +1,9 @@
 """Field laws of the exact rational-function field, over Q(a, n) with the
 Gamma atom Gamma(a) and denominators that are sums.
 
-Values are compared with Field.eq, a structural zero test on the numerator
-of the difference; commutativity is also structural.  The zero test is
-checked against exact evaluation at random rational points, with Gamma(a)
-taken as an independent variable.
+Values are compared with ==, a structural zero test on the numerator of
+the difference.  The zero test is checked against exact evaluation at
+random rational points, with Gamma(a) taken as an independent variable.
 """
 from fractions import Fraction
 
@@ -66,10 +65,9 @@ def test_commutativity(p, q):
 def test_associativity_and_distributivity(p, q, r):
     fld = field()
     x, y, z = fld.elem(*p), fld.elem(*q), fld.elem(*r)
-    assert fld.eq(fld.add(fld.add(x, y), z), fld.add(x, fld.add(y, z)))
-    assert fld.eq(fld.mul(fld.mul(x, y), z), fld.mul(x, fld.mul(y, z)))
-    assert fld.eq(fld.mul(x, fld.add(y, z)),
-                  fld.add(fld.mul(x, y), fld.mul(x, z)))
+    assert fld.add(fld.add(x, y), z) == fld.add(x, fld.add(y, z))
+    assert fld.mul(fld.mul(x, y), z) == fld.mul(x, fld.mul(y, z))
+    assert fld.mul(x, fld.add(y, z)) == fld.add(fld.mul(x, y), fld.mul(x, z))
 
 
 @SETTINGS
@@ -79,7 +77,16 @@ def test_inverses(p, q):
     x, y = fld.elem(*p), fld.elem(*q)
     assert fld.sub(x, x).is_zero()
     assert not y.is_zero()
-    assert fld.eq(fld.div(fld.mul(x, y), y), x)
+    assert fld.div(fld.mul(x, y), y) == x
+
+
+@SETTINGS
+@given(elements(), elements())
+def test_equality_is_a_zero_difference(p, q):
+    fld = field()
+    x, y = fld.elem(*p), fld.elem(*q)
+    assert (x == y) == fld.sub(x, y).is_zero()
+    assert x == fld.elem(*p)
 
 
 @SETTINGS
@@ -87,7 +94,7 @@ def test_inverses(p, q):
 def test_expression_round_trip(p):
     fld = field()
     x = fld.elem(*p)
-    assert fld.eq(fld.elem(fld.to_expr(x)), x)
+    assert fld.elem(fld.to_expr(x)) == x
 
 
 def _evaluate(e, point):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fraclie import (ExponentForm, Fn, Gamma, Generator, NotScaling, NotTranslation, Sym, UndecidableExponent,
-                     ZERO, ONE, add, expand, mul, neg, pow_, scaling_similarity,
+                     ZERO, ONE, add, expand, mul, neg, parse_system, pow_, scaling_similarity,
                      simplify, translation_reduction, verify_exact_solution)
 from fraclie.lemmas import similarity_invariance_residuals
 
@@ -90,6 +90,21 @@ class TestScaling:
         red = scaling_similarity(self.zk_scaling(zk), zk.alpha)
         res = similarity_invariance_residuals(self.zk_scaling(zk), red)
         assert all(r == ZERO for r in res)
+
+    def test_delta_is_infinite_only_for_a_fixed_variable(self):
+        # Dt^a u = t*u_xx scales x by t^((1+a)/2): delta = 2/(1+a), which is
+        # no exponent form, and is rendered as the reciprocal of A
+        sys = parse_system("alpha a; space x; dep u; Dt^a(u) = t*Dx^2(u);")
+        sig = sys.sig
+        half = F(1, 2)
+        gen = gen_of(sig, tau=sig.t, xi=[mul(add(half, mul(half, a)), sig.x(0))])
+        red = scaling_similarity(gen, sys.alpha)
+        assert red.z_exponents == (AF.scale(half) + ExponentForm.rational(half),)
+        assert red.ek_delta == (None,)
+        assert "delta=(1/(1/2*a+1/2))]" in red.describe()[-1]
+        fixed = scaling_similarity(gen_of(sig, tau=sig.t), sys.alpha)
+        assert fixed.ek_delta == (None,)
+        assert "delta=(inf)]" in fixed.describe()[-1]
 
     def test_not_scaling(self, zk):
         with pytest.raises(NotScaling):

@@ -148,6 +148,25 @@ class TestCli:
         assert out.stderr == (f"error: semantic error at {where}: {name!r} "
                               "names an unknown of the symmetry generator\n")
 
+    @pytest.mark.parametrize("name,src,where", [
+        ("Dx", "alpha a; space x;\nfn Dx(u); dep u;\n"
+         "Dt^a(u) = Dx^2(u);\n", "2:4"),
+        ("Dx", "alpha a; space x;\ndep Dx;\n"
+         "Dt^a(Dx) = Dx^2(Dx);\n", "2:5"),
+        ("Dx", "alpha a; space x; dep u;\nparam Dx;\n"
+         "Dt^a(u) = Dx^2(u);\n", "2:7"),
+        ("Dt", "alpha a; space x; dep u;\nparam Dt;\n"
+         "Dt^a(u) = Dx^2(u);\n", "2:7"),
+    ])
+    def test_names_of_derivative_operators_are_rejected(self, tmp_path, name,
+                                                        src, where):
+        f = tmp_path / "clash.fpde"
+        f.write_text(src)
+        out = run_cli("analyze", str(f))
+        assert out.returncode == 1
+        assert out.stderr == (f"error: semantic error at {where}: {name!r} "
+                              "names a derivative operator\n")
+
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")
         assert out.returncode == 1

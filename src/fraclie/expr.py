@@ -27,7 +27,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
-from .exponents import (Assumptions, ExponentForm, UNIT_FORM, ZERO_FORM)
+from .exponents import (Assumptions, ExponentForm, Interval, UNIT_FORM,
+                        ZERO_FORM)
 
 
 class KernelError(Exception):
@@ -852,14 +853,26 @@ def mul_factors(e: Expr) -> tuple[Expr, ...]:
 # Gamma normalization
 # ---------------------------------------------------------------------------
 
-_MAX_GAMMA_SHIFTS = 64
+def _shift_count(iv: Interval) -> int:
+    """The number of integers j >= 1 for which iv - j is positive: how often
+    Gamma(z) = (z-1) Gamma(z-1) applies while the argument stays provably
+    greater than 1, for z in iv."""
+    if iv.lo is None:
+        return 0
+    k = math.floor(iv.lo)
+    if k == iv.lo and not iv.lo_open:
+        k -= 1
+    return max(k, 0)
 
 
 def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
     """Normalize Gamma applications: integer arguments evaluate to factorials
-    and any argument provably greater than 1 is base-shifted with the
-    recurrence Gamma(z) = (z-1) Gamma(z-1).  Ratios Gamma(z+m)/Gamma(z) then
-    cancel through ordinary exponent merging.  Idempotent."""
+    and any other argument z is base-shifted in one step,
+    Gamma(z) = (z-1)(z-2)...(z-k) Gamma(z-k), k being the number of integers
+    j >= 1 with z-j provably positive.  k is read off the interval of z, so
+    there is no cap on it; the k prefactors of a rational z are one Rat.
+    Ratios Gamma(z+m)/Gamma(z) then cancel through ordinary exponent
+    merging, whatever m.  Idempotent."""
     asm = assumptions if assumptions is not None else Assumptions()
 
     def transform(x: Expr) -> Expr:
@@ -873,19 +886,14 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
                 if r >= 1:
                     return Rat(Fraction(math.factorial(int(r) - 1)))
                 return Gamma(arg)  # pole; callers handle these before building
-            prefactors: list[Expr] = []
-            for _ in range(_MAX_GAMMA_SHIFTS):
-                if asm.sign(f - UNIT_FORM) == 1:
-                    f = f - UNIT_FORM
-                    prefactors.append(from_eform(f))
-                else:
-                    break
-            core: Expr
-            r = f.as_rational()
-            if r is not None and r == 1:
-                core = ONE
-            else:
-                core = Gamma(from_eform(f))
+            k = _shift_count(asm.interval_of(f))
+            if r is not None:
+                p, q = r.numerator, r.denominator
+                falling = math.prod(p - j * q for j in range(1, k + 1))
+                return _nmul([Rat(Fraction(falling, q ** k)), Gamma(Rat(r - k))])
+            prefactors = [from_eform(f - ExponentForm.rational(j))
+                          for j in range(1, k + 1)]
+            core = Gamma(from_eform(f - ExponentForm.rational(k)))
             return _nmul(prefactors + [core])
         return map_children(x, transform)
 

@@ -9,12 +9,17 @@ definition, independently of the symbolic power rule:
 * sampled inputs: the Grunwald-Letnikov difference at two resolutions with a
   Richardson comparison for the error estimate.
 
+A quadrature rule depends only on (nodes, order, m), so each is computed
+once per process and kept, read-only, in a bounded cache; the values are
+the same floats as with a fresh rule.
+
 This module owns all floating-point evaluation; the symbolic layer stays
 exact.  numpy and scipy are imported only when the quadrature runs, so
 importing the package does not load them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -131,18 +136,15 @@ def numeric_rl_oracle(f: Union[PowerSum, Callable[[float], float]],
     return OracleResult(tuple(vals), tuple(errs), "grunwald-letnikov")
 
 
-def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
-                     nodes: int) -> float:
-    """d/dt [ t^(1-a) * int_0^1 (1-sigma)^(-a) f(t sigma) dsigma ] / Gamma(1-a)
-    = t^(-a)/Gamma(1-a) * [ (1-a) I1 + I2 ],  I1 = int w f(t sigma),
-    I2 = int w sigma f'(t sigma); sigma = rho^m makes the integrand smooth."""
+@functools.lru_cache(maxsize=128)
+def _jacobi_rule(nodes: int, a: float, m: int):
+    """The Gauss-Jacobi rule of _gauss_jacobi_rl for weight (1-sigma)^(-a)
+    after sigma = rho^m: (weights, sigma, Jacobian factor), read-only
+    arrays.  A pure function of its arguments, so each rule is computed once
+    per process."""
     import numpy as np
     from scipy.special import roots_jacobi
 
-    m = 1
-    for _, g in terms:
-        m = m * g.denominator // math.gcd(m, g.denominator)
-    m = min(m, 16)
     x, w = roots_jacobi(nodes, -a, 0.0)
     rho = (x + 1.0) / 2.0
     sigma = rho ** m
@@ -151,6 +153,22 @@ def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
     for j in range(1, m):
         omega += rho ** j
     jac = m * rho ** (m - 1) * omega ** (-a)
+    for arr in (w, sigma, jac):
+        arr.setflags(write=False)
+    return w, sigma, jac
+
+
+def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
+                     nodes: int) -> float:
+    """d/dt [ t^(1-a) * int_0^1 (1-sigma)^(-a) f(t sigma) dsigma ] / Gamma(1-a)
+    = t^(-a)/Gamma(1-a) * [ (1-a) I1 + I2 ],  I1 = int w f(t sigma),
+    I2 = int w sigma f'(t sigma); sigma = rho^m makes the integrand smooth."""
+    import numpy as np
+
+    m = 1
+    for _, g in terms:
+        m = m * g.denominator // math.gcd(m, g.denominator)
+    w, sigma, jac = _jacobi_rule(nodes, a, min(m, 16))
 
     def f_at(s: np.ndarray) -> np.ndarray:
         out = np.zeros_like(s)

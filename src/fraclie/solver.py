@@ -108,22 +108,26 @@ class Generator:
 
 class ConcreteGenerator:
     """Duck-typed stand-in for AnsatzGenerator with concrete components, used
-    to re-derive the two conditions independently for verification."""
+    to re-derive the two conditions independently for verification.  The
+    pieces the conditions ask for once per jet, tau', d eta_s/d u_i and h_s,
+    are computed once per generator."""
 
     def __init__(self, gen: Generator, alpha: Expr,
                  assumptions: Optional[Assumptions] = None):
         self.gen = gen
-        self.sig = gen.sig
+        self.sig = sig = gen.sig
         self.alpha = alpha
         self.asm = assumptions if assumptions is not None else Assumptions()
+        self.tau_prime = total_derivative(gen.tau, sig.t)
+        self._deta_du = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)]
+                         for eta in gen.eta]
+        self._h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)])
+                                  for j, d in enumerate(row)])
+                   for eta, row in zip(gen.eta, self._deta_du)]
 
     @property
     def tau(self) -> Expr:
         return self.gen.tau
-
-    @property
-    def tau_prime(self) -> Expr:
-        return total_derivative(self.gen.tau, self.sig.t)
 
     def xi(self, i: int) -> Expr:
         return self.gen.xi[i]
@@ -132,14 +136,10 @@ class ConcreteGenerator:
         return self.gen.eta[s]
 
     def deta_du(self, s: int, i: int) -> Expr:
-        return diff_wrt(self.gen.eta[s], self.sig.u(i))
+        return self._deta_du[s][i]
 
     def h(self, s: int) -> Expr:
-        e = self.gen.eta[s]
-        pieces = [e]
-        for j in range(self.sig.q):
-            pieces.append(_nmul([Rat(-1), self.deta_du(s, j), self.sig.u(j)]))
-        return _nadd(pieces)
+        return self._h[s]
 
     def h_frac(self, s: int) -> Expr:
         h = self.h(s)

@@ -10,9 +10,10 @@ from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
                      NonPolynomial, Rat, Sym, Var, ZERO, ONE, add, div, expand,
                      gamma_simplify, mul, neg, partial_derivative, pow_,
                      simplify, substitute, total_derivative)
+from fraclie.exponents import UNIT_FORM
 from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
-                          UnsupportedDerivative, any_node, map_children,
-                          mul_factors)
+                          UnsupportedDerivative, any_node, from_eform,
+                          map_children, mul_factors)
 from fraclie.lemmas import collect_monomials
 
 F = Fraction
@@ -489,3 +490,47 @@ class TestGammaSimplify:
         e = div(Gamma(add(a, 3)), Gamma(add(a, 1)))
         once = gamma_simplify(e, self.asm)
         assert gamma_simplify(once, self.asm) == once
+
+    def test_shift_has_no_cap(self):
+        got = gamma_simplify(div(Gamma(add(a, 70)), Gamma(a)), self.asm)
+        assert not any_node(got, lambda e: isinstance(e, Gamma))
+        assert got == mul(*[add(a, j) for j in range(70)])
+
+
+def _stepwise_shift(f: ExponentForm, asm: Assumptions) -> Expr:
+    """Gamma(z) shifted one step at a time while z-1 is provably positive:
+    the recurrence gamma_simplify reads off the interval of z in one step."""
+    prefactors = []
+    for _ in range(64):
+        if asm.sign(f - UNIT_FORM) != 1:
+            break
+        f = f - UNIT_FORM
+        prefactors.append(from_eform(f))
+    else:
+        raise AssertionError("more than 64 shifts")
+    return mul(*prefactors, Gamma(from_eform(f)))
+
+
+def _shift_asm() -> Assumptions:
+    asm = Assumptions("a")
+    asm.declare_positive("n")
+    return asm
+
+
+_SHIFT_ARGS = st.one_of(
+    # a rational k/d that is not an integer (integers evaluate to factorials)
+    st.builds(lambda k, d: ExponentForm.rational(F(k, d)),
+              st.integers(-64 * 6, 64 * 6), st.integers(2, 6))
+      .filter(lambda f: f.as_integer() is None and f.as_rational() < 64),
+    # c + a, c + 2a, c - a with 0 < a < 1; c + n with n > 0
+    st.builds(lambda c, form: ExponentForm.rational(c) + form,
+              st.one_of(st.integers(-10, 63), st.fractions(-10, 63, max_denominator=6)),
+              st.sampled_from([A_FORM, A_FORM.scale(2), -A_FORM, N_FORM])),
+)
+
+
+@given(_SHIFT_ARGS)
+def test_one_step_shift_is_the_stepwise_recurrence(f):
+    asm = _shift_asm()
+    got = gamma_simplify(Gamma(from_eform(f)), asm)
+    assert got.key() == _stepwise_shift(f, asm).key()

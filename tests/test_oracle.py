@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraclie import oracle
 from fraclie import (ExponentForm, PowerSum, Rat, SingularInput, Var, ONE,
                      evaluate, numeric_rl_oracle, pow_)
 
@@ -97,3 +98,59 @@ def test_import_loads_neither_numpy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def _uncached_gauss_jacobi(g: Fraction, a: float, tv: float, nodes: int) -> float:
+    """The Gauss-Jacobi value of t^g at one point, its rule computed afresh
+    from roots_jacobi: the arithmetic of oracle._gauss_jacobi_rl, step by
+    step."""
+    import numpy as np
+    from scipy.special import roots_jacobi
+
+    m = min(g.denominator, 16)
+    x, w = roots_jacobi(nodes, -a, 0.0)
+    rho = (x + 1.0) / 2.0
+    sigma = rho ** m
+    omega = np.ones_like(rho)
+    for j in range(1, m):
+        omega += rho ** j
+    jac = m * rho ** (m - 1) * omega ** (-a)
+    s = tv * sigma
+    f = np.zeros_like(s)
+    f += 1.0 * s ** float(g)
+    sfp = np.zeros_like(s)
+    if g != 0:
+        sfp += 1.0 * float(g) * s ** float(g) / tv
+    i1 = 2.0 ** (a - 1.0) * np.dot(w, jac * f)
+    i2 = 2.0 ** (a - 1.0) * np.dot(w, jac * sfp)
+    return tv ** (-a) / math.gamma(1.0 - a) * ((1.0 - a) * i1 + tv * i2)
+
+
+class TestQuadratureRules:
+    """Each Gauss-Jacobi rule is computed once per (nodes, order, m) and
+    kept, read-only, in a bounded cache."""
+
+    @pytest.mark.parametrize("g, a, tv", [(F(2), F(1, 2), 1.0),
+                                          (F(5, 2), F(1, 4), 0.5),
+                                          (F(7, 4), F(3, 8), 2.75),
+                                          (F(0), F(3, 4), 1.5)])
+    def test_values_are_bit_identical_to_a_fresh_rule(self, g, a, tv):
+        got = numeric_rl_oracle(mono(g), a, [tv])
+        v1 = _uncached_gauss_jacobi(g, float(a), tv, oracle._NODES)
+        v0 = _uncached_gauss_jacobi(g, float(a), tv, oracle._NODES // 2)
+        assert got.values == (v1,)
+        assert got.errors == (abs(v1 - v0),)
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in oracle._jacobi_rule(oracle._NODES, 0.5, 2):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_a_grid_adds_at_most_one_miss_per_rule(self):
+        # an order and an m no other test uses: two node counts, two rules
+        before = oracle._jacobi_rule.cache_info().misses
+        numeric_rl_oracle(mono(F(7, 3)), F(5, 17), [0.5, 1.0, 2.0])
+        assert oracle._jacobi_rule.cache_info().misses - before <= 2
+        again = oracle._jacobi_rule.cache_info().misses
+        numeric_rl_oracle(mono(F(7, 3)), F(5, 17), [0.25, 3.0, 4.0])
+        assert oracle._jacobi_rule.cache_info().misses == again

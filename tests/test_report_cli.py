@@ -13,6 +13,7 @@ from conftest import DEMOS, TELE_POW_GEN, ZK_SRC
 
 NO_SYMMETRY_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + x*u^3 + u^2 + u^4;"
 REFERENCE_JSON = DEMOS.parent / "perfbench" / "reference" / "demos"
+ORACLE_CHECK_JSON = pathlib.Path(__file__).resolve().parent / "zk_oracle_check.json"
 
 
 def run_cli(*args, cwd=None):
@@ -201,6 +202,19 @@ def test_demo_json_matches_recorded_contract(name):
                          capture_output=True, cwd=str(DEMOS.parent))
     assert out.returncode == 0, out.stderr
     assert out.stdout == (REFERENCE_JSON / f"{name}.json").read_bytes()
+
+
+def test_oracle_check_json_matches_recording():
+    # --oracle-check adds the numeric oracle's verdict to zk's JSON; the
+    # recording was made before the quadrature rules were cached, and the
+    # cached rules are the same floats
+    out = subprocess.run([sys.executable, "-m", "fraclie.cli", "analyze",
+                          "demos/zk.fpde", "--oracle-check", "--emit", "json"],
+                         capture_output=True, cwd=str(DEMOS.parent))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ORACLE_CHECK_JSON.read_bytes()
+    oracle = json.loads(out.stdout)["checks"]["oracle"]
+    assert oracle["worst_abs_error"] == 1.9435901776887476e-09
 
 
 # Start-up: the CLI path needs no code generation (dataclasses, inspect), no

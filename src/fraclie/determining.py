@@ -8,18 +8,15 @@ Genericity facts used to keep monomial classes apart are recorded.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
-                   add_terms, atoms, depends_on_jets,
-                   diff_wrt, expand, group_by_monomial, map_children,
-                   mul_factors, partial_derivative, render, substitute,
-                   total_derivative)
+                   add_terms, atoms, depends_on_jets, expand,
+                   group_by_monomial, map_children, mul_factors, render,
+                   substitute)
 from .linsolve import _content
-from .model import PDESystem, TermClassification, classify_terms
-from .prolong import AnsatzGenerator, eta_theta_of, is_unknown
+from .model import PDESystem
+from .prolong import AnsatzGenerator, is_unknown
 from .records import record
 
 
@@ -27,71 +24,49 @@ from .records import record
 # The two conditions
 # ---------------------------------------------------------------------------
 
-def _d_theta_h(ans: AnsatzGenerator, dep: int, theta: tuple[int, ...]) -> Expr:
-    h = ans.h(dep)
-    out: Expr = h
-    for i, k in enumerate(theta):
-        v = ans.sig.x(i)
-        for _ in range(k):
-            out = total_derivative(out, v)
-    return out
-
-
-def invariance_condition(sys: PDESystem, ans: AnsatzGenerator,
-                         classification: Optional[TermClassification] = None
-                         ) -> list[Expr]:
+def invariance_condition(sys: PDESystem, ans) -> list[Expr]:
     """Condition 2 per equation: jet-polynomial; its vanishing together with
-    condition 1 characterizes invariance."""
+    condition 1 characterizes invariance.  ans is an AnsatzGenerator or a
+    solver.ConcreteGenerator; the extended infinitesimals come from its
+    Leibniz prolongation, and the facts of the system from the system."""
     sig = sys.sig
-    cl = classification if classification is not None else classify_terms(sys)
-    xi = [ans.xi(i) for i in range(sig.p)]
-    etas = [ans.eta(s) for s in range(sig.q)]
+    cl = sys.classification
+    pro = ans.prolongation
     out: list[Expr] = []
     for s in range(sig.q):
-        pieces: list[Expr] = []
-        for i in range(sig.q):
-            pieces.append(_nmul([ans.deta_du(s, i), sys.F[i]]))
+        dF = sys.F_partials[s]
+        pieces: list[Expr] = [_nmul([pro.a[s][i], sys.F[i]]) for i in range(sig.q)]
         pieces.append(_nmul([Rat(-1), sys.alpha, ans.tau_prime, sys.F[s]]))
-        pieces.append(_nmul([Rat(-1), ans.tau,
-                             partial_derivative(sys.F[s], sig.t)]))
+        pieces.append(_nmul([Rat(-1), ans.tau, dF[0]]))
         for i in range(sig.p):
-            pieces.append(_nmul([Rat(-1), xi[i],
-                                 partial_derivative(sys.F[s], sig.x(i))]))
+            pieces.append(_nmul([Rat(-1), pro.xi[i], dF[i + 1]]))
         for jt in cl.j_set(s):
-            ext = eta_theta_of(sig, etas[jt.jet.dep], xi, jt.jet.dep, jt.jet.theta)
-            ext = ext - _d_theta_h(ans, jt.jet.dep, jt.jet.theta)
+            ext = pro.eta_theta(jt.jet.dep, jt.jet.theta, with_h=False)
             pieces.append(_nmul([Rat(-1), ext, jt.coeff]))
-        rest = cl.rest_sum(s)
-        for jet in atoms(rest, Jet):
-            coeff = diff_wrt(rest, jet)
-            if coeff == ZERO:
-                continue
-            ext = eta_theta_of(sig, etas[jet.dep], xi, jet.dep, jet.theta)
+        for jet, coeff in sys.rest_coefficients[s]:
+            ext = pro.eta_theta(jet.dep, jet.theta)
             pieces.append(_nmul([Rat(-1), ext, coeff]))
         out.append(expand(_nadd(pieces)))
     return out
 
 
-def h_condition(sys: PDESystem, ans: AnsatzGenerator,
-                classification: Optional[TermClassification] = None
-                ) -> list[Expr]:
+def h_condition(sys: PDESystem, ans) -> list[Expr]:
     """Condition 1 per equation: a linear fractional constraint mentioning
     only h_s, the sources H_s and the coefficient functions."""
     sig = sys.sig
-    cl = classification if classification is not None else classify_terms(sys)
+    pro = ans.prolongation
     out: list[Expr] = []
     for s in range(sig.q):
+        dH = sys.H_partials[s]
         pieces: list[Expr] = [ans.h_frac(s)]
         for i in range(sig.q):
-            pieces.append(_nmul([ans.deta_du(s, i), sys.H[i]]))
+            pieces.append(_nmul([pro.a[s][i], sys.H[i]]))
         pieces.append(_nmul([Rat(-1), sys.alpha, ans.tau_prime, sys.H[s]]))
-        pieces.append(_nmul([Rat(-1), ans.tau,
-                             partial_derivative(sys.H[s], sig.t)]))
+        pieces.append(_nmul([Rat(-1), ans.tau, dH[0]]))
         for i in range(sig.p):
-            pieces.append(_nmul([Rat(-1), ans.xi(i),
-                                 partial_derivative(sys.H[s], sig.x(i))]))
-        for jt in cl.j_set(s):
-            pieces.append(_nmul([Rat(-1), _d_theta_h(ans, jt.jet.dep, jt.jet.theta),
+            pieces.append(_nmul([Rat(-1), pro.xi[i], dH[i + 1]]))
+        for jt in sys.classification.j_set(s):
+            pieces.append(_nmul([Rat(-1), pro.d_h(jt.jet.dep, jt.jet.theta),
                                  jt.coeff]))
         out.append(expand(_nadd(pieces)))
     return out
@@ -200,9 +175,8 @@ def unknown_atoms_of(e: Expr, ans: AnsatzGenerator) -> list[Expr]:
 
 def build_determining(sys: PDESystem) -> DeterminingSystem:
     ans = AnsatzGenerator(sys.sig, sys.alpha)
-    cl = classify_terms(sys)
-    cond2 = invariance_condition(sys, ans, cl)
-    cond1 = h_condition(sys, ans, cl)
+    cond2 = invariance_condition(sys, ans)
+    cond1 = h_condition(sys, ans)
 
     fragments = []
     notes: set[str] = set()

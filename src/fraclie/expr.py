@@ -336,7 +336,7 @@ def _base_exp(f: Expr) -> tuple[Expr, ExponentForm]:
 
 def _nmul(factors: Iterable[Expr]) -> Expr:
     coeff = _ONE_VALUE      # the first rational factor replaces it unmultiplied
-    merged: dict[Expr, list] = {}       # base -> [base, exponent]
+    merged: dict[Expr, list] = {}       # base -> [base, exponent, factor]
     for f in factors:
         for g in (f.factors if isinstance(f, Mul) else (f,)):
             if isinstance(g, Rat):
@@ -345,13 +345,18 @@ def _nmul(factors: Iterable[Expr]) -> Expr:
                 coeff = g.value if coeff is _ONE_VALUE else coeff * g.value
                 continue
             b, e = _base_exp(g)
-            if b in merged:
-                merged[b][1] = merged[b][1] + e
+            entry = merged.get(b)
+            if entry is None:
+                merged[b] = [b, e, g]
             else:
-                merged[b] = [b, e]
+                entry[1] = entry[1] + e
+                entry[2] = None
     out: list[Expr] = []
     remerge = False
-    for b, e in merged.values():
+    for b, e, g in merged.values():
+        if g is not None:       # a base met once: its canonical factor as given
+            out.append(g)
+            continue
         p = _npow(b, e)
         if isinstance(p, Rat):
             if p.value == 0:
@@ -377,10 +382,8 @@ def _coeff_mono(term: Expr) -> tuple[Fraction, Optional[Expr]]:
     if isinstance(term, Rat):
         return term.value, None
     if isinstance(term, Mul) and isinstance(term.factors[0], Rat):
-        rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Mul(rest)
-        return term.factors[0].value, mono
-    return Fraction(1), term
+        return term.factors[0].value, _mono_of(term.factors[1:])
+    return _ONE_VALUE, term
 
 
 def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
@@ -393,27 +396,55 @@ def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
     return Mul((Rat(coeff), mono))
 
 
+def _mono_factors(term: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+    """The rational coefficient of a canonical non-Add, non-Rat term and the
+    factors of its monomial, without building the monomial."""
+    if isinstance(term, Mul):
+        first = term.factors[0]
+        if isinstance(first, Rat):
+            return first.value, term.factors[1:]
+        return _ONE_VALUE, term.factors
+    return _ONE_VALUE, (term,)
+
+
+def _mono_of(factors: tuple[Expr, ...]) -> Expr:
+    return factors[0] if len(factors) == 1 else Mul(factors)
+
+
+def _mono_key(factors: tuple[Expr, ...]):
+    """The key of _mono_of(factors), from the factors' own keys."""
+    if len(factors) == 1:
+        return factors[0].key()
+    return (7, len(factors), tuple([f.key() for f in factors]))
+
+
 def _nadd(terms: Iterable[Expr]) -> Expr:
     const = Fraction(0)
+    # monomial factors -> [coefficient, the term while it is met once]; the
+    # factors are canonical nodes, so the tuple hashes by their cached hashes
     merged: dict[tuple, list] = {}
     for t in terms:
         for s in (t.terms if isinstance(t, Add) else (t,)):
-            c, mono = _coeff_mono(s)
-            if mono is None:
-                const += c
+            if isinstance(s, Rat):
+                const += s.value
                 continue
-            k = mono.key()
-            if k in merged:
-                merged[k][0] += c
+            c, mono = _mono_factors(s)
+            entry = merged.get(mono)
+            if entry is None:
+                merged[mono] = [c, s]
             else:
-                merged[k] = [c, mono]
+                entry[0] += c
+                entry[1] = None
     # a sum factor whose coefficient merges to 1, 2*A - A, is a sum of terms
     # again and is spliced into this one
-    if any(c == 1 and isinstance(m, Add) for c, m in merged.values()):
-        return _nadd([_with_coeff(c, m) for c, m in merged.values()]
+    if any(c == 1 and len(m) == 1 and isinstance(m[0], Add)
+           for m, (c, _) in merged.items()):
+        return _nadd([_with_coeff(c, _mono_of(m)) for m, (c, _) in merged.items()]
                      + [Rat(const)])
+    kept = [(m, c, s) for m, (c, s) in merged.items() if c != 0]
+    kept.sort(key=lambda x: _mono_key(x[0]))
     out = [Rat(const)] if const != 0 else []
-    out += [_with_coeff(c, m) for _, (c, m) in sorted(merged.items()) if c != 0]
+    out += [s if s is not None else _with_coeff(c, _mono_of(m)) for m, c, s in kept]
     if not out:
         return ZERO
     if len(out) == 1:
@@ -865,12 +896,27 @@ def _shift_count(iv: Interval) -> int:
     return max(k, 0)
 
 
+def gamma_of_rational(r: Fraction) -> Expr:
+    """Gamma(r) in the normal form of gamma_simplify: a factorial for a
+    positive integer, Gamma(r) itself at a pole, and otherwise
+    Gamma(r) = (r-1)(r-2)...(r-k) Gamma(r-k), k = floor(r) for r > 0, with
+    the k prefactors one Rat."""
+    if r.denominator == 1:
+        if r >= 1:
+            return Rat(Fraction(math.factorial(int(r) - 1)))
+        return Gamma(Rat(r))  # pole; callers handle these before building
+    k = max(math.floor(r), 0)
+    p, q = r.numerator, r.denominator
+    falling = math.prod(p - j * q for j in range(1, k + 1))
+    return _nmul([Rat(Fraction(falling, q ** k)), Gamma(Rat(r - k))])
+
+
 def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
     """Normalize Gamma applications: integer arguments evaluate to factorials
     and any other argument z is base-shifted in one step,
     Gamma(z) = (z-1)(z-2)...(z-k) Gamma(z-k), k being the number of integers
     j >= 1 with z-j provably positive.  k is read off the interval of z, so
-    there is no cap on it; the k prefactors of a rational z are one Rat.
+    there is no cap on it; a rational z goes to gamma_of_rational.
     Ratios Gamma(z+m)/Gamma(z) then cancel through ordinary exponent
     merging, whatever m.  Idempotent."""
     asm = assumptions if assumptions is not None else Assumptions()
@@ -882,15 +928,9 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
             if f is None:
                 return Gamma(arg)
             r = f.as_rational()
-            if r is not None and r.denominator == 1:
-                if r >= 1:
-                    return Rat(Fraction(math.factorial(int(r) - 1)))
-                return Gamma(arg)  # pole; callers handle these before building
-            k = _shift_count(asm.interval_of(f))
             if r is not None:
-                p, q = r.numerator, r.denominator
-                falling = math.prod(p - j * q for j in range(1, k + 1))
-                return _nmul([Rat(Fraction(falling, q ** k)), Gamma(Rat(r - k))])
+                return gamma_of_rational(r)
+            k = _shift_count(asm.interval_of(f))
             prefactors = [from_eform(f - ExponentForm.rational(j))
                           for j in range(1, k + 1)]
             core = Gamma(from_eform(f - ExponentForm.rational(k)))

@@ -10,8 +10,15 @@ from typing import Iterable, Optional, Union
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
 from .expr import (Expr, ExprLike, Gamma, Sym, Var, ZERO, _nadd, _nmul, _npow,
                    add_terms, any_node, as_expr, as_eform, expand, from_eform,
-                   gamma_simplify, render, split_power)
+                   gamma_of_rational, gamma_simplify, render, split_power)
 from .records import record
+
+
+_MINUS_ONE = ExponentForm.rational(-1)
+
+
+def _is_gamma(x: Expr) -> bool:
+    return isinstance(x, Gamma)
 
 
 class NotPowerSum(ValueError):
@@ -82,7 +89,9 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                   assumptions: Optional[Assumptions] = None) -> PowerSum:
     """Termwise power rule: c*t^g maps to c*Gamma(g+1)/Gamma(g+1-order)*
     t^(g-order); a pole of the denominator (g+1-order a nonpositive integer,
-    e.g. g = alpha-1 at order alpha) kills the term.
+    e.g. g = alpha-1 at order alpha) kills the term.  When g+1 and g+1-order
+    are both rational, the ratio is built directly in gamma_simplify's normal
+    form (expr.gamma_of_rational); otherwise gamma_simplify normalizes it.
 
     Requires g > -1 for every exponent, decided from the assumptions;
     otherwise UndecidableExponent is raised and the caller must declare one.
@@ -97,7 +106,8 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
 
     out: list[tuple[Expr, ExponentForm]] = []
     for c, g in ps.terms:
-        s = asm.sign(g + UNIT_FORM)
+        g1 = g + UNIT_FORM
+        s = asm.sign(g1)
         if s is None:
             raise UndecidableExponent(
                 f"cannot decide {g.render()} > -1 for the power rule; "
@@ -105,11 +115,20 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
         if s <= 0:
             raise UndecidableExponent(
                 f"exponent {g.render()} <= -1 is outside the power-rule domain")
-        zeta = g + UNIT_FORM - order_form
-        pole = asm.nonpositive_integer(zeta)
-        if pole is True:
-            continue
-        ratio = _nmul([Gamma(from_eform(g + UNIT_FORM)),
-                       _npow(Gamma(from_eform(zeta)), ExponentForm.rational(-1))])
-        out.append((gamma_simplify(_nmul([c, ratio]), asm), g - order_form))
+        zeta = g1 - order_form
+        if asm.nonpositive_integer(zeta) is True:
+            continue            # a pole of the denominator
+        top, bottom = g1.as_rational(), zeta.as_rational()
+        if top is not None and bottom is not None:
+            # the ratio is built in gamma_simplify's normal form; only a
+            # coefficient holding a Gamma of its own needs normalizing
+            if any_node(c, _is_gamma):
+                c = gamma_simplify(c, asm)
+            coeff = _nmul([c, gamma_of_rational(top),
+                           _npow(gamma_of_rational(bottom), _MINUS_ONE)])
+        else:
+            ratio = _nmul([Gamma(from_eform(g1)),
+                           _npow(Gamma(from_eform(zeta)), _MINUS_ONE)])
+            coeff = gamma_simplify(_nmul([c, ratio]), asm)
+        out.append((coeff, g - order_form))
     return PowerSum.build(tvar, out)

@@ -24,7 +24,7 @@ from .expr import (Add, Expr, ExprLike, Fn, Gamma, Jet, Mul, NonPolynomial, Pow,
 from .fraccalc import PowerSum, as_power_sum, default_assumptions, rl_derivative
 from .linsolve import Elem, Field
 from .model import PDESystem, Signature
-from .prolong import AnsatzGenerator, eta_theta_of
+from .prolong import AnsatzGenerator
 from .records import record
 from .reductions import EKReduction
 from .solver import (Generator, GeneratorVector, SolutionBasis, _Instantiation,
@@ -141,6 +141,31 @@ def rl_series_truncated(e: ExprLike, alpha: ExprLike, K: int, *,
 # ---------------------------------------------------------------------------
 # Extended infinitesimals under the ansatz
 # ---------------------------------------------------------------------------
+
+def total_derivative_theta(e: Expr, sig: Signature, theta: tuple[int, ...]) -> Expr:
+    """D_theta e: the total x-derivatives of the multi-index theta."""
+    for i, k in enumerate(theta):
+        for _ in range(k):
+            e = total_derivative(e, sig.x(i))
+    return e
+
+
+def eta_theta_of(sig: Signature, eta_s: Expr, xi: list[Expr], s: int,
+                 theta: tuple[int, ...]) -> Expr:
+    """D_theta(eta_s - sum_i xi_i u_s^i) + sum_i xi_i u_s^(theta+e_i): the
+    extended infinitesimal by the total derivative of the characteristic,
+    valid for any eta and xi; the reference for prolong.Prolongation."""
+    theta = tuple(theta) + (0,) * (sig.p - len(theta))
+    core = eta_s
+    for i in range(sig.p):
+        e_i = tuple(1 if j == i else 0 for j in range(sig.p))
+        core = core - _nmul([xi[i], sig.u(s, e_i)])
+    tail = []
+    for i in range(sig.p):
+        bumped = tuple(theta[j] + (1 if j == i else 0) for j in range(sig.p))
+        tail.append(_nmul([xi[i], sig.u(s, bumped)]))
+    return _nadd([total_derivative_theta(core, sig, theta)] + tail)
+
 
 def eta_theta(ans: AnsatzGenerator, s: int, theta: tuple[int, ...]) -> Expr:
     return eta_theta_of(ans.sig, ans.eta(s),

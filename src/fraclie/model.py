@@ -3,11 +3,13 @@ and validation diagnostics."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .exponents import Assumptions
 from .expr import (Expr, Jet, Rat, Sym, Var, ZERO, _nadd, _nmul, add_terms,
-                   atoms, depends_on_jets, expand, split_factors)
+                   atoms, depends_on_jets, expand, partial_derivative,
+                   split_factors)
 from .records import record
 
 
@@ -105,6 +107,40 @@ class PDESystem:
 
     def assumptions(self) -> Assumptions:
         return self.sig.assumptions()
+
+    # Facts of the system that every determining condition reads, computed
+    # once per system on first use.
+
+    @cached_property
+    def classification(self) -> "TermClassification":
+        return classify_terms(self)
+
+    @cached_property
+    def F_partials(self) -> tuple[tuple[Expr, ...], ...]:
+        """Per equation: dF_s/dt, then dF_s/dx_i for each space variable."""
+        return self._partials(self.F)
+
+    @cached_property
+    def H_partials(self) -> tuple[tuple[Expr, ...], ...]:
+        """Per equation: dH_s/dt, then dH_s/dx_i for each space variable."""
+        return self._partials(self.H)
+
+    @cached_property
+    def rest_coefficients(self) -> tuple[tuple[tuple[Jet, Expr], ...], ...]:
+        """Per equation: (jet, d rest/d jet) for each jet of the rest terms
+        (I \\ J) with a nonzero coefficient."""
+        out = []
+        for s in range(self.q):
+            rest = self.classification.rest_sum(s)
+            pairs = ((jet, partial_derivative(rest, jet)) for jet in atoms(rest, Jet))
+            out.append(tuple((jet, c) for jet, c in pairs if c != ZERO))
+        return tuple(out)
+
+    def _partials(self, exprs: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], ...]:
+        sig = self.sig
+        variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
+        return tuple(tuple(partial_derivative(e, v) for v in variables)
+                     for e in exprs)
 
 
 def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:

@@ -3,16 +3,25 @@
 The admitted generator has tau = chi2*t^2 + chi1*t, xi_i = xi_i(x),
 eta_s = [g_s(x) + gamma_s*(2*chi2*t + chi1)]*u_s + sum_{i!=s} f_{s,i}(x)*u_i
 + h_s(t,x), with gamma_s a symbol the solver binds to (alpha-1)/2.
-Integer-order extended infinitesimals use the tau-free simplified formula;
-the fractional extended infinitesimal reduces to a local part plus series
-coefficients that vanish identically under the ansatz (the nonlinearity tail
-mu is zero because eta is linear in u; see fraclie.lemmas).
+Integer-order extended infinitesimals need no tau, and since eta is linear
+in u with jet-free coefficients and xi is jet-free (the shape
+solver.generator_shape checks), they are the Leibniz sum over derivatives
+of those coefficients (Prolongation); the total derivative of the
+characteristic, the general route, is kept in fraclie.lemmas as the
+reference.  The fractional extended infinitesimal reduces to a local part
+plus series coefficients that vanish identically under the ansatz (the
+nonlinearity tail mu is zero because eta is linear in u; see
+fraclie.lemmas).
 """
 from __future__ import annotations
 
+import math
+from functools import cached_property
+from itertools import product as iproduct
+
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Sym, Var, _nadd, _nmul, _npow, diff_wrt,
-                   total_derivative)
+from .expr import (Expr, Fn, Rat, Sym, Var, ZERO, _nadd, _nmul, _npow,
+                   diff_wrt, total_derivative)
 from .model import Signature
 from .records import record
 
@@ -111,6 +120,10 @@ class AnsatzGenerator:
         return frozenset(self.unknown_fn_names()) | {self.chi1.name,
                                                      self.chi2.name}
 
+    @cached_property
+    def prolongation(self) -> "Prolongation":
+        return Prolongation(self)
+
 
 def is_unknown(b: Expr, names: frozenset[str]) -> bool:
     """Whether b is an unknown, names being the ansatz's unknown_names()."""
@@ -119,24 +132,75 @@ def is_unknown(b: Expr, names: frozenset[str]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Integer-order extended infinitesimals (simplified: tau-free)
+# Integer-order extended infinitesimals: the Leibniz rule
 # ---------------------------------------------------------------------------
 
-def eta_theta_of(sig: Signature, eta_s: Expr, xi: list[Expr], s: int,
-                 theta: tuple[int, ...]) -> Expr:
-    """D_theta(eta_s - sum_i xi_i u_s^i) + sum_i xi_i u_s^(theta+e_i), any
-    concrete or unknown eta/xi of the admitted shape."""
-    theta = tuple(theta) + (0,) * (sig.p - len(theta))
-    core = eta_s
-    for i in range(sig.p):
-        e_i = tuple(1 if j == i else 0 for j in range(sig.p))
-        core = core - _nmul([xi[i], sig.u(s, e_i)])
-    out = core
-    for i, k in enumerate(theta):
-        for _ in range(k):
-            out = total_derivative(out, sig.x(i))
-    tail = []
-    for i in range(sig.p):
-        bumped = tuple(theta[j] + (1 if j == i else 0) for j in range(sig.p))
-        tail.append(_nmul([xi[i], sig.u(s, bumped)]))
-    return _nadd([out] + tail)
+class Prolongation:
+    """The integer-order extended infinitesimals of a generator of the
+    admitted shape, for the space multi-indices theta.
+
+    With eta_s = sum_j A_sj u_j + h_s, where every A_sj = d eta_s/d u_j and
+    every xi_i is free of jets, the Leibniz rule (Olver 1993, Thm 2.36)
+    gives
+
+        eta_s^theta = sum_{beta <= theta} C(theta, beta) *
+            [sum_j d^beta A_sj u_j^(theta-beta)
+             - [beta != 0] sum_i d^beta xi_i u_s^(theta-beta+e_i)]
+          + d^theta h_s
+
+    with no total derivative of the characteristic.  gen is an
+    AnsatzGenerator or a solver.ConcreteGenerator; the latter refuses an eta
+    that is not linear in the dependents.  The d^beta are total x-derivatives,
+    each taken once per coefficient and multi-index."""
+
+    def __init__(self, gen):
+        sig = gen.sig
+        self.sig = sig
+        self.xi = [gen.xi(i) for i in range(sig.p)]
+        self.a = [[gen.deta_du(s, j) for j in range(sig.q)] for s in range(sig.q)]
+        self.h = [gen.h(s) for s in range(sig.q)]
+        self._derived: dict[tuple, Expr] = {}
+
+    def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
+        """d^beta coeff, coeff being the coefficient named by slot."""
+        if not any(beta):
+            return coeff
+        key = (slot, beta)
+        out = self._derived.get(key)
+        if out is None:
+            i = max(j for j, k in enumerate(beta) if k)
+            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            out = total_derivative(self._derivative(coeff, slot, lower),
+                                   self.sig.x(i))
+            self._derived[key] = out
+        return out
+
+    def d_h(self, s: int, theta: tuple[int, ...]) -> Expr:
+        """d^theta h_s."""
+        return self._derivative(self.h[s], ("h", s), self._full(theta))
+
+    def eta_theta(self, s: int, theta: tuple[int, ...], with_h: bool = True) -> Expr:
+        """eta_s^theta, or eta_s^theta - d^theta h_s when with_h is False."""
+        sig = self.sig
+        theta = self._full(theta)
+        pieces: list[Expr] = []
+        for beta in iproduct(*(range(k + 1) for k in theta)):
+            weight = math.prod(math.comb(k, b) for k, b in zip(theta, beta))
+            rest = tuple(k - b for k, b in zip(theta, beta))
+            for j in range(sig.q):
+                d = self._derivative(self.a[s][j], ("a", s, j), beta)
+                if d != ZERO:
+                    pieces.append(_nmul([Rat(weight), d, sig.u(j, rest)]))
+            if not any(beta):
+                continue
+            for i in range(sig.p):
+                d = self._derivative(self.xi[i], ("xi", i), beta)
+                if d != ZERO:
+                    bumped = rest[:i] + (rest[i] + 1,) + rest[i + 1:]
+                    pieces.append(_nmul([Rat(-weight), d, sig.u(s, bumped)]))
+        if with_h:
+            pieces.append(self.d_h(s, theta))
+        return _nadd(pieces)
+
+    def _full(self, theta: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(theta) + (0,) * (self.sig.p - len(theta))

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -42,8 +43,8 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    split_power, substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
-from .model import PDESystem, Signature, classify_terms
-from .prolong import is_unknown
+from .model import PDESystem, Signature
+from .prolong import Prolongation, is_unknown
 from .determining import (DeterminingSystem, build_determining, h_condition,
                           invariance_condition, separate)
 from .records import field, record
@@ -110,7 +111,12 @@ class ConcreteGenerator:
     """Duck-typed stand-in for AnsatzGenerator with concrete components, used
     to re-derive the two conditions independently for verification.  The
     pieces the conditions ask for once per jet, tau', d eta_s/d u_i and h_s,
-    are computed once per generator."""
+    are computed once per generator.
+
+    The Leibniz prolongation holds only when every xi_i and every
+    d eta_s/d u_j is free of jets, so construction refuses any other
+    generator with ShapeViolation; generator_shape checks the rest of the
+    admitted form."""
 
     def __init__(self, gen: Generator, alpha: Expr,
                  assumptions: Optional[Assumptions] = None):
@@ -118,9 +124,14 @@ class ConcreteGenerator:
         self.sig = sig = gen.sig
         self.alpha = alpha
         self.asm = assumptions if assumptions is not None else Assumptions()
-        self.tau_prime = total_derivative(gen.tau, sig.t)
+        for i, xi in enumerate(gen.xi):
+            if depends_on_jets(xi):
+                raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
+                                     "the space variables only")
         self._deta_du = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)]
                          for eta in gen.eta]
+        if any(depends_on_jets(d) for row in self._deta_du for d in row):
+            raise ShapeViolation("eta must be linear in the dependents")
         self._h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)])
                                   for j, d in enumerate(row)])
                    for eta, row in zip(gen.eta, self._deta_du)]
@@ -128,6 +139,14 @@ class ConcreteGenerator:
     @property
     def tau(self) -> Expr:
         return self.gen.tau
+
+    @cached_property
+    def tau_prime(self) -> Expr:
+        return total_derivative(self.gen.tau, self.sig.t)
+
+    @cached_property
+    def prolongation(self) -> Prolongation:
+        return Prolongation(self)
 
     def xi(self, i: int) -> Expr:
         return self.gen.xi[i]
@@ -150,13 +169,11 @@ class ConcreteGenerator:
                              assumptions=self.asm).to_expr()
 
 
-def generator_shape(gen: Generator, alpha: Expr,
-                    assumptions: Optional[Assumptions] = None
-                    ) -> tuple[Expr, Expr]:
-    """Validate the admitted structural form; returns (chi1, chi2).
-    Raises ShapeViolation otherwise."""
-    sig = gen.sig
-    t, asm = sig.t, assumptions
+def generator_shape(conc: ConcreteGenerator) -> tuple[Expr, Expr]:
+    """Validate the admitted structural form beyond what ConcreteGenerator
+    refuses itself; returns (chi1, chi2).  Raises ShapeViolation otherwise."""
+    gen, sig, alpha = conc.gen, conc.sig, conc.alpha
+    t = sig.t
     tau = expand(gen.tau)
     chi1, chi2 = ZERO, ZERO
     for term in add_terms(tau):
@@ -173,17 +190,12 @@ def generator_shape(gen: Generator, alpha: Expr,
         else:
             raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
     for i in range(sig.p):
-        xi = gen.xi[i]
-        if depends_on_jets(xi) or any(v.is_time for v in atoms(xi, Var)):
+        if any(v.is_time for v in atoms(gen.xi[i], Var)):
             raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on the "
                                  "space variables only")
     for s in range(sig.q):
-        eta = gen.eta[s]
         for j in range(sig.q):
-            d = diff_wrt(eta, sig.u(j))
-            if depends_on_jets(d):
-                raise ShapeViolation("eta must be linear in the dependents")
-            dt = partial_derivative(d, t)
+            dt = partial_derivative(conc.deta_du(s, j), t)
             if j != s:
                 if dt != ZERO:
                     raise ShapeViolation(
@@ -216,15 +228,18 @@ def verify_generator(sys: PDESystem, gen: Generator,
                      assumptions: Optional[Assumptions] = None
                      ) -> VerificationReport:
     """Re-derive both determining conditions with the concrete generator
-    through the full prolongation route and report residuals; all-zero means
-    verified.  Independent of the linear solve."""
+    and report residuals; all-zero means verified.  Independent of the
+    linear solve.  The generator must have the admitted shape
+    (ConcreteGenerator and generator_shape raise ShapeViolation otherwise);
+    on that shape the extended infinitesimals are the Leibniz sum of
+    prolong.Prolongation, computed once per generator, and the facts of
+    the system are those the system computed once."""
     asm = assumptions if assumptions is not None else sys.assumptions()
     fld = Field(asm)
-    generator_shape(gen, sys.alpha, asm)
     conc = ConcreteGenerator(gen, sys.alpha, asm)
-    cl = classify_terms(sys)
-    cond2 = invariance_condition(sys, conc, cl)
-    cond1 = h_condition(sys, conc, cl)
+    generator_shape(conc)
+    cond2 = invariance_condition(sys, conc)
+    cond1 = h_condition(sys, conc)
     frac_res = tuple(fld.to_expr(fld.elem(c)) for c in cond1)
     int_res = []
     for s in range(sys.q):

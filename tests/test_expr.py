@@ -12,8 +12,8 @@ from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
                      simplify, substitute, total_derivative)
 from fraclie.exponents import UNIT_FORM
 from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
-                          UnsupportedDerivative, any_node, from_eform,
-                          map_children, mul_factors)
+                          UnsupportedDerivative, _nadd, _nmul, any_node,
+                          from_eform, map_children, mul_factors)
 from fraclie.lemmas import collect_monomials
 
 F = Fraction
@@ -360,6 +360,45 @@ class TestNodeIdentity:
         assert e.key() is e.key()
         assert e.key() == _fresh(e).key()
         assert hash(e) == hash(_fresh(e))
+
+
+class TestUnchangedNodesReused:
+    """_nmul and _nadd hand back a factor or a term that merges with nothing
+    as the very input node, with its cached key, hash and expansion; a merged
+    one equals the tree rebuilt from scratch."""
+
+    def test_unmerged_factors_are_the_input_nodes(self):
+        p, g = pow_(x, F(1, 2)), Gamma(add(a, 1))
+        for f in (p, g, u):
+            f.key()
+        out = _nmul([Rat(3), p, g, u])
+        assert all(any(f is h for h in out.factors) for f in (p, g, u))
+        assert all(h._key is not None for h in out.factors[1:])
+
+    def test_merged_factor_equals_the_rebuilt_tree(self):
+        p = pow_(x, F(1, 2))
+        out = _nmul([p, y, p])
+        assert out == _fresh(mul(x, y))
+        assert _nmul([pow_(x, 2), pow_(x, 3), y]) == _fresh(mul(pow_(x, 5), y))
+
+    def test_unmerged_terms_are_the_input_nodes(self):
+        t1, t2, t3 = mul(3, x, y), pow_(x, F(1, 2)), mul(F(-1, 2), ux)
+        e = mul(x, add(y, 1))
+        expanded = expand(e)
+        for term in (t1, t2, t3, e):
+            hash(term)
+        out = _nadd([t1, t2, Rat(5), t3, e])
+        for term in (t1, t2, t3, e):
+            assert any(term is h for h in out.terms)
+        assert next(h for h in out.terms if h is e)._expanded is expanded
+
+    def test_merged_term_equals_the_rebuilt_tree(self):
+        out = _nadd([mul(3, x, y), mul(F(1, 2), x, y), ux])
+        assert out == _fresh(add(mul(F(7, 2), x, y), ux))
+        assert _nadd([mul(2, x), neg(x)]) == x
+        # a sum whose coefficient merges back to 1 is spliced into the sum
+        s_ = add(x, y)
+        assert _nadd([mul(2, s_), neg(s_), z]) == _fresh(add(x, y, z))
 
 
 class TestPartialDerivative:

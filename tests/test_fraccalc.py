@@ -11,11 +11,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fraclie import (Assumptions, ExponentForm, Fn, Gamma, Jet, PowerSum, Rat,
                      Sym, UndecidableExponent, Var, ZERO, ONE, add, div,
                      expand, gamma_simplify, mul, neg, pow_, rl_derivative,
                      simplify)
+from fraclie.expr import from_eform
+from fraclie.exponents import UNIT_FORM
 from fraclie.lemmas import (NegativeIndex, gen_binomial, leibniz_expand,
                             rl_series_truncated, subs_params)
 
@@ -168,3 +171,39 @@ class TestSeriesForm:
             mul(a, ut, pow_(t, ExponentForm.rational(1) - AF),
                 pow_(Gamma(add(Rat(2), neg(a))), -1)))
         assert_identity(got, want)
+
+
+def _generic_power_rule(c, g: ExponentForm, order: ExponentForm, asm):
+    """The power rule of one term by the generic route: the Gamma ratio built
+    as it stands and normalized by gamma_simplify with the coefficient; an
+    empty list at a pole of the denominator."""
+    zeta = g + UNIT_FORM - order
+    if asm.nonpositive_integer(zeta) is True:
+        return []
+    ratio = mul(Gamma(from_eform(g + UNIT_FORM)), pow_(Gamma(from_eform(zeta)), -1))
+    return [(gamma_simplify(mul(c, ratio), asm), g - order)]
+
+
+# coefficients without and with Gamma factors, normalized or not
+_COEFFS = [ONE, mul(3, x), add(x, Sym("k")), Gamma(Rat(F(7, 2))),
+           div(Gamma(a), Gamma(mul(2, a))), mul(x, Gamma(add(a, 2))),
+           div(Gamma(Rat(F(1, 3))), Gamma(Rat(F(8, 3)))), pow_(Gamma(Rat(F(5, 4))), 2)]
+
+
+class TestRationalPowerRule:
+    """At rational exponent and order the power rule builds the Gamma ratio
+    directly; it must agree with the generic route through gamma_simplify."""
+
+    @given(g=st.fractions(0, 40, max_denominator=12),
+           order=st.fractions(0, 2, max_denominator=12).filter(lambda o: o > 0),
+           c=st.sampled_from(_COEFFS))
+    @example(g=F(0), order=F(1), c=ONE)             # pole: the term drops
+    @example(g=F(1), order=F(2), c=Gamma(Rat(F(7, 2))))
+    @example(g=F(0), order=F(2), c=mul(3, x))
+    @example(g=F(5, 2), order=F(1, 2), c=div(Gamma(a), Gamma(mul(2, a))))
+    def test_matches_generic_route(self, g, order, c):
+        gf, of = ExponentForm.rational(g), ExponentForm.rational(order)
+        ps = PowerSum.build(t, [(c, gf)])
+        got = rl_derivative(ps, a, order=Rat(order), tvar=t, assumptions=ASM)
+        want = PowerSum.build(t, _generic_power_rule(c, gf, of, ASM))
+        assert got.to_expr().key() == want.to_expr().key()

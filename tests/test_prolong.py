@@ -1,18 +1,28 @@
 """Prolongation: integer extended infinitesimals, the fractional local part
 and series coefficients, the nonlinearity tail, auxiliary conditions."""
+import json
+import pathlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Jet, Rat, Sym,
-                     Var, ZERO, ONE, add, expand, mul, neg, pow_, simplify,
+from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Jet, Rat,
+                     ShapeViolation, Sym, Var, ZERO, ONE, add, expand, mul,
+                     neg, parse_generator, parse_system, pow_, simplify,
                      substitute)
+from fraclie.determining import invariance_condition
 from fraclie.expr import atoms
 from fraclie.lemmas import (check_aux_conditions, eta_alpha_ansatz, eta_theta,
-                            mu_truncated)
+                            eta_theta_of, mu_truncated, total_derivative_theta)
+from fraclie.solver import ConcreteGenerator, Generator
 
-from conftest import chi2_nonzero_case, chi2_zero_case
+from conftest import DEMOS, chi2_nonzero_case, chi2_zero_case
+
+ROOT = DEMOS.parent
+REFERENCES = json.loads((ROOT / "perfbench" / "reference" / "references.json")
+                        .read_text())
 
 F = Fraction
 a = Sym("a")
@@ -68,6 +78,109 @@ class TestEtaTheta:
         e1 = substitute(e, vals)
         e3 = substitute(e, scaled)
         assert simplify(expand(e3 - mul(3, e1))) == ZERO
+
+
+def _recorded_generators(path: pathlib.Path) -> list[str]:
+    """The emitted generators of a recorded `--emit json` output, as
+    generator files."""
+    if not path.is_file():
+        return []
+    basis = json.loads(path.read_text())["basis"]
+    texts = []
+    for g in basis["generators"] + basis["shifts"]:
+        lines = [f"tau = {g['tau']};"]
+        lines += [f"xi[{k}] = {v};" for k, v in g["xi"].items()]
+        lines += [f"eta[{k}] = {v};" for k, v in g["eta"].items()]
+        texts.append("\n".join(lines))
+    return texts
+
+
+def _certify_cases() -> list[tuple[str, list[str]]]:
+    """Every demo, corpus and perfbench input system with the generators
+    certified on it: its recorded basis, the generators the benchmark
+    verifies or rejects, and the demo generator file."""
+    cases: dict[str, list[str]] = {}
+    for path in sorted(DEMOS.glob("*.fpde")):
+        cases[str(path)] = _recorded_generators(
+            ROOT / "perfbench" / "reference" / "demos" / f"{path.stem}.json")
+    for path in sorted((ROOT / "tests" / "corpus").glob("*.fpde")):
+        cases[str(path)] = _recorded_generators(path.with_suffix(".json"))
+    for path in sorted((ROOT / "perfbench" / "inputs").glob("*.fpde")):
+        cases[str(path)] = []
+    bases = REFERENCES["bases"]
+    for basis in bases.values():
+        cases[str(ROOT / basis["system"])] += basis["point"] + basis["shifts"]
+    for r in REFERENCES["certify"]["reject"]:
+        cases[str(ROOT / bases[r["basis"]]["system"])].append(r["gen"])
+    cases[str(DEMOS / "telegraph_power.fpde")].append(
+        (DEMOS / "telegraph_power.gen").read_text())
+    return sorted(cases.items())
+
+
+def _multi_indices(p: int, order: int) -> list[tuple[int, ...]]:
+    return [th for th in product(range(order + 1), repeat=p) if sum(th) <= order]
+
+
+CERTIFY_CASES = _certify_cases()
+
+
+@pytest.mark.parametrize("path,generators", CERTIFY_CASES,
+                         ids=[f"{pathlib.Path(p).parent.name}/{pathlib.Path(p).stem}"
+                              for p, _ in CERTIFY_CASES])
+def test_leibniz_matches_total_derivative_route(path, generators):
+    """The Leibniz prolongation equals the total derivative of the
+    characteristic (lemmas.eta_theta_of) for the ansatz and for every
+    certified generator, at every multi-index of order <= 3."""
+    sys = parse_system(pathlib.Path(path).read_text())
+    sig = sys.sig
+    ans = AnsatzGenerator(sig, sys.alpha)
+    gens = [ans] + [ConcreteGenerator(parse_generator(text, sig)[0], sys.alpha)
+                    for text in generators]
+    thetas = _multi_indices(sig.p, 3)
+    for gen in gens:
+        pro = gen.prolongation
+        xi = [gen.xi(i) for i in range(sig.p)]
+        for s in range(sig.q):
+            for theta in thetas:
+                want = eta_theta_of(sig, gen.eta(s), xi, s, theta)
+                got = pro.eta_theta(s, theta)
+                assert expand(got).key() == expand(want).key(), (gen, s, theta)
+                d_h = total_derivative_theta(gen.h(s), sig, theta)
+                assert pro.d_h(s, theta) == d_h
+                assert (expand(pro.eta_theta(s, theta, with_h=False)).key()
+                        == expand(want - d_h).key())
+
+
+class TestLeibnizPremise:
+    """The Leibniz sum holds only for jet-free xi and d eta/d u; a generator
+    outside that shape never reaches it."""
+
+    def _gen(self, sys, xi=None, eta=None):
+        sig = sys.sig
+        return Generator(sig, ZERO, tuple(xi or [ZERO] * sig.p),
+                         tuple(eta or [ZERO] * sig.q))
+
+    def test_nonlinear_eta_refused(self, zk):
+        gen = self._gen(zk, eta=[pow_(zk.sig.u(0), 2)])
+        with pytest.raises(ShapeViolation):
+            invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))
+
+    def test_jet_dependent_eta_coefficient_refused(self, zk):
+        sig = zk.sig
+        gen = self._gen(zk, eta=[mul(sig.u(0, (1, 0)), sig.u(0))])
+        with pytest.raises(ShapeViolation):
+            invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))
+
+    def test_jet_dependent_xi_refused(self, zk):
+        sig = zk.sig
+        gen = self._gen(zk, xi=[sig.u(0), ZERO])
+        with pytest.raises(ShapeViolation):
+            invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))
+
+    def test_affine_eta_accepted(self, zk):
+        sig = zk.sig
+        gen = self._gen(zk, eta=[add(mul(sig.x(0), sig.u(0)), sig.x(1))])
+        assert len(invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))) == 1
 
 
 class TestEtaAlpha:

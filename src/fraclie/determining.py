@@ -84,11 +84,16 @@ def _jet_factor(b: Expr, _) -> bool:
     return True
 
 
-def separate(cond: Expr, sys: PDESystem) -> tuple[list[tuple[Expr, Expr]], list[str]]:
+def jet_fragments(cond: Expr) -> list[tuple[Expr, Expr]]:
     """Separate a jet-polynomial condition into (monomial, coefficient)
-    equations plus the genericity assumptions that keep distinct monomial
-    classes apart."""
-    fragments = group_by_monomial(expand(cond), _jet_factor)
+    equations, one per jet monomial."""
+    return group_by_monomial(expand(cond), _jet_factor)
+
+
+def separate(cond: Expr, sys: PDESystem) -> tuple[list[tuple[Expr, Expr]], list[str]]:
+    """The jet_fragments of a condition plus the genericity assumptions that
+    keep distinct monomial classes apart."""
+    fragments = jet_fragments(cond)
     return fragments, _genericity(fragments, sys)
 
 

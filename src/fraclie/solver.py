@@ -46,7 +46,7 @@ from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature
 from .prolong import Prolongation, is_unknown
 from .determining import (DeterminingSystem, build_determining, h_condition,
-                          invariance_condition, separate)
+                          invariance_condition, jet_fragments)
 from .records import field, record
 
 
@@ -243,9 +243,8 @@ def verify_generator(sys: PDESystem, gen: Generator,
     frac_res = tuple(fld.to_expr(fld.elem(c)) for c in cond1)
     int_res = []
     for s in range(sys.q):
-        frags, _ = separate(gamma_simplify(expand(cond2[s]), asm), sys)
         kept = []
-        for mono, coeff in frags:
+        for mono, coeff in jet_fragments(gamma_simplify(expand(cond2[s]), asm)):
             c = fld.elem(coeff)
             if not c.is_zero():
                 kept.append((mono, fld.to_expr(c)))

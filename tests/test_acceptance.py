@@ -4,7 +4,6 @@ is stated.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
-import math
 import time
 from fractions import Fraction
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fraclie import Assumptions, Gamma, Rat, Sym, Var, ZERO, ONE, add, mul, \
+from fraclie import Assumptions, Gamma, Rat, Sym, ZERO, ONE, add, mul, \
     neg, pow_, simplify
 from fraclie.linsolve import Field, _poly_divide, nullspace, rref
 

@@ -7,7 +7,6 @@ from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, ZERO,
                      parse_system, pow_, simplify, validate_system)
 from fraclie.lemmas import emit_dsl
 from fraclie.model import make_system, Signature
-from fraclie.expr import add_terms
 from conftest import HS_SRC, TELE_SRC, ZK_SRC
 
 

@@ -100,51 +100,57 @@ def test_import_loads_neither_numpy_nor_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _uncached_gauss_jacobi(g: Fraction, a: float, tv: float, nodes: int) -> float:
-    """The Gauss-Jacobi value of t^g at one point, its rule computed afresh
-    from roots_jacobi: the arithmetic of oracle._gauss_jacobi_rl, step by
-    step."""
-    import numpy as np
-    from scipy.special import roots_jacobi
+class TestGaussJacobiRule:
+    """The stdlib Gauss-Jacobi rule for the weight (1-x)^(-a) on [-1, 1]."""
 
-    m = min(g.denominator, 16)
-    x, w = roots_jacobi(nodes, -a, 0.0)
-    rho = (x + 1.0) / 2.0
-    sigma = rho ** m
-    omega = np.ones_like(rho)
-    for j in range(1, m):
-        omega += rho ** j
-    jac = m * rho ** (m - 1) * omega ** (-a)
-    s = tv * sigma
-    f = np.zeros_like(s)
-    f += 1.0 * s ** float(g)
-    sfp = np.zeros_like(s)
-    if g != 0:
-        sfp += 1.0 * float(g) * s ** float(g) / tv
-    i1 = 2.0 ** (a - 1.0) * np.dot(w, jac * f)
-    i2 = 2.0 ** (a - 1.0) * np.dot(w, jac * sfp)
-    return tv ** (-a) / math.gamma(1.0 - a) * ((1.0 - a) * i1 + tv * i2)
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("a", [0.25, 0.5, 5 / 17, 63 / 64])
+    def test_nodes_match_scipy(self, n, a):
+        # scipy is a test reference only; the package does not use it
+        roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
+        x, _ = oracle._gauss_jacobi(n, a)
+        ref, _ = roots_jacobi(n, -a, 0.0)
+        assert max(abs(xi - ri) for xi, ri in zip(x, ref)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_moments_are_exact(self, n):
+        # the n-node rule integrates (1+x)^j exactly for j < 2n:
+        # int (1-x)^(-a) (1+x)^j dx = 2^(j+1-a) B(1-a, j+1)
+        for k in range(1, 64):
+            a = k / 64
+            x, w = oracle._gauss_jacobi(n, a)
+            assert all(x0 < x1 for x0, x1 in zip(x, x[1:]))
+            for j in range(2 * n):
+                exact = math.exp((j + 1 - a) * math.log(2.0) + math.lgamma(1 - a)
+                                 + math.lgamma(j + 1) - math.lgamma(j + 2 - a))
+                got = math.fsum(wi * (1.0 + xi) ** j for xi, wi in zip(x, w))
+                assert abs(got - exact) <= 1e-10 * exact, (n, k, j)
 
 
 class TestQuadratureRules:
     """Each Gauss-Jacobi rule is computed once per (nodes, order, m) and
-    kept, read-only, in a bounded cache."""
+    kept, as tuples, in a bounded cache."""
 
     @pytest.mark.parametrize("g, a, tv", [(F(2), F(1, 2), 1.0),
                                           (F(5, 2), F(1, 4), 0.5),
                                           (F(7, 4), F(3, 8), 2.75),
                                           (F(0), F(3, 4), 1.5)])
-    def test_values_are_bit_identical_to_a_fresh_rule(self, g, a, tv):
-        got = numeric_rl_oracle(mono(g), a, [tv])
-        v1 = _uncached_gauss_jacobi(g, float(a), tv, oracle._NODES)
-        v0 = _uncached_gauss_jacobi(g, float(a), tv, oracle._NODES // 2)
-        assert got.values == (v1,)
-        assert got.errors == (abs(v1 - v0),)
+    def test_values_are_bit_identical_to_a_fresh_rule(self, g, a, tv, monkeypatch):
+        cached = numeric_rl_oracle(mono(g), a, [tv])
+        monkeypatch.setattr(oracle, "_jacobi_rule", oracle._jacobi_rule.__wrapped__)
+        fresh = numeric_rl_oracle(mono(g), a, [tv])
+        assert cached.values == fresh.values
+        assert cached.errors == fresh.errors
 
-    def test_cached_arrays_are_read_only(self):
-        for arr in oracle._jacobi_rule(oracle._NODES, 0.5, 2):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+    def test_cached_rules_are_immutable_tuples(self):
+        rule = oracle._jacobi_rule(oracle._NODES, 0.5, 2)
+        assert type(rule) is tuple and len(rule) == 2
+        for part in rule:
+            assert type(part) is tuple and len(part) == oracle._NODES
+            assert all(type(v) is float for v in part)
+            with pytest.raises(TypeError):
+                part[0] = 0.0
+        assert rule == oracle._jacobi_rule.__wrapped__(oracle._NODES, 0.5, 2)
 
     def test_a_grid_adds_at_most_one_miss_per_rule(self):
         # an order and an m no other test uses: two node counts, two rules

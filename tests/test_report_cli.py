@@ -205,21 +205,20 @@ def test_demo_json_matches_recorded_contract(name):
 
 
 def test_oracle_check_json_matches_recording():
-    # --oracle-check adds the numeric oracle's verdict to zk's JSON; the
-    # recording was made before the quadrature rules were cached, and the
-    # cached rules are the same floats
+    # --oracle-check adds the numeric oracle's verdict to zk's JSON; its
+    # worst error is that of the stdlib Gauss-Jacobi rules
     out = subprocess.run([sys.executable, "-m", "fraclie.cli", "analyze",
                           "demos/zk.fpde", "--oracle-check", "--emit", "json"],
                          capture_output=True, cwd=str(DEMOS.parent))
     assert out.returncode == 0, out.stderr
     assert out.stdout == ORACLE_CHECK_JSON.read_bytes()
     oracle = json.loads(out.stdout)["checks"]["oracle"]
-    assert oracle["worst_abs_error"] == 1.9435901776887476e-09
+    assert oracle["worst_abs_error"] == 9.254108590539545e-11
 
 
 # Start-up: the CLI path needs no code generation (dataclasses, inspect), no
-# numerics and no lemma fixtures; random and numpy/scipy load only under
-# --oracle-check.
+# numerics and no lemma fixtures; random loads only under --oracle-check,
+# and numpy and scipy never load: the oracle's quadrature is stdlib code.
 STARTUP_PROBE = """
 import sys
 sys.path.insert(0, {src!r})
@@ -239,6 +238,26 @@ def test_import_leaves_heavy_modules_unloaded(module):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+ORACLE_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import fraclie.cli
+fraclie.cli.main(["analyze", "demos/zk.fpde", "--oracle-check", "--emit", "json"])
+print(" ".join(m for m in ("numpy", "scipy") if m in sys.modules), file=sys.stderr)
+"""
+
+
+def test_oracle_check_loads_neither_numpy_nor_scipy():
+    # -S: no site hooks and no site-packages, so an import of either would
+    # fail the run as well as show in sys.modules
+    src = str(pathlib.Path(fraclie.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", ORACLE_PROBE.format(src=src)],
+                         capture_output=True, text=True, cwd=str(DEMOS.parent))
+    assert out.returncode == 0, out.stderr
+    assert '"worst_abs_error"' in out.stdout
+    assert out.stderr.split() == []
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("0*.py")))

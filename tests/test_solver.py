@@ -9,7 +9,6 @@ from fraclie import (DegreeInsufficient, ExponentForm,
                      Sym, TemplateResidual, ZERO,
                      ONE, add, build_determining, mul, neg, parse_generator, parse_system, partial_derivative, pow_,
                      solve, solve_system, verify_generator)
-from fraclie.determining import normalize_equation
 from fraclie.expr import Fn, _nadd, _nmul, expand, simplify, substitute
 from fraclie.linsolve import Field, nullspace, rref
 from fraclie.model import ParamDecl, make_system
@@ -397,6 +396,22 @@ class TestVerifyGenerator:
         rep = verify_generator(tele_pow, gen)
         assert rep.ok
         assert all(r == ZERO for r in rep.frac_residuals)
+
+    def test_verification_skips_the_genericity_scan(self, zk, monkeypatch):
+        # the genericity notes belong to build_determining; verification
+        # reads the fragments alone, with the same residuals
+        import fraclie.determining as determining
+        sig = zk.sig
+        gen = exp_gen(sig, tau=sig.t,
+                      xi=[mul(F(1, 3), a, sig.x(0)), mul(F(1, 3), a, sig.x(1))],
+                      eta=[neg(sig.u(0))])
+        before = verify_generator(zk, gen)
+
+        def scan(*args):
+            raise AssertionError("verification ran the genericity scan")
+        monkeypatch.setattr(determining, "_genericity", scan)
+        after = verify_generator(zk, gen)
+        assert after == before and not after.ok
 
     def test_shape_violation_cubic_tau(self, zk):
         sig = zk.sig

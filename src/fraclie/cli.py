@@ -1,7 +1,7 @@
 """Command-line interface.
 
     fraclie analyze FILE [--poly-degree N] [--h-template EXPR]...
-                        [--branch both|zero|nonzero]
+                        [--branch both|zero]
                         [--verify-generator FILE] [--reduce]
                         [--emit text|json|latex] [--oracle-check]
 
@@ -29,11 +29,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                     metavar="EXPR",
                     help="extra closed-form template for the h parts, added to "
                     "the default library; repeatable")
-    an.add_argument("--branch", choices=("both", "zero", "nonzero"),
-                    default="both",
-                    help="both: solve with chi2 free; zero: add the row "
-                    "chi2 = 0; nonzero: as both, reporting only the full "
-                    "dimension (default both)")
+    an.add_argument("--branch", choices=("both", "zero"), default="both",
+                    help="both: every generator, chi2 free; zero: only those "
+                    "with chi2 = 0, a subspace of the same solution "
+                    "(default both)")
     an.add_argument("--verify-generator", metavar="FILE",
                     help="verify a concrete generator file instead of trusting "
                     "the basis alone")

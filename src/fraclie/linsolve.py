@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .exponents import Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
@@ -494,11 +494,11 @@ class Field:
         return _coeff_mono(add_terms(self._base_expr(i))[0])[0] < 0
 
     # -- pivot admissibility ---------------------------------------------------
-    def provably_nonzero(self, e: Union[Elem, Expr]) -> bool:
-        """Whether a field element's numerator, or an expression, is nonzero
-        under the declared assumptions: every factor of its common monomial
-        is, and so is the rest, a sum whose sign is decided."""
-        p = e.p if isinstance(e, Elem) else self._expr_poly(self.norm_expr(e))
+    def provably_nonzero(self, e: Elem) -> bool:
+        """Whether a field element's numerator is nonzero under the declared
+        assumptions: every factor of its common monomial is, and so is the
+        rest, a sum whose sign is decided."""
+        p = e.p
         if not p:
             return False
         if len(p) == 1:

@@ -218,9 +218,8 @@ class JTerm:
 
 @record(frozen=True)
 class TermClassification:
-    """Per equation: all F-terms (I), the linear single-jet terms (J) with
-    their coefficients, and the complement I \\ J."""
-    i_terms: tuple[tuple[Expr, ...], ...]
+    """Per equation, a partition of the F-terms (I): the linear single-jet
+    terms (J) with their coefficients, and the complement I \\ J."""
     j_terms: tuple[tuple[JTerm, ...], ...]
     rest: tuple[tuple[Expr, ...], ...]
 
@@ -238,20 +237,18 @@ def _linear_jet_split(term: Expr) -> Optional[JTerm]:
 
 
 def classify_terms(sys: PDESystem) -> TermClassification:
-    i_all, j_all, rest_all = [], [], []
+    j_all, rest_all = [], []
     for s in range(sys.q):
         f = expand(sys.F[s])
-        i_terms, j_terms, rest = [], [], []
+        j_terms, rest = [], []
         for term in add_terms(f):
             if term == ZERO:
                 continue
-            i_terms.append(term)
             jt = _linear_jet_split(term)
             if jt is not None:
                 j_terms.append(jt)
             else:
                 rest.append(term)
-        i_all.append(tuple(i_terms))
         j_all.append(tuple(j_terms))
         rest_all.append(tuple(rest))
-    return TermClassification(tuple(i_all), tuple(j_all), tuple(rest_all))
+    return TermClassification(tuple(j_all), tuple(rest_all))

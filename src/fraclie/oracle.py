@@ -11,9 +11,9 @@ definition, independently of the symbolic power rule:
 
 The Gauss-Jacobi rules are built with `math` alone: nodes by Newton's
 method on the three-term Jacobi recurrence from asymptotic first guesses,
-weights by Szego's closed formula at the final iterate.  A rule depends
-only on (nodes, order, m), so each is computed once per process and kept,
-as tuples, in a bounded cache.
+weights by Szego's closed formula at the final iterate.  The nodes depend
+only on (nodes, order) and a rule only on (nodes, order, m), so each is
+computed once per process and kept, as tuples, in a bounded cache.
 
 This module owns all floating-point evaluation; the symbolic layer stays
 exact.
@@ -159,6 +159,7 @@ def _jacobi(n: int, alf: float, z: float) -> tuple[float, float]:
     return p1, dp
 
 
+@functools.lru_cache(maxsize=128)
 def _gauss_jacobi(n: int, a: float
                   ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The n-node Gauss rule (nodes ascending, weights) for the weight
@@ -212,19 +213,19 @@ def _gauss_jacobi(n: int, a: float
 @functools.lru_cache(maxsize=128)
 def _jacobi_rule(nodes: int, a: float, m: int
                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The rule of _gauss_jacobi_rl after sigma = rho^m, as (weights,
-    sigma): int_0^1 (1-sigma)^(-a) F(sigma) dsigma ~ sum_i W_i F(sigma_i),
-    the Jacobian and the factor 2^(a-1) folded into W.  A pure function of
-    its arguments, so each rule is computed once per process."""
+    """The rule of _gauss_jacobi_rl after sigma = rho^m, as (weights, rho):
+    int_0^1 (1-sigma)^(-a) F(sigma) dsigma ~ sum_i W_i rho_i^(m-1)
+    F(rho_i^m), the factor 2^(a-1) and the Jacobian but rho^(m-1) folded
+    into W.  A pure function of its arguments, so computed once per process."""
     x, w = _gauss_jacobi(nodes, a)
-    weights, sigma = [], []
+    weights, rhos = [], []
     for xi, wi in zip(x, w):
         rho = (xi + 1.0) / 2.0
         # (1 - rho^m)^(-a) = (1 - rho)^(-a) * omega^(-a), omega = sum_j<m rho^j
         omega = sum(rho ** j for j in range(m))
-        weights.append(2.0 ** (a - 1.0) * wi * m * rho ** (m - 1) * omega ** (-a))
-        sigma.append(rho ** m)
-    return tuple(weights), tuple(sigma)
+        weights.append(2.0 ** (a - 1.0) * wi * m * omega ** (-a))
+        rhos.append(rho)
+    return tuple(weights), tuple(rhos)
 
 
 def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
@@ -232,13 +233,16 @@ def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
     """d/dt [ t^(1-a) * int_0^1 (1-sigma)^(-a) f(t sigma) dsigma ] / Gamma(1-a)
     = t^(-a)/Gamma(1-a) * [ (1-a) I1 + t I2 ],  I1 = int w f(t sigma),
     I2 = int w sigma f'(t sigma); for f = sum c s^g the bracket is
-    int w sum c (1-a+g) (t sigma)^g.  sigma = rho^m makes the integrand
-    smooth."""
+    int w sum c (1-a+g) (t sigma)^g.  sigma = rho^m, m the common
+    denominator of the g, makes it smooth: with the Jacobian's rho^(m-1),
+    sigma^g gives rho^(m(g+1)-1), a power >= 0 as g > -1."""
     m = math.lcm(*(g.denominator for _, g in terms))
-    weights, sigma = _jacobi_rule(nodes, a, min(m, 16))
-    scaled = [(c * (1.0 - a + float(g)), float(g)) for c, g in terms]
-    bracket = math.fsum(wi * c * (t * si) ** g
-                        for wi, si in zip(weights, sigma) for c, g in scaled)
+    weights, rhos = _jacobi_rule(nodes, a, m)
+    scaled = [(c * (1.0 - a + float(g)) * t ** float(g),
+               m // g.denominator * (g.numerator + g.denominator) - 1)
+              for c, g in terms]
+    bracket = math.fsum(wi * c * ri ** k
+                        for wi, ri in zip(weights, rhos) for c, k in scaled)
     return t ** (-a) / math.gamma(1.0 - a) * bracket
 
 

@@ -5,13 +5,13 @@ eta_s = [g_s(x) + gamma_s*(2*chi2*t + chi1)]*u_s + sum_{i!=s} f_{s,i}(x)*u_i
 + h_s(t,x), with gamma_s a symbol the solver binds to (alpha-1)/2.
 Integer-order extended infinitesimals need no tau, and since eta is linear
 in u with jet-free coefficients and xi is jet-free (for a concrete generator
-solver.ConcreteGenerator checks this, and solver.generator_shape the rest of
-the shape), they are the Leibniz sum over derivatives of those coefficients
-(Prolongation); the total derivative of the characteristic, the general
-route, is kept in fraclie.lemmas as the reference.  The fractional extended infinitesimal reduces to a local part
-plus series coefficients that vanish identically under the ansatz (the
-nonlinearity tail mu is zero because eta is linear in u; see
-fraclie.lemmas).
+solver.ConcreteGenerator checks this with the rest of the shape), they are
+the Leibniz sum over derivatives of those coefficients (Prolongation); the
+total derivative of the characteristic, the general route, is kept in
+fraclie.lemmas as the reference.  The fractional extended infinitesimal
+reduces to a local part plus series coefficients that vanish identically
+under the ansatz (the nonlinearity tail mu is zero because eta is linear in
+u; see fraclie.lemmas).
 """
 from __future__ import annotations
 

@@ -1,10 +1,11 @@
 """Pipeline orchestration and deterministic reports.
 
-run_pipeline parses, builds the determining system, solves it once for both
-chi2 branches, certifies every generator, optionally reduces and
-oracle-checks, and packs everything into a Report.  The JSON form is
-byte-identical across runs on the same input (timing is text-only for that
-reason); text and LaTeX are pure renderings of the same record.
+run_pipeline parses, builds the determining system, solves it once (the
+chi2 = 0 branch is a subspace of that one solution), certifies every
+generator, optionally reduces and oracle-checks, and packs everything into
+a Report.  The JSON form is byte-identical across runs on the same input
+(timing is text-only for that reason); text and LaTeX are pure renderings
+of the same record.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ SCHEMA_VERSION = 1
 class PipelineConfig:
     poly_degree: int = 3
     h_templates: tuple[str, ...] = ()
-    branch: str = "both"
+    branch: str = "both"            # both | zero, as SolverConfig
     reduce: bool = False
     oracle_check: bool = False
     verify_generator_text: Optional[str] = None

@@ -23,9 +23,10 @@ by coefficient: the sum over columns of the entry times the column's
 coefficient.
 
 The columns go up to degree d+1, the degree-<=d ones first, and the matrix
-is eliminated once.  The first phase of the elimination, over the
-degree-<=d columns, gives the basis and the ledger; the rank at its end
-checks that d is not binding (see solve).
+is eliminated once, whatever the branch.  The first phase of the
+elimination, over the degree-<=d columns, gives the null space and the
+ledger; the rank at its end checks that d is not binding (see solve).  The
+chi2 = 0 branch is a subspace of that one null space.
 """
 from __future__ import annotations
 
@@ -38,9 +39,9 @@ from typing import Optional, Sequence
 from .exponents import ZERO_FORM, Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    _nadd, _nmul, _npow, add_terms, any_node, atoms,
-                   depends_on_jets, diff_wrt, expand, gamma_simplify,
-                   mul_factors, partial_derivative, render, split_factors,
-                   split_power, substitute, to_eform, total_derivative)
+                   depends_on_jets, diff_wrt, expand, mul_factors,
+                   partial_derivative, render, split_factors, split_power,
+                   substitute, to_eform, total_derivative)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature
@@ -113,10 +114,8 @@ class ConcreteGenerator:
     pieces the conditions ask for once per jet, tau', d eta_s/d u_i and h_s,
     are computed once per generator.
 
-    The Leibniz prolongation holds only when every xi_i and every
-    d eta_s/d u_j is free of jets, so construction refuses any other
-    generator with ShapeViolation; generator_shape checks the rest of the
-    admitted form."""
+    The Leibniz prolongation holds only on the admitted shape, so
+    construction refuses any other generator with ShapeViolation."""
 
     def __init__(self, gen: Generator, alpha: Expr,
                  assumptions: Optional[Assumptions] = None):
@@ -124,14 +123,38 @@ class ConcreteGenerator:
         self.sig = sig = gen.sig
         self.alpha = alpha
         self.asm = assumptions if assumptions is not None else Assumptions()
+        t = sig.t
+        chi2 = ZERO
+        for term in add_terms(expand(gen.tau)):
+            if term == ZERO:
+                continue
+            texp, coeff = split_power(term, t)
+            if depends_on_jets(coeff) or atoms(coeff, Var):
+                raise ShapeViolation("tau must be a polynomial in t with constant "
+                                     "coefficients")
+            if texp == ExponentForm.rational(2):
+                chi2 = chi2 + coeff
+            elif texp != ExponentForm.rational(1):
+                raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
         for i, xi in enumerate(gen.xi):
-            if depends_on_jets(xi):
+            if depends_on_jets(xi) or any(v.is_time for v in atoms(xi, Var)):
                 raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
                                      "the space variables only")
         self._deta_du = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)]
                          for eta in gen.eta]
         if any(depends_on_jets(d) for row in self._deta_du for d in row):
             raise ShapeViolation("eta must be linear in the dependents")
+        slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
+        for s, row in enumerate(self._deta_du):
+            for j, d in enumerate(row):
+                dt = partial_derivative(d, t)
+                if j != s and dt != ZERO:
+                    raise ShapeViolation(
+                        "cross coefficients of eta must be x-functions only")
+                if j == s and expand(dt - slope) != ZERO:
+                    raise ShapeViolation(
+                        "the t-slope of the u_s-coefficient of eta_s must equal "
+                        "(alpha-1)*chi2")
         self._h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)])
                                   for j, d in enumerate(row)])
                    for eta, row in zip(gen.eta, self._deta_du)]
@@ -169,48 +192,6 @@ class ConcreteGenerator:
                              assumptions=self.asm).to_expr()
 
 
-def generator_shape(conc: ConcreteGenerator) -> tuple[Expr, Expr]:
-    """Validate the admitted structural form beyond what ConcreteGenerator
-    refuses itself; returns (chi1, chi2).  Raises ShapeViolation otherwise."""
-    gen, sig, alpha = conc.gen, conc.sig, conc.alpha
-    t = sig.t
-    tau = expand(gen.tau)
-    chi1, chi2 = ZERO, ZERO
-    for term in add_terms(tau):
-        if term == ZERO:
-            continue
-        texp, coeff = split_power(term, t)
-        if depends_on_jets(coeff) or atoms(coeff, Var):
-            raise ShapeViolation("tau must be a polynomial in t with constant "
-                                 "coefficients")
-        if texp == ExponentForm.rational(1):
-            chi1 = chi1 + coeff
-        elif texp == ExponentForm.rational(2):
-            chi2 = chi2 + coeff
-        else:
-            raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
-    for i in range(sig.p):
-        if any(v.is_time for v in atoms(gen.xi[i], Var)):
-            raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on the "
-                                 "space variables only")
-    for s in range(sig.q):
-        for j in range(sig.q):
-            dt = partial_derivative(conc.deta_du(s, j), t)
-            if j != s:
-                if dt != ZERO:
-                    raise ShapeViolation(
-                        "cross coefficients of eta must be x-functions only")
-            else:
-                expected = _nmul([_nadd([alpha, Rat(-1)]), chi2])
-                if expand(dt - expected) != ZERO:
-                    raise ShapeViolation(
-                        "the t-slope of the u_s-coefficient of eta_s must equal "
-                        "(alpha-1)*chi2")
-                if partial_derivative(dt, t) != ZERO:
-                    raise ShapeViolation("eta coefficient at most linear in t")
-    return chi1, chi2
-
-
 @record(frozen=True)
 class VerificationReport:
     ok: bool
@@ -230,21 +211,20 @@ def verify_generator(sys: PDESystem, gen: Generator,
     """Re-derive both determining conditions with the concrete generator
     and report residuals; all-zero means verified.  Independent of the
     linear solve.  The generator must have the admitted shape
-    (ConcreteGenerator and generator_shape raise ShapeViolation otherwise);
-    on that shape the extended infinitesimals are the Leibniz sum of
-    prolong.Prolongation, computed once per generator, and the facts of
-    the system are those the system computed once."""
+    (ConcreteGenerator raises ShapeViolation otherwise); on that shape the
+    extended infinitesimals are the Leibniz sum of prolong.Prolongation,
+    computed once per generator, and the facts of the system are those the
+    system computed once."""
     asm = assumptions if assumptions is not None else sys.assumptions()
     fld = Field(asm)
     conc = ConcreteGenerator(gen, sys.alpha, asm)
-    generator_shape(conc)
     cond2 = invariance_condition(sys, conc)
     cond1 = h_condition(sys, conc)
     frac_res = tuple(fld.to_expr(fld.elem(c)) for c in cond1)
     int_res = []
     for s in range(sys.q):
         kept = []
-        for mono, coeff in jet_fragments(gamma_simplify(expand(cond2[s]), asm)):
+        for mono, coeff in jet_fragments(cond2[s]):
             c = fld.elem(coeff)
             if not c.is_zero():
                 kept.append((mono, fld.to_expr(c)))
@@ -270,11 +250,17 @@ def default_h_templates(sys: PDESystem) -> list[Expr]:
 
 @record(frozen=True)
 class SolverConfig:
-    """h_templates are templates for the h_s beyond default_h_templates."""
+    """h_templates are templates for the h_s beyond default_h_templates.
+    branch "zero" emits only the generators with chi2 = 0."""
     poly_degree: int = 3
     h_templates: tuple[Expr, ...] = ()
-    branch: str = "both"            # both | zero | nonzero
+    branch: str = "both"            # both | zero
     check_degree_stability: bool = True
+
+    def __post_init__(self):
+        if self.branch not in ("both", "zero"):
+            raise ValueError(f"branch must be 'both' or 'zero', not "
+                             f"{self.branch!r}")
 
 
 def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
@@ -702,8 +688,9 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     pivot rows, cut to those columns, are that rref's rows: they give the
     degree-d null space, the basis and the ledger.  The elimination then
     goes on over the new columns, its assumptions dropped, and ends with
-    the rank of the full d+1 matrix, the chi2 = 0 row included under
-    branch "zero".
+    the rank of the full d+1 matrix.  Every branch eliminates this one
+    matrix; branch "zero" then keeps the chi2 = 0 subspace of the degree-d
+    null space, and the rank below counts the whole null space.
 
     That rank checks that d is not binding.  The padded degree-d null space
     lies inside the d+1 null space, and each new column maps to its own
@@ -719,19 +706,23 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     inst = build_instantiation(ds, cfg, asm)
     ncols = inst.ndeg
     rows, notes = _determining_rows(ds, inst, fld, set(range(ncols)))
-    if cfg.branch == "zero":
-        row = [fld.zero] * len(inst.columns)
-        row[inst.col_index[ds.ans.chi2.name]] = fld.one
-        rows.append(row)
     res = rref(rows, fld, lead=ncols)
     vecs, piv_notes = nullspace(res, ncols, fld)
+    dim = len(vecs)
     # chi2 is one column: the chi2 = 0 subspace loses at most one dimension
     chi2 = inst.col_index[ds.ans.chi2.name]
-    dim = len(vecs)
-    zero_dim = dim - 1 if any(not v[chi2].is_zero() for v in vecs) else dim
-    dims = {"both": [("zero", zero_dim), ("nonzero", dim)],
-            "zero": [("zero", dim)],
-            "nonzero": [("nonzero", dim)]}[cfg.branch]
+    pivot = next((v for v in vecs if not v[chi2].is_zero()), None)
+    dims = [("zero", dim if pivot is None else dim - 1), ("nonzero", dim)]
+    if cfg.branch == "zero":
+        # the pivot clears the chi2 entry of the other vectors and goes
+        zero = []
+        for v in vecs:
+            if v is not pivot and not v[chi2].is_zero():
+                f = fld.div(v[chi2], pivot[chi2])
+                v = [fld.sub(e, fld.mul(f, p)) for e, p in zip(v, pivot)]
+            if v is not pivot:
+                zero.append(v)
+        vecs, dims = zero, dims[:1]
     coeffs = _component_coefficients(ds, inst, fld)
     final = normalize_generators(
         [_vector_to_generator(coeffs, inst, v, fld) for v in vecs], ds.sys.sig, fld)

@@ -101,14 +101,14 @@ class TestFieldArithmetic:
         g = fld.elem(Gamma(add(ONE, neg(a))))
         inv = fld.div(fld.one, g)
         assert fld.mul(g, inv) == fld.one
-        assert fld.provably_nonzero(Gamma(add(ONE, neg(a))))
+        assert fld.provably_nonzero(g)
 
     def test_provably_nonzero(self):
         fld = field()
-        assert fld.provably_nonzero(add(a, 1))                # in (1,2)
-        assert fld.provably_nonzero(mul(n, add(a, Rat(-1))))  # n != 0, a-1 < 0
-        assert fld.provably_nonzero(add(mul(8, pow_(a, 2)), mul(-8, a)))
-        assert not fld.provably_nonzero(add(mul(2, a), Rat(-1)))  # 2a-1
+        assert fld.provably_nonzero(fld.elem(add(a, 1)))                # in (1,2)
+        assert fld.provably_nonzero(fld.elem(mul(n, add(a, Rat(-1)))))  # n != 0, a-1 < 0
+        assert fld.provably_nonzero(fld.elem(add(mul(8, pow_(a, 2)), mul(-8, a))))
+        assert not fld.provably_nonzero(fld.elem(add(mul(2, a), Rat(-1))))  # 2a-1
 
     def test_sum_content_normal_form(self):
         fld = Field(Assumptions("a"))
@@ -219,7 +219,7 @@ def _dense_rref(rows, field):
                 continue
             if isinstance(e.num, Rat) and isinstance(e.den, Rat):
                 cls = 0
-            elif field.provably_nonzero(e.num):
+            elif field.provably_nonzero(e):
                 cls = 1
             else:
                 cls = 2

@@ -138,8 +138,7 @@ class TestClassify:
         for sys in (zk, hs, tele):
             cl = classify_terms(sys)
             for s in range(sys.q):
-                total = add(*[j.term() for j in cl.j_terms[s]],
-                            *cl.rest[s]) if cl.i_terms[s] else ZERO
+                total = add(*[j.term() for j in cl.j_terms[s]], *cl.rest[s])
                 assert simplify(expand(total - sys.F[s])) == ZERO
 
 

@@ -127,9 +127,34 @@ class TestGaussJacobiRule:
                 assert abs(got - exact) <= 1e-10 * exact, (n, k, j)
 
 
+class TestRationalExponents:
+    """sigma = rho^m with m the whole common denominator of the exponents,
+    and sigma^g merged into an integer power of rho: no cap on m, and no
+    negative power of an underflowed sigma next to g = -1."""
+
+    @pytest.mark.parametrize("a", [F(1, 4), F(1, 2), F(7, 8)])
+    @pytest.mark.parametrize("g", [F(-16, 17), F(-63, 64), F(-96, 97),
+                                   F(1, 97), F(7, 3)])
+    def test_relative_error_below_1e_12(self, g, a):
+        for tv in (0.5, 1.0, 2.0):
+            want = closed_form(g, a, tv)
+            got = numeric_rl_oracle(mono(g), a, [tv]).values[0]
+            assert abs(got - want) <= 1e-12 * abs(want), (g, a, tv)
+
+    @pytest.mark.parametrize("a", [F(1, 4), F(1, 2), F(7, 8)])
+    def test_next_to_minus_one(self, a):
+        # m = 1000 here; the rule itself limits the accuracy to about 3e-9
+        g = F(-999, 1000)
+        for tv in (0.5, 1.0, 2.0):
+            want = closed_form(g, a, tv)
+            got = numeric_rl_oracle(mono(g), a, [tv]).values[0]
+            assert abs(got - want) <= 1e-8 * abs(want), (a, tv)
+
+
 class TestQuadratureRules:
-    """Each Gauss-Jacobi rule is computed once per (nodes, order, m) and
-    kept, as tuples, in a bounded cache."""
+    """The Newton nodes are computed once per (nodes, order) and each
+    Gauss-Jacobi rule once per (nodes, order, m); both are kept, as tuples,
+    in bounded caches."""
 
     @pytest.mark.parametrize("g, a, tv", [(F(2), F(1, 2), 1.0),
                                           (F(5, 2), F(1, 4), 0.5),
@@ -160,3 +185,12 @@ class TestQuadratureRules:
         again = oracle._jacobi_rule.cache_info().misses
         numeric_rl_oracle(mono(F(7, 3)), F(5, 17), [0.25, 3.0, 4.0])
         assert oracle._jacobi_rule.cache_info().misses == again
+
+    def test_a_new_m_reuses_the_nodes(self):
+        # an order no other test uses; the second exponent needs a new m
+        numeric_rl_oracle(mono(F(1, 3)), F(5, 19), [1.0])
+        nodes = oracle._gauss_jacobi.cache_info().misses
+        rules = oracle._jacobi_rule.cache_info().misses
+        numeric_rl_oracle(mono(F(1, 5)), F(5, 19), [1.0])
+        assert oracle._gauss_jacobi.cache_info().misses == nodes
+        assert oracle._jacobi_rule.cache_info().misses == rules + 2

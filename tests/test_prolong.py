@@ -177,6 +177,12 @@ class TestLeibnizPremise:
         with pytest.raises(ShapeViolation):
             invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))
 
+    def test_cubic_tau_refused_at_construction(self, zk):
+        sig = zk.sig
+        gen = Generator(sig, pow_(sig.t, 3), (ZERO,) * sig.p, (ZERO,) * sig.q)
+        with pytest.raises(ShapeViolation, match="chi2\\*t\\^2 \\+ chi1\\*t"):
+            ConcreteGenerator(gen, zk.alpha)
+
     def test_affine_eta_accepted(self, zk):
         sig = zk.sig
         gen = self._gen(zk, eta=[add(mul(sig.x(0), sig.u(0)), sig.x(1))])

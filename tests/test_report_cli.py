@@ -187,6 +187,17 @@ class TestCli:
         payload = json.loads(out.stdout)
         assert any(r["type"] == "scaling" for r in payload["reductions"])
 
+    def test_branch_is_both_or_zero(self, capsys):
+        from fraclie.cli import build_arg_parser
+        ap = build_arg_parser()
+        for branch in ("both", "zero"):
+            assert ap.parse_args(["analyze", "f", "--branch", branch]).branch == branch
+        with pytest.raises(SystemExit):
+            ap.parse_args(["analyze", "f", "--branch", "nonzero"])
+        assert "invalid choice: 'nonzero'" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="'both' or 'zero'"):
+            run_pipeline(ZK_SRC, PipelineConfig(branch="nonzero"))
+
     def test_deterministic_json_output(self):
         out1 = run_cli("analyze", "demos/zk.fpde", "--emit", "json")
         out2 = run_cli("analyze", "demos/zk.fpde", "--emit", "json")

@@ -15,6 +15,7 @@ from fraclie.model import ParamDecl, make_system
 from fraclie.records import replace
 from fraclie.lemmas import (_generator_vector, _structural_groups,
                             basis_function, normalize_basis)
+from fraclie import solver
 from fraclie.solver import (_component_coefficients, _determining_rows,
                             _gamma_subs, _rebuild_generator,
                             _vector_to_generator, build_instantiation,
@@ -118,6 +119,11 @@ class TestGoldenBases:
         assert all(r.ok for r in basis.reports)
 
 
+ROOT = DEMOS.parent
+BRANCH_SYSTEMS = [p for d in ("tests/corpus", "demos", "perfbench/inputs")
+                  for p in sorted((ROOT / d).glob("*.fpde"))]
+
+
 class TestBranches:
     def test_chi2_nonzero_branch_produces_projective_generator(self):
         # for Dt^(1/3) u = u u_x the u u_x class coefficient alpha + gamma
@@ -151,11 +157,30 @@ class TestBranches:
     def test_single_branch_configs(self, zk):
         ds = build_determining(zk)
         bz = solve(ds, SolverConfig(branch="zero"))
-        bn = solve(ds, SolverConfig(branch="nonzero"))
         both = solve(ds, SolverConfig(branch="both"))
         assert set(bz.generators) == set(both.generators)
-        # the nonzero branch collapses onto the same algebra (chi2 forced 0)
-        assert set(bn.generators) == set(both.generators)
+
+    @pytest.mark.parametrize("branch", ["nonzero", "", "Zero"])
+    def test_unknown_branch_is_a_value_error(self, branch):
+        with pytest.raises(ValueError, match="'both' or 'zero'"):
+            SolverConfig(branch=branch)
+
+    @pytest.mark.parametrize("path", BRANCH_SYSTEMS,
+                             ids=[f"{p.parent.name}/{p.stem}" for p in BRANCH_SYSTEMS])
+    def test_zero_branch_is_the_chi2_zero_subspace(self, path):
+        # one elimination for both branches: the zero branch emits the
+        # generators the zero entry of branch_dims counts, none with a t^2
+        # part in tau, under the ledger of the whole solve
+        sys = parse_system(path.read_text())
+        ds = build_determining(sys)
+        both = solve(ds)
+        zero = solve(ds, SolverConfig(branch="zero"))
+        emitted = zero.generators + zero.shift_generators
+        assert len(emitted) == dict(both.branch_dims)["zero"]
+        t = sys.sig.t
+        for g in emitted:
+            assert partial_derivative(partial_derivative(g.tau, t), t) == ZERO
+        assert zero.assumptions == both.assumptions
 
 
 PROJECTIVE_SRC = "alpha 1/3; space x; dep u; Dt^alpha(u) = u*Dx(u);"
@@ -166,7 +191,8 @@ SOURCE_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + t*x;"
 class TestBranchDimensions:
     """branch_dims come from one null space: nonzero is its dimension, zero
     that of its chi2 = 0 subspace.  Expected values are those of separate
-    solves on the chi2 = 0 and chi2 != 0 branches."""
+    solves on the chi2 = 0 and chi2 != 0 branches; the zero branch emits
+    the generators of that subspace."""
 
     def test_projective(self):
         sys = parse_system(PROJECTIVE_SRC)
@@ -180,9 +206,6 @@ class TestBranchDimensions:
         assert zero.branch_dims == (("zero", 3),)
         assert projective not in zero.generators
         assert set(zero.generators) == set(both.generators) - {projective}
-        nonzero = solve(ds, SolverConfig(branch="nonzero"))
-        assert nonzero.branch_dims == (("nonzero", 4),)
-        assert set(nonzero.generators) == set(both.generators)
 
     def test_linear_heat(self):
         _, basis = solve_system(parse_system(HEAT_SRC))
@@ -197,9 +220,9 @@ class TestBranchDimensions:
             "3*a-1 != 0 (separates t-power classes during the solve)")
         # structurally equal, not just equal up to Field.eq: the u-coefficient
         # is u*(1 + 2*a) on both configurations
-        nonzero = solve(ds, SolverConfig(branch="nonzero"))
-        assert nonzero.generators == both.generators
-        assert nonzero.shift_generators == both.shift_generators
+        zero = solve(ds, SolverConfig(branch="zero"))
+        assert zero.generators == both.generators
+        assert zero.shift_generators == both.shift_generators
 
 
 class TestStability:
@@ -253,6 +276,10 @@ def _reference_generator(ds, inst, vec, fld):
                      tuple(val(ans.eta(s)) for s in range(sig.q)))
 
 
+class _Stop(Exception):
+    pass
+
+
 def _restrict(rows, keep):
     """The rows on the columns `keep`, in that order; rows left empty drop."""
     out = []
@@ -292,17 +319,22 @@ class TestDegreeLift:
     @pytest.mark.parametrize("d", [0, 3])
     @pytest.mark.parametrize("name", ["zk", "hs", "tele", "tele_pow", "proj"])
     def test_one_elimination_is_restricted_rref_then_rank(self, name, d, branch,
-                                                         request):
+                                                         request, monkeypatch):
+        # solve hands rref the determining rows alone, whatever the branch
         sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
         ds = build_determining(sys)
-        asm = sys.assumptions()
-        fld = Field(asm)
-        big = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
-        k = big.ndeg
-        rows, _ = _determining_rows(ds, big, fld, set(range(k)))
-        if branch == "zero":
-            rows.append([fld.one if c == big.col_index["chi2"] else fld.zero
-                         for c in range(len(big.columns))])
+        seen = []
+
+        def first_rref(rows, fld, lead=None):
+            seen.append((rows, fld, lead))
+            raise _Stop
+        monkeypatch.setattr(solver, "rref", first_rref)
+        with pytest.raises(_Stop):
+            solve(ds, SolverConfig(poly_degree=d, branch=branch))
+        (rows, fld, k), = seen
+        big = build_instantiation(ds, SolverConfig(poly_degree=d), sys.assumptions())
+        assert k == big.ndeg
+        assert rows == _determining_rows(ds, big, fld, set(range(k)))[0]
         res = rref(rows, fld, lead=k)
         want = rref(_restrict(rows, list(range(k))), fld)
         first = [(row[:k], p) for row, p in zip(res.rows, res.pivots) if p < k]

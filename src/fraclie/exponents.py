@@ -19,6 +19,18 @@ Monomial = tuple[tuple[str, int], ...]
 UNIT: Monomial = ()
 
 
+def exact(value) -> Fraction:
+    """value as a Fraction.  A float or a bool is refused with TypeError:
+    neither is an exact rational, and Fraction would take either silently
+    (0.1 as 3602879701896397/36028797018963968, True as 1)."""
+    if value.__class__ is Fraction:
+        return value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not an exact rational; "
+                        "pass an int or a Fraction")
+    return Fraction(value)
+
+
 class ExponentForm:
     """Q-linear combination of basis monomials; UNIT is the constant slot."""
 
@@ -28,8 +40,8 @@ class ExponentForm:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[Monomial, Fraction] = {}
         for mono, c in items:
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
+            if c.__class__ is not Fraction:
+                c = exact(c)
             if c:
                 prev = acc.get(mono)
                 acc[mono] = c if prev is None else prev + c
@@ -39,11 +51,11 @@ class ExponentForm:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def rational(value) -> "ExponentForm":
-        return ExponentForm({UNIT: Fraction(value)})
+        return ExponentForm({UNIT: exact(value)})
 
     @staticmethod
     def symbol(name: str, power: int = 1, coeff=1) -> "ExponentForm":
-        return ExponentForm({((name, power),): Fraction(coeff)})
+        return ExponentForm({((name, power),): exact(coeff)})
 
     # -- ring/module operations --------------------------------------------
     def __add__(self, other: "ExponentForm") -> "ExponentForm":
@@ -80,7 +92,7 @@ class ExponentForm:
         return out
 
     def scale(self, factor) -> "ExponentForm":
-        f = Fraction(factor)
+        f = exact(factor)
         return ExponentForm({m: c * f for m, c in self.coeffs})
 
     def __neg__(self) -> "ExponentForm":

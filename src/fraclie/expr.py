@@ -3,8 +3,16 @@
 Expressions are immutable trees over exact rationals.  Exponents of power
 factors are ExponentForms, so products of powers merge by exponent addition
 and mathematically equal monomials normalize to identical trees.  No
-floating point number ever enters an expression; numeric evaluation lives in
-the oracle module.
+floating point number ever enters an expression (Rat and ExponentForm refuse
+a float or a bool with TypeError); numeric evaluation lives in the oracle
+module.
+
+Storage rule: a Rat stores an integral value as an int and any other value
+as a Fraction in lowest terms, one stored form per value, because int
+arithmetic is several times cheaper than Fraction arithmetic and most
+rationals in a condition are integers.  Only the kernel (_npow, _nmul,
+_nadd, _mono_factors) reads the stored form; Rat.value, _coeff_mono and
+render hand every other reader a Fraction.
 
 Canonical by construction: every tree the kernel builds (the constructors
 add, mul, neg, pow_, div, the operators on Expr, and expand, substitute,
@@ -28,7 +36,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .exponents import (Assumptions, ExponentForm, Interval, UNIT_FORM,
-                        ZERO_FORM)
+                        ZERO_FORM, exact)
 
 
 class KernelError(Exception):
@@ -122,14 +130,31 @@ class Expr:
 
 
 class Rat(Expr):
-    __slots__ = ("value",)
+    """An exact rational constant, built from an int or a Fraction (a float
+    or a bool is a TypeError).  The slot stored holds the value in its one
+    stored form: an int when it is integral, else a Fraction in lowest
+    terms.  value is the value as a Fraction, whatever the stored form.
+    The key is (0, stored); an int and a Fraction of one value compare and
+    hash equal, so the key is that of the value."""
+    __slots__ = ("stored",)
 
-    def __init__(self, value: Fraction):
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+    def __init__(self, value: Union[int, Fraction]):
+        cls = value.__class__
+        if cls is not int:
+            if cls is not Fraction:
+                value = exact(value)
+            if value.denominator == 1:
+                value = value.numerator
+        self.stored = value
         self._key = self._hash = None
 
+    @property
+    def value(self) -> Fraction:
+        v = self.stored
+        return v if v.__class__ is Fraction else Fraction(v)
+
     def _make_key(self):
-        return (0, self.value)
+        return (0, self.stored)
 
 
 class Sym(Expr):
@@ -264,9 +289,11 @@ class Add(Expr):
         return (8, len(self.terms), tuple(t.key() for t in self.terms))
 
 
-ZERO = Rat(Fraction(0))
-ONE = Rat(Fraction(1))
-_ONE_VALUE = ONE.value
+ZERO = Rat(0)
+ONE = Rat(1)
+_MINUS_ONE = Rat(-1)
+_MINUS_ONE_FORM = ExponentForm.rational(-1)
+_FRACTION_ONE = Fraction(1)
 
 ExprLike = Union[Expr, int, Fraction]
 
@@ -275,7 +302,7 @@ def as_expr(v: ExprLike) -> Expr:
     if isinstance(v, Expr):
         return v
     if isinstance(v, (int, Fraction)):
-        return Rat(Fraction(v))
+        return Rat(v)
     raise TypeError(f"cannot coerce {v!r} to an expression")
 
 
@@ -302,16 +329,19 @@ def _npow(base: Expr, exp: ExponentForm) -> Expr:
     if exp == UNIT_FORM:
         return base
     if isinstance(base, Rat):
-        if base.value == 0:
+        v = base.stored
+        if v == 0:
             r = exp.as_rational()
             if r is None or r < 0:
                 raise ZeroDivisionError(f"zero to the power {exp.render()}")
             return ZERO
-        if base.value == 1:
+        if v == 1:
             return ONE
         k = exp.as_integer()
         if k is not None:
-            return Rat(base.value ** k)
+            # an int to a negative power is a float, so that one goes
+            # through Fraction
+            return Rat(v ** k if k > 0 else Fraction(v) ** k)
         return Pow(base, exp)
     if isinstance(base, Pow):
         k = exp.as_integer()
@@ -335,14 +365,15 @@ def _base_exp(f: Expr) -> tuple[Expr, ExponentForm]:
 
 
 def _nmul(factors: Iterable[Expr]) -> Expr:
-    coeff = _ONE_VALUE      # the first rational factor replaces it unmultiplied
+    coeff = None        # the product of the rational factors, stored form
     merged: dict[Expr, list] = {}       # base -> [base, exponent, factor]
     for f in factors:
         for g in (f.factors if isinstance(f, Mul) else (f,)):
             if isinstance(g, Rat):
-                if g.value == 0:
+                v = g.stored
+                if v == 0:
                     return ZERO
-                coeff = g.value if coeff is _ONE_VALUE else coeff * g.value
+                coeff = v if coeff is None else coeff * v
                 continue
             b, e = _base_exp(g)
             entry = merged.get(b)
@@ -359,34 +390,37 @@ def _nmul(factors: Iterable[Expr]) -> Expr:
             continue
         p = _npow(b, e)
         if isinstance(p, Rat):
-            if p.value == 0:
+            if p.stored == 0:
                 return ZERO
-            coeff *= p.value
+            coeff = p.stored if coeff is None else coeff * p.stored
             continue
         # a merged power of a product or of a power, (x*y)^(1/2) squared,
         # is a product or another base's power and may merge with the others
         remerge = remerge or isinstance(p, Mul) or _base_exp(p)[0] is not b
         out.append(p)
     if remerge:
-        return _nmul(out + [Rat(coeff)])
+        return _nmul(out if coeff is None else out + [Rat(coeff)])
     out.sort(key=lambda x: x.key())
+    if coeff is None or coeff == 1:
+        if not out:
+            return ONE
+        return out[0] if len(out) == 1 else Mul(tuple(out))
     if not out:
         return Rat(coeff)
-    if coeff == 1:
-        return out[0] if len(out) == 1 else Mul(tuple(out))
     return Mul((Rat(coeff),) + tuple(out))
 
 
 def _coeff_mono(term: Expr) -> tuple[Fraction, Optional[Expr]]:
-    """Split a canonical non-Add term into rational coefficient and monomial."""
+    """Split a canonical non-Add term into rational coefficient, a Fraction,
+    and monomial."""
     if isinstance(term, Rat):
         return term.value, None
     if isinstance(term, Mul) and isinstance(term.factors[0], Rat):
         return term.factors[0].value, _mono_of(term.factors[1:])
-    return _ONE_VALUE, term
+    return _FRACTION_ONE, term
 
 
-def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
+def _with_coeff(coeff: Union[int, Fraction], mono: Optional[Expr]) -> Expr:
     if mono is None or coeff == 0:
         return Rat(coeff)
     if coeff == 1:
@@ -396,15 +430,16 @@ def _with_coeff(coeff: Fraction, mono: Optional[Expr]) -> Expr:
     return Mul((Rat(coeff), mono))
 
 
-def _mono_factors(term: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
-    """The rational coefficient of a canonical non-Add, non-Rat term and the
-    factors of its monomial, without building the monomial."""
+def _mono_factors(term: Expr) -> tuple[Union[int, Fraction], tuple[Expr, ...]]:
+    """The rational coefficient, in stored form, of a canonical non-Add,
+    non-Rat term and the factors of its monomial, without building the
+    monomial."""
     if isinstance(term, Mul):
         first = term.factors[0]
         if isinstance(first, Rat):
-            return first.value, term.factors[1:]
-        return _ONE_VALUE, term.factors
-    return _ONE_VALUE, (term,)
+            return first.stored, term.factors[1:]
+        return 1, term.factors
+    return 1, (term,)
 
 
 def _mono_of(factors: tuple[Expr, ...]) -> Expr:
@@ -419,14 +454,14 @@ def _mono_key(factors: tuple[Expr, ...]):
 
 
 def _nadd(terms: Iterable[Expr]) -> Expr:
-    const = Fraction(0)
+    const = 0           # stored form
     # monomial factors -> [coefficient, the term while it is met once]; the
     # factors are canonical nodes, so the tuple hashes by their cached hashes
     merged: dict[tuple, list] = {}
     for t in terms:
         for s in (t.terms if isinstance(t, Add) else (t,)):
             if isinstance(s, Rat):
-                const += s.value
+                const += s.stored
                 continue
             c, mono = _mono_factors(s)
             entry = merged.get(mono)
@@ -544,7 +579,7 @@ def mul(*factors: ExprLike) -> Expr:
 
 
 def neg(e: ExprLike) -> Expr:
-    return _nmul([Rat(Fraction(-1)), as_expr(e)])
+    return _nmul([_MINUS_ONE, as_expr(e)])
 
 
 def pow_(base: ExprLike, exponent) -> Expr:
@@ -554,10 +589,10 @@ def pow_(base: ExprLike, exponent) -> Expr:
 def div(num: ExprLike, den: ExprLike) -> Expr:
     d = as_expr(den)
     if isinstance(d, Rat):
-        if d.value == 0:
+        if d.stored == 0:
             raise ZeroDivisionError("division by zero expression")
         return _nmul([Rat(1 / d.value), as_expr(num)])
-    return _nmul([as_expr(num), _npow(d, ExponentForm.rational(-1))])
+    return _nmul([as_expr(num), _npow(d, _MINUS_ONE_FORM)])
 
 
 def simplify(e: Expr) -> Expr:
@@ -896,19 +931,41 @@ def _shift_count(iv: Interval) -> int:
     return max(k, 0)
 
 
-def gamma_of_rational(r: Fraction) -> Expr:
-    """Gamma(r) in the normal form of gamma_simplify: a factorial for a
-    positive integer, Gamma(r) itself at a pole, and otherwise
-    Gamma(r) = (r-1)(r-2)...(r-k) Gamma(r-k), k = floor(r) for r > 0, with
-    the k prefactors one Rat."""
-    if r.denominator == 1:
-        if r >= 1:
-            return Rat(Fraction(math.factorial(int(r) - 1)))
-        return Gamma(Rat(r))  # pole; callers handle these before building
+def _gamma_parts(r: Fraction) -> tuple[Fraction, Optional[Fraction]]:
+    """(c, z) with Gamma(r) = c*Gamma(z) in the normal form of
+    gamma_simplify: z is None for a positive integer r, whose Gamma is the
+    factorial c; otherwise z = r-k and c = (r-1)(r-2)...(r-k), with
+    k = floor(r) for r > 0 and k = 0 else."""
+    if r.denominator == 1 and r >= 1:
+        return Fraction(math.factorial(int(r) - 1)), None
     k = max(math.floor(r), 0)
     p, q = r.numerator, r.denominator
     falling = math.prod(p - j * q for j in range(1, k + 1))
-    return _nmul([Rat(Fraction(falling, q ** k)), Gamma(Rat(r - k))])
+    return Fraction(falling, q ** k), r - k
+
+
+def gamma_of_rational(r: Fraction) -> Expr:
+    """Gamma(r) in the normal form of gamma_simplify: a factorial for a
+    positive integer, Gamma(r) itself at a pole (callers handle these
+    before building), and otherwise Gamma(r) = (r-1)(r-2)...(r-k)
+    Gamma(r-k), k = floor(r) for r > 0, with the k prefactors one Rat."""
+    c, z = _gamma_parts(r)
+    return Rat(c) if z is None else _nmul([Rat(c), Gamma(Rat(z))])
+
+
+def gamma_ratio(top: Fraction, bottom: Fraction) -> Expr:
+    """Gamma(top)/Gamma(bottom) in the normal form of gamma_simplify, for
+    rationals top and bottom, bottom not a pole.  The two Gammas left by
+    the recurrence cancel when top - bottom is an integer."""
+    c_top, z_top = _gamma_parts(top)
+    c_bottom, z_bottom = _gamma_parts(bottom)
+    factors = [Rat(c_top / c_bottom)]
+    if z_top != z_bottom:
+        if z_top is not None:
+            factors.append(Gamma(Rat(z_top)))
+        if z_bottom is not None:
+            factors.append(Pow(Gamma(Rat(z_bottom)), _MINUS_ONE_FORM))
+    return _nmul(factors)
 
 
 def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:

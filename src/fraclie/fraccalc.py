@@ -8,9 +8,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
-from .expr import (Expr, ExprLike, Gamma, Sym, Var, ZERO, _nadd, _nmul, _npow,
+from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, _nadd, _nmul, _npow,
                    add_terms, any_node, as_expr, as_eform, expand, from_eform,
-                   gamma_of_rational, gamma_simplify, render, split_power)
+                   gamma_ratio, gamma_simplify, render, split_power)
 from .records import record
 
 
@@ -43,18 +43,19 @@ class PowerSum:
 
     @staticmethod
     def build(tvar: Var, terms: Iterable[tuple[Expr, ExponentForm]]) -> "PowerSum":
-        acc: dict[tuple, list] = {}
+        acc: dict[ExponentForm, list] = {}     # a form caches its hash
         for c, g in terms:
             c = as_expr(c)
             if c == ZERO:
                 continue
-            k = g.sort_key()
-            if k in acc:
-                acc[k][0] = _nadd([acc[k][0], c])
+            entry = acc.get(g)
+            if entry is None:
+                acc[g] = [c, g]
             else:
-                acc[k] = [c, g]
+                entry[0] = _nadd([entry[0], c])
         cleaned = tuple((c, g) for c, g in
-                        (acc[k] for k in sorted(acc)) if c != ZERO)
+                        sorted(acc.values(), key=lambda e: e[1].sort_key())
+                        if c != ZERO)
         return PowerSum(tvar, cleaned)
 
     @staticmethod
@@ -89,9 +90,15 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                   assumptions: Optional[Assumptions] = None) -> PowerSum:
     """Termwise power rule: c*t^g maps to c*Gamma(g+1)/Gamma(g+1-order)*
     t^(g-order); a pole of the denominator (g+1-order a nonpositive integer,
-    e.g. g = alpha-1 at order alpha) kills the term.  When g+1 and g+1-order
-    are both rational, the ratio is built directly in gamma_simplify's normal
-    form (expr.gamma_of_rational); otherwise gamma_simplify normalizes it.
+    e.g. g = alpha-1 at order alpha) kills the term.
+
+    Two routes, one result.  When the order and g are rational, g+1,
+    g+1-order and g-order are Fractions: the domain and pole tests are
+    their signs, and the ratio is built directly in gamma_simplify's normal
+    form (expr.gamma_ratio), with no ExponentForm until the output
+    exponent.  Any symbolic exponent or order, t^(alpha-1) say, takes the
+    ExponentForm route: signs and poles are decided from the assumptions,
+    and gamma_simplify normalizes the ratio.
 
     Requires g > -1 for every exponent, decided from the assumptions;
     otherwise UndecidableExponent is raised and the caller must declare one.
@@ -102,10 +109,29 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
         tvar = f.tvar if isinstance(f, PowerSum) else Var("t", -1)
     ps = as_power_sum(f, tvar)
     asm = assumptions if assumptions is not None else default_assumptions(alpha)
-    order_form = as_eform(alpha if order is None else as_expr(order))
+    order_e = alpha if order is None else as_expr(order)
+    # a rational order is a Rat: canonical trees fold every constant
+    order_r = order_e.value if isinstance(order_e, Rat) else None
+    order_form = (as_eform(order_e) if order_r is None
+                  else ExponentForm.rational(order_r))
 
     out: list[tuple[Expr, ExponentForm]] = []
     for c, g in ps.terms:
+        r = None if order_r is None else g.as_rational()
+        if r is not None:
+            top = r + 1
+            if top <= 0:
+                raise _outside_domain(g)
+            bottom = top - order_r
+            if bottom.denominator == 1 and bottom <= 0:
+                continue        # a pole of the denominator
+            # the ratio is built in gamma_simplify's normal form; only a
+            # coefficient holding a Gamma of its own needs normalizing
+            if any_node(c, _is_gamma):
+                c = gamma_simplify(c, asm)
+            coeff = _nmul([c, gamma_ratio(top, bottom)])
+            out.append((coeff, ExponentForm.rational(r - order_r)))
+            continue
         g1 = g + UNIT_FORM
         s = asm.sign(g1)
         if s is None:
@@ -113,22 +139,17 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                 f"cannot decide {g.render()} > -1 for the power rule; "
                 "declare an assumption on the exponent")
         if s <= 0:
-            raise UndecidableExponent(
-                f"exponent {g.render()} <= -1 is outside the power-rule domain")
+            raise _outside_domain(g)
         zeta = g1 - order_form
         if asm.nonpositive_integer(zeta) is True:
             continue            # a pole of the denominator
-        top, bottom = g1.as_rational(), zeta.as_rational()
-        if top is not None and bottom is not None:
-            # the ratio is built in gamma_simplify's normal form; only a
-            # coefficient holding a Gamma of its own needs normalizing
-            if any_node(c, _is_gamma):
-                c = gamma_simplify(c, asm)
-            coeff = _nmul([c, gamma_of_rational(top),
-                           _npow(gamma_of_rational(bottom), _MINUS_ONE)])
-        else:
-            ratio = _nmul([Gamma(from_eform(g1)),
-                           _npow(Gamma(from_eform(zeta)), _MINUS_ONE)])
-            coeff = gamma_simplify(_nmul([c, ratio]), asm)
+        ratio = _nmul([Gamma(from_eform(g1)),
+                       _npow(Gamma(from_eform(zeta)), _MINUS_ONE)])
+        coeff = gamma_simplify(_nmul([c, ratio]), asm)
         out.append((coeff, g - order_form))
     return PowerSum.build(tvar, out)
+
+
+def _outside_domain(g: ExponentForm) -> UndecidableExponent:
+    return UndecidableExponent(
+        f"exponent {g.render()} <= -1 is outside the power-rule domain")

@@ -162,7 +162,9 @@ class Prolongation:
         self._derived: dict[tuple, Expr] = {}
 
     def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
-        """d^beta coeff, coeff being the coefficient named by slot."""
+        """d^beta coeff, coeff being the coefficient named by slot.  Every
+        derivative of a ZERO is ZERO, with no total derivative taken: the
+        coefficients of a concrete generator are mostly constant or linear."""
         if not any(beta):
             return coeff
         key = (slot, beta)
@@ -170,8 +172,9 @@ class Prolongation:
         if out is None:
             i = max(j for j, k in enumerate(beta) if k)
             lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            out = total_derivative(self._derivative(coeff, slot, lower),
-                                   self.sig.x(i))
+            out = self._derivative(coeff, slot, lower)
+            if out != ZERO:
+                out = total_derivative(out, self.sig.x(i))
             self._derived[key] = out
         return out
 

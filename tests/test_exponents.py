@@ -111,3 +111,21 @@ def test_only_a_monomial_is_inverted():
         (k + m) ** -1
     with pytest.raises(ValueError):
         ExponentForm() ** -1
+
+
+class TestExactInput:
+    """A float or a bool is not an exact rational: every constructor and
+    scale refuses both with TypeError instead of converting it silently."""
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False])
+    def test_float_and_bool_refused(self, bad):
+        with pytest.raises(TypeError):
+            ExponentForm({(): bad})
+        with pytest.raises(TypeError):
+            ExponentForm([((("a", 1),), bad)])
+        with pytest.raises(TypeError):
+            ExponentForm.rational(bad)
+        with pytest.raises(TypeError):
+            ExponentForm.symbol("a", 1, bad)
+        with pytest.raises(TypeError):
+            k.scale(bad)

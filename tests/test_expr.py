@@ -1,5 +1,6 @@
 """Expression kernel: canonical form, substitution, differentiation,
 monomial collection, Gamma normalization."""
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
                      simplify, substitute, total_derivative)
 from fraclie.exponents import UNIT_FORM
 from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
-                          UnsupportedDerivative, _nadd, _nmul, any_node,
+                          UnsupportedDerivative, _nadd, _nmul, _npow, any_node,
                           from_eform, map_children, mul_factors)
 from fraclie.lemmas import collect_monomials
 
@@ -318,6 +319,18 @@ _CANONICAL_TREES = st.one_of(
     st.tuples(_KERNEL_TREES, _KERNEL_TREES, _KERNEL_TREES).map(_half_powers_meeting))
 
 
+_RATIONALS = st.one_of(st.integers(-60, 60),
+                       st.fractions(-60, 60, max_denominator=12),
+                       st.sampled_from([10 ** 40, F(-7, 10 ** 20)]))
+
+
+def _assert_stored_form(node):
+    v = node.stored
+    assert type(v) in (int, Fraction), v
+    assert (type(v) is int) == (node.value.denominator == 1)
+    assert type(node.value) is Fraction and node.value == v
+
+
 class TestNodeIdentity:
     """Keys and hashes are cached per node and expand is memoized per node;
     none of it may be seen from outside."""
@@ -360,6 +373,39 @@ class TestNodeIdentity:
         assert e.key() is e.key()
         assert e.key() == _fresh(e).key()
         assert hash(e) == hash(_fresh(e))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_RATIONALS, min_size=1, max_size=4), st.integers(-3, 3),
+           _CANONICAL_TREES)
+    def test_rationals_keep_the_storage_rule(self, qs, k, e):
+        """Kernel arithmetic on rationals, alone and with a canonical tree,
+        stores no float, an int exactly for an integral value, and gives
+        the Fraction arithmetic's values."""
+        rats = [Rat(q) for q in qs]
+        first, last = F(qs[0]), F(qs[-1])
+        exact = [(_nmul(rats), math.prod(F(q) for q in qs)),
+                 (_nadd(rats), sum(F(q) for q in qs)),
+                 (neg(rats[0]), -first)]
+        if first != 0 or k >= 0:
+            exact.append((_npow(rats[0], ExponentForm.rational(k)), first ** k))
+        if last != 0:
+            exact.append((div(rats[0], rats[-1]), first / last))
+        for got, want in exact:
+            assert isinstance(got, Rat) and got.value == want
+        mixed = [_nmul(rats + [e]), _nadd(rats + [e]), neg(e), expand(_nmul([e] + rats))]
+        if last != 0:
+            mixed.append(div(e, rats[-1]))
+        for out in [got for got, _ in exact] + mixed:
+            for node in _all_nodes(out):
+                if isinstance(node, Rat):
+                    _assert_stored_form(node)
+
+    @given(st.integers(-10 ** 30, 10 ** 30))
+    def test_int_and_fraction_of_one_value_are_one_node(self, v):
+        i, f = Rat(v), Rat(F(v))
+        assert type(i.stored) is int and type(f.stored) is int
+        assert i.key() == f.key() and hash(i) == hash(f) and i == f
+        assert type(i.value) is Fraction and i.value == v
 
 
 class TestUnchangedNodesReused:
@@ -573,3 +619,19 @@ def test_one_step_shift_is_the_stepwise_recurrence(f):
     asm = _shift_asm()
     got = gamma_simplify(Gamma(from_eform(f)), asm)
     assert got.key() == _stepwise_shift(f, asm).key()
+
+
+class TestExactInput:
+    """A float or a bool is not an exact rational; Fraction would take
+    either silently, so the kernel refuses both."""
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+    def test_rat_refuses(self, bad):
+        with pytest.raises(TypeError):
+            Rat(bad)
+
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_constructors_refuse(self, bad):
+        for build in (lambda: add(x, bad), lambda: mul(bad, x), lambda: pow_(x, bad)):
+            with pytest.raises(TypeError):
+                build()

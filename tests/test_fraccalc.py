@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraclie import (Assumptions, ExponentForm, Fn, Gamma, Jet, PowerSum, Rat,
                      Sym, UndecidableExponent, Var, ZERO, ONE, add, div,
@@ -207,3 +207,61 @@ class TestRationalPowerRule:
         got = rl_derivative(ps, a, order=Rat(order), tvar=t, assumptions=ASM)
         want = PowerSum.build(t, _generic_power_rule(c, gf, of, ASM))
         assert got.to_expr().key() == want.to_expr().key()
+
+    @settings(deadline=None)
+    @given(terms=st.lists(st.tuples(st.fractions(F(-11, 12), 30, max_denominator=12),
+                                    st.sampled_from(_COEFFS)), min_size=1, max_size=4),
+           order=st.fractions(0, 3, max_denominator=12).filter(lambda o: o > 0),
+           given_as=st.sampled_from(["Rat", "Fraction", "int"]))
+    @example(terms=[(F(0), ONE), (F(1), mul(3, x)), (F(1, 2), ONE)], order=F(2),
+             given_as="int")                        # two poles and a term
+    @example(terms=[(F(-1, 2), ONE), (F(3, 2), Gamma(Rat(F(7, 2))))], order=F(1, 2),
+             given_as="Fraction")                   # a pole at g = order - 1
+    def test_power_sums_match_generic_route(self, terms, order, given_as):
+        if given_as == "int":
+            order = F(math.ceil(order))
+        arg = {"Rat": Rat(order), "Fraction": order, "int": int(order)}[given_as]
+        ps = PowerSum.build(t, [(c, ExponentForm.rational(g)) for g, c in terms])
+        got = rl_derivative(ps, a, order=arg, tvar=t, assumptions=ASM)
+        of = ExponentForm.rational(order)
+        want = PowerSum.build(t, [r for c, g in ps.terms
+                                  for r in _generic_power_rule(c, g, of, ASM)])
+        assert got.to_expr().key() == want.to_expr().key()
+        # the order given as alpha itself takes the same route
+        alone = rl_derivative(ps, arg, tvar=t, assumptions=ASM)
+        assert alone.to_expr().key() == want.to_expr().key()
+
+    @settings(deadline=None)
+    @given(m=st.integers(0, 2),
+           excess=st.fractions(0, 2, max_denominator=12).filter(lambda e: e > 0))
+    def test_pole_drops_the_term(self, m, excess):
+        # g + 1 - order = -m with g = order - 1 - m > -1
+        order = m + excess
+        g = ExponentForm.rational(order - 1 - m)
+        ps = PowerSum.build(t, [(mul(3, x), g), (ONE, ExponentForm.rational(m + 3))])
+        got = rl_derivative(ps, a, order=order, tvar=t, assumptions=ASM)
+        assert [e for _, e in got.terms] == [ExponentForm.rational(m + 3 - order)]
+        assert _generic_power_rule(mul(3, x), g, ExponentForm.rational(order), ASM) == []
+
+    @settings(deadline=None)
+    @given(g=st.fractions(-6, -1, max_denominator=12),
+           order=st.fractions(0, 2, max_denominator=12).filter(lambda o: o > 0))
+    @example(g=F(-1), order=F(1, 2))
+    def test_outside_the_domain_raises_as_the_generic_route(self, g, order):
+        ps = PowerSum.build(t, [(ONE, ExponentForm.rational(g))])
+        with pytest.raises(UndecidableExponent) as rational:
+            rl_derivative(ps, a, order=order, tvar=t, assumptions=ASM)
+        with pytest.raises(UndecidableExponent) as generic:
+            rl_derivative(ps, a, tvar=t, assumptions=ASM)     # symbolic order
+        assert str(rational.value) == str(generic.value)
+        assert str(rational.value).endswith("<= -1 is outside the power-rule domain")
+
+    def test_symbolic_exponent_takes_the_generic_route(self):
+        # t^(a-1) at order a is a pole of the denominator: the term vanishes,
+        # and a rational term beside it is unaffected
+        ta1 = AF - ExponentForm.rational(1)
+        assert rl_derivative(pow_(t, ta1), a, tvar=t, assumptions=ASM).terms == ()
+        ps = PowerSum.build(t, [(ONE, ta1), (ONE, ExponentForm.rational(2))])
+        got = rl_derivative(ps, a, tvar=t, assumptions=ASM)
+        want = _generic_power_rule(ONE, ExponentForm.rational(2), AF, ASM)
+        assert got.terms == tuple(want)

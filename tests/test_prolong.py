@@ -11,7 +11,8 @@ import pytest
 from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Jet, Rat,
                      ShapeViolation, Sym, Var, ZERO, ONE, add, expand, mul,
                      neg, parse_generator, parse_system, pow_, simplify,
-                     substitute)
+                     substitute, total_derivative)
+from fraclie import prolong
 from fraclie.determining import invariance_condition
 from fraclie.expr import atoms
 from fraclie.lemmas import (check_aux_conditions, eta_alpha_ansatz, eta_theta,
@@ -187,6 +188,25 @@ class TestLeibnizPremise:
         sig = zk.sig
         gen = self._gen(zk, eta=[add(mul(sig.x(0), sig.u(0)), sig.x(1))])
         assert len(invariance_condition(zk, ConcreteGenerator(gen, zk.alpha))) == 1
+
+
+def test_no_derivative_of_a_zero_coefficient(zk, monkeypatch):
+    """Once d^beta c is ZERO every higher derivative is ZERO and is not
+    taken.  The ZK scaling generator has constant or linear coefficients:
+    certifying it takes 9 total derivatives, 2 of the constant d eta/du
+    and 4 + 3 of xi = (a/3*x, a/3*y), none of them of a ZERO."""
+    seen = []
+
+    def counting(e, v):
+        seen.append(e)
+        return total_derivative(e, v)
+
+    monkeypatch.setattr(prolong, "total_derivative", counting)
+    text = "tau = t; xi[x] = a/3*x; xi[y] = a/3*y; eta[u] = -2*a/(3*n)*u;"
+    gen = ConcreteGenerator(parse_generator(text, zk.sig)[0], zk.alpha)
+    assert all(c == ZERO for c in invariance_condition(zk, gen))
+    assert ZERO not in seen
+    assert len(seen) == 9
 
 
 class TestEtaAlpha:

@@ -1,5 +1,6 @@
 """Exact solve: golden bases for the worked examples, verification
 certificates, normalization, degree stability, branch behavior."""
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fraclie.records import replace
 from fraclie.lemmas import (_generator_vector, _structural_groups,
                             basis_function, normalize_basis)
 from fraclie import solver
+from fraclie.report import run_generator_check
 from fraclie.solver import (_component_coefficients, _determining_rows,
                             _gamma_subs, _rebuild_generator,
                             _vector_to_generator, build_instantiation,
@@ -25,6 +27,8 @@ from conftest import TELE_POW_GEN, DEMOS
 F = Fraction
 a = Sym("a")
 n = Sym("n")
+ROOT = DEMOS.parent
+VERIFICATION_REPORTS = ROOT / "tests" / "verification_reports.json"
 
 
 def exp_gen(sig, tau=ZERO, xi=None, eta=None):
@@ -405,6 +409,24 @@ class TestDegreeLift:
             "n-1 != 0 (separates u from u^(n))")
 
 
+def verification_reports() -> list[dict]:
+    """The rendered certificate (run_generator_check) of every generator the
+    benchmark's certify workload verifies or rejects, and of
+    demos/telegraph_power.gen; tests/verification_reports.json holds it as
+    recorded by the code before the two conditions became one."""
+    refs = json.loads((ROOT / "perfbench" / "reference" / "references.json")
+                      .read_text())
+    bases = refs["bases"]
+    cases = [(bases[key]["system"], gen) for key in refs["certify"]["verify_bases"]
+             for gen in bases[key]["point"] + bases[key]["shifts"]]
+    cases += [(bases[r["basis"]]["system"], r["gen"])
+              for r in refs["certify"]["reject"]]
+    cases.append(("demos/telegraph_power.fpde", TELE_POW_GEN))
+    return [{"system": path, "text": text,
+             **run_generator_check(parse_system((ROOT / path).read_text()), text)}
+            for path, text in cases]
+
+
 class TestVerifyGenerator:
     def test_zk_scaling_generator(self, zk):
         sig = zk.sig
@@ -444,6 +466,12 @@ class TestVerifyGenerator:
         monkeypatch.setattr(determining, "_genericity", scan)
         after = verify_generator(zk, gen)
         assert after == before and not after.ok
+
+    def test_reports_match_recording(self):
+        """Verdicts and rendered residuals, rejects included, equal the
+        recording in tests/verification_reports.json."""
+        got = json.loads(json.dumps(verification_reports()))
+        assert got == json.loads(VERIFICATION_REPORTS.read_text())
 
     def test_shape_violation_cubic_tau(self, zk):
         sig = zk.sig

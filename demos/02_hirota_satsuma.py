@@ -7,7 +7,6 @@ Determining system, exact basis, translation reduction and a closed-form
 solution check.
 """
 import pathlib
-from fractions import Fraction
 
 from fraclie import (ExponentForm, Sym, parse_system, pow_, render,
                      scaling_similarity, solve_system, translation_reduction,

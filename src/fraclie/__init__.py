@@ -1,11 +1,13 @@
 """fraclie: Lie point symmetries of systems of multi-dimensional
 time-fractional PDEs (Riemann-Liouville, 0 < alpha < 1).
 
-The package computes the structured generator ansatz, generates and separates
-the two determining conditions, solves the resulting linear system exactly,
-and verifies with both symbolic rules and a numeric fractional-derivative
-oracle.  The paper's lemmas, as test fixtures, and the helpers only tests
-use live in fraclie.lemmas, which this package does not import.
+The package computes the structured generator ansatz, builds its invariance
+condition and separates it into the two determining conditions (the
+jet-free class is the fractional one), solves the resulting linear system
+exactly, and verifies with both symbolic rules and a numeric
+fractional-derivative oracle.  The paper's lemmas, as test fixtures, and the
+helpers only tests use live in fraclie.lemmas, which this package does not
+import.
 """
 
 from .exponents import Assumptions, ExponentForm, UndecidableExponent

@@ -1,73 +1,54 @@
-"""Build and separate the two determining conditions.
+"""Build and separate the invariance condition.
 
-Condition 1 is a linear fractional constraint on the inhomogeneous parts
-h_s(t,x).  Condition 2 is jet-polynomial; separating it over jet monomials
-(symbolic powers and opaque functional parameters are distinct monomial
-classes) yields integer-order linear equations in the ansatz unknowns.
-Genericity facts used to keep monomial classes apart are recorded.
+One condition per equation comes from the generator's prolongation
+(prolong.Prolongation).  Separated over jet monomials (symbolic powers and
+opaque functional parameters are distinct monomial classes), its jet-free
+class is condition 1, a linear fractional constraint on the inhomogeneous
+parts h_s(t,x), and its other classes are condition 2: integer-order linear
+equations in the ansatz unknowns.  Genericity facts used to keep monomial
+classes apart are recorded.
 """
 from __future__ import annotations
 
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, Rat, Sym, ZERO,
+from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, ONE, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
                    add_terms, atoms, depends_on_jets, expand,
                    group_by_monomial, map_children, mul_factors, render,
                    substitute)
 from .linsolve import _content
 from .model import PDESystem
-from .prolong import AnsatzGenerator, is_unknown
+from .prolong import AnsatzGenerator, Prolongation, is_unknown
 from .records import record
 
 
 # ---------------------------------------------------------------------------
-# The two conditions
+# The invariance condition
 # ---------------------------------------------------------------------------
 
-def invariance_condition(sys: PDESystem, ans) -> list[Expr]:
-    """Condition 2 per equation: jet-polynomial; its vanishing together with
-    condition 1 characterizes invariance.  ans is an AnsatzGenerator or a
-    solver.ConcreteGenerator; the extended infinitesimals come from its
-    Leibniz prolongation, and the facts of the system from the system."""
+def invariance_condition(sys: PDESystem, pro: Prolongation) -> list[Expr]:
+    """Per equation s, the expansion of
+
+        Dt^a h_s + sum_i A_si rhs_i - a*tau'*rhs_s - tau*d_t rhs_s
+          - sum_i xi_i*d_xi rhs_s - sum_{jet in F_s} eta^theta(jet)*dF_s/d jet
+
+    whose vanishing characterizes invariance.  pro is the generator's
+    prolongation (AnsatzGenerator.prolongation or
+    solver.admitted_prolongation); the facts of the system come from the
+    system."""
     sig = sys.sig
-    cl = sys.classification
-    pro = ans.prolongation
     out: list[Expr] = []
     for s in range(sig.q):
-        dF = sys.F_partials[s]
-        pieces: list[Expr] = [_nmul([pro.a[s][i], sys.F[i]]) for i in range(sig.q)]
-        pieces.append(_nmul([Rat(-1), sys.alpha, ans.tau_prime, sys.F[s]]))
-        pieces.append(_nmul([Rat(-1), ans.tau, dF[0]]))
+        d_rhs = sys.rhs_partials[s]
+        pieces: list[Expr] = [pro.h_frac[s]]
+        pieces += [_nmul([pro.a[s][i], sys.rhs(i)]) for i in range(sig.q)]
+        pieces.append(_nmul([Rat(-1), sys.alpha, pro.tau_prime, sys.rhs(s)]))
+        pieces.append(_nmul([Rat(-1), pro.tau, d_rhs[0]]))
         for i in range(sig.p):
-            pieces.append(_nmul([Rat(-1), pro.xi[i], dF[i + 1]]))
-        for jt in cl.j_set(s):
-            ext = pro.eta_theta(jt.jet.dep, jt.jet.theta, with_h=False)
-            pieces.append(_nmul([Rat(-1), ext, jt.coeff]))
-        for jet, coeff in sys.rest_coefficients[s]:
+            pieces.append(_nmul([Rat(-1), pro.xi[i], d_rhs[i + 1]]))
+        for jet, coeff in sys.jet_coefficients[s]:
             ext = pro.eta_theta(jet.dep, jet.theta)
             pieces.append(_nmul([Rat(-1), ext, coeff]))
-        out.append(expand(_nadd(pieces)))
-    return out
-
-
-def h_condition(sys: PDESystem, ans) -> list[Expr]:
-    """Condition 1 per equation: a linear fractional constraint mentioning
-    only h_s, the sources H_s and the coefficient functions."""
-    sig = sys.sig
-    pro = ans.prolongation
-    out: list[Expr] = []
-    for s in range(sig.q):
-        dH = sys.H_partials[s]
-        pieces: list[Expr] = [ans.h_frac(s)]
-        for i in range(sig.q):
-            pieces.append(_nmul([pro.a[s][i], sys.H[i]]))
-        pieces.append(_nmul([Rat(-1), sys.alpha, ans.tau_prime, sys.H[s]]))
-        pieces.append(_nmul([Rat(-1), ans.tau, dH[0]]))
-        for i in range(sig.p):
-            pieces.append(_nmul([Rat(-1), pro.xi[i], dH[i + 1]]))
-        for jt in sys.classification.j_set(s):
-            pieces.append(_nmul([Rat(-1), pro.d_h(jt.jet.dep, jt.jet.theta),
-                                 jt.coeff]))
         out.append(expand(_nadd(pieces)))
     return out
 
@@ -90,11 +71,28 @@ def jet_fragments(cond: Expr) -> list[tuple[Expr, Expr]]:
     return group_by_monomial(expand(cond), _jet_factor)
 
 
-def separate(cond: Expr, sys: PDESystem) -> tuple[list[tuple[Expr, Expr]], list[str]]:
-    """The jet_fragments of a condition plus the genericity assumptions that
-    keep distinct monomial classes apart."""
-    fragments = jet_fragments(cond)
-    return fragments, _genericity(fragments, sys)
+def h_condition(fragments: list[tuple[Expr, Expr]]
+                ) -> tuple[Expr, list[tuple[Expr, Expr]]]:
+    """(condition 1, condition 2) of one equation's jet_fragments: the
+    coefficient of the jet-free class ONE, or ZERO when there is none, and
+    the fragments of every other class."""
+    frac = ZERO
+    rest = []
+    for mono, coeff in fragments:
+        if mono == ONE:
+            frac = coeff
+        else:
+            rest.append((mono, coeff))
+    return frac, rest
+
+
+def separate(cond: Expr, sys: PDESystem
+             ) -> tuple[Expr, list[tuple[Expr, Expr]], list[str]]:
+    """Condition 1 and the fragments of condition 2 of one invariance
+    condition (h_condition), plus the genericity assumptions that keep the
+    fragments' monomial classes apart."""
+    frac, fragments = h_condition(jet_fragments(cond))
+    return frac, fragments, _genericity(fragments, sys)
 
 
 def _power_profile(mono: Expr) -> tuple[tuple, dict[int, ExponentForm]]:
@@ -180,15 +178,14 @@ def unknown_atoms_of(e: Expr, ans: AnsatzGenerator) -> list[Expr]:
 
 def build_determining(sys: PDESystem) -> DeterminingSystem:
     ans = AnsatzGenerator(sys.sig, sys.alpha)
-    cond2 = invariance_condition(sys, ans)
-    cond1 = h_condition(sys, ans)
-
+    frac_eqs = []
     fragments = []
     notes: set[str] = set()
     eqs: list[Expr] = []
     seen: set[tuple] = set()
-    for s in range(sys.q):
-        frags, fnotes = separate(cond2[s], sys)
+    for cond in invariance_condition(sys, ans.prolongation):
+        frac, frags, fnotes = separate(cond, sys)
+        frac_eqs.append(frac)
         fragments.append(tuple(frags))
         notes.update(fnotes)
         for _, coeff in frags:
@@ -198,7 +195,7 @@ def build_determining(sys: PDESystem) -> DeterminingSystem:
                 eqs.append(norm)
     eqs.sort(key=lambda e: e.key())
     return DeterminingSystem(sys, ans, tuple(fragments), tuple(eqs),
-                             tuple(cond1), tuple(sorted(notes)))
+                             tuple(frac_eqs), tuple(sorted(notes)))
 
 
 # ---------------------------------------------------------------------------

@@ -103,44 +103,36 @@ class PDESystem:
         return self.sig.q
 
     def rhs(self, s: int) -> Expr:
-        return _nadd([self.F[s], self.H[s]])
+        return self._rhs[s]
 
     def assumptions(self) -> Assumptions:
         return self.sig.assumptions()
 
-    # Facts of the system that every determining condition reads, computed
-    # once per system on first use.
+    # Facts of the system that the invariance condition reads, computed once
+    # per system on first use.
 
     @cached_property
-    def classification(self) -> "TermClassification":
-        return classify_terms(self)
+    def _rhs(self) -> tuple[Expr, ...]:
+        return tuple(_nadd([f, h]) for f, h in zip(self.F, self.H))
 
     @cached_property
-    def F_partials(self) -> tuple[tuple[Expr, ...], ...]:
-        """Per equation: dF_s/dt, then dF_s/dx_i for each space variable."""
-        return self._partials(self.F)
-
-    @cached_property
-    def H_partials(self) -> tuple[tuple[Expr, ...], ...]:
-        """Per equation: dH_s/dt, then dH_s/dx_i for each space variable."""
-        return self._partials(self.H)
-
-    @cached_property
-    def rest_coefficients(self) -> tuple[tuple[tuple[Jet, Expr], ...], ...]:
-        """Per equation: (jet, d rest/d jet) for each jet of the rest terms
-        (I \\ J) with a nonzero coefficient."""
-        out = []
-        for s in range(self.q):
-            rest = self.classification.rest_sum(s)
-            pairs = ((jet, partial_derivative(rest, jet)) for jet in atoms(rest, Jet))
-            out.append(tuple((jet, c) for jet, c in pairs if c != ZERO))
-        return tuple(out)
-
-    def _partials(self, exprs: tuple[Expr, ...]) -> tuple[tuple[Expr, ...], ...]:
+    def rhs_partials(self) -> tuple[tuple[Expr, ...], ...]:
+        """Per equation: d rhs_s/dt, then d rhs_s/dx_i for each space
+        variable."""
         sig = self.sig
         variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
-        return tuple(tuple(partial_derivative(e, v) for v in variables)
-                     for e in exprs)
+        return tuple(tuple(partial_derivative(r, v) for v in variables)
+                     for r in self._rhs)
+
+    @cached_property
+    def jet_coefficients(self) -> tuple[tuple[tuple[Jet, Expr], ...], ...]:
+        """Per equation: (jet, dF_s/d jet) for each jet of F_s with a
+        nonzero coefficient."""
+        out = []
+        for f in self.F:
+            pairs = ((jet, partial_derivative(f, jet)) for jet in atoms(f, Jet))
+            out.append(tuple((jet, c) for jet, c in pairs if c != ZERO))
+        return tuple(out)
 
 
 def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:
@@ -222,12 +214,6 @@ class TermClassification:
     terms (J) with their coefficients, and the complement I \\ J."""
     j_terms: tuple[tuple[JTerm, ...], ...]
     rest: tuple[tuple[Expr, ...], ...]
-
-    def j_set(self, s: int) -> tuple[JTerm, ...]:
-        return self.j_terms[s]
-
-    def rest_sum(self, s: int) -> Expr:
-        return _nadd(list(self.rest[s]))
 
 
 def _linear_jet_split(term: Expr) -> Optional[JTerm]:

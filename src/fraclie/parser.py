@@ -262,8 +262,32 @@ class ExprParser:
         return self._atom_ident(t)
 
 
+def _clash(name: str, sig: Signature) -> Optional[str]:
+    """Why an extra free constant may not be called name, or None: it would
+    shadow a name of the system or a word of the language."""
+    if name in _RESERVED:
+        return f"{name!r} is reserved"
+    if name == sig.t_name or name in sig.space_names or name in sig.dep_names:
+        return f"{name!r} names a variable of the system"
+    if name == sig.alpha_name:
+        return f"{name!r} names the fractional order"
+    if any(p.name == name for p in sig.params):
+        return f"{name!r} names a parameter of the system"
+    if name in dict(sig.fn_decls):
+        return f"{name!r} names a function of the system"
+    if name[:1] == "D" and (name[1:] == sig.t_name or name[1:] in sig.space_names):
+        return f"{name!r} names a derivative operator"
+    return None
+
+
 def parse_expression(text: str, sig: Signature,
                      extra_syms: Optional[set[str]] = None) -> Expr:
+    """Parse one expression; extra_syms are free constants beyond the
+    system's, and one that clashes with a name of the system is refused."""
+    for name in sorted(extra_syms or ()):
+        why = _clash(name, sig)
+        if why:
+            raise DslSemanticError(why)
     stream = _Stream(tokenize(text))
     parser = ExprParser(sig, stream, extra_syms=extra_syms)
     e = parser.parse()
@@ -288,8 +312,10 @@ _RESERVED = {"param", "alpha", "space", "dep", "fn", "Gamma", "nonzero",
 def parse_generator(text: str, sig: Signature):
     """Parse a concrete generator description against a system signature.
     Lines: optional 'param NAME;' declarations for free constants, then
-    assignments 'tau = expr;', 'xi[x] = expr;', 'eta[u] = expr;'.
-    Unassigned components are zero.  Returns (Generator, extra symbols)."""
+    assignments 'tau = expr;', 'xi[x] = expr;', 'eta[u] = expr;'.  A
+    constant may not repeat or take a name of the system, and a component
+    may be assigned once; unassigned components are zero.  Returns
+    (Generator, extra symbols)."""
     from .expr import ZERO
     from .solver import Generator
 
@@ -298,12 +324,17 @@ def parse_generator(text: str, sig: Signature):
     while stream.peek().text == "param":
         stream.next()
         nt = stream.expect_kind("IDENT")
+        why = _clash(nt.text, sig) or (
+            f"{nt.text!r} declared twice" if nt.text in extra else None)
+        if why:
+            raise DslSemanticError(why, nt.line, nt.col)
         extra.add(nt.text)
         stream.expect(";")
 
     tau = ZERO
     xi = {name: ZERO for name in sig.space_names}
     eta = {name: ZERO for name in sig.dep_names}
+    assigned: set[tuple] = set()
     while stream.peek().kind != "EOF":
         head = stream.expect_kind("IDENT")
         target = None
@@ -321,6 +352,10 @@ def parse_generator(text: str, sig: Signature):
         else:
             raise DslSyntaxError(f"expected tau/xi/eta, found {head.text!r}",
                                  head.line, head.col)
+        if target in assigned:
+            label = "tau" if target[1] is None else f"{target[0]}[{target[1]}]"
+            raise DslSemanticError(f"{label} assigned twice", head.line, head.col)
+        assigned.add(target)
         stream.expect("=")
         parser = ExprParser(sig, stream, extra_syms=extra)
         value = parser.parse()

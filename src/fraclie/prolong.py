@@ -5,13 +5,14 @@ eta_s = [g_s(x) + gamma_s*(2*chi2*t + chi1)]*u_s + sum_{i!=s} f_{s,i}(x)*u_i
 + h_s(t,x), with gamma_s a symbol the solver binds to (alpha-1)/2.
 Integer-order extended infinitesimals need no tau, and since eta is linear
 in u with jet-free coefficients and xi is jet-free (for a concrete generator
-solver.ConcreteGenerator checks this with the rest of the shape), they are
-the Leibniz sum over derivatives of those coefficients (Prolongation); the
-total derivative of the characteristic, the general route, is kept in
+solver.admitted_prolongation checks this with the rest of the shape), they
+are the Leibniz sum over derivatives of those coefficients (Prolongation);
+the total derivative of the characteristic, the general route, is kept in
 fraclie.lemmas as the reference.  The fractional extended infinitesimal
-reduces to a local part plus series coefficients that vanish identically
-under the ansatz (the nonlinearity tail mu is zero because eta is linear in
-u; see fraclie.lemmas).
+reduces to a local part, Dt^alpha h_s plus terms in the right-hand sides,
+and series coefficients that vanish identically under the ansatz (the
+nonlinearity tail mu is zero because eta is linear in u; see
+fraclie.lemmas).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import product as iproduct
 
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Rat, Sym, Var, ZERO, _nadd, _nmul, _npow,
-                   diff_wrt, total_derivative)
+                   diff_wrt, partial_derivative, total_derivative)
 from .model import Signature
 from .records import record
 
@@ -84,11 +85,6 @@ class AnsatzGenerator:
     def h(self, s: int) -> Fn:
         return Fn(_indexed("h", s, self.sig.q), (self.sig.t,) + self._xvars())
 
-    def h_frac(self, s: int) -> Expr:
-        """The opaque fractional application Dt^alpha h_s."""
-        h = self.h(s)
-        return Fn(h.fname, h.args, h.deriv, frac=True)
-
     def eta(self, s: int) -> Expr:
         us = self.sig.u(s)
         pieces = [_nmul([_nadd([self.g(s), _nmul([self.gamma(s), self.tau_prime])]), us])]
@@ -122,7 +118,14 @@ class AnsatzGenerator:
 
     @cached_property
     def prolongation(self) -> "Prolongation":
-        return Prolongation(self)
+        """The ansatz's record, Dt^alpha h_s being the opaque fractional
+        application of h_s."""
+        q = self.sig.q
+        h = [self.h(s) for s in range(q)]
+        return Prolongation(
+            self.sig, self.tau, [self.xi(i) for i in range(self.sig.p)],
+            [[self.deta_du(s, j) for j in range(q)] for s in range(q)], h,
+            [Fn(hs.fname, hs.args, hs.deriv, frac=True) for hs in h])
 
 
 def is_unknown(b: Expr, names: frozenset[str]) -> bool:
@@ -136,29 +139,33 @@ def is_unknown(b: Expr, names: frozenset[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 class Prolongation:
-    """The integer-order extended infinitesimals of a generator of the
-    admitted shape, for the space multi-indices theta.
+    """What the invariance condition reads of a generator of the admitted
+    shape: tau and tau' = d tau/dt, the xi_i, A_sj = d eta_s/d u_j, the
+    h_s = eta_s - sum_j A_sj u_j and their images Dt^alpha h_s, and the
+    integer-order extended infinitesimals for the space multi-indices theta.
 
-    With eta_s = sum_j A_sj u_j + h_s, where every A_sj = d eta_s/d u_j and
-    every xi_i is free of jets, the Leibniz rule (Olver 1993, Thm 2.36)
-    gives
+    With every A_sj and xi_i free of jets, the Leibniz rule (Olver 1993,
+    Thm 2.36) gives
 
         eta_s^theta = sum_{beta <= theta} C(theta, beta) *
             [sum_j d^beta A_sj u_j^(theta-beta)
              - [beta != 0] sum_i d^beta xi_i u_s^(theta-beta+e_i)]
           + d^theta h_s
 
-    with no total derivative of the characteristic.  gen is an
-    AnsatzGenerator or a solver.ConcreteGenerator; the latter refuses a
-    generator outside this premise.  The d^beta are total x-derivatives,
-    each taken once per coefficient and multi-index."""
+    with no total derivative of the characteristic.  The d^beta are total
+    x-derivatives, each taken once per coefficient and multi-index.  The
+    records come from AnsatzGenerator.prolongation and
+    solver.admitted_prolongation; the latter refuses a generator outside
+    the premise."""
 
-    def __init__(self, gen):
-        sig = gen.sig
+    def __init__(self, sig: Signature, tau: Expr, xi, a, h, h_frac):
         self.sig = sig
-        self.xi = [gen.xi(i) for i in range(sig.p)]
-        self.a = [[gen.deta_du(s, j) for j in range(sig.q)] for s in range(sig.q)]
-        self.h = [gen.h(s) for s in range(sig.q)]
+        self.tau = tau
+        self.tau_prime = partial_derivative(tau, sig.t)
+        self.xi = list(xi)
+        self.a = a
+        self.h = list(h)
+        self.h_frac = list(h_frac)
         self._derived: dict[tuple, Expr] = {}
 
     def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
@@ -178,12 +185,8 @@ class Prolongation:
             self._derived[key] = out
         return out
 
-    def d_h(self, s: int, theta: tuple[int, ...]) -> Expr:
-        """d^theta h_s."""
-        return self._derivative(self.h[s], ("h", s), self._full(theta))
-
-    def eta_theta(self, s: int, theta: tuple[int, ...], with_h: bool = True) -> Expr:
-        """eta_s^theta, or eta_s^theta - d^theta h_s when with_h is False."""
+    def eta_theta(self, s: int, theta: tuple[int, ...]) -> Expr:
+        """eta_s^theta."""
         sig = self.sig
         theta = self._full(theta)
         pieces: list[Expr] = []
@@ -201,8 +204,7 @@ class Prolongation:
                 if d != ZERO:
                     bumped = rest[:i] + (rest[i] + 1,) + rest[i + 1:]
                     pieces.append(_nmul([Rat(-weight), d, sig.u(s, bumped)]))
-        if with_h:
-            pieces.append(self.d_h(s, theta))
+        pieces.append(self._derivative(self.h[s], ("h", s), theta))
         return _nadd(pieces)
 
     def _full(self, theta: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from typing import Optional
 from .exponents import ExponentForm
 from .expr import Rat, render
 from .fraccalc import PowerSum
-from .model import PDESystem, validate_system
+from .model import PDESystem, classify_terms, validate_system
 from .oracle import numeric_rl_oracle
 from .parser import parse_expression, parse_generator, parse_system
 from .reductions import (NotScaling, NotTranslation,
@@ -223,7 +223,7 @@ def _emit_text(r: Report) -> str:
     for s in range(r.sys.q):
         L.append(f"  Dt^{sig.alpha_name}({sig.dep_names[s]}) = "
                  + render(r.sys.rhs(s), sig))
-    cl = r.sys.classification
+    cl = classify_terms(r.sys)
     for s in range(r.sys.q):
         jt = ", ".join(render(j.term(), sig) for j in cl.j_terms[s]) or "(none)"
         rest = ", ".join(render(t, sig) for t in cl.rest[s]) or "(none)"

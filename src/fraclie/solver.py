@@ -5,7 +5,9 @@ and the chi2 != 0 solutions.  The unknown x-functions are taken as
 total-degree polynomials and the inhomogeneous parts h_s as combinations of
 a certified template library; each coefficient is a column of an exact
 linear system over the rational functions in the parameters.  The solver
-emits a normalized basis with machine-checked residual certificates.
+emits a normalized basis with machine-checked residual certificates: each
+generator's invariance condition is rebuilt from its own prolongation
+(admitted_prolongation) and separated once.
 
 Every determining equation is homogeneous linear in the unknowns, so each
 is compiled once into operator form: per term, the unknown, its derivative
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
@@ -41,7 +42,7 @@ from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    _nadd, _nmul, _npow, add_terms, any_node, atoms,
                    depends_on_jets, diff_wrt, expand, mul_factors,
                    partial_derivative, render, split_factors, split_power,
-                   substitute, to_eform, total_derivative)
+                   substitute, to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature
@@ -108,88 +109,55 @@ class Generator:
         return " + ".join(parts) if parts else "0"
 
 
-class ConcreteGenerator:
-    """Duck-typed stand-in for AnsatzGenerator with concrete components, used
-    to re-derive the two conditions independently for verification.  The
-    pieces the conditions ask for once per jet, tau', d eta_s/d u_i and h_s,
-    are computed once per generator.
+def admitted_prolongation(gen: Generator, alpha: Expr,
+                          assumptions: Optional[Assumptions] = None
+                          ) -> Prolongation:
+    """The prolongation of a concrete generator, from which the invariance
+    condition is re-derived for verification.  d eta_s/d u_j, h_s and
+    Dt^alpha h_s are computed once per generator; assumptions go to
+    rl_derivative, whose default they keep when None.
 
-    The Leibniz prolongation holds only on the admitted shape, so
-    construction refuses any other generator with ShapeViolation."""
-
-    def __init__(self, gen: Generator, alpha: Expr,
-                 assumptions: Optional[Assumptions] = None):
-        self.gen = gen
-        self.sig = sig = gen.sig
-        self.alpha = alpha
-        self.asm = assumptions if assumptions is not None else Assumptions()
-        t = sig.t
-        chi2 = ZERO
-        for term in add_terms(expand(gen.tau)):
-            if term == ZERO:
-                continue
-            texp, coeff = split_power(term, t)
-            if depends_on_jets(coeff) or atoms(coeff, Var):
-                raise ShapeViolation("tau must be a polynomial in t with constant "
-                                     "coefficients")
-            if texp == ExponentForm.rational(2):
-                chi2 = chi2 + coeff
-            elif texp != ExponentForm.rational(1):
-                raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
-        for i, xi in enumerate(gen.xi):
-            if depends_on_jets(xi) or any(v.is_time for v in atoms(xi, Var)):
-                raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
-                                     "the space variables only")
-        self._deta_du = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)]
-                         for eta in gen.eta]
-        if any(depends_on_jets(d) for row in self._deta_du for d in row):
-            raise ShapeViolation("eta must be linear in the dependents")
-        slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
-        for s, row in enumerate(self._deta_du):
-            for j, d in enumerate(row):
-                dt = partial_derivative(d, t)
-                if j != s and dt != ZERO:
-                    raise ShapeViolation(
-                        "cross coefficients of eta must be x-functions only")
-                if j == s and expand(dt - slope) != ZERO:
-                    raise ShapeViolation(
-                        "the t-slope of the u_s-coefficient of eta_s must equal "
-                        "(alpha-1)*chi2")
-        self._h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)])
-                                  for j, d in enumerate(row)])
-                   for eta, row in zip(gen.eta, self._deta_du)]
-
-    @property
-    def tau(self) -> Expr:
-        return self.gen.tau
-
-    @cached_property
-    def tau_prime(self) -> Expr:
-        return total_derivative(self.gen.tau, self.sig.t)
-
-    @cached_property
-    def prolongation(self) -> Prolongation:
-        return Prolongation(self)
-
-    def xi(self, i: int) -> Expr:
-        return self.gen.xi[i]
-
-    def eta(self, s: int) -> Expr:
-        return self.gen.eta[s]
-
-    def deta_du(self, s: int, i: int) -> Expr:
-        return self._deta_du[s][i]
-
-    def h(self, s: int) -> Expr:
-        return self._h[s]
-
-    def h_frac(self, s: int) -> Expr:
-        h = self.h(s)
-        if h == ZERO:
-            return ZERO
-        ps = PowerSum.from_expr(h, self.sig.t)
-        return rl_derivative(ps, self.alpha, tvar=self.sig.t,
-                             assumptions=self.asm).to_expr()
+    The Leibniz prolongation holds only on the admitted shape, so any other
+    generator is refused with ShapeViolation."""
+    sig = gen.sig
+    t = sig.t
+    chi2 = ZERO
+    for term in add_terms(expand(gen.tau)):
+        if term == ZERO:
+            continue
+        texp, coeff = split_power(term, t)
+        if depends_on_jets(coeff) or atoms(coeff, Var):
+            raise ShapeViolation("tau must be a polynomial in t with constant "
+                                 "coefficients")
+        if texp == ExponentForm.rational(2):
+            chi2 = chi2 + coeff
+        elif texp != ExponentForm.rational(1):
+            raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
+    for i, xi in enumerate(gen.xi):
+        if depends_on_jets(xi) or any(v.is_time for v in atoms(xi, Var)):
+            raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
+                                 "the space variables only")
+    a = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)] for eta in gen.eta]
+    if any(depends_on_jets(d) for row in a for d in row):
+        raise ShapeViolation("eta must be linear in the dependents")
+    slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
+    for s, row in enumerate(a):
+        for j, d in enumerate(row):
+            dt = partial_derivative(d, t)
+            if j != s and dt != ZERO:
+                raise ShapeViolation(
+                    "cross coefficients of eta must be x-functions only")
+            if j == s and expand(dt - slope) != ZERO:
+                raise ShapeViolation(
+                    "the t-slope of the u_s-coefficient of eta_s must equal "
+                    "(alpha-1)*chi2")
+    h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)]) for j, d in enumerate(row)])
+         for eta, row in zip(gen.eta, a)]
+    h_frac = [ZERO if hs == ZERO else
+              rl_derivative(PowerSum.from_expr(hs, t), alpha, tvar=t,
+                            assumptions=assumptions).to_expr()
+              for hs in h]
+    return Prolongation(sig, gen.tau, gen.xi, a, h, h_frac)
 
 
 @record(frozen=True)
@@ -208,29 +176,29 @@ class VerificationReport:
 def verify_generator(sys: PDESystem, gen: Generator,
                      assumptions: Optional[Assumptions] = None
                      ) -> VerificationReport:
-    """Re-derive both determining conditions with the concrete generator
-    and report residuals; all-zero means verified.  Independent of the
-    linear solve.  The generator must have the admitted shape
-    (ConcreteGenerator raises ShapeViolation otherwise); on that shape the
-    extended infinitesimals are the Leibniz sum of prolong.Prolongation,
-    computed once per generator, and the facts of the system are those the
-    system computed once."""
+    """Re-derive the invariance condition with the concrete generator,
+    separate each equation once into condition 1 (its jet-free class) and
+    condition 2 (its jet classes), and report the residuals; all-zero means
+    verified.  Independent of the linear solve.  The generator must have
+    the admitted shape (admitted_prolongation raises ShapeViolation
+    otherwise); on that shape the extended infinitesimals are the Leibniz
+    sum of prolong.Prolongation, computed once per generator, and the facts
+    of the system are those the system computed once."""
     asm = assumptions if assumptions is not None else sys.assumptions()
     fld = Field(asm)
-    conc = ConcreteGenerator(gen, sys.alpha, asm)
-    cond2 = invariance_condition(sys, conc)
-    cond1 = h_condition(sys, conc)
-    frac_res = tuple(fld.to_expr(fld.elem(c)) for c in cond1)
+    frac_res = []
     int_res = []
-    for s in range(sys.q):
+    for cond in invariance_condition(sys, admitted_prolongation(gen, sys.alpha, asm)):
+        frac, fragments = h_condition(jet_fragments(cond))
+        frac_res.append(fld.to_expr(fld.elem(frac)))
         kept = []
-        for mono, coeff in jet_fragments(cond2[s]):
+        for mono, coeff in fragments:
             c = fld.elem(coeff)
             if not c.is_zero():
                 kept.append((mono, fld.to_expr(c)))
         int_res.append(tuple(kept))
     ok = all(r == ZERO for r in frac_res) and all(not eq for eq in int_res)
-    return VerificationReport(ok, frac_res, tuple(int_res))
+    return VerificationReport(ok, tuple(frac_res), tuple(int_res))
 
 
 # ---------------------------------------------------------------------------

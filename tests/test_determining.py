@@ -19,12 +19,18 @@ from fraclie import (AnsatzGenerator, Jet, Fn, Rat, Sym, Var,
                      invariance_condition, mul, neg, normalize_equation,
                      parse_system, separate, simplify,
                      substitute)
-from fraclie.determining import unknown_atoms_of
+from fraclie.determining import jet_fragments, unknown_atoms_of
 from fraclie.linsolve import Field, rref
 from fraclie.solver import SolverConfig, build_instantiation, equation_rows
 from fraclie.expr import atoms
 
+from conftest import DEMOS
+
 F = Fraction
+ROOT = DEMOS.parent
+SYSTEMS = sorted(list(DEMOS.glob("*.fpde"))
+                 + list((ROOT / "tests" / "corpus").glob("*.fpde"))
+                 + list((ROOT / "perfbench" / "inputs").glob("*.fpde")))
 
 
 def rowspace_rref(eqs, ds, inst, fld):
@@ -47,18 +53,37 @@ def assert_same_constraint_set(mine, paper, ds):
             assert e1 == e2
 
 
+@pytest.mark.parametrize("path", SYSTEMS,
+                         ids=[f"{p.parent.name}/{p.stem}" for p in SYSTEMS])
+def test_split_of_the_invariance_condition(path):
+    """h_condition splits the ansatz's invariance condition into the
+    determining system's condition 1 and condition 2: the jet-free class
+    holds no jet, every other class holds one, and together they are the
+    condition."""
+    sys = parse_system(path.read_text())
+    ds = build_determining(sys)
+    conds = invariance_condition(sys, ds.ans.prolongation)
+    assert len(conds) == sys.q
+    for s, cond in enumerate(conds):
+        frac, frags = h_condition(jet_fragments(cond))
+        assert frac.key() == ds.frac_eqs[s].key()
+        assert tuple(frags) == ds.fragments[s]
+        assert atoms(frac, Jet) == []
+        assert all(atoms(mono, Jet) for mono, _ in frags)
+        back = add(frac, *[mul(m, c) for m, c in frags])
+        assert simplify(expand(back - cond)) == ZERO, s
+
+
 class TestHCondition:
     def test_zk(self, zk):
-        ans = AnsatzGenerator(zk.sig, zk.alpha)
-        (cond,) = h_condition(zk, ans)
+        (cond,) = build_determining(zk).frac_eqs
         txv = (zk.sig.t, zk.sig.x(0), zk.sig.x(1))
         want = add(Fn("h", txv, frac=True),
                    Fn("h", txv, (0, 3, 0)), Fn("h", txv, (0, 1, 2)))
         assert simplify(expand(cond - want)) == ZERO
 
     def test_telegraph_first_equation(self, tele):
-        ans = AnsatzGenerator(tele.sig, tele.alpha)
-        cond1, cond2 = h_condition(tele, ans)
+        cond1, cond2 = build_determining(tele).frac_eqs
         tx = (tele.sig.t, tele.sig.x(0))
         want1 = add(Fn("h1", tx, frac=True), neg(Fn("h2", tx, (0, 1))))
         assert simplify(expand(cond1 - want1)) == ZERO
@@ -66,8 +91,7 @@ class TestHCondition:
 
     def test_no_source_no_h_gives_trivial_zero(self):
         sys = parse_system("alpha a; space x; dep u; Dt^a(u) = Dx(u);")
-        ans = AnsatzGenerator(sys.sig, sys.alpha)
-        (cond,) = h_condition(sys, ans)
+        (cond,) = build_determining(sys).frac_eqs
         # with h set to zero the condition collapses to 0 = 0
         tx = (sys.sig.t, sys.sig.x(0))
         killed = substitute(cond, {Fn("h", tx, frac=True): ZERO,
@@ -77,8 +101,8 @@ class TestHCondition:
 
 class TestSeparate:
     def test_zero_condition_empty_fragment(self, zk):
-        frags, notes = separate(ZERO, zk)
-        assert frags == [] and notes == []
+        frac, frags, notes = separate(ZERO, zk)
+        assert frac == ZERO and frags == [] and notes == []
 
     def test_jet_inside_gamma_rejected(self, zk):
         from fraclie import Gamma, NonPolynomial
@@ -101,10 +125,10 @@ class TestSeparate:
     def test_reconstruction(self, zk, hs, tele):
         for sys in (zk, hs, tele):
             ans = AnsatzGenerator(sys.sig, sys.alpha)
-            conds = invariance_condition(sys, ans)
+            conds = invariance_condition(sys, ans.prolongation)
             for s, cond in enumerate(conds):
-                frags, _ = separate(cond, sys)
-                back = add(*[mul(m, c) for m, c in frags]) if frags else ZERO
+                frac, frags, _ = separate(cond, sys)
+                back = add(frac, *[mul(m, c) for m, c in frags])
                 assert simplify(expand(back - cond)) == ZERO, s
 
     def test_affinity_by_double_substitution(self, zk):

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import fraclie
-from fraclie import PipelineConfig, emit, parse_system, run_pipeline
+from fraclie import (DslSemanticError, PipelineConfig, Sym, emit, mul,
+                     parse_expression, parse_system, run_pipeline)
 from conftest import DEMOS, TELE_POW_GEN, ZK_SRC
 
 NO_SYMMETRY_SRC = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + x*u^3 + u^2 + u^4;"
@@ -167,6 +168,46 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr == (f"error: semantic error at {where}: {name!r} "
                               "names a derivative operator\n")
+
+    @pytest.mark.parametrize("gen,where,why", [
+        ("param x;\nxi[x] = x;\n", "1:7", "'x' names a variable of the system"),
+        ("param u;\neta[u] = u;\n", "1:7", "'u' names a variable of the system"),
+        ("param t;\ntau = t;\n", "1:7", "'t' is reserved"),
+        ("param Gamma;\ntau = t;\n", "1:7", "'Gamma' is reserved"),
+        ("param a;\ntau = a*t;\n", "1:7", "'a' names the fractional order"),
+        ("param k;\ntau = k*t;\n", "1:7", "'k' names a parameter of the system"),
+        ("param P;\ntau = P*t;\n", "1:7", "'P' names a function of the system"),
+        ("param Dx;\ntau = t;\n", "1:7", "'Dx' names a derivative operator"),
+        ("param c;\nparam c;\nxi[x] = c;\n", "2:7", "'c' declared twice"),
+        ("tau = t;\ntau = 0;\n", "2:1", "tau assigned twice"),
+        ("xi[x] = 1;\nxi[x] = x;\n", "2:1", "xi[x] assigned twice"),
+        ("eta[u] = u;\neta[u] = 0;\n", "2:1", "eta[u] assigned twice"),
+    ])
+    def test_generator_name_clashes_are_located_errors(self, tmp_path, gen,
+                                                       where, why):
+        system = tmp_path / "sys.fpde"
+        system.write_text("param k;\nalpha a; space x; dep u;\nfn P(u);\n"
+                          "Dt^a(u) = Dx^2(u) + k*P(u)*Dx(u);\n")
+        gfile = tmp_path / "clash.gen"
+        gfile.write_text(gen)
+        out = run_cli("analyze", str(system), "--verify-generator", str(gfile))
+        assert out.returncode == 1
+        assert out.stderr == f"error: semantic error at {where}: {why}\n"
+
+    @pytest.mark.parametrize("gen,ok", [("xi[x] = x;", False),
+                                        ("eta[u] = u;", True)])
+    def test_generator_names_are_those_of_the_system(self, gen, ok):
+        heat = "alpha a; space x; dep u; Dt^a(u) = Dx^2(u);"
+        check = run_pipeline(heat, PipelineConfig(
+            verify_generator_text=gen)).checks["verify_generator"]
+        assert check["ok"] is ok
+        if not ok:
+            assert check["integer_residuals"] == [[("u_xx", "2")]]
+
+    def test_parse_expression_refuses_a_clashing_extra_symbol(self, hs):
+        with pytest.raises(DslSemanticError, match="'u' names a variable"):
+            parse_expression("C1*u", hs.sig, {"C1", "u"})
+        assert parse_expression("C1*t", hs.sig, {"C1"}) == mul(Sym("C1"), hs.sig.t)
 
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")

@@ -412,8 +412,8 @@ class TestDegreeLift:
 def verification_reports() -> list[dict]:
     """The rendered certificate (run_generator_check) of every generator the
     benchmark's certify workload verifies or rejects, and of
-    demos/telegraph_power.gen; tests/verification_reports.json holds it as
-    recorded by the code before the two conditions became one."""
+    demos/telegraph_power.gen, which tests/verification_reports.json
+    records."""
     refs = json.loads((ROOT / "perfbench" / "reference" / "references.json")
                       .read_text())
     bases = refs["bases"]

@@ -1045,7 +1045,7 @@ def render(e: Expr, sig=None) -> str:
             return f"Gamma({pw(x.arg, 0)})"
         if isinstance(x, Pow):
             b = pw(x.base, 2)
-            if isinstance(x.base, (Add, Mul, Pow)):
+            if isinstance(x.base, (Mul, Pow)):
                 b = f"({b})"
             es = x.exp.render()
             needs = not (x.exp.is_rational() and x.exp.as_rational().denominator == 1

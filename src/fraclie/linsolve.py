@@ -10,18 +10,20 @@ The Field that makes an element numbers its atoms and sums, so an element
 belongs to that Field.  An exponent is an int, or an ExponentForm when it
 is not an integer.
 
-An element is a numerator polynomial over a denominator kept as its factor
-map: a positive rational content times atoms and content-free sums, each
-with an exponent.  Arithmetic runs on these dicts: products and sums of
-polynomials, cancellation of shared factors, exact division of the
-numerator by the denominator's factors, and a sign rule that puts the sign
-of a lone sum denominator on the numerator.  The forms are those of the
-canonical expressions the elements render to (Elem.num, Elem.den,
-Field.to_expr), so rendering is the only conversion back to expressions.
-Most entries of a determining matrix are rational, and arithmetic on two of
-them is plain Fraction arithmetic.  Zero-testing is structural on the
-numerator.  A value over a sum can have more than one form, so elements
-compare by value: a == b when the numerator of a - b is zero.
+An element is a numerator polynomial over a denominator kept in one form,
+its factor map: a positive rational content times atoms and content-free
+sums, each with an exponent.  A product merges the two maps, and a sum is
+taken over their lcm, each numerator times its expanded cofactor; no
+denominator is expanded and split again.  Shared factors cancel, the
+denominator's factors are divided out of the numerator where they divide it
+exactly, and a sign rule puts the sign of a lone sum denominator on the
+numerator.  The forms are those of the canonical expressions the elements
+render to (Elem.num, Elem.den, Field.to_expr), so rendering is the only
+conversion back to expressions.  Most entries of a determining matrix are
+rational, and arithmetic on two of them is plain Fraction arithmetic.
+Zero-testing is structural on the numerator.  A value over a sum can have
+more than one form, so elements compare by value: a == b when the numerator
+of a - b is zero.
 
 Pivots prefer rational entries, then entries provably nonzero under the
 declared assumptions; pivoting on anything else records a genericity
@@ -261,26 +263,16 @@ class Field:
                     out[m] = out.get(m, 0) + c
         return {m: c for m, c in out.items() if c}
 
-    def _ppow(self, p: Poly, k: int) -> Poly:
-        out = p
-        for _ in range(k - 1):
-            out = self._pmul(out, p)
-        return out
-
     def _power(self, i: int, e) -> Poly:
         """Factor i to the exponent e, expanded when it is a sum to a
         positive integer power."""
         s = self._sums[i]
         if s is None or type(e) is not int or e < 1:
             return {((i, e),): Fraction(1)}
-        return self._ppow(s, e)
-
-    def _dpoly(self, a: Elem) -> Poly:
-        """The expanded denominator."""
-        p = {(): a.c}
-        for i, e in a.f.items():
-            p = self._pmul(p, self._power(i, e))
-        return p
+        out = s
+        for _ in range(e - 1):
+            out = self._pmul(out, s)
+        return out
 
     def _fmap(self, p: Poly) -> tuple[Fraction, dict]:
         """Rational coefficient and factor map of a nonzero polynomial: a
@@ -349,17 +341,17 @@ class Field:
         if not inv:
             return self._make({tuple(num): Fraction(c.numerator)},
                               Fraction(c.denominator), {})
-        dp: Poly = {(): Fraction(1)}
+        cd, fd = Fraction(1), {}
         for i, e in inv:
             b, k = self._atoms[i], _eneg(e)
             if isinstance(b, Add) and type(k) is int:
-                q = self._ppow(self._expr_poly(b), k)
+                cq, fq = self._fmap(self._expr_poly(b))
+                cq, fq = cq ** k, {j: k for j in fq}
             elif self._safe[i] or b is None or isinstance(b, Add):
-                q = self._power(i, k)
+                cq, fq = 1, {i: k}
             else:
-                q = self._expr_poly(self.norm_expr(_npow(b, _eform(k))))
-            dp = self._pmul(dp, q)
-        cd, fd = self._fmap(dp)
+                cq, fq = self._fmap(self._expr_poly(self.norm_expr(_npow(b, _eform(k)))))
+            cd, fd = cd * cq, _merge(fd, fq)
         return self._cancel({tuple(num): c}, cd, fd)
 
     def to_expr(self, a: Elem) -> Expr:
@@ -380,15 +372,10 @@ class Field:
             return b
         if not b.p:
             return a
-        if a.c == b.c and a.f == b.f:
-            num = _padd(a.p, b.p)
-            return self._cancel(num, a.c, a.f) if num else self.zero
-        da, db = self._dpoly(a), self._dpoly(b)
-        num = _padd(self._pmul(a.p, db), self._pmul(b.p, da))
-        if not num:
-            return self.zero
-        cd, fd = self._fmap(self._pmul(da, db))
-        return self._cancel(num, cd, fd)
+        f = _lcm(a.f, b.f)
+        num = _padd(self._pmul(a.p, self._from_fmap(b.c, _over(f, a.f))),
+                    self._pmul(b.p, self._from_fmap(a.c, _over(f, b.f))))
+        return self._cancel(num, a.c * b.c, f) if num else self.zero
 
     def neg(self, a: Elem) -> Elem:
         if a.r is not None:
@@ -415,14 +402,15 @@ class Field:
         if a.r is not None and b.r is not None:
             return self._rat(a.r / b.r)
         cb, fb = self._fmap(b.p)
-        return self._cancel(self._pmul(a.p, self._dpoly(b)), a.c * cb, _merge(a.f, fb))
+        return self._cancel(self._pmul(a.p, self._from_fmap(b.c, b.f)), a.c * cb,
+                            _merge(a.f, fb))
 
     # -- factor cancellation -------------------------------------------------
     def _cancel(self, num: Poly, cd: Fraction, fd: dict) -> Elem:
-        """num / (cd * fd) with shared factors cancelled, the denominator's
-        factors divided out of the numerator where they divide it exactly,
-        and the sign of a lone sum denominator's leading term moved to the
-        numerator."""
+        """num / (cd * fd): the factors of the map fd shared with the
+        numerator cancelled, the rest divided out of the numerator where they
+        divide it exactly, and the sign of a lone sum denominator's leading
+        term moved to the numerator.  What is left of fd is the new map."""
         cn, fn = self._fmap(num)
         fd = dict(fd)
         for i, en in fn.items():
@@ -434,7 +422,7 @@ class Field:
         coeff = cn / cd
         num = self._from_fmap(Fraction(coeff.numerator), fn)
         dc = Fraction(coeff.denominator)
-        num, dc, fd = self._divide_out(num, dc, {i: e for i, e in fd.items() if e != 0})
+        num, fd = self._divide_out(num, {i: e for i, e in fd.items() if e != 0})
         if len(fd) == 1:
             (i, e), = fd.items()
             if e == 1 and self._sums[i] is not None and self._leading_negative(i):
@@ -455,19 +443,16 @@ class Field:
         base = {tuple(sorted(mono)): coeff}
         return self._pmul(base, p) if p else base
 
-    def _divide_out(self, num: Poly, dc: Fraction, fd: dict
-                    ) -> tuple[Poly, Fraction, dict]:
+    def _divide_out(self, num: Poly, fd: dict) -> tuple[Poly, dict]:
         """Divide the numerator by the denominator factors with a positive
         integer exponent that divide it exactly, as polynomials, in the order
-        of their expressions' keys.  A monomial numerator has had its atoms
-        cancelled already, and no sum divides a monomial."""
+        of their expressions' keys, and lower their exponents in the factor
+        map it returns.  A monomial numerator has had its atoms cancelled
+        already, and no sum divides a monomial."""
         if len(num) < 2 or not self._is_poly(num):
-            return num, dc, fd
+            return num, fd
         eligible = [i for i, e in fd.items() if type(e) is int and e > 0]
-        if not eligible:
-            return num, dc, fd
         left = dict(fd)
-        changed = False
         for i in sorted(eligible, key=lambda i: self._base_expr(i).key()):
             g = self._power(i, 1)
             if not self._is_poly(g):
@@ -478,15 +463,7 @@ class Field:
                     break
                 num = q
                 left[i] -= 1
-                changed = True
-        if not changed:
-            return num, dc, fd
-        dp = {(): dc}
-        for i, e in left.items():
-            if e != 0:
-                dp = self._pmul(dp, self._power(i, e))
-        dc, fd = self._fmap(dp)
-        return num, dc, fd
+        return num, {i: e for i, e in left.items() if e != 0}
 
     def _leading_negative(self, i: int) -> bool:
         """The first term of the sum's canonical expression has a negative
@@ -559,13 +536,32 @@ def _merge(f: dict, g: dict) -> dict:
     return {i: e for i, e in out.items() if e != 0}
 
 
+def _over(f: dict, g: dict) -> dict:
+    """The factor map of a quotient of two factor maps."""
+    return _merge(f, {i: _eneg(e) for i, e in g.items()})
+
+
+def _lcm(f: dict, g: dict) -> dict:
+    """The factor map of the lcm of two denominators: per factor the common
+    exponent, else the larger one when both are rational, else their sum."""
+    out = dict(f)
+    for i, e in g.items():
+        d = out.get(i)
+        if d is None or d == e or _le(d, e):
+            out[i] = e
+        elif not _le(e, d):
+            out[i] = _eadd(d, e)
+    return {i: e for i, e in out.items() if e != 0}
+
+
 # ---------------------------------------------------------------------------
 # Exact polynomial division
 # ---------------------------------------------------------------------------
 
 def _poly_divide(f: Poly, g: Poly) -> Optional[Poly]:
     """Exact division f/g as polynomials; None when not exactly divisible.
-    Uses graded lexicographic order on dense exponent vectors.  Each step
+    A monomial is worked on as (total degree, dense exponent vector), so
+    max() gives the leading one in graded lexicographic order.  Each step
     cancels the leading monomial of the remainder and adds only smaller
     ones, since the order is a monomial order, so the loop ends."""
     if not g:
@@ -575,39 +571,31 @@ def _poly_divide(f: Poly, g: Poly) -> Optional[Poly]:
     variables = sorted({key for m in list(f) + list(g) for key, _ in m})
     index = {v: i for i, v in enumerate(variables)}
 
-    def dense(mono) -> tuple:
+    def graded(mono) -> tuple:
         vec = [0] * len(variables)
         for key, k in mono:
             vec[index[key]] = k
-        return tuple(vec)
+        return sum(vec), tuple(vec)
 
-    def order(mono) -> tuple:
-        v = dense(mono)
-        return (sum(v), v)
-
-    glead = max(g, key=order)
-    gvec = dense(glead)
-    gc = g[glead]
-    work = dict(f)
+    gw = {graded(m): c for m, c in g.items()}
+    glead = max(gw)
+    gc = gw[glead]
+    work = {graded(m): c for m, c in f.items()}
     quotient: Poly = {}
     while work:
-        flead = max(work, key=order)
-        fvec = dense(flead)
-        if any(a < b for a, b in zip(fvec, gvec)):
+        flead = max(work)
+        qvec = tuple(a - b for a, b in zip(flead[1], glead[1]))
+        if any(k < 0 for k in qvec):
             return None
-        qvec = tuple(a - b for a, b in zip(fvec, gvec))
-        qmono = tuple((variables[i], k) for i, k in enumerate(qvec) if k)
         qc = work[flead] / gc
-        quotient[qmono] = quotient.get(qmono, Fraction(0)) + qc
-        for gmono, gcoef in g.items():
-            gv = dense(gmono)
-            mm = tuple((variables[i], a + b) for i, (a, b)
-                       in enumerate(zip(qvec, gv)) if a + b)
-            nv = work.get(mm, Fraction(0)) - qc * gcoef
-            if nv == 0:
-                work.pop(mm, None)
+        quotient[tuple((variables[i], k) for i, k in enumerate(qvec) if k)] = qc
+        for (d, v), c in gw.items():
+            m = (flead[0] - glead[0] + d, tuple(a + b for a, b in zip(qvec, v)))
+            nv = work.get(m, 0) - qc * c
+            if nv:
+                work[m] = nv
             else:
-                work[mm] = nv
+                del work[m]
     return quotient
 
 

@@ -132,8 +132,7 @@ def _linear_coefficient(e: Expr, atom: Expr) -> Expr:
     return c
 
 
-def scaling_similarity(gen: Generator, alpha: Expr,
-                       assumptions: Optional[Assumptions] = None) -> EKReduction:
+def scaling_similarity(gen: Generator, alpha: Expr) -> EKReduction:
     sig = gen.sig
     t = sig.t
     chi1 = _linear_coefficient(gen.tau, t)

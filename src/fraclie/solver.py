@@ -141,13 +141,14 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
     if any(depends_on_jets(d) for row in a for d in row):
         raise ShapeViolation("eta must be linear in the dependents")
     slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
+    fld = Field(assumptions)
     for s, row in enumerate(a):
         for j, d in enumerate(row):
             dt = partial_derivative(d, t)
-            if j != s and dt != ZERO:
+            if j != s and not fld.elem(dt).is_zero():
                 raise ShapeViolation(
                     "cross coefficients of eta must be x-functions only")
-            if j == s and expand(dt - slope) != ZERO:
+            if j == s and not fld.elem(dt - slope).is_zero():
                 raise ShapeViolation(
                     "the t-slope of the u_s-coefficient of eta_s must equal "
                     "(alpha-1)*chi2")

@@ -7,12 +7,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 from fractions import Fraction
 
-import pytest
-
 from fraclie import (AnsatzGenerator, ExponentForm, Fn, Gamma, Generator, Jet,
                      PipelineConfig, PowerSum, Rat, Sym, Var, ZERO, ONE, add,
                      mul, neg, numeric_rl_oracle, pow_, rl_derivative,
-                     run_pipeline, simplify, verify_generator)
+                     run_pipeline, simplify)
 from fraclie.expr import expand
 from fraclie.fraccalc import default_assumptions
 from fraclie.lemmas import (check_aux_conditions, leibniz_expand, mu_truncated,

@@ -479,6 +479,17 @@ class TestVerifyGenerator:
         with pytest.raises(ShapeViolation):
             verify_generator(zk, gen)
 
+    def test_shape_check_compares_rational_functions(self):
+        # (k^2-1)/((k-1)*(k+1)) is 1: the t-slope of eta's u-coefficient is
+        # (alpha-1)*chi2 = -2/3 as a rational function, not as a tree
+        sys = parse_system("alpha 1/3; space x; dep u; Dt^alpha(u) = u*Dx(u);")
+        gen, _ = parse_generator("param k; tau = t^2;"
+                                 " eta[u] = (-2/3)*(k^2-1)/((k-1)*(k+1))*t*u;",
+                                 sys.sig)
+        rep = verify_generator(sys, gen)
+        assert rep.ok
+        assert rep.all_residuals() == [ZERO]
+
     def test_shape_violation_nonlinear_eta(self, zk):
         sig = zk.sig
         gen = exp_gen(sig, eta=[pow_(sig.u(0), 2)])

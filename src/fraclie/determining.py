@@ -1,23 +1,28 @@
-"""Build and separate the invariance condition.
+"""Build the invariance condition already separated over jet monomials.
 
 One condition per equation comes from the generator's prolongation
-(prolong.Prolongation).  Separated over jet monomials (symbolic powers and
-opaque functional parameters are distinct monomial classes), its jet-free
-class is condition 1, a linear fractional constraint on the inhomogeneous
-parts h_s(t,x), and its other classes are condition 2: integer-order linear
-equations in the ansatz unknowns.  Genericity facts used to keep monomial
-classes apart are recorded.
+(prolong.Prolongation) and the facts of the system (model.PDESystem).
+Every piece of it is a jet-free coefficient times a jet monomial: the
+terms of rhs_s and of its partials, each dF_s/d jet, and the Leibniz terms
+of eta^theta.  So the pieces go straight into a dict keyed by jet monomial
+(symbolic powers and opaque functional parameters are distinct monomial
+classes), and each class's coefficient products are summed and expanded
+once; no sum of the whole condition is built.  The jet-free class is
+condition 1, a linear fractional constraint on the inhomogeneous parts
+h_s(t,x), and the other classes are condition 2: integer-order linear
+equations in the ansatz unknowns.  The genericity facts used to keep
+monomial classes apart are recorded.  The route through one expanded sum
+is kept in fraclie.lemmas as the reference.
 """
 from __future__ import annotations
 
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Gamma, Jet, NonPolynomial, ONE, Rat, Sym, ZERO,
+from .expr import (Expr, Fn, Gamma, Jet, ONE, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
                    add_terms, atoms, depends_on_jets, expand,
-                   group_by_monomial, map_children, mul_factors, render,
-                   substitute)
+                   map_children, mul_factors, render, substitute)
 from .linsolve import _content
-from .model import PDESystem
+from .model import Fragments, PDESystem
 from .prolong import AnsatzGenerator, Prolongation, is_unknown
 from .records import record
 
@@ -26,54 +31,65 @@ from .records import record
 # The invariance condition
 # ---------------------------------------------------------------------------
 
-def invariance_condition(sys: PDESystem, pro: Prolongation) -> list[Expr]:
+def invariance_condition(sys: PDESystem, pro: Prolongation
+                         ) -> list[tuple[Expr, Fragments]]:
     """Per equation s, the expansion of
 
         Dt^a h_s + sum_i A_si rhs_i - a*tau'*rhs_s - tau*d_t rhs_s
           - sum_i xi_i*d_xi rhs_s - sum_{jet in F_s} eta^theta(jet)*dF_s/d jet
 
-    whose vanishing characterizes invariance.  pro is the generator's
-    prolongation (AnsatzGenerator.prolongation or
+    whose vanishing characterizes invariance, separated over jet monomials:
+    (condition 1, fragments of condition 2) as h_condition splits them.
+    pro is the generator's prolongation (AnsatzGenerator.prolongation or
     solver.admitted_prolongation); the facts of the system come from the
     system."""
     sig = sys.sig
-    out: list[Expr] = []
+    minus_one = Rat(-1)
+    out = []
     for s in range(sig.q):
         d_rhs = sys.rhs_partials[s]
-        pieces: list[Expr] = [pro.h_frac[s]]
-        pieces += [_nmul([pro.a[s][i], sys.rhs(i)]) for i in range(sig.q)]
-        pieces.append(_nmul([Rat(-1), sys.alpha, pro.tau_prime, sys.rhs(s)]))
-        pieces.append(_nmul([Rat(-1), pro.tau, d_rhs[0]]))
+        classes: dict[tuple, list] = {}     # monomial key -> [monomial, terms]
+        _collect(classes, [(ONE, pro.h_frac[s])], ONE)
+        for i in range(sig.q):
+            _collect(classes, sys.rhs_fragments[i], pro.a[s][i])
+        _collect(classes, sys.rhs_fragments[s],
+                 _nmul([minus_one, sys.alpha, pro.tau_prime]))
+        _collect(classes, d_rhs[0], _nmul([minus_one, pro.tau]))
         for i in range(sig.p):
-            pieces.append(_nmul([Rat(-1), pro.xi[i], d_rhs[i + 1]]))
-        for jet, coeff in sys.jet_coefficients[s]:
-            ext = pro.eta_theta(jet.dep, jet.theta)
-            pieces.append(_nmul([Rat(-1), ext, coeff]))
-        out.append(expand(_nadd(pieces)))
+            _collect(classes, d_rhs[i + 1], _nmul([minus_one, pro.xi[i]]))
+        for jet, d_f in sys.jet_coefficients[s]:
+            for mono, coeff in pro.eta_theta(jet.dep, jet.theta):
+                _collect(classes, d_f, _nmul([minus_one, coeff]), mono)
+        fragments = []
+        for k in sorted(classes):
+            mono, terms = classes[k]
+            coeff = expand(_nadd(terms))
+            if coeff != ZERO:
+                fragments.append((mono, coeff))
+        out.append(h_condition(fragments))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Separation over jet monomials
-# ---------------------------------------------------------------------------
+def _collect(classes: dict, fragments: Fragments, factor: Expr,
+             jet: Expr = ONE) -> None:
+    """Add each fragment of a jet polynomial, times the jet-free factor and
+    the jet monomial jet, to its class.  A ZERO factor adds nothing."""
+    if factor == ZERO:
+        return
+    for mono, coeff in fragments:
+        if jet is not ONE:
+            mono = _nmul([jet, mono])
+        k = mono.key()
+        term = coeff if factor is ONE else _nmul([factor, coeff])
+        entry = classes.get(k)
+        if entry is None:
+            classes[k] = [mono, [term]]
+        else:
+            entry[1].append(term)
 
-def _jet_factor(b: Expr, _) -> bool:
-    if not depends_on_jets(b):
-        return False
-    if isinstance(b, Gamma):
-        raise NonPolynomial(f"jet variable inside a Gamma application: {render(b)}")
-    return True
 
-
-def jet_fragments(cond: Expr) -> list[tuple[Expr, Expr]]:
-    """Separate a jet-polynomial condition into (monomial, coefficient)
-    equations, one per jet monomial."""
-    return group_by_monomial(expand(cond), _jet_factor)
-
-
-def h_condition(fragments: list[tuple[Expr, Expr]]
-                ) -> tuple[Expr, list[tuple[Expr, Expr]]]:
-    """(condition 1, condition 2) of one equation's jet_fragments: the
+def h_condition(fragments: Fragments) -> tuple[Expr, Fragments]:
+    """(condition 1, condition 2) of one equation's fragments: the
     coefficient of the jet-free class ONE, or ZERO when there is none, and
     the fragments of every other class."""
     frac = ZERO
@@ -84,15 +100,6 @@ def h_condition(fragments: list[tuple[Expr, Expr]]
         else:
             rest.append((mono, coeff))
     return frac, rest
-
-
-def separate(cond: Expr, sys: PDESystem
-             ) -> tuple[Expr, list[tuple[Expr, Expr]], list[str]]:
-    """Condition 1 and the fragments of condition 2 of one invariance
-    condition (h_condition), plus the genericity assumptions that keep the
-    fragments' monomial classes apart."""
-    frac, fragments = h_condition(jet_fragments(cond))
-    return frac, fragments, _genericity(fragments, sys)
 
 
 def _power_profile(mono: Expr) -> tuple[tuple, dict[int, ExponentForm]]:
@@ -109,7 +116,9 @@ def _power_profile(mono: Expr) -> tuple[tuple, dict[int, ExponentForm]]:
     return tuple(sorted(skeleton)), powers
 
 
-def _genericity(fragments: list[tuple[Expr, Expr]], sys: PDESystem) -> list[str]:
+def separate(fragments: Fragments, sys: PDESystem) -> list[str]:
+    """The genericity assumptions that keep the monomial classes of one
+    equation's condition-2 fragments apart."""
     asm = sys.assumptions()
     forms: dict[tuple, tuple[ExponentForm, str]] = {}
     profiles = [(_power_profile(m), m) for m, _ in fragments]
@@ -183,11 +192,10 @@ def build_determining(sys: PDESystem) -> DeterminingSystem:
     notes: set[str] = set()
     eqs: list[Expr] = []
     seen: set[tuple] = set()
-    for cond in invariance_condition(sys, ans.prolongation):
-        frac, frags, fnotes = separate(cond, sys)
+    for frac, frags in invariance_condition(sys, ans.prolongation):
         frac_eqs.append(frac)
         fragments.append(tuple(frags))
-        notes.update(fnotes)
+        notes.update(separate(frags, sys))
         for _, coeff in frags:
             norm = normalize_equation(coeff)
             if norm != ZERO and norm.key() not in seen:

@@ -4,6 +4,12 @@ Exponents of power factors live in a Q-affine module over monomials in the
 declared exponent atoms (the fractional order symbol, user parameters).
 Every exponent in the target problem class has this shape: a-1, 2a-1,
 (2a-1)*L + a, 2*c1/w - 2, 2*a/(3*n), ...
+
+A coefficient is stored as an int when it is integral and as a Fraction in
+lowest terms otherwise, the storage rule of expr.Rat: most exponents are
+integers, and int arithmetic and hashing are several times cheaper than
+Fraction's.  An int and a Fraction of one value compare and hash equal, so
+the rule changes no key, hash or order.
 """
 from __future__ import annotations
 
@@ -31,8 +37,26 @@ def exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _stored(c):
+    """c in its stored form: an int when integral, else a Fraction in lowest
+    terms (a float or a bool is refused by exact)."""
+    cls = c.__class__
+    if cls is int:
+        return c
+    if cls is not Fraction:
+        c = exact(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class ExponentForm:
-    """Q-linear combination of basis monomials; UNIT is the constant slot."""
+    """Q-linear combination of basis monomials; UNIT is the constant slot.
+
+    coeffs is the sorted tuple of (monomial, coefficient) pairs with nonzero
+    coefficients.  Storage rule, as for expr.Rat: a coefficient is stored as
+    an int when it is integral and as a Fraction in lowest terms otherwise,
+    one stored form per value, so most exponent arithmetic is int
+    arithmetic.  An int and a Fraction of one value compare and hash equal,
+    so keys, hashes and orderings are those of the values."""
 
     __slots__ = ("coeffs", "_hash")
 
@@ -40,18 +64,27 @@ class ExponentForm:
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         acc: dict[Monomial, Fraction] = {}
         for mono, c in items:
-            if c.__class__ is not Fraction:
-                c = exact(c)
+            if c.__class__ is not int:
+                c = _stored(c)
             if c:
                 prev = acc.get(mono)
                 acc[mono] = c if prev is None else prev + c
-        self.coeffs = tuple(sorted([mc for mc in acc.items() if mc[1]]))
+        self.coeffs = _canonical(acc)
         self._hash = None
+
+    @staticmethod
+    def _of(coeffs: tuple) -> "ExponentForm":
+        """The form with coeffs, already sorted, nonzero and stored."""
+        out = object.__new__(ExponentForm)
+        out.coeffs = coeffs
+        out._hash = None
+        return out
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def rational(value) -> "ExponentForm":
-        return ExponentForm({UNIT: exact(value)})
+        v = _stored(value)
+        return ExponentForm._of(((UNIT, v),) if v else ())
 
     @staticmethod
     def symbol(name: str, power: int = 1, coeff=1) -> "ExponentForm":
@@ -59,11 +92,19 @@ class ExponentForm:
 
     # -- ring/module operations --------------------------------------------
     def __add__(self, other: "ExponentForm") -> "ExponentForm":
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            c = _normal(a[0][1] + b[0][1])
+            return ExponentForm._of(((a[0][0], c),) if c else ())
+        acc = dict(a)
+        for m, c in b:
             prev = acc.get(m)
             acc[m] = c if prev is None else prev + c
-        return ExponentForm(acc)
+        return ExponentForm._of(_canonical(acc))
 
     def __sub__(self, other: "ExponentForm") -> "ExponentForm":
         return self + other.scale(-1)
@@ -77,7 +118,7 @@ class ExponentForm:
                     powers[name] = powers.get(name, 0) + k
                 m = tuple(sorted((n, k) for n, k in powers.items() if k))
                 acc[m] = acc.get(m, 0) + c1 * c2
-        return ExponentForm(acc)
+        return ExponentForm._of(_canonical(acc))
 
     def __pow__(self, k: int) -> "ExponentForm":
         """An integer power; a negative one only of a single monomial."""
@@ -85,15 +126,20 @@ class ExponentForm:
             if len(self.coeffs) != 1:
                 raise ValueError("cannot invert a non-monomial exponent form")
             (mono, c), = self.coeffs
-            return ExponentForm({tuple((n, -p) for n, p in mono): 1 / c}) ** -k
+            inverse = tuple((n, -p) for n, p in mono)
+            return ExponentForm({inverse: 1 / Fraction(c)}) ** -k
         out = UNIT_FORM
         for _ in range(k):
             out = out * self
         return out
 
     def scale(self, factor) -> "ExponentForm":
-        f = exact(factor)
-        return ExponentForm({m: c * f for m, c in self.coeffs})
+        f = _stored(factor)
+        if f == 1:
+            return self
+        if not f:
+            return ZERO_FORM
+        return ExponentForm._of(tuple((m, _normal(c * f)) for m, c in self.coeffs))
 
     def __neg__(self) -> "ExponentForm":
         return self.scale(-1)
@@ -109,28 +155,30 @@ class ExponentForm:
                 else:
                     rest.append((name, k))
             key = tuple(rest)
-            acc[key] = acc.get(key, Fraction(0)) + c
-        return ExponentForm(acc)
+            acc[key] = acc.get(key, 0) + c
+        return ExponentForm._of(_canonical(acc))
 
     # -- queries -------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_rational(self) -> bool:
-        return all(m == UNIT for m, _ in self.coeffs)
+        c = self.coeffs
+        return not c or (len(c) == 1 and c[0][0] == UNIT)
 
-    def as_rational(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return Fraction(0)
-        if self.is_rational():
-            return self.coeffs[0][1]
+    def as_rational(self) -> Optional[int | Fraction]:
+        """The value in its stored form when the form is rational (an int
+        when integral), else None."""
+        c = self.coeffs
+        if not c:
+            return 0
+        if len(c) == 1 and c[0][0] == UNIT:
+            return c[0][1]
         return None
 
     def as_integer(self) -> Optional[int]:
         r = self.as_rational()
-        if r is not None and r.denominator == 1:
-            return int(r)
-        return None
+        return r if r.__class__ is int else None
 
     def symbols(self) -> set[str]:
         return {name for mono, _ in self.coeffs for name, _ in mono}
@@ -171,6 +219,16 @@ class ExponentForm:
         for p in parts[1:]:
             out += p if p.startswith("-") else "+" + p
         return out
+
+
+def _normal(c):
+    """A sum or product of stored coefficients in stored form."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def _canonical(acc: dict) -> tuple:
+    """The coeffs tuple of a dict from monomial to summed coefficient."""
+    return tuple(sorted([(m, _normal(c)) for m, c in acc.items() if c]))
 
 
 ZERO_FORM = ExponentForm()

@@ -11,8 +11,8 @@ Storage rule: a Rat stores an integral value as an int and any other value
 as a Fraction in lowest terms, one stored form per value, because int
 arithmetic is several times cheaper than Fraction arithmetic and most
 rationals in a condition are integers.  Only the kernel (_npow, _nmul,
-_nadd, _mono_factors) reads the stored form; Rat.value, _coeff_mono and
-render hand every other reader a Fraction.
+_scaled, _nadd) reads the stored form; Rat.value, _coeff_mono and render
+hand every other reader a Fraction.
 
 Canonical by construction: every tree the kernel builds (the constructors
 add, mul, neg, pow_, div, the operators on Expr, and expand, substitute,
@@ -194,7 +194,7 @@ class Jet(Expr):
 
     def __init__(self, dep: int, theta: tuple[int, ...] = (), t_order: int = 0,
                  frac: Optional[int] = None):
-        if any(k < 0 for k in theta) or t_order < 0:
+        if t_order < 0 or (theta and min(theta) < 0):
             raise ValueError("negative derivative index")
         if frac is not None and (frac < 0 or t_order > 0):
             raise ValueError("frac offset excludes positive t_order")
@@ -364,18 +364,86 @@ def _base_exp(f: Expr) -> tuple[Expr, ExponentForm]:
     return f, UNIT_FORM
 
 
+def _scaled(c: Union[int, Fraction], e: Expr) -> Expr:
+    """c*e, c a rational in stored form and e canonical: the product
+    _nmul builds, with no merging to do, since a Rat is only ever a
+    product's coefficient."""
+    if c == 0:
+        return ZERO
+    if c == 1:
+        return e
+    cls = e.__class__
+    if cls is Rat:
+        return Rat(c * e.stored)
+    if cls is Mul:
+        factors = e.factors
+        first = factors[0]
+        if first.__class__ is not Rat:
+            return Mul((Rat(c),) + factors)
+        c = c * first.stored
+        if c == 1:
+            return factors[1] if len(factors) == 2 else Mul(factors[1:])
+        return Mul((Rat(c),) + factors[1:])
+    return Mul((Rat(c), e))
+
+
+def _inserted(factors: tuple[Expr, ...], x: Expr) -> Optional[tuple[Expr, ...]]:
+    """The factors of a canonical product with the canonical non-product x
+    put in key order, or None when one of them has x's base."""
+    bx = x.base if x.__class__ is Pow else x
+    cls, key = bx.__class__, bx.key()
+    for f in factors:
+        b = f.base if f.__class__ is Pow else f
+        if b.__class__ is cls and b.key() == key:
+            return None
+    kx = x.key()
+    for i, f in enumerate(factors):
+        if kx < f.key():
+            return factors[:i] + (x,) + factors[i:]
+    return factors + (x,)
+
+
 def _nmul(factors: Iterable[Expr]) -> Expr:
+    if factors.__class__ is not list:
+        factors = list(factors)
+    n = len(factors)
+    # a canonical factor alone is its own product
+    if n < 2 and (n == 0 or factors[0].__class__ is not Mul):
+        return factors[0] if n else ONE
+    if n == 2:
+        # the common products of two factors, with nothing to merge
+        a, b = factors
+        ca, cb = a.__class__, b.__class__
+        if ca is Rat:
+            return _scaled(a.stored, b)
+        if cb is Rat:
+            return _scaled(b.stored, a)
+        if ca is not Mul and cb is not Mul:
+            ba = a.base if ca is Pow else a
+            bb = b.base if cb is Pow else b
+            if ba.__class__ is not bb.__class__ or ba.key() != bb.key():
+                return Mul((a, b) if a.key() < b.key() else (b, a))
+        elif ca is not cb:
+            # one factor into a product none of whose bases is its own
+            m, x = (a, b) if ca is Mul else (b, a)
+            out = _inserted(m.factors, x)
+            if out is not None:
+                return Mul(out)
     coeff = None        # the product of the rational factors, stored form
     merged: dict[Expr, list] = {}       # base -> [base, exponent, factor]
     for f in factors:
-        for g in (f.factors if isinstance(f, Mul) else (f,)):
-            if isinstance(g, Rat):
+        for g in (f.factors if f.__class__ is Mul else (f,)):
+            cls = g.__class__
+            if cls is Rat:
                 v = g.stored
                 if v == 0:
                     return ZERO
                 coeff = v if coeff is None else coeff * v
                 continue
-            b, e = _base_exp(g)
+            if cls is Pow:
+                b, e = g.base, g.exp
+            else:
+                b, e = g, UNIT_FORM
             entry = merged.get(b)
             if entry is None:
                 merged[b] = [b, e, g]
@@ -389,18 +457,19 @@ def _nmul(factors: Iterable[Expr]) -> Expr:
             out.append(g)
             continue
         p = _npow(b, e)
-        if isinstance(p, Rat):
+        if p.__class__ is Rat:
             if p.stored == 0:
                 return ZERO
             coeff = p.stored if coeff is None else coeff * p.stored
             continue
         # a merged power of a product or of a power, (x*y)^(1/2) squared,
         # is a product or another base's power and may merge with the others
-        remerge = remerge or isinstance(p, Mul) or _base_exp(p)[0] is not b
+        remerge = remerge or p.__class__ is Mul or _base_exp(p)[0] is not b
         out.append(p)
     if remerge:
         return _nmul(out if coeff is None else out + [Rat(coeff)])
-    out.sort(key=lambda x: x.key())
+    if len(out) > 1:
+        out.sort(key=Expr.key)
     if coeff is None or coeff == 1:
         if not out:
             return ONE
@@ -430,18 +499,6 @@ def _with_coeff(coeff: Union[int, Fraction], mono: Optional[Expr]) -> Expr:
     return Mul((Rat(coeff), mono))
 
 
-def _mono_factors(term: Expr) -> tuple[Union[int, Fraction], tuple[Expr, ...]]:
-    """The rational coefficient, in stored form, of a canonical non-Add,
-    non-Rat term and the factors of its monomial, without building the
-    monomial."""
-    if isinstance(term, Mul):
-        first = term.factors[0]
-        if isinstance(first, Rat):
-            return first.stored, term.factors[1:]
-        return 1, term.factors
-    return 1, (term,)
-
-
 def _mono_of(factors: tuple[Expr, ...]) -> Expr:
     return factors[0] if len(factors) == 1 else Mul(factors)
 
@@ -454,16 +511,33 @@ def _mono_key(factors: tuple[Expr, ...]):
 
 
 def _nadd(terms: Iterable[Expr]) -> Expr:
+    if terms.__class__ is not list:
+        terms = list(terms)
+    # a canonical term alone is its own sum
+    if not terms:
+        return ZERO
+    if len(terms) == 1 and terms[0].__class__ is not Add:
+        return terms[0]
     const = 0           # stored form
     # monomial factors -> [coefficient, the term while it is met once]; the
     # factors are canonical nodes, so the tuple hashes by their cached hashes
     merged: dict[tuple, list] = {}
     for t in terms:
-        for s in (t.terms if isinstance(t, Add) else (t,)):
-            if isinstance(s, Rat):
+        for s in (t.terms if t.__class__ is Add else (t,)):
+            cls = s.__class__
+            if cls is Rat:
                 const += s.stored
                 continue
-            c, mono = _mono_factors(s)
+            # the rational coefficient, in stored form, and the factors of
+            # the monomial, which is not built
+            if cls is Mul:
+                c = s.factors[0]
+                if c.__class__ is Rat:
+                    c, mono = c.stored, s.factors[1:]
+                else:
+                    c, mono = 1, s.factors
+            else:
+                c, mono = 1, (s,)
             entry = merged.get(mono)
             if entry is None:
                 merged[mono] = [c, s]
@@ -493,15 +567,16 @@ def _nadd(terms: Iterable[Expr]) -> Expr:
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """Direct subexpressions; exponents are not children."""
-    if isinstance(e, Mul):
+    cls = e.__class__
+    if cls is Mul:
         return e.factors
-    if isinstance(e, Add):
+    if cls is Add:
         return e.terms
-    if isinstance(e, Pow):
+    if cls is Pow:
         return (e.base,)
-    if isinstance(e, Gamma):
+    if cls is Gamma:
         return (e.arg,)
-    if isinstance(e, Fn):
+    if cls is Fn:
         return e.args
     return ()
 
@@ -526,7 +601,15 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 
 def any_node(e: Expr, pred: Callable[[Expr], bool]) -> bool:
     """Pre-order search: True when pred holds at e or at a node below it."""
-    return pred(e) or any(any_node(c, pred) for c in children(e))
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if pred(x):
+            return True
+        below = children(x)
+        if below:
+            todo.extend(reversed(below))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -617,21 +700,32 @@ def _expand(e: Expr) -> Expr:
     out = e._expanded
     if out is not None:
         return e if out is _EXPANDED else out
+    # a canonical node whose children are their own expansions, and no
+    # factor of which is a sum, is its own expansion
     if cls is Add:
-        out = _nadd([_expand(t) for t in e.terms])
+        terms = e.terms
+        done = [_expand(t) for t in terms]
+        out = e if all(x is t for x, t in zip(done, terms)) else _nadd(done)
     elif cls is Pow:
         base = _expand(e.base)
         k = e.exp.as_integer()
-        if isinstance(base, Add) and k is not None and k > 1:
+        if base.__class__ is Add and k is not None and k > 1:
             out = base
             for _ in range(k - 1):
                 out = _mul_expanded(out, base)
+        elif base is e.base:
+            out = e
         else:
             out = _settle(_npow(base, e.exp))
     else:
-        out = ONE
-        for f in e.factors:
-            out = _mul_expanded(out, _expand(f))
+        factors = e.factors
+        done = [_expand(f) for f in factors]
+        if all(x is f and x.__class__ is not Add for x, f in zip(done, factors)):
+            out = e
+        else:
+            out = done[0]
+            for f in done[1:]:
+                out = _mul_expanded(out, f)
     if out is e:
         e._expanded = _EXPANDED
     else:
@@ -788,35 +882,40 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+def _is_zero(e: Expr) -> bool:
+    return e.__class__ is Rat and e.stored == 0
+
+
 def _diff(e: Expr, leaf: Callable[[Expr], Optional[Expr]]) -> Expr:
-    """Generic derivation: leaf returns the derivative of an atom or None for
-    'derivative is zero'."""
-    d = leaf(e)
-    if d is not None:
-        return d
-    if isinstance(e, (Rat, Sym, Var, Jet, Fn)):
+    """Generic derivation: leaf returns the derivative of an atom (a Sym,
+    Var, Jet or Fn) or None for 'derivative is zero'; a Rat's is ZERO."""
+    cls = e.__class__
+    if cls is Rat:
         return ZERO
-    if isinstance(e, Gamma):
-        inner = _diff(e.arg, leaf)
-        if inner != ZERO:
+    if cls is Add:
+        return _nadd([_diff(t, leaf) for t in e.terms])
+    if cls is Mul:
+        out = []
+        factors = e.factors
+        for i, f in enumerate(factors):
+            df = _diff(f, leaf)
+            if not _is_zero(df):
+                rest = [g for j, g in enumerate(factors) if j != i]
+                out.append(_nmul([df] + rest))
+        return _nadd(out)
+    if cls is Pow:
+        db = _diff(e.base, leaf)
+        if _is_zero(db):
+            return ZERO
+        return _nmul([from_eform(e.exp), _npow(e.base, e.exp - UNIT_FORM), db])
+    if cls is Gamma:
+        if not _is_zero(_diff(e.arg, leaf)):
             raise UnsupportedDerivative("no derivative rule for Gamma of a "
                                         "variable-dependent argument")
         return ZERO
-    if isinstance(e, Pow):
-        db = _diff(e.base, leaf)
-        if db == ZERO:
-            return ZERO
-        return _nmul([from_eform(e.exp), _npow(e.base, e.exp - UNIT_FORM), db])
-    if isinstance(e, Mul):
-        out = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, leaf)
-            if df == ZERO:
-                continue
-            out.append(_nmul([df] + [g for j, g in enumerate(e.factors) if j != i]))
-        return _nadd(out)
-    if isinstance(e, Add):
-        return _nadd([_diff(t, leaf) for t in e.terms])
+    if cls in (Sym, Var, Jet, Fn):
+        d = leaf(e)
+        return ZERO if d is None else d
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -826,21 +925,21 @@ def partial_derivative(e: Expr, atom: ExprLike) -> Expr:
     independent coordinate; an opaque function is differentiated in each
     argument equal to the atom."""
     atom = as_expr(atom)
+    kind, key = atom.__class__, atom.key()
 
     def leaf(x: Expr) -> Optional[Expr]:
-        if x == atom:
+        cls = x.__class__
+        if cls is kind and x.key() == key:
             return ONE
-        if isinstance(x, Fn):
+        if cls is Fn:
             out = []
             for i, a in enumerate(x.args):
-                if a == atom:
-                    if x.frac and isinstance(atom, Var) and atom.is_time:
+                if a.__class__ is kind and a.key() == key:
+                    if x.frac and kind is Var and atom.is_time:
                         raise FractionalChain(
                             "t-derivative through an opaque fractional application")
                     out.append(x.bump(i))
             return _nadd(out)
-        if isinstance(x, (Var, Jet, Sym)):
-            return ZERO
         return None
 
     return _diff(e, leaf)
@@ -931,17 +1030,17 @@ def _shift_count(iv: Interval) -> int:
     return max(k, 0)
 
 
-def _gamma_parts(r: Fraction) -> tuple[Fraction, Optional[Fraction]]:
-    """(c, z) with Gamma(r) = c*Gamma(z) in the normal form of
-    gamma_simplify: z is None for a positive integer r, whose Gamma is the
-    factorial c; otherwise z = r-k and c = (r-1)(r-2)...(r-k), with
-    k = floor(r) for r > 0 and k = 0 else."""
-    if r.denominator == 1 and r >= 1:
-        return Fraction(math.factorial(int(r) - 1)), None
-    k = max(math.floor(r), 0)
-    p, q = r.numerator, r.denominator
-    falling = math.prod(p - j * q for j in range(1, k + 1))
-    return Fraction(falling, q ** k), r - k
+def _gamma_parts(n: int, d: int) -> tuple[int, int, Optional[Fraction]]:
+    """(a, b, z) with Gamma(n/d) = (a/b)*Gamma(z), for n/d in lowest terms,
+    d > 0, in the normal form of gamma_simplify: z is None for a positive
+    integer n/d, whose Gamma is the factorial a; otherwise z = n/d-k and
+    a/b = (n/d-1)(n/d-2)...(n/d-k), k = floor(n/d) for n/d > 0 and k = 0
+    else.  Integer arithmetic throughout."""
+    if d == 1 and n >= 1:
+        return math.factorial(n - 1), 1, None
+    k = max(n // d, 0)
+    return (math.prod(n - j * d for j in range(1, k + 1)), d ** k,
+            Fraction(n - k * d, d))
 
 
 def gamma_of_rational(r: Fraction) -> Expr:
@@ -949,23 +1048,31 @@ def gamma_of_rational(r: Fraction) -> Expr:
     positive integer, Gamma(r) itself at a pole (callers handle these
     before building), and otherwise Gamma(r) = (r-1)(r-2)...(r-k)
     Gamma(r-k), k = floor(r) for r > 0, with the k prefactors one Rat."""
-    c, z = _gamma_parts(r)
-    return Rat(c) if z is None else _nmul([Rat(c), Gamma(Rat(z))])
+    a, b, z = _gamma_parts(r.numerator, r.denominator)
+    c = Rat(Fraction(a, b))
+    return c if z is None else _nmul([c, Gamma(Rat(z))])
 
 
-def gamma_ratio(top: Fraction, bottom: Fraction) -> Expr:
-    """Gamma(top)/Gamma(bottom) in the normal form of gamma_simplify, for
-    rationals top and bottom, bottom not a pole.  The two Gammas left by
-    the recurrence cancel when top - bottom is an integer."""
-    c_top, z_top = _gamma_parts(top)
-    c_bottom, z_bottom = _gamma_parts(bottom)
-    factors = [Rat(c_top / c_bottom)]
-    if z_top != z_bottom:
-        if z_top is not None:
-            factors.append(Gamma(Rat(z_top)))
-        if z_bottom is not None:
-            factors.append(Pow(Gamma(Rat(z_bottom)), _MINUS_ONE_FORM))
-    return _nmul(factors)
+def gamma_ratio(tn: int, td: int, bn: int, bd: int) -> Expr:
+    """Gamma(tn/td)/Gamma(bn/bd) in the normal form of gamma_simplify, for
+    td, bd > 0 and bn/bd not a pole.  The two Gammas left by the recurrence
+    cancel when the arguments differ by an integer.  The nodes are built
+    directly: a canonical product holds its Rat first, then the Gamma, then
+    the power of a Gamma."""
+    g = math.gcd(tn, td)
+    at, bt, zt = _gamma_parts(tn // g, td // g)
+    g = math.gcd(bn, bd)
+    ab, bb, zb = _gamma_parts(bn // g, bd // g)
+    c = Rat(Fraction(at * bb, bt * ab))
+    factors = [] if c.stored == 1 else [c]
+    if zt != zb:
+        if zt is not None:
+            factors.append(Gamma(Rat(zt)))
+        if zb is not None:
+            factors.append(Pow(Gamma(Rat(zb)), _MINUS_ONE_FORM))
+    if not factors:
+        return c
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 
 def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:

@@ -2,15 +2,18 @@
 
 The power rule, termwise and so linear.  Everything is exact: Gamma ratios
 are normalized by the recurrence, and no numeric evaluation happens here.
+A rational exponent under a rational order is worked on integer numerators
+and denominators, its Gamma ratio built node by node; only a symbolic
+exponent or order sets up assumptions and exponent forms.
 """
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
-from .expr import (Expr, ExprLike, Gamma, Rat, Sym, Var, ZERO, _nadd, _nmul, _npow,
-                   add_terms, any_node, as_expr, as_eform, expand, from_eform,
-                   gamma_ratio, gamma_simplify, render, split_power)
+from .expr import (Expr, ExprLike, Gamma, ONE, Rat, Sym, Var, ZERO, _nadd,
+                   _nmul, _npow, add_terms, any_node, as_expr, as_eform, expand,
+                   from_eform, gamma_ratio, gamma_simplify, render, split_power)
 from .records import record
 
 
@@ -92,13 +95,15 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
     t^(g-order); a pole of the denominator (g+1-order a nonpositive integer,
     e.g. g = alpha-1 at order alpha) kills the term.
 
-    Two routes, one result.  When the order and g are rational, g+1,
-    g+1-order and g-order are Fractions: the domain and pole tests are
-    their signs, and the ratio is built directly in gamma_simplify's normal
-    form (expr.gamma_ratio), with no ExponentForm until the output
-    exponent.  Any symbolic exponent or order, t^(alpha-1) say, takes the
-    ExponentForm route: signs and poles are decided from the assumptions,
-    and gamma_simplify normalizes the ratio.
+    Two routes, one result.  When the order and g are rational, g+1 and
+    g+1-order are kept as integer numerators over integer denominators:
+    the domain and pole tests are integer comparisons, and the ratio is
+    built directly in gamma_simplify's normal form (expr.gamma_ratio),
+    with no ExponentForm until the output exponent and no assumptions
+    unless the coefficient holds a Gamma of its own.  Any symbolic exponent
+    or order, t^(alpha-1) say, takes the ExponentForm route: signs and poles
+    are decided from the assumptions, and gamma_simplify normalizes the
+    ratio.
 
     Requires g > -1 for every exponent, decided from the assumptions;
     otherwise UndecidableExponent is raised and the caller must declare one.
@@ -108,30 +113,38 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
     if tvar is None:
         tvar = f.tvar if isinstance(f, PowerSum) else Var("t", -1)
     ps = as_power_sum(f, tvar)
-    asm = assumptions if assumptions is not None else default_assumptions(alpha)
+    asm = assumptions
     order_e = alpha if order is None else as_expr(order)
     # a rational order is a Rat: canonical trees fold every constant
-    order_r = order_e.value if isinstance(order_e, Rat) else None
-    order_form = (as_eform(order_e) if order_r is None
-                  else ExponentForm.rational(order_r))
+    order_r = order_e.stored if isinstance(order_e, Rat) else None
+    order_form = None
 
     out: list[tuple[Expr, ExponentForm]] = []
     for c, g in ps.terms:
         r = None if order_r is None else g.as_rational()
         if r is not None:
-            top = r + 1
-            if top <= 0:
+            on, od = order_r.numerator, order_r.denominator
+            gn, gd = r.numerator, r.denominator
+            if gn + gd <= 0:
                 raise _outside_domain(g)
-            bottom = top - order_r
-            if bottom.denominator == 1 and bottom <= 0:
+            # g+1 = (gn+gd)/gd, and g+1-order = bn/bd
+            bn, bd = (gn + gd) * od - on * gd, gd * od
+            if bn <= 0 and bn % bd == 0:
                 continue        # a pole of the denominator
-            # the ratio is built in gamma_simplify's normal form; only a
-            # coefficient holding a Gamma of its own needs normalizing
-            if any_node(c, _is_gamma):
-                c = gamma_simplify(c, asm)
-            coeff = _nmul([c, gamma_ratio(top, bottom)])
-            out.append((coeff, ExponentForm.rational(r - order_r)))
+            ratio = gamma_ratio(gn + gd, gd, bn, bd)
+            # only a coefficient holding a Gamma of its own needs normalizing
+            if c is not ONE:
+                if any_node(c, _is_gamma):
+                    if asm is None:
+                        asm = default_assumptions(alpha)
+                    c = gamma_simplify(c, asm)
+                ratio = _nmul([c, ratio])
+            out.append((ratio, ExponentForm.rational(r - order_r)))
             continue
+        if asm is None:
+            asm = default_assumptions(alpha)
+        if order_form is None:
+            order_form = as_eform(order_e)
         g1 = g + UNIT_FORM
         s = asm.sign(g1)
         if s is None:
@@ -147,7 +160,8 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                        _npow(Gamma(from_eform(zeta)), _MINUS_ONE)])
         coeff = gamma_simplify(_nmul([c, ratio]), asm)
         out.append((coeff, g - order_form))
-    return PowerSum.build(tvar, out)
+    # a lone term needs no merging or ordering
+    return PowerSum(tvar, tuple(out)) if len(out) < 2 else PowerSum.build(tvar, out)
 
 
 def _outside_domain(g: ExponentForm) -> UndecidableExponent:

@@ -2,11 +2,13 @@
 
 Generalized binomials, the Leibniz expansion and the truncated series form
 of the Riemann-Liouville derivative; the fractional extended infinitesimal
-under the ansatz, its auxiliary conditions and the nonlinearity tail mu.
-Tests and demos check the lemmas with these; the pipeline never imports
-this module.  The helpers: DSL emission, the parser's inverse; the normal
-form of a basis given as expressions; the basis function of a solver
-column; and the action of a generator on its similarity variables.
+under the ansatz, its auxiliary conditions and the nonlinearity tail mu;
+the invariance condition as one expanded sum, the reference for the
+separated builder of fraclie.determining.  Tests and demos check the
+lemmas with these; the pipeline never imports this module.  The helpers:
+DSL emission, the parser's inverse; the normal form of a basis given as
+expressions; the basis function of a solver column; and the action of a
+generator on its similarity variables.
 """
 from __future__ import annotations
 
@@ -23,8 +25,9 @@ from .expr import (Add, Expr, ExprLike, Fn, Gamma, Jet, Mul, NonPolynomial, Pow,
                    to_eform, total_derivative)
 from .fraccalc import PowerSum, as_power_sum, default_assumptions, rl_derivative
 from .linsolve import Elem, Field
-from .model import PDESystem, Signature
-from .prolong import AnsatzGenerator
+from .determining import h_condition
+from .model import PDESystem, Signature, jet_fragments
+from .prolong import AnsatzGenerator, Prolongation
 from .records import record
 from .reductions import EKReduction
 from .solver import (Generator, GeneratorVector, SolutionBasis, _Instantiation,
@@ -170,6 +173,45 @@ def eta_theta_of(sig: Signature, eta_s: Expr, xi: list[Expr], s: int,
 def eta_theta(ans: AnsatzGenerator, s: int, theta: tuple[int, ...]) -> Expr:
     return eta_theta_of(ans.sig, ans.eta(s),
                         [ans.xi(i) for i in range(ans.sig.p)], s, theta)
+
+
+# ---------------------------------------------------------------------------
+# The invariance condition as one expanded sum
+# ---------------------------------------------------------------------------
+
+def invariance_condition_sum(sys: PDESystem, pro: Prolongation) -> list[Expr]:
+    """Per equation s, the invariance condition of
+    determining.invariance_condition as one expanded sum.  The extended
+    infinitesimals come from the total derivative of the characteristic
+    (eta_theta_of), and the system's partials are taken here, so nothing
+    is shared with the builder but the prolongation's record."""
+    sig = sys.sig
+    eta = [_nadd([_nmul([pro.a[r][j], sig.u(j)]) for j in range(sig.q)] + [pro.h[r]])
+           for r in range(sig.q)]
+    out = []
+    for s in range(sig.q):
+        rhs = sys.rhs(s)
+        pieces = [pro.h_frac[s]]
+        pieces += [_nmul([pro.a[s][i], sys.rhs(i)]) for i in range(sig.q)]
+        pieces.append(_nmul([Rat(-1), sys.alpha, pro.tau_prime, rhs]))
+        pieces.append(_nmul([Rat(-1), pro.tau, partial_derivative(rhs, sig.t)]))
+        for i in range(sig.p):
+            pieces.append(_nmul([Rat(-1), pro.xi[i],
+                                 partial_derivative(rhs, sig.x(i))]))
+        for jet in atoms(sys.F[s], Jet):
+            ext = eta_theta_of(sig, eta[jet.dep], pro.xi, jet.dep, jet.theta)
+            pieces.append(_nmul([Rat(-1), ext, partial_derivative(sys.F[s], jet)]))
+        out.append(expand(_nadd(pieces)))
+    return out
+
+
+def separated_by_one_sum(sys: PDESystem, pro: Prolongation
+                         ) -> list[tuple[Expr, list[tuple[Expr, Expr]]]]:
+    """(condition 1, fragments of condition 2) per equation, split off
+    invariance_condition_sum by jet_fragments and h_condition: the
+    reference for determining.invariance_condition."""
+    return [h_condition(jet_fragments(c))
+            for c in invariance_condition_sum(sys, pro)]
 
 
 @record(frozen=True)

@@ -1,5 +1,7 @@
 """PDE system data model: signatures, the F/H split, term classification
-and validation diagnostics."""
+and validation diagnostics, and the facts of a system that the invariance
+condition reads, each separated over jet monomials (jet_fragments) once
+per system."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -7,8 +9,9 @@ from functools import cached_property
 from typing import Optional
 
 from .exponents import Assumptions
-from .expr import (Expr, Jet, Rat, Sym, Var, ZERO, _nadd, _nmul, add_terms,
-                   atoms, depends_on_jets, expand, partial_derivative,
+from .expr import (Expr, Gamma, Jet, NonPolynomial, Rat, Sym, Var, ZERO, _nadd,
+                   _nmul, add_terms, atoms, depends_on_jets, expand,
+                   group_by_monomial, partial_derivative, render,
                    split_factors)
 from .records import record
 
@@ -109,30 +112,58 @@ class PDESystem:
         return self.sig.assumptions()
 
     # Facts of the system that the invariance condition reads, computed once
-    # per system on first use.
+    # per system on first use, each already separated over jet monomials
+    # (jet_fragments).
 
     @cached_property
     def _rhs(self) -> tuple[Expr, ...]:
         return tuple(_nadd([f, h]) for f, h in zip(self.F, self.H))
 
     @cached_property
-    def rhs_partials(self) -> tuple[tuple[Expr, ...], ...]:
+    def rhs_fragments(self) -> tuple[Fragments, ...]:
+        """Per equation: rhs_s."""
+        return tuple(jet_fragments(r) for r in self._rhs)
+
+    @cached_property
+    def rhs_partials(self) -> tuple[tuple[Fragments, ...], ...]:
         """Per equation: d rhs_s/dt, then d rhs_s/dx_i for each space
         variable."""
         sig = self.sig
         variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
-        return tuple(tuple(partial_derivative(r, v) for v in variables)
-                     for r in self._rhs)
+        return tuple(tuple(jet_fragments(partial_derivative(r, v))
+                           for v in variables) for r in self._rhs)
 
     @cached_property
-    def jet_coefficients(self) -> tuple[tuple[tuple[Jet, Expr], ...], ...]:
+    def jet_coefficients(self) -> tuple[tuple[tuple[Jet, Fragments], ...], ...]:
         """Per equation: (jet, dF_s/d jet) for each jet of F_s with a
         nonzero coefficient."""
         out = []
         for f in self.F:
-            pairs = ((jet, partial_derivative(f, jet)) for jet in atoms(f, Jet))
-            out.append(tuple((jet, c) for jet, c in pairs if c != ZERO))
+            pairs = ((jet, jet_fragments(partial_derivative(f, jet)))
+                     for jet in atoms(f, Jet))
+            out.append(tuple((jet, c) for jet, c in pairs if c))
         return tuple(out)
+
+
+# A jet polynomial separated over its jet monomials: (monomial, coefficient)
+# pairs in monomial-key order, every coefficient jet-free and nonzero.
+Fragments = list[tuple[Expr, Expr]]
+
+
+def _jet_factor(b: Expr, _) -> bool:
+    if not depends_on_jets(b):
+        return False
+    if isinstance(b, Gamma):
+        raise NonPolynomial(f"jet variable inside a Gamma application: {render(b)}")
+    return True
+
+
+def jet_fragments(e: Expr) -> Fragments:
+    """Separate a jet polynomial into (monomial, coefficient) pairs, one per
+    jet monomial: symbolic powers and opaque functions of the dependents
+    are monomial factors of their own.  Raises NonPolynomial on a jet inside
+    a Gamma application."""
+    return group_by_monomial(expand(e), _jet_factor)
 
 
 def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:

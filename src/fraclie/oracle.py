@@ -57,7 +57,7 @@ def evaluate(e: Expr, env: Optional[dict[str, float]] = None) -> float:
 
     def go(x: Expr) -> float:
         if isinstance(x, Rat):
-            return float(x.value)
+            return float(x.stored)
         if isinstance(x, (Sym, Var)):
             if x.name not in env:
                 raise KeyError(f"no value for {x.name}")

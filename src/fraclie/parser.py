@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .expr import (Expr, Fn, Gamma, Rat, Sym, ZERO, add, div, mul,
+from .expr import (Expr, Fn, Gamma, ONE, Rat, Sym, ZERO, _nadd, _nmul, div,
                    neg, pow_, to_eform, total_derivative)
 from .model import ParamDecl, PDESystem, Signature, make_system, validate_system
 from .prolong import AnsatzGenerator
-from .records import record
+from .solver import Generator
 
 
 class DslSyntaxError(Exception):
@@ -44,36 +44,35 @@ class DslSemanticError(Exception):
         self.col = col
 
 
-@record(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str       # IDENT NUM PUNCT EOF
     text: str
     line: int
     col: int
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+\.\d+|\d+|[,;()\[\]^+\-*/=]")
+# One scan per line: leading blanks, then an identifier, a number, a
+# punctuation mark, or any other character, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+\.\d+|\d+)"
+                       r"|([,;()\[\]^+\-*/=])|(\S))")
+_KINDS = (None, "IDENT", "NUM", "PUNCT")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(body):
-            if body[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(body, pos)
-            if not m:
-                raise DslSyntaxError(f"unexpected character {body[pos]!r}",
-                                     lineno, pos + 1)
-            text_ = m.group(0)
-            kind = ("IDENT" if text_[0].isalpha() or text_[0] == "_" else
-                    "NUM" if text_[0].isdigit() else "PUNCT")
-            tokens.append(Token(kind, text_, lineno, pos + 1))
-            pos = m.end()
-    tokens.append(Token("EOF", "", len(text.splitlines()) + 1, 1))
+    append = tokens.append
+    new = tuple.__new__
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
+            kind = m.lastindex
+            if kind == 4:
+                raise DslSyntaxError(f"unexpected character {m.group(4)!r}",
+                                     lineno, m.start(4) + 1)
+            # the named tuple built by tuple.__new__, without a Python call
+            append(new(Token, (_KINDS[kind], m.group(kind), lineno,
+                               m.start(kind) + 1)))
+    append(Token("EOF", "", len(lines) + 1, 1))
     return tokens
 
 
@@ -103,6 +102,11 @@ class _Stream:
         return self.next()
 
 
+def _number(text: str):
+    """The value of a NUM token: an int for digits alone, else a Fraction."""
+    return int(text) if text.isdigit() else Fraction(text)
+
+
 def _num_fraction(s: _Stream) -> Fraction:
     t = s.expect_kind("NUM")
     val = Fraction(t.text)
@@ -128,37 +132,42 @@ class ExprParser:
                  extra_syms: Optional[set[str]] = None):
         self.sig = sig
         self.s = stream
-        self.extra = extra_syms or set()
+        # the names that parse to a Sym: alpha, parameters, extra constants
+        self.constants = {sig.alpha_name, *(p.name for p in sig.params),
+                          *(extra_syms or ())}
         self.fn_args = dict(sig.fn_decls)
 
     def parse(self) -> Expr:
         return self._sum()
 
     def _sum(self) -> Expr:
-        t = self.s.peek()
-        negate = False
-        if t.text in ("+", "-"):
+        """The terms, signed, added at once."""
+        op = self.s.peek().text
+        if op in ("+", "-"):
             self.s.next()
-            negate = t.text == "-"
-        e = self._product()
-        if negate:
-            e = neg(e)
-        while self.s.peek().text in ("+", "-"):
-            op = self.s.next().text
-            rhs = self._product()
-            e = add(e, neg(rhs) if op == "-" else rhs)
-        return e
+        terms = []
+        while True:
+            e = self._product()
+            terms.append(neg(e) if op == "-" else e)
+            op = self.s.peek().text
+            if op not in ("+", "-"):
+                return _nadd(terms)
+            self.s.next()
 
     def _product(self) -> Expr:
-        e = self._power()
+        """The factors, a divisor as its reciprocal, multiplied at once."""
+        factors = [self._power()]
         while self.s.peek().text in ("*", "/"):
             op = self.s.next().text
             at = self.s.peek()
             rhs = self._power()
-            if op == "/" and rhs == ZERO:
+            if op == "*":
+                factors.append(rhs)
+            elif rhs == ZERO:
                 raise DslSemanticError("division by zero", at.line, at.col)
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
-        return e
+            else:
+                factors.append(div(ONE, rhs))
+        return _nmul(factors)
 
     def _power(self) -> Expr:
         at = self.s.peek()
@@ -179,11 +188,11 @@ class ExprParser:
             inner = self._sum()
             self.s.expect(")")
         elif t.kind == "NUM":
-            return Fraction(self.s.next().text)
+            return _number(self.s.next().text)
         elif t.text == "-":
             self.s.next()
             nt = self.s.expect_kind("NUM")
-            return -Fraction(nt.text)
+            return -_number(nt.text)
         elif t.kind == "IDENT":
             inner = self._atom_ident(self.s.next())
         else:
@@ -206,7 +215,7 @@ class ExprParser:
             return neg(self._power())
         if t.kind == "NUM":
             self.s.next()
-            return Rat(Fraction(t.text))
+            return Rat(_number(t.text))
         if t.kind == "IDENT":
             self.s.next()
             return self._ident(t)
@@ -232,9 +241,7 @@ class ExprParser:
 
     def _atom_ident(self, t: Token) -> Expr:
         name = t.text
-        if name == self.sig.alpha_name:
-            return Sym(name)
-        if any(p.name == name for p in self.sig.params) or name in self.extra:
+        if name in self.constants:
             return Sym(name)
         if name in self.sig.dep_names:
             return self.sig.dep(name)
@@ -316,9 +323,6 @@ def parse_generator(text: str, sig: Signature):
     constant may not repeat or take a name of the system, and a component
     may be assigned once; unassigned components are zero.  Returns
     (Generator, extra symbols)."""
-    from .expr import ZERO
-    from .solver import Generator
-
     stream = _Stream(tokenize(text))
     extra: set[str] = set()
     while stream.peek().text == "param":
@@ -331,6 +335,7 @@ def parse_generator(text: str, sig: Signature):
         extra.add(nt.text)
         stream.expect(";")
 
+    parser = ExprParser(sig, stream, extra_syms=extra)
     tau = ZERO
     xi = {name: ZERO for name in sig.space_names}
     eta = {name: ZERO for name in sig.dep_names}
@@ -357,7 +362,6 @@ def parse_generator(text: str, sig: Signature):
             raise DslSemanticError(f"{label} assigned twice", head.line, head.col)
         assigned.add(target)
         stream.expect("=")
-        parser = ExprParser(sig, stream, extra_syms=extra)
         value = parser.parse()
         stream.expect(";")
         kind, name = target
@@ -480,6 +484,7 @@ def parse_system(text: str) -> PDESystem:
                                    tok.line, tok.col)
 
     rhs_by_dep: dict[str, Expr] = {}
+    parser = ExprParser(sig, stream)
     while stream.peek().kind != "EOF":
         head = stream.peek()
         if head.text != f"D{sig.t_name}":
@@ -501,7 +506,6 @@ def parse_system(text: str) -> PDESystem:
                                    dt.line, dt.col)
         stream.expect(")")
         stream.expect("=")
-        parser = ExprParser(sig, stream)
         rhs = parser.parse()
         stream.expect(";")
         rhs_by_dep[dt.text] = rhs

@@ -6,23 +6,23 @@ eta_s = [g_s(x) + gamma_s*(2*chi2*t + chi1)]*u_s + sum_{i!=s} f_{s,i}(x)*u_i
 Integer-order extended infinitesimals need no tau, and since eta is linear
 in u with jet-free coefficients and xi is jet-free (for a concrete generator
 solver.admitted_prolongation checks this with the rest of the shape), they
-are the Leibniz sum over derivatives of those coefficients (Prolongation);
-the total derivative of the characteristic, the general route, is kept in
-fraclie.lemmas as the reference.  The fractional extended infinitesimal
-reduces to a local part, Dt^alpha h_s plus terms in the right-hand sides,
-and series coefficients that vanish identically under the ansatz (the
-nonlinearity tail mu is zero because eta is linear in u; see
-fraclie.lemmas).
+are the Leibniz sum over derivatives of those coefficients (Prolongation),
+handed out already split into (jet, coefficient) pairs and visiting only
+the derivatives that are nonzero; the total derivative of the
+characteristic, the general route, is kept in fraclie.lemmas as the
+reference.  The fractional extended infinitesimal reduces to a local part,
+Dt^alpha h_s plus terms in the right-hand sides, and series coefficients
+that vanish identically under the ansatz (the nonlinearity tail mu is zero
+because eta is linear in u; see fraclie.lemmas).
 """
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import product as iproduct
 
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Rat, Sym, Var, ZERO, _nadd, _nmul, _npow,
-                   diff_wrt, partial_derivative, total_derivative)
+from .expr import (Expr, Fn, Jet, ONE, Rat, Sym, Var, ZERO, _is_zero, _nadd,
+                   _nmul, _npow, diff_wrt, partial_derivative, total_derivative)
 from .model import Signature
 from .records import record
 
@@ -79,8 +79,10 @@ class AnsatzGenerator:
         return Fn(_indexed("g", s, self.sig.q), self._xvars())
 
     def f(self, s: int, i: int) -> Fn:
-        name = f"f{i + 1}" if self.sig.q <= 2 else f"f{s + 1}_{i + 1}"
-        return Fn(name, self._xvars())
+        return Fn(self._f_name(s, i), self._xvars())
+
+    def _f_name(self, s: int, i: int) -> str:
+        return f"f{i + 1}" if self.sig.q <= 2 else f"f{s + 1}_{i + 1}"
 
     def h(self, s: int) -> Fn:
         return Fn(_indexed("h", s, self.sig.q), (self.sig.t,) + self._xvars())
@@ -99,15 +101,15 @@ class AnsatzGenerator:
 
     def unknown_fn_names(self) -> dict[str, tuple[Var, ...]]:
         """All unknown function atoms with their argument signatures."""
-        out: dict[str, tuple[Var, ...]] = {}
-        for i in range(self.sig.p):
-            out[self.xi(i).fname] = self._xvars()
-        for s in range(self.sig.q):
-            out[self.g(s).fname] = self._xvars()
-            out[self.h(s).fname] = (self.sig.t,) + self._xvars()
-            for i in range(self.sig.q):
+        xs = self._xvars()
+        q = self.sig.q
+        out: dict[str, tuple[Var, ...]] = {name: xs for name in _xi_names(self.sig.p)}
+        for s in range(q):
+            out[_indexed("g", s, q)] = xs
+            out[_indexed("h", s, q)] = (self.sig.t,) + xs
+            for i in range(q):
                 if i != s:
-                    out[self.f(s, i).fname] = self._xvars()
+                    out[self._f_name(s, i)] = xs
         return out
 
     def unknown_names(self) -> frozenset[str]:
@@ -153,10 +155,13 @@ class Prolongation:
           + d^theta h_s
 
     with no total derivative of the characteristic.  The d^beta are total
-    x-derivatives, each taken once per coefficient and multi-index.  The
-    records come from AnsatzGenerator.prolongation and
-    solver.admitted_prolongation; the latter refuses a generator outside
-    the premise."""
+    x-derivatives, each taken once per coefficient and multi-index, and the
+    sum visits only the beta whose derivative is nonzero: d^beta c comes
+    from d^(beta-e_i) c, i the last axis of beta, and a ZERO there ends the
+    walk.  The thetas asked for are the jets of the system, so the walk is
+    bounded by its highest jet orders.  The records come from
+    AnsatzGenerator.prolongation and solver.admitted_prolongation; the
+    latter refuses a generator outside the premise."""
 
     def __init__(self, sig: Signature, tau: Expr, xi, a, h, h_frac):
         self.sig = sig
@@ -167,12 +172,13 @@ class Prolongation:
         self.h = list(h)
         self.h_frac = list(h_frac)
         self._derived: dict[tuple, Expr] = {}
+        self._eta: dict[tuple, list] = {}
 
     def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
         """d^beta coeff, coeff being the coefficient named by slot.  Every
         derivative of a ZERO is ZERO, with no total derivative taken: the
         coefficients of a concrete generator are mostly constant or linear."""
-        if not any(beta):
+        if not any(beta) or _is_zero(coeff):
             return coeff
         key = (slot, beta)
         out = self._derived.get(key)
@@ -185,27 +191,70 @@ class Prolongation:
             self._derived[key] = out
         return out
 
-    def eta_theta(self, s: int, theta: tuple[int, ...]) -> Expr:
-        """eta_s^theta."""
-        sig = self.sig
+    def _nonzero_derivatives(self, coeff: Expr, slot: tuple, theta: tuple[int, ...]
+                             ) -> list[tuple[tuple[int, ...], Expr]]:
+        """(beta, d^beta coeff) for every beta <= theta whose derivative is
+        nonzero.  beta + e_i, i at or after the last axis of beta, is
+        derived from beta, as _derivative does, and only from a nonzero
+        one."""
+        out = []
+        if _is_zero(coeff):
+            return out
+        stack = [((0,) * len(theta), coeff, 0)]
+        while stack:
+            beta, d, last = stack.pop()
+            out.append((beta, d))
+            for i in range(last, len(theta)):
+                if beta[i] == theta[i]:
+                    continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                key = (slot, up)
+                du = self._derived.get(key)
+                if du is None:
+                    du = self._derived[key] = total_derivative(d, self.sig.x(i))
+                if not _is_zero(du):
+                    stack.append((up, du, i))
+        return out
+
+    def eta_theta(self, s: int, theta: tuple[int, ...]) -> list[tuple[Expr, Expr]]:
+        """eta_s^theta as (jet monomial, jet-free coefficient) pairs: one per
+        nonzero term of the Leibniz sum, so a jet may recur, and the
+        jet-free d^theta h_s under ONE when it is nonzero.  Computed once
+        per (s, theta)."""
         theta = self._full(theta)
-        pieces: list[Expr] = []
-        for beta in iproduct(*(range(k + 1) for k in theta)):
-            weight = math.prod(math.comb(k, b) for k, b in zip(theta, beta))
-            rest = tuple(k - b for k, b in zip(theta, beta))
-            for j in range(sig.q):
-                d = self._derivative(self.a[s][j], ("a", s, j), beta)
-                if d != ZERO:
-                    pieces.append(_nmul([Rat(weight), d, sig.u(j, rest)]))
-            if not any(beta):
-                continue
-            for i in range(sig.p):
-                d = self._derivative(self.xi[i], ("xi", i), beta)
-                if d != ZERO:
-                    bumped = rest[:i] + (rest[i] + 1,) + rest[i + 1:]
-                    pieces.append(_nmul([Rat(-weight), d, sig.u(s, bumped)]))
-        pieces.append(self._derivative(self.h[s], ("h", s), theta))
-        return _nadd(pieces)
+        out = self._eta.get((s, theta))
+        if out is not None:
+            return out
+        sig = self.sig
+        out = []
+        for j in range(sig.q):
+            slot = ("a", s, j)
+            for beta, d in self._nonzero_derivatives(self.a[s][j], slot, theta):
+                rest = tuple(k - b for k, b in zip(theta, beta))
+                out.append((Jet(j, rest), _weighted(_weight(theta, beta), d)))
+        for i in range(sig.p):
+            for beta, d in self._nonzero_derivatives(self.xi[i], ("xi", i), theta):
+                if not any(beta):
+                    continue
+                bumped = tuple(k - b + (m == i)
+                               for m, (k, b) in enumerate(zip(theta, beta)))
+                out.append((Jet(s, bumped), _weighted(-_weight(theta, beta), d)))
+        dh = self._derivative(self.h[s], ("h", s), theta)
+        if dh != ZERO:
+            out.append((ONE, dh))
+        self._eta[(s, theta)] = out
+        return out
 
     def _full(self, theta: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(theta) + (0,) * (self.sig.p - len(theta))
+
+
+def _weight(theta: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """C(theta, beta), the product of the binomials per axis."""
+    if not any(beta):
+        return 1
+    return math.prod(math.comb(k, b) for k, b in zip(theta, beta))
+
+
+def _weighted(w: int, d: Expr) -> Expr:
+    return d if w == 1 else _nmul([Rat(w), d])

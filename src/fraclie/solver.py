@@ -7,7 +7,7 @@ a certified template library; each coefficient is a column of an exact
 linear system over the rational functions in the parameters.  The solver
 emits a normalized basis with machine-checked residual certificates: each
 generator's invariance condition is rebuilt from its own prolongation
-(admitted_prolongation) and separated once.
+(admitted_prolongation), built already separated over jet monomials.
 
 Every determining equation is homogeneous linear in the unknowns, so each
 is compiled once into operator form: per term, the unknown, its derivative
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .exponents import ZERO_FORM, Assumptions, ExponentForm
+from .exponents import UNIT_FORM, ZERO_FORM, Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
                    _nadd, _nmul, _npow, add_terms, any_node, atoms,
                    depends_on_jets, diff_wrt, expand, mul_factors,
@@ -47,8 +47,8 @@ from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature
 from .prolong import Prolongation, is_unknown
-from .determining import (DeterminingSystem, build_determining, h_condition,
-                          invariance_condition, jet_fragments)
+from .determining import (DeterminingSystem, build_determining,
+                          invariance_condition)
 from .records import field, record
 
 
@@ -118,40 +118,54 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
     rl_derivative, whose default they keep when None.
 
     The Leibniz prolongation holds only on the admitted shape, so any other
-    generator is refused with ShapeViolation."""
+    generator is refused with ShapeViolation.  The shape is decided on
+    values: the summed coefficient of each power of t in tau and in the
+    xi_i, and the t-slopes of d eta/d u, go through the Field's zero test,
+    so a coefficient that is zero only once simplified, (k^2-1)/((k-1)(k+1))
+    - 1 say, does not count as a term."""
     sig = gen.sig
     t = sig.t
+    fld = Field(assumptions)
+
+    def vanishes(coeffs: list[Expr]) -> bool:
+        return fld.elem(_nadd(coeffs)).is_zero()
+
+    def free_of_t(e: Expr) -> bool:
+        # t only in powers whose summed coefficients vanish
+        return all(not any(any_node(c, lambda x: x == t) for c in coeffs)
+                   and (texp.is_zero() or vanishes(coeffs))
+                   for texp, coeffs in _t_powers(e, t).items())
+
     chi2 = ZERO
-    for term in add_terms(expand(gen.tau)):
-        if term == ZERO:
-            continue
-        texp, coeff = split_power(term, t)
-        if depends_on_jets(coeff) or atoms(coeff, Var):
+    for texp, coeffs in _t_powers(gen.tau, t).items():
+        if any(depends_on_jets(c) or atoms(c, Var) for c in coeffs):
             raise ShapeViolation("tau must be a polynomial in t with constant "
                                  "coefficients")
-        if texp == ExponentForm.rational(2):
-            chi2 = chi2 + coeff
-        elif texp != ExponentForm.rational(1):
+        if texp == _T2:
+            chi2 = _nadd(coeffs)
+        elif texp != UNIT_FORM and not vanishes(coeffs):
             raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
     for i, xi in enumerate(gen.xi):
-        if depends_on_jets(xi) or any(v.is_time for v in atoms(xi, Var)):
+        if depends_on_jets(xi) or (any(v.is_time for v in atoms(xi, Var))
+                                   and not free_of_t(xi)):
             raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
                                  "the space variables only")
     a = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)] for eta in gen.eta]
     if any(depends_on_jets(d) for row in a for d in row):
         raise ShapeViolation("eta must be linear in the dependents")
     slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
-    fld = Field(assumptions)
     for s, row in enumerate(a):
         for j, d in enumerate(row):
             dt = partial_derivative(d, t)
-            if j != s and not fld.elem(dt).is_zero():
+            want = slope if j == s else ZERO
+            if dt == want or vanishes([dt, _nmul([Rat(-1), want])]):
+                continue
+            if j != s:
                 raise ShapeViolation(
                     "cross coefficients of eta must be x-functions only")
-            if j == s and not fld.elem(dt - slope).is_zero():
-                raise ShapeViolation(
-                    "the t-slope of the u_s-coefficient of eta_s must equal "
-                    "(alpha-1)*chi2")
+            raise ShapeViolation(
+                "the t-slope of the u_s-coefficient of eta_s must equal "
+                "(alpha-1)*chi2")
     h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)]) for j, d in enumerate(row)])
          for eta, row in zip(gen.eta, a)]
     h_frac = [ZERO if hs == ZERO else
@@ -159,6 +173,19 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
                             assumptions=assumptions).to_expr()
               for hs in h]
     return Prolongation(sig, gen.tau, gen.xi, a, h, h_frac)
+
+
+_T2 = ExponentForm.rational(2)
+
+
+def _t_powers(e: Expr, t: Var) -> dict[ExponentForm, list[Expr]]:
+    """The coefficients of each power of t among the expanded terms of e."""
+    out: dict[ExponentForm, list[Expr]] = {}
+    for term in add_terms(expand(e)):
+        if term != ZERO:
+            texp, coeff = split_power(term, t)
+            out.setdefault(texp, []).append(coeff)
+    return out
 
 
 @record(frozen=True)
@@ -178,7 +205,7 @@ def verify_generator(sys: PDESystem, gen: Generator,
                      assumptions: Optional[Assumptions] = None
                      ) -> VerificationReport:
     """Re-derive the invariance condition with the concrete generator,
-    separate each equation once into condition 1 (its jet-free class) and
+    built already separated into condition 1 (its jet-free class) and
     condition 2 (its jet classes), and report the residuals; all-zero means
     verified.  Independent of the linear solve.  The generator must have
     the admitted shape (admitted_prolongation raises ShapeViolation
@@ -189,8 +216,8 @@ def verify_generator(sys: PDESystem, gen: Generator,
     fld = Field(asm)
     frac_res = []
     int_res = []
-    for cond in invariance_condition(sys, admitted_prolongation(gen, sys.alpha, asm)):
-        frac, fragments = h_condition(jet_fragments(cond))
+    for frac, fragments in invariance_condition(
+            sys, admitted_prolongation(gen, sys.alpha, asm)):
         frac_res.append(fld.to_expr(fld.elem(frac)))
         kept = []
         for mono, coeff in fragments:

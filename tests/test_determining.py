@@ -19,7 +19,9 @@ from fraclie import (AnsatzGenerator, Jet, Fn, Rat, Sym, Var,
                      invariance_condition, mul, neg, normalize_equation,
                      parse_system, separate, simplify,
                      substitute)
-from fraclie.determining import jet_fragments, unknown_atoms_of
+from fraclie.determining import unknown_atoms_of
+from fraclie.lemmas import invariance_condition_sum, separated_by_one_sum
+from fraclie.model import jet_fragments
 from fraclie.linsolve import Field, rref
 from fraclie.solver import SolverConfig, build_instantiation, equation_rows
 from fraclie.expr import atoms
@@ -53,19 +55,27 @@ def assert_same_constraint_set(mine, paper, ds):
             assert e1 == e2
 
 
+def _by_key(separated):
+    return [(frac.key(), [(m.key(), c.key()) for m, c in frags])
+            for frac, frags in separated]
+
+
 @pytest.mark.parametrize("path", SYSTEMS,
                          ids=[f"{p.parent.name}/{p.stem}" for p in SYSTEMS])
 def test_split_of_the_invariance_condition(path):
-    """h_condition splits the ansatz's invariance condition into the
-    determining system's condition 1 and condition 2: the jet-free class
-    holds no jet, every other class holds one, and together they are the
-    condition."""
+    """The ansatz's invariance condition, built already separated, is the
+    determining system's condition 1 and condition 2, and equals, by key,
+    the route through one expanded sum (lemmas.separated_by_one_sum): the
+    jet-free class holds no jet, every other class holds one, and together
+    they are the condition."""
     sys = parse_system(path.read_text())
     ds = build_determining(sys)
-    conds = invariance_condition(sys, ds.ans.prolongation)
-    assert len(conds) == sys.q
-    for s, cond in enumerate(conds):
-        frac, frags = h_condition(jet_fragments(cond))
+    pro = ds.ans.prolongation
+    separated = invariance_condition(sys, pro)
+    assert len(separated) == sys.q
+    assert _by_key(separated) == _by_key(separated_by_one_sum(sys, pro))
+    for s, ((frac, frags), cond) in enumerate(
+            zip(separated, invariance_condition_sum(sys, pro))):
         assert frac.key() == ds.frac_eqs[s].key()
         assert tuple(frags) == ds.fragments[s]
         assert atoms(frac, Jet) == []
@@ -101,14 +111,19 @@ class TestHCondition:
 
 class TestSeparate:
     def test_zero_condition_empty_fragment(self, zk):
-        frac, frags, notes = separate(ZERO, zk)
-        assert frac == ZERO and frags == [] and notes == []
+        frac, frags = h_condition(jet_fragments(ZERO))
+        assert frac == ZERO and frags == [] and separate(frags, zk) == []
 
     def test_jet_inside_gamma_rejected(self, zk):
         from fraclie import Gamma, NonPolynomial
         sig = zk.sig
         with pytest.raises(NonPolynomial):
-            separate(mul(Gamma(sig.u(0)), sig.u(0, (1, 0))), zk)
+            jet_fragments(mul(Gamma(sig.u(0)), sig.u(0, (1, 0))))
+        # the builder splits the system's right-hand sides the same way
+        sys = parse_system("alpha a; space x; dep u; Dt^a(u) = Gamma(u)*Dx(u);")
+        with pytest.raises(NonPolynomial):
+            invariance_condition(
+                sys, AnsatzGenerator(sys.sig, sys.alpha).prolongation)
 
     def test_frac_conditions_mention_no_jets(self, zk, hs, tele):
         for sys in (zk, hs, tele):
@@ -124,10 +139,10 @@ class TestSeparate:
 
     def test_reconstruction(self, zk, hs, tele):
         for sys in (zk, hs, tele):
-            ans = AnsatzGenerator(sys.sig, sys.alpha)
-            conds = invariance_condition(sys, ans.prolongation)
-            for s, cond in enumerate(conds):
-                frac, frags, _ = separate(cond, sys)
+            pro = AnsatzGenerator(sys.sig, sys.alpha).prolongation
+            conds = invariance_condition_sum(sys, pro)
+            for s, (frac, frags) in enumerate(invariance_condition(sys, pro)):
+                cond = conds[s]
                 back = add(frac, *[mul(m, c) for m, c in frags])
                 assert simplify(expand(back - cond)) == ZERO, s
 

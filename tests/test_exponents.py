@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclie import Assumptions, ExponentForm, mul, pow_
+from fraclie import Assumptions, ExponentForm, Pow, Sym, mul, pow_
 from fraclie.exponents import UNIT_FORM, Interval
 from fraclie.expr import from_eform, to_eform
 
@@ -111,6 +111,39 @@ def test_only_a_monomial_is_inverted():
         (k + m) ** -1
     with pytest.raises(ValueError):
         ExponentForm() ** -1
+
+
+def _as_fractions(f):
+    """The form with every coefficient stored as a Fraction, as it was
+    before the storage rule."""
+    return ExponentForm._of(tuple((mono, F(c)) for mono, c in f.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms(), _forms(), _SMALL, st.integers(0, 2))
+def test_coefficients_keep_the_storage_rule(f, g, c, n):
+    """Construction and arithmetic store an int exactly for an integral
+    coefficient, and the forms compare, hash and order as the Fraction
+    forms of the same values do, alone and inside a power's key."""
+    x = Sym("x")
+    results = [f, g, f + g, f - g, f * g, f.scale(c), f ** n,
+               ExponentForm.rational(c), -f]
+    for h in results:
+        for _, v in h.coeffs:
+            assert type(v) in (int, F)
+            assert (type(v) is int) == (F(v).denominator == 1)
+        old = _as_fractions(h)
+        assert h == old and hash(h) == hash(old)
+        assert Pow(x, h).key() == Pow(x, old).key()
+        assert hash(Pow(x, h)) == hash(Pow(x, old))
+    for h1 in results:
+        for h2 in results:
+            assert ((h1.sort_key() < h2.sort_key())
+                    == (_as_fractions(h1).sort_key() < _as_fractions(h2).sort_key()))
+    r = ExponentForm.rational(c).as_rational()
+    assert r == c and (type(r) is int) == (c.denominator == 1)
+    want = int(c) if c.denominator == 1 else None
+    assert ExponentForm.rational(c).as_integer() == want
 
 
 class TestExactInput:

@@ -221,16 +221,23 @@ _KERNEL_LEAVES = st.one_of(
 )
 
 
+def _power_or_base(p):
+    base, exp = p
+    r = exp.as_rational()
+    if base == ZERO and (r is None or r < 0):
+        return base         # zero to a negative or symbolic power has no value
+    return pow_(base, exp)
+
+
 def _kernel_compound(kids):
     return st.one_of(
         st.lists(kids, min_size=1, max_size=3).map(lambda cs: add(*cs)),
         st.lists(kids, min_size=1, max_size=3).map(lambda cs: mul(*cs)),
         kids.map(neg),
-        st.tuples(kids, st.sampled_from(_EXPONENTS)).filter(
-            lambda p: p[0] != ZERO or p[1] == ExponentForm.rational(2)
-            or p[1] == ExponentForm.rational(F(1, 2))).map(lambda p: pow_(*p)),
-        # a zero divisor leaves the dividend: a filter would make hypothesis
-        # record the repr of this whole recursive strategy on each retry
+        # zero to a power without a value, and a zero divisor, leave the
+        # base and the dividend: a filter would make hypothesis record the
+        # repr of this whole recursive strategy on each retry
+        st.tuples(kids, st.sampled_from(_EXPONENTS)).map(_power_or_base),
         st.tuples(kids, kids).map(lambda p: div(*p) if p[1] != ZERO else p[0]),
         kids.map(Gamma),
         st.lists(kids, min_size=1, max_size=2).map(lambda cs: Fn("f", tuple(cs))),
@@ -301,10 +308,13 @@ def _fresh(e):
 
 
 def _simplified(e):
+    """simplify(e), or ZERO when e holds zero to a negative or symbolic
+    power, which has no value: a map that cannot fail, where a filter
+    would make hypothesis record the repr of the recursive strategy."""
     try:
         return simplify(e)
     except ZeroDivisionError:
-        return None
+        return ZERO
 
 
 def _half_powers_meeting(p):
@@ -317,7 +327,7 @@ def _half_powers_meeting(p):
 # Canonical trees by two routes, the kernel constructors and simplify of
 # trees built by hand, and products whose expansion merges powers of a sum.
 _CANONICAL_TREES = st.one_of(
-    _KERNEL_TREES, _TREES.map(_simplified).filter(lambda e: e is not None),
+    _KERNEL_TREES, _TREES.map(_simplified),
     st.tuples(_KERNEL_TREES, _KERNEL_TREES, _KERNEL_TREES).map(_half_powers_meeting))
 
 
@@ -341,8 +351,6 @@ class TestNodeIdentity:
     @given(st.one_of(_TREES, _CANONICAL_TREES), st.one_of(_TREES, _CANONICAL_TREES))
     def test_equality_is_key_equality(self, e, f):
         for a_, b_ in ((e, f), (e, _fresh(e)), (_fresh(f), f), (e, _simplified(f))):
-            if b_ is None:
-                continue
             assert (a_ == b_) == (a_.key() == b_.key())
             assert (a_ != b_) == (a_.key() != b_.key())
             if a_ == b_:
@@ -369,6 +377,28 @@ class TestNodeIdentity:
         assert expand(_fresh(got)) == got
         assert expand(pow_(mul(x, h), 4)) == add(pow_(x, 4), mul(2, pow_(x, 5)),
                                                    pow_(x, 6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CANONICAL_TREES)
+    def test_a_lone_canonical_term_is_its_own_sum(self, e):
+        """_nadd hands back a lone canonical term that is not a sum, the
+        very node, and ZERO for no terms; the general path agrees."""
+        term = e.terms[0] if isinstance(e, Add) else e
+        assert _nadd([term]) is term
+        assert _nadd([term, ZERO]) == term
+        assert _nadd([]) is ZERO
+        assert _nadd([e]) == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CANONICAL_TREES, _CANONICAL_TREES)
+    def test_two_factor_shortcuts_agree_with_the_general_path(self, e, f):
+        """_nmul's shortcuts for two factors (a rational times a term, two
+        factors of distinct bases, one factor into a product) build what
+        the general path builds, which a third factor ONE forces."""
+        for a_, b_ in ((e, f), (f, e), (e, Rat(F(-3, 2))), (Rat(F(-3, 2)), f)):
+            got = _nmul([a_, b_])
+            assert got.key() == _nmul([a_, b_, ONE]).key()
+            assert simplify(got) == got
 
     def test_key_and_hash_are_cached(self):
         e = mul(x, add(y, 1))

@@ -16,10 +16,11 @@ from fraclie import prolong
 from fraclie.determining import invariance_condition
 from fraclie.expr import atoms
 from fraclie.lemmas import (check_aux_conditions, eta_alpha_ansatz, eta_theta,
-                            eta_theta_of, mu_truncated)
+                            eta_theta_of, mu_truncated, separated_by_one_sum)
 from fraclie.solver import Generator, admitted_prolongation
 
 from conftest import DEMOS, chi2_nonzero_case, chi2_zero_case
+from test_determining import _by_key
 
 ROOT = DEMOS.parent
 REFERENCES = json.loads((ROOT / "perfbench" / "reference" / "references.json")
@@ -144,8 +145,25 @@ def test_leibniz_matches_total_derivative_route(path, generators):
         for s in range(sig.q):
             for theta in thetas:
                 want = eta_theta_of(sig, eta[s], pro.xi, s, theta)
-                got = pro.eta_theta(s, theta)
+                got = add(*[mul(c, jet) for jet, c in pro.eta_theta(s, theta)])
                 assert expand(got).key() == expand(want).key(), (eta, s, theta)
+
+
+@pytest.mark.parametrize("path,generators", CERTIFY_CASES,
+                         ids=[f"{pathlib.Path(p).parent.name}/{pathlib.Path(p).stem}"
+                              for p, _ in CERTIFY_CASES])
+def test_builder_matches_the_one_sum_route(path, generators):
+    """The invariance condition built already separated equals, by key,
+    the route through one expanded sum with the total-derivative
+    prolongation (lemmas.separated_by_one_sum), for the ansatz and for
+    every certified or rejected generator."""
+    sys = parse_system(pathlib.Path(path).read_text())
+    pros = [AnsatzGenerator(sys.sig, sys.alpha).prolongation]
+    pros += [admitted_prolongation(parse_generator(text, sys.sig)[0], sys.alpha)
+             for text in generators]
+    for pro in pros:
+        assert _by_key(invariance_condition(sys, pro)) \
+            == _by_key(separated_by_one_sum(sys, pro))
 
 
 class TestLeibnizPremise:
@@ -200,7 +218,8 @@ def test_no_derivative_of_a_zero_coefficient(zk, monkeypatch):
     monkeypatch.setattr(prolong, "total_derivative", counting)
     text = "tau = t; xi[x] = a/3*x; xi[y] = a/3*y; eta[u] = -2*a/(3*n)*u;"
     pro = admitted_prolongation(parse_generator(text, zk.sig)[0], zk.alpha)
-    assert all(c == ZERO for c in invariance_condition(zk, pro))
+    assert all(frac == ZERO and not frags
+               for frac, frags in invariance_condition(zk, pro))
     assert ZERO not in seen
     assert len(seen) == 9
 

@@ -256,6 +256,9 @@ class TestStability:
 
 PROJ_SRC = (DEMOS.parent / "perfbench" / "inputs" / "proj.fpde").read_text()
 CORPUS = DEMOS.parent / "tests" / "corpus"
+# (k^2-1)/((k-1)*(k+1)) - 1 is 0: a t-power of tau or of xi with this
+# coefficient is no term
+_ZERO_IN_K = "((k^2-1)/((k-1)*(k+1)) - 1)"
 
 
 def _reference_generator(ds, inst, vec, fld):
@@ -463,7 +466,7 @@ class TestVerifyGenerator:
 
         def scan(*args):
             raise AssertionError("verification ran the genericity scan")
-        monkeypatch.setattr(determining, "_genericity", scan)
+        monkeypatch.setattr(determining, "separate", scan)
         after = verify_generator(zk, gen)
         assert after == before and not after.ok
 
@@ -489,6 +492,34 @@ class TestVerifyGenerator:
         rep = verify_generator(sys, gen)
         assert rep.ok
         assert rep.all_residuals() == [ZERO]
+
+    @pytest.mark.parametrize("text", [
+        f"param k; tau = t + {_ZERO_IN_K}*t^3; eta[u] = (-1/3)*u;",
+        f"param k; tau = t; xi[x] = {_ZERO_IN_K}*t; eta[u] = (-1/3)*u;",
+        "tau = t; eta[u] = (-1/3)*u;",
+    ], ids=["tau-cubic-zero", "xi-t-zero", "plain"])
+    def test_shape_check_splits_t_powers_on_values(self, text):
+        sys = parse_system(PROJ_SRC)
+        rep = verify_generator(sys, parse_generator(text, sys.sig)[0])
+        assert rep.ok
+        assert all(r == ZERO for r in rep.all_residuals())
+
+    @pytest.mark.parametrize("text", [
+        "tau = t; xi[x] = t; eta[u] = (-1/3)*u;",
+        f"param k; tau = t; xi[x] = ({_ZERO_IN_K} + 1)*t; eta[u] = (-1/3)*u;",
+        "tau = t; xi[x] = (1 + t)^(1/2); eta[u] = (-1/3)*u;",
+    ], ids=["xi-t", "xi-t-nonzero", "xi-t-inside-power"])
+    def test_t_dependent_xi_refused(self, text):
+        sys = parse_system(PROJ_SRC)
+        with pytest.raises(ShapeViolation, match="xi_x must depend"):
+            verify_generator(sys, parse_generator(text, sys.sig)[0])
+
+    def test_t_cubic_tau_refused(self):
+        sys = parse_system(PROJ_SRC)
+        gen = parse_generator(f"param k; tau = t + ({_ZERO_IN_K} + 1)*t^3;",
+                              sys.sig)[0]
+        with pytest.raises(ShapeViolation, match="chi2\\*t\\^2"):
+            verify_generator(sys, gen)
 
     def test_shape_violation_nonlinear_eta(self, zk):
         sig = zk.sig

@@ -16,6 +16,8 @@ is kept in fraclie.lemmas as the reference.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Gamma, Jet, ONE, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow,
@@ -45,25 +47,30 @@ def invariance_condition(sys: PDESystem, pro: Prolongation
     system."""
     sig = sys.sig
     minus_one = Rat(-1)
+    products = sys.jet_products
     out = []
     for s in range(sig.q):
         d_rhs = sys.rhs_partials[s]
-        classes: dict[tuple, list] = {}     # monomial key -> [monomial, terms]
-        _collect(classes, [(ONE, pro.h_frac[s])], ONE)
-        for i in range(sig.q):
-            _collect(classes, sys.rhs_fragments[i], pro.a[s][i])
-        _collect(classes, sys.rhs_fragments[s],
-                 _nmul([minus_one, sys.alpha, pro.tau_prime]))
-        _collect(classes, d_rhs[0], _nmul([minus_one, pro.tau]))
-        for i in range(sig.p):
-            _collect(classes, d_rhs[i + 1], _nmul([minus_one, pro.xi[i]]))
+        classes: dict[Expr, list] = {}      # monomial -> terms
+        if pro.h_frac[s] != ZERO:
+            classes[ONE] = [pro.h_frac[s]]
+        for i, a in enumerate(pro.a[s]):
+            _collect(classes, sys.rhs_fragments[i], a)
+        # a ZERO factor adds nothing, so its product is not built
+        if pro.tau_prime != ZERO:
+            _collect(classes, sys.rhs_fragments[s],
+                     _nmul([minus_one, sys.alpha, pro.tau_prime]))
+        if pro.tau != ZERO:
+            _collect(classes, d_rhs[0], _nmul([minus_one, pro.tau]))
+        for i, xi in enumerate(pro.xi):
+            if xi != ZERO:
+                _collect(classes, d_rhs[i + 1], _nmul([minus_one, xi]))
         for jet, d_f in sys.jet_coefficients[s]:
             for mono, coeff in pro.eta_theta(jet.dep, jet.theta):
-                _collect(classes, d_f, _nmul([minus_one, coeff]), mono)
+                _collect(classes, d_f, _nmul([minus_one, coeff]), mono, products)
         fragments = []
-        for k in sorted(classes):
-            mono, terms = classes[k]
-            coeff = expand(_nadd(terms))
+        for mono in sorted(classes, key=Expr.key):
+            coeff = expand(_nadd(classes[mono]))
             if coeff != ZERO:
                 fragments.append((mono, coeff))
         out.append(h_condition(fragments))
@@ -71,21 +78,25 @@ def invariance_condition(sys: PDESystem, pro: Prolongation
 
 
 def _collect(classes: dict, fragments: Fragments, factor: Expr,
-             jet: Expr = ONE) -> None:
+             jet: Expr = ONE, products: Optional[dict] = None) -> None:
     """Add each fragment of a jet polynomial, times the jet-free factor and
-    the jet monomial jet, to its class.  A ZERO factor adds nothing."""
+    the jet monomial jet, to its class.  A ZERO factor adds nothing.  The
+    products of jet and the fragments' monomials are read from and kept
+    in products (PDESystem.jet_products)."""
     if factor == ZERO:
         return
     for mono, coeff in fragments:
         if jet is not ONE:
-            mono = _nmul([jet, mono])
-        k = mono.key()
+            pair = (jet, mono)
+            mono = products.get(pair)
+            if mono is None:
+                mono = products[pair] = _nmul([jet, pair[1]])
         term = coeff if factor is ONE else _nmul([factor, coeff])
-        entry = classes.get(k)
+        entry = classes.get(mono)
         if entry is None:
-            classes[k] = [mono, [term]]
+            classes[mono] = [term]
         else:
-            entry[1].append(term)
+            entry.append(term)
 
 
 def h_condition(fragments: Fragments) -> tuple[Expr, Fragments]:

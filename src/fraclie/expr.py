@@ -117,7 +117,10 @@ class Expr:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.key() == other.key()
+        # the cached keys read directly, each built on first use
+        a, b = self._key, other._key
+        return ((self.key() if a is None else a)
+                == (other.key() if b is None else b))
 
     def __hash__(self):
         h = self._hash
@@ -368,23 +371,43 @@ def _scaled(c: Union[int, Fraction], e: Expr) -> Expr:
     """c*e, c a rational in stored form and e canonical: the product
     _nmul builds, with no merging to do, since a Rat is only ever a
     product's coefficient."""
-    if c == 0:
-        return ZERO
-    if c == 1:
-        return e
+    # a stored Fraction is neither 0 nor 1
+    if c.__class__ is int:
+        if c == 0:
+            return ZERO
+        if c == 1:
+            return e
     cls = e.__class__
     if cls is Rat:
-        return Rat(c * e.stored)
+        return Rat(_times(c, e.stored))
     if cls is Mul:
         factors = e.factors
         first = factors[0]
         if first.__class__ is not Rat:
             return Mul((Rat(c),) + factors)
-        c = c * first.stored
+        c = _times(c, first.stored)
+        if c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
         if c == 1:
             return factors[1] if len(factors) == 2 else Mul(factors[1:])
         return Mul((Rat(c),) + factors[1:])
     return Mul((Rat(c), e))
+
+
+def _plus(a: Union[int, Fraction], b: Union[int, Fraction]
+          ) -> Union[int, Fraction]:
+    """a+b for rationals in stored form, a Fraction on the left, as _times."""
+    return b + a if a.__class__ is int and b.__class__ is not int else a + b
+
+
+def _times(a: Union[int, Fraction], b: Union[int, Fraction]
+           ) -> Union[int, Fraction]:
+    """a*b for rationals in stored form, a Fraction on the left: int times
+    Fraction would take Fraction.__rmul__, whose operand check goes
+    through the numbers ABCs.  -1 times a Fraction is its negation."""
+    if a.__class__ is not int or b.__class__ is int:
+        return a * b
+    return -b if a == -1 else b * a
 
 
 def _inserted(factors: tuple[Expr, ...], x: Expr) -> Optional[tuple[Expr, ...]]:
@@ -438,7 +461,7 @@ def _nmul(factors: Iterable[Expr]) -> Expr:
                 v = g.stored
                 if v == 0:
                     return ZERO
-                coeff = v if coeff is None else coeff * v
+                coeff = v if coeff is None else _times(coeff, v)
                 continue
             if cls is Pow:
                 b, e = g.base, g.exp
@@ -460,7 +483,7 @@ def _nmul(factors: Iterable[Expr]) -> Expr:
         if p.__class__ is Rat:
             if p.stored == 0:
                 return ZERO
-            coeff = p.stored if coeff is None else coeff * p.stored
+            coeff = p.stored if coeff is None else _times(coeff, p.stored)
             continue
         # a merged power of a product or of a power, (x*y)^(1/2) squared,
         # is a product or another base's power and may merge with the others
@@ -526,7 +549,7 @@ def _nadd(terms: Iterable[Expr]) -> Expr:
         for s in (t.terms if t.__class__ is Add else (t,)):
             cls = s.__class__
             if cls is Rat:
-                const += s.stored
+                const = _plus(const, s.stored)
                 continue
             # the rational coefficient, in stored form, and the factors of
             # the monomial, which is not built
@@ -542,15 +565,16 @@ def _nadd(terms: Iterable[Expr]) -> Expr:
             if entry is None:
                 merged[mono] = [c, s]
             else:
-                entry[0] += c
+                entry[0] = _plus(entry[0], c)
                 entry[1] = None
     # a sum factor whose coefficient merges to 1, 2*A - A, is a sum of terms
     # again and is spliced into this one
-    if any(c == 1 and len(m) == 1 and isinstance(m[0], Add)
+    if any(len(m) == 1 and m[0].__class__ is Add and c == 1
            for m, (c, _) in merged.items()):
         return _nadd([_with_coeff(c, _mono_of(m)) for m, (c, _) in merged.items()]
                      + [Rat(const)])
-    kept = [(m, c, s) for m, (c, s) in merged.items() if c != 0]
+    # a term met once keeps its nonzero coefficient; only a sum can vanish
+    kept = [(m, c, s) for m, (c, s) in merged.items() if s is not None or c != 0]
     kept.sort(key=lambda x: _mono_key(x[0]))
     out = [Rat(const)] if const != 0 else []
     out += [s if s is not None else _with_coeff(c, _mono_of(m)) for m, c, s in kept]
@@ -600,15 +624,25 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 
 
 def any_node(e: Expr, pred: Callable[[Expr], bool]) -> bool:
-    """Pre-order search: True when pred holds at e or at a node below it."""
+    """Pre-order search: True when pred holds at e or at a node below it.
+    The children are those of children(), read inline."""
     todo = [e]
+    pop, push, extend = todo.pop, todo.append, todo.extend
     while todo:
-        x = todo.pop()
+        x = pop()
         if pred(x):
             return True
-        below = children(x)
-        if below:
-            todo.extend(reversed(below))
+        cls = x.__class__
+        if cls is Mul:
+            extend(reversed(x.factors))
+        elif cls is Add:
+            extend(reversed(x.terms))
+        elif cls is Pow:
+            push(x.base)
+        elif cls is Gamma:
+            push(x.arg)
+        elif cls is Fn:
+            extend(reversed(x.args))
     return False
 
 
@@ -672,9 +706,13 @@ def pow_(base: ExprLike, exponent) -> Expr:
 def div(num: ExprLike, den: ExprLike) -> Expr:
     d = as_expr(den)
     if isinstance(d, Rat):
-        if d.stored == 0:
+        v = d.stored
+        if v == 0:
             raise ZeroDivisionError("division by zero expression")
-        return _nmul([Rat(1 / d.value), as_expr(num)])
+        # 1/v from the integers of v
+        inv = (Fraction(1, v) if v.__class__ is int
+               else Fraction(v.denominator, v.numerator))
+        return _nmul([Rat(inv), as_expr(num)])
     return _nmul([as_expr(num), _npow(d, _MINUS_ONE_FORM)])
 
 
@@ -766,24 +804,27 @@ def _sum_power(f: Expr) -> bool:
 
 def to_eform(e: Expr) -> Optional[ExponentForm]:
     """Convert to a Q-affine combination over monomials in Syms, or None."""
-    e = expand(e)
-    terms = e.terms if isinstance(e, Add) else (e,)
-    acc = ZERO_FORM
-    for t in terms:
-        c, mono = _coeff_mono(t)
-        if mono is None:
-            acc = acc + ExponentForm.rational(c)
-            continue
-        factors = mono.factors if isinstance(mono, Mul) else (mono,)
+    acc: dict[tuple, Union[int, Fraction]] = {}
+    for t in add_terms(expand(e)):
+        # the rational coefficient in stored form, and the other factors
+        cls = t.__class__
+        if cls is Rat:
+            c, factors = t.stored, ()
+        elif cls is Mul and t.factors[0].__class__ is Rat:
+            c, factors = t.factors[0].stored, t.factors[1:]
+        else:
+            c, factors = 1, mul_factors(t)
         key = []
         for f in factors:
             b, ex = _base_exp(f)
             k = ex.as_integer()
-            if not isinstance(b, Sym) or k is None:
+            if b.__class__ is not Sym or k is None:
                 return None
             key.append((b.name, k))
-        acc = acc + ExponentForm({tuple(sorted(key)): c})
-    return acc
+        mono = tuple(sorted(key))
+        prev = acc.get(mono)
+        acc[mono] = c if prev is None else _plus(prev, c)
+    return ExponentForm(acc)
 
 
 def from_eform(f: ExponentForm) -> Expr:
@@ -818,15 +859,25 @@ def eform_subs(f: ExponentForm, bindings: Mapping[str, Expr]) -> ExponentForm:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _mentions(e: Expr, keys: set) -> set:
-    """The keys among `keys` of the nodes of e and of its exponent symbols."""
+# the node classes a substitution may bind
+_ATOMS = frozenset({Sym, Var, Jet, Fn})
+
+
+def _mentions(e: Expr, keys: set, sym_names: set) -> set:
+    """The keys among `keys` of the atoms of e and of its exponent symbols.
+    Only an atom (Sym, Var, Jet or Fn) can be a key, so only atoms have
+    their keys computed, and exponents are read only when a Sym is bound
+    (sym_names, the names of the bound symbols)."""
     found = set()
 
     def note(x: Expr) -> bool:
-        kk = [x.key()]
-        if isinstance(x, Pow):
-            kk += [Sym(name).key() for name in x.exp.symbols()]
-        found.update(k for k in kk if k in keys)
+        cls = x.__class__
+        if cls in _ATOMS:
+            k = x.key()
+            if k in keys:
+                found.add(k)
+        elif cls is Pow and sym_names:
+            found.update(Sym(name).key() for name in x.exp.symbols() & sym_names)
         return False        # never matches, so every node is visited
 
     any_node(e, note)
@@ -845,7 +896,9 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
         norm[k.key()] = (k, as_expr(v))
 
     keyset = set(norm)
-    graph = {kk: _mentions(v, keyset) for kk, (_, v) in norm.items()}
+    sym_bindings = {k.name: v for _, (k, v) in norm.items() if isinstance(k, Sym)}
+    bound = set(sym_bindings)
+    graph = {kk: _mentions(v, keyset, bound) for kk, (_, v) in norm.items()}
     state: dict[tuple, int] = {}
 
     def dfs(node):
@@ -864,13 +917,13 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
         if state.get(kk) is None:
             dfs(kk)
 
-    sym_bindings = {k.name: v for _, (k, v) in norm.items() if isinstance(k, Sym)}
-
     def rep(x: Expr) -> Expr:
-        kk = x.key()
-        if kk in norm:
-            return norm[kk][1]
-        if (isinstance(x, Pow) and sym_bindings
+        cls = x.__class__
+        if cls in _ATOMS:
+            kk = x.key()
+            if kk in norm:
+                return norm[kk][1]
+        if (cls is Pow and sym_bindings
                 and x.exp.symbols() & sym_bindings.keys()):
             return _npow(rep(x.base), eform_subs(x.exp, sym_bindings))
         return map_children(x, rep)
@@ -990,11 +1043,12 @@ def total_derivative(e: Expr, v: Var) -> Expr:
 # ---------------------------------------------------------------------------
 
 def atoms(e: Expr, kind) -> list:
-    """All distinct atoms of the given node class, in canonical order."""
+    """All distinct atoms of the given node class (one class, which no
+    node class subclasses), in canonical order."""
     found: dict[tuple, Expr] = {}
 
     def note(x: Expr) -> bool:
-        if isinstance(x, kind):
+        if x.__class__ is kind:
             found[x.key()] = x
         return False        # never matches, so every node is visited
 
@@ -1002,8 +1056,12 @@ def atoms(e: Expr, kind) -> list:
     return [found[k] for k in sorted(found)]
 
 
+def _is_jet(x: Expr) -> bool:
+    return x.__class__ is Jet
+
+
 def depends_on_jets(e: Expr) -> bool:
-    return any_node(e, lambda x: isinstance(x, Jet))
+    return any_node(e, _is_jet)
 
 
 def add_terms(e: Expr) -> tuple[Expr, ...]:
@@ -1030,17 +1088,28 @@ def _shift_count(iv: Interval) -> int:
     return max(k, 0)
 
 
-def _gamma_parts(n: int, d: int) -> tuple[int, int, Optional[Fraction]]:
-    """(a, b, z) with Gamma(n/d) = (a/b)*Gamma(z), for n/d in lowest terms,
-    d > 0, in the normal form of gamma_simplify: z is None for a positive
-    integer n/d, whose Gamma is the factorial a; otherwise z = n/d-k and
-    a/b = (n/d-1)(n/d-2)...(n/d-k), k = floor(n/d) for n/d > 0 and k = 0
-    else.  Integer arithmetic throughout."""
+def _ratio(n: int, d: int) -> Union[int, Fraction]:
+    """n/d in the stored form of Rat, for d > 0: an int when d divides n,
+    else a Fraction in lowest terms.  Integer arithmetic but for that
+    Fraction."""
+    g = math.gcd(n, d)
+    return n // g if g == d else Fraction(n // g, d // g)
+
+
+def _gamma_parts(n: int, d: int) -> tuple[int, int, Optional[int]]:
+    """(a, b, m) with Gamma(n/d) = (a/b)*Gamma(m/d), for n/d in lowest
+    terms, d > 0, in the normal form of gamma_simplify: m is None for a
+    positive integer n/d, whose Gamma is the factorial a; otherwise
+    m/d = n/d-k, in lowest terms, and a/b = (n/d-1)(n/d-2)...(n/d-k),
+    k = floor(n/d) for n/d > 0 and k = 0 else.  Integer arithmetic
+    throughout."""
     if d == 1 and n >= 1:
         return math.factorial(n - 1), 1, None
-    k = max(n // d, 0)
-    return (math.prod(n - j * d for j in range(1, k + 1)), d ** k,
-            Fraction(n - k * d, d))
+    if n < d:
+        return 1, 1, n
+    k = n // d
+    # (n-d)(n-2d)...(n-kd) over d^k
+    return math.prod(range(n - d, n - k * d - d, -d)), d ** k, n - k * d
 
 
 def gamma_of_rational(r: Fraction) -> Expr:
@@ -1048,30 +1117,34 @@ def gamma_of_rational(r: Fraction) -> Expr:
     positive integer, Gamma(r) itself at a pole (callers handle these
     before building), and otherwise Gamma(r) = (r-1)(r-2)...(r-k)
     Gamma(r-k), k = floor(r) for r > 0, with the k prefactors one Rat."""
-    a, b, z = _gamma_parts(r.numerator, r.denominator)
-    c = Rat(Fraction(a, b))
-    return c if z is None else _nmul([c, Gamma(Rat(z))])
+    n, d = r.as_integer_ratio()
+    a, b, m = _gamma_parts(n, d)
+    c = Rat(_ratio(a, b))
+    return c if m is None else _nmul([c, Gamma(Rat(_ratio(m, d)))])
 
 
 def gamma_ratio(tn: int, td: int, bn: int, bd: int) -> Expr:
     """Gamma(tn/td)/Gamma(bn/bd) in the normal form of gamma_simplify, for
     td, bd > 0 and bn/bd not a pole.  The two Gammas left by the recurrence
-    cancel when the arguments differ by an integer.  The nodes are built
-    directly: a canonical product holds its Rat first, then the Gamma, then
-    the power of a Gamma."""
+    cancel when the arguments differ by an integer, that is when their
+    reduced arguments are equal.  The nodes are built directly: a
+    canonical product holds its Rat first, then the Gamma, then the power
+    of a Gamma."""
     g = math.gcd(tn, td)
-    at, bt, zt = _gamma_parts(tn // g, td // g)
+    tn, td = tn // g, td // g
+    at, bt, zt = _gamma_parts(tn, td)
     g = math.gcd(bn, bd)
-    ab, bb, zb = _gamma_parts(bn // g, bd // g)
-    c = Rat(Fraction(at * bb, bt * ab))
-    factors = [] if c.stored == 1 else [c]
-    if zt != zb:
+    bn, bd = bn // g, bd // g
+    ab, bb, zb = _gamma_parts(bn, bd)
+    c = _ratio(at * bb, bt * ab)
+    factors = [] if c == 1 else [Rat(c)]
+    if zt != zb or td != bd:
         if zt is not None:
-            factors.append(Gamma(Rat(zt)))
+            factors.append(Gamma(Rat(_ratio(zt, td))))
         if zb is not None:
-            factors.append(Pow(Gamma(Rat(zb)), _MINUS_ONE_FORM))
+            factors.append(Pow(Gamma(Rat(_ratio(zb, bd))), _MINUS_ONE_FORM))
     if not factors:
-        return c
+        return ONE
     return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 

@@ -12,8 +12,9 @@ from typing import Iterable, Optional, Union
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM, UndecidableExponent
 from .expr import (Expr, ExprLike, Gamma, ONE, Rat, Sym, Var, ZERO, _nadd,
-                   _nmul, _npow, add_terms, any_node, as_expr, as_eform, expand,
-                   from_eform, gamma_ratio, gamma_simplify, render, split_power)
+                   _nmul, _npow, _ratio, add_terms, any_node, as_expr,
+                   as_eform, expand, from_eform, gamma_ratio, gamma_simplify,
+                   render, split_power)
 from .records import record
 
 
@@ -46,6 +47,13 @@ class PowerSum:
 
     @staticmethod
     def build(tvar: Var, terms: Iterable[tuple[Expr, ExponentForm]]) -> "PowerSum":
+        if terms.__class__ is not list:
+            terms = list(terms)
+        if len(terms) == 1:
+            # one term: nothing to merge or order
+            c, g = terms[0]
+            c = as_expr(c)
+            return PowerSum(tvar, () if c == ZERO else ((c, g),))
         acc: dict[ExponentForm, list] = {}     # a form caches its hash
         for c, g in terms:
             c = as_expr(c)
@@ -75,7 +83,11 @@ class PowerSum:
         return PowerSum.build(tvar, terms)
 
     def to_expr(self) -> Expr:
-        return _nadd([_nmul([c, _npow(self.tvar, g)]) for c, g in self.terms])
+        terms = self.terms
+        if len(terms) == 1:
+            c, g = terms[0]
+            return _nmul([c, _npow(self.tvar, g)])
+        return _nadd([_nmul([c, _npow(self.tvar, g)]) for c, g in terms])
 
 
 def as_power_sum(e: Union[PowerSum, ExprLike], tvar: Var) -> PowerSum:
@@ -117,14 +129,15 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
     order_e = alpha if order is None else as_expr(order)
     # a rational order is a Rat: canonical trees fold every constant
     order_r = order_e.stored if isinstance(order_e, Rat) else None
+    if order_r is not None:
+        on, od = order_r.as_integer_ratio()
     order_form = None
 
     out: list[tuple[Expr, ExponentForm]] = []
     for c, g in ps.terms:
         r = None if order_r is None else g.as_rational()
         if r is not None:
-            on, od = order_r.numerator, order_r.denominator
-            gn, gd = r.numerator, r.denominator
+            gn, gd = r.as_integer_ratio()
             if gn + gd <= 0:
                 raise _outside_domain(g)
             # g+1 = (gn+gd)/gd, and g+1-order = bn/bd
@@ -139,7 +152,9 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
                         asm = default_assumptions(alpha)
                     c = gamma_simplify(c, asm)
                 ratio = _nmul([c, ratio])
-            out.append((ratio, ExponentForm.rational(r - order_r)))
+            # g - order = (gn*od - on*gd)/(gd*od)
+            out.append((ratio, ExponentForm.rational(
+                _ratio(gn * od - on * gd, gd * od))))
             continue
         if asm is None:
             asm = default_assumptions(alpha)

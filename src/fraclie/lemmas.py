@@ -214,6 +214,28 @@ def separated_by_one_sum(sys: PDESystem, pro: Prolongation
             for c in invariance_condition_sum(sys, pro)]
 
 
+def rhs_partials_of_whole_rhs(sys: PDESystem
+                              ) -> tuple[tuple[list[tuple[Expr, Expr]], ...], ...]:
+    """PDESystem.rhs_partials by the whole-rhs route: d rhs_s/dt and each
+    d rhs_s/dx_i taken of all of rhs_s, then split by jet_fragments."""
+    sig = sys.sig
+    variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
+    return tuple(tuple(jet_fragments(partial_derivative(sys.rhs(s), v))
+                       for v in variables) for s in range(sys.q))
+
+
+def jet_coefficients_of_whole_rhs(sys: PDESystem
+                                  ) -> tuple[tuple[tuple[Jet, list], ...], ...]:
+    """PDESystem.jet_coefficients by the whole-rhs route: for each jet of
+    F_s, dF_s/d jet taken of all of F_s, then split by jet_fragments."""
+    out = []
+    for f in sys.F:
+        pairs = ((jet, jet_fragments(partial_derivative(f, jet)))
+                 for jet in atoms(f, Jet))
+        out.append(tuple((jet, c) for jet, c in pairs if c))
+    return tuple(out)
+
+
 @record(frozen=True)
 class EtaAlpha:
     """Local part (solution-space form) and the series coefficients of

@@ -1,18 +1,25 @@
 """PDE system data model: signatures, the F/H split, term classification
 and validation diagnostics, and the facts of a system that the invariance
-condition reads, each separated over jet monomials (jet_fragments) once
-per system."""
+condition reads, each separated over jet monomials once per system.
+
+rhs_s is split once (jet_fragments), and every other fact is read off
+that split: d rhs_s/dt and d rhs_s/dx_i differentiate the jet-free
+coefficients only, since jets are coordinates of their own, and dF_s/d jet
+differentiates each jet monomial.  The whole-rhs route of the same facts
+is kept in fraclie.lemmas as the reference.  A Signature builds its
+variables, its plain dependents and the atoms its names parse to once, so
+their keys are built once too."""
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .exponents import Assumptions
-from .expr import (Expr, Gamma, Jet, NonPolynomial, Rat, Sym, Var, ZERO, _nadd,
-                   _nmul, add_terms, atoms, depends_on_jets, expand,
-                   group_by_monomial, partial_derivative, render,
-                   split_factors)
+from .exponents import UNIT_FORM, Assumptions
+from .expr import (Expr, Gamma, Jet, NonPolynomial, ONE, Pow, Rat, Sym, Var,
+                   ZERO, _nadd, _nmul, _npow, add_terms, any_node, atoms,
+                   depends_on_jets, expand, from_eform, group_by_monomial,
+                   mul_factors, partial_derivative, render, split_factors)
 from .records import record
 
 
@@ -43,20 +50,49 @@ class Signature:
     def q(self) -> int:
         return len(self.dep_names)
 
-    @property
+    # The variables and the plain dependents are built once per signature,
+    # so their keys are too.
+
+    @cached_property
     def t(self) -> Var:
         return Var(self.t_name, -1)
 
+    @cached_property
+    def _space_vars(self) -> tuple[Var, ...]:
+        return tuple(Var(name, i) for i, name in enumerate(self.space_names))
+
+    @cached_property
+    def _dependents(self) -> tuple[Jet, ...]:
+        return tuple(Jet(s, (0,) * self.p) for s in range(self.q))
+
     def x(self, i: int) -> Var:
-        return Var(self.space_names[i], i)
+        return self._space_vars[i]
 
     def space(self, name: str) -> Var:
-        return Var(name, self.space_names.index(name))
+        return self._space_vars[self.space_names.index(name)]
+
+    @cached_property
+    def _space_jets(self) -> dict[tuple, Jet]:
+        """The jets u_s^theta built so far, by (s, theta): the memo of u."""
+        return {}
 
     def u(self, s: int, theta: tuple[int, ...] = (), t_order: int = 0,
           frac: Optional[int] = None) -> Jet:
-        theta = tuple(theta) + (0,) * (self.p - len(theta))
-        return Jet(s, theta, t_order, frac)
+        """The jet u_s^theta, theta padded to p entries; the jets of no
+        t-order and no fractional marker are built once per signature."""
+        if t_order or frac is not None:
+            theta = tuple(theta) + (0,) * (self.p - len(theta))
+            return Jet(s, theta, t_order, frac)
+        if not theta:
+            return self._dependents[s]
+        if theta.__class__ is not tuple:
+            theta = tuple(theta)
+        memo = self._space_jets
+        jet = memo.get((s, theta))
+        if jet is None:
+            full = theta + (0,) * (self.p - len(theta))
+            jet = memo[(s, theta)] = Jet(s, full)
+        return jet
 
     def dep(self, name: str) -> Jet:
         return self.u(self.dep_names.index(name))
@@ -64,6 +100,23 @@ class Signature:
     @property
     def alpha(self) -> Sym:
         return Sym(self.alpha_name)
+
+    @cached_property
+    def named_atoms(self) -> dict[str, Expr]:
+        """The atom each name of the signature parses to: the space
+        variables, t, the plain dependents, and a Sym for alpha and each
+        parameter.  Read-only; a parser adds its extra constants to a copy."""
+        atoms: dict[str, Expr] = dict(zip(self.space_names, self._space_vars))
+        atoms[self.t_name] = self.t
+        atoms.update((name, self.dep(name)) for name in self.dep_names)
+        for name in (self.alpha_name, *(p.name for p in self.params)):
+            atoms[name] = Sym(name)
+        return atoms
+
+    @cached_property
+    def operator_names(self) -> frozenset[str]:
+        """The derivative operators of the input language, D<t> and D<x_i>."""
+        return frozenset(f"D{name}" for name in (self.t_name, *self.space_names))
 
     def assumptions(self) -> Assumptions:
         asm = Assumptions(self.alpha_name)
@@ -94,7 +147,6 @@ class PDESystem:
     alpha: Expr
     F: tuple[Expr, ...]
     H: tuple[Expr, ...]
-    k: int
     source: Optional[str] = None
 
     @property
@@ -116,8 +168,27 @@ class PDESystem:
     # (jet_fragments).
 
     @cached_property
+    def jet_products(self) -> dict[tuple[Expr, Expr], Expr]:
+        """The memo of determining.invariance_condition: the product of a
+        jet monomial of a prolongation and a monomial of these facts, by
+        the pair."""
+        return {}
+
+    @cached_property
+    def jets(self) -> tuple[tuple[Jet, ...], ...]:
+        """Per equation: the distinct jets of F_s, in key order."""
+        return tuple(tuple(atoms(f, Jet)) for f in self.F)
+
+    @cached_property
+    def k(self) -> int:
+        """The highest total space order of a jet of the system; make_system
+        leaves no jet in H."""
+        return max((sum(j.theta) for jets in self.jets for j in jets), default=0)
+
+    @cached_property
     def _rhs(self) -> tuple[Expr, ...]:
-        return tuple(_nadd([f, h]) for f, h in zip(self.F, self.H))
+        return tuple(f if h == ZERO else _nadd([f, h])
+                     for f, h in zip(self.F, self.H))
 
     @cached_property
     def rhs_fragments(self) -> tuple[Fragments, ...]:
@@ -127,20 +198,35 @@ class PDESystem:
     @cached_property
     def rhs_partials(self) -> tuple[tuple[Fragments, ...], ...]:
         """Per equation: d rhs_s/dt, then d rhs_s/dx_i for each space
-        variable."""
+        variable, from the fragments of rhs_s (_partial_fragments)."""
         sig = self.sig
         variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
-        return tuple(tuple(jet_fragments(partial_derivative(r, v))
-                           for v in variables) for r in self._rhs)
+        out = []
+        for frags in self.rhs_fragments:
+            # a fragment holding no variable has no nonzero partial
+            live = [(m, c) for m, c in frags
+                    if not _jet_powers(m) or any_node(c, _is_variable)]
+            out.append(tuple(_partial_fragments(live, v) for v in variables))
+        return tuple(out)
 
     @cached_property
     def jet_coefficients(self) -> tuple[tuple[tuple[Jet, Fragments], ...], ...]:
         """Per equation: (jet, dF_s/d jet) for each jet of F_s with a
-        nonzero coefficient."""
+        nonzero coefficient, in jet-key order, from the fragments of rhs_s:
+        the derivative of each jet monomial (_monomial_partials) times the
+        fragment's coefficient."""
         out = []
-        for f in self.F:
-            pairs = ((jet, jet_fragments(partial_derivative(f, jet)))
-                     for jet in atoms(f, Jet))
+        for frags in self.rhs_fragments:
+            by_jet: dict[tuple, tuple[Jet, dict]] = {}
+            for mono, coeff in frags:
+                for jet, m, c in _monomial_partials(mono):
+                    entry = by_jet.get(jet.key())
+                    if entry is None:
+                        entry = by_jet[jet.key()] = (jet, {})
+                    _add_piece(entry[1], m,
+                               c if coeff is ONE else _nmul([c, coeff]))
+            pairs = ((jet, _summed(classes))
+                     for jet, classes in (by_jet[k] for k in sorted(by_jet)))
             out.append(tuple((jet, c) for jet, c in pairs if c))
         return tuple(out)
 
@@ -151,7 +237,10 @@ Fragments = list[tuple[Expr, Expr]]
 
 
 def _jet_factor(b: Expr, _) -> bool:
-    if not depends_on_jets(b):
+    cls = b.__class__
+    if cls is Jet:
+        return True
+    if cls is Rat or cls is Sym or cls is Var or not depends_on_jets(b):
         return False
     if isinstance(b, Gamma):
         raise NonPolynomial(f"jet variable inside a Gamma application: {render(b)}")
@@ -164,6 +253,74 @@ def jet_fragments(e: Expr) -> Fragments:
     are monomial factors of their own.  Raises NonPolynomial on a jet inside
     a Gamma application."""
     return group_by_monomial(expand(e), _jet_factor)
+
+
+def _add_piece(classes: dict, mono: Expr, coeff: Expr) -> None:
+    entry = classes.get(mono.key())
+    if entry is None:
+        classes[mono.key()] = (mono, [coeff])
+    else:
+        entry[1].append(coeff)
+
+
+def _summed(classes: dict) -> Fragments:
+    """The fragments of pieces grouped by monomial key: each class's pieces
+    summed and expanded, zero sums dropped, in monomial-key order."""
+    out = []
+    for k in sorted(classes):
+        mono, pieces = classes[k]
+        c = expand(_nadd(pieces))
+        if c != ZERO:
+            out.append((mono, c))
+    return out
+
+
+def _is_variable(x: Expr) -> bool:
+    return x.__class__ is Var
+
+
+def _jet_powers(mono: Expr) -> bool:
+    """Whether every factor of a jet monomial is a jet or a power of one."""
+    return all((f.base if f.__class__ is Pow else f).__class__ is Jet
+               for f in mul_factors(mono))
+
+
+def _monomial_partials(mono: Expr) -> list[tuple[Jet, Expr, Expr]]:
+    """(jet, monomial, coefficient) with d mono/d jet = coefficient *
+    monomial, for each jet of a jet monomial.  A product of jet powers
+    takes the power rule factor by factor; any other monomial, one with
+    an opaque function of a dependent say, is differentiated and split
+    again."""
+    if not _jet_powers(mono):
+        return [(jet, m, c) for jet in atoms(mono, Jet)
+                for m, c in jet_fragments(partial_derivative(mono, jet))]
+    factors = mul_factors(mono)
+    out = []
+    for i, f in enumerate(factors):
+        rest = list(factors[:i] + factors[i + 1:])
+        if f.__class__ is Jet:
+            out.append((f, _nmul(rest), ONE))
+        else:
+            rest.append(_npow(f.base, f.exp - UNIT_FORM))
+            out.append((f.base, _nmul(rest), from_eform(f.exp)))
+    return out
+
+
+def _partial_fragments(frags: Fragments, v: Var) -> Fragments:
+    """d/dv of a jet polynomial given by its fragments.  Jets are
+    coordinates of their own, so only a coefficient is differentiated,
+    unless the monomial holds v itself, a jet inside a power of a sum with
+    v say; such a fragment is differentiated whole and split again."""
+    classes: dict[tuple, tuple[Expr, list]] = {}
+    for mono, coeff in frags:
+        if not _jet_powers(mono) and any_node(mono, lambda x: x == v):
+            for m, c in jet_fragments(partial_derivative(_nmul([mono, coeff]), v)):
+                _add_piece(classes, m, c)
+            continue
+        d = partial_derivative(coeff, v)
+        if d != ZERO:
+            _add_piece(classes, mono, d)
+    return _summed(classes)
 
 
 def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:
@@ -183,14 +340,11 @@ def make_system(sig: Signature, rhs_list: list[Expr], alpha: Optional[Expr] = No
         raise ValueError(f"expected {sig.q} equations, got {len(rhs_list)}")
     alpha = alpha if alpha is not None else sig.alpha
     F, H = [], []
-    k = 0
     for rhs in rhs_list:
         fs, hs = split_rhs(rhs)
         F.append(fs)
         H.append(hs)
-        for j in atoms(fs, Jet) + atoms(hs, Jet):
-            k = max(k, sum(j.theta))
-    return PDESystem(sig, alpha, tuple(F), tuple(H), k, source)
+    return PDESystem(sig, alpha, tuple(F), tuple(H), source)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +358,9 @@ def validate_system(sys: PDESystem) -> list[Diagnostic]:
             out.append(Diagnostic("AlphaOutOfRange",
                                   f"fractional order {sys.alpha.value} is outside (0,1)"))
     for s in range(sys.q):
-        for j in atoms(sys.F[s], Jet) + atoms(sys.H[s], Jet):
-            if j.t_order > 0 or j.frac is not None:
-                out.append(Diagnostic(
-                    "TimeDerivativeOnRHS",
-                    f"equation {sys.sig.dep_names[s]}: a t-derivative jet appears "
-                    "on the right-hand side"))
-        if depends_on_jets(sys.H[s]):
+        h_jets = atoms(sys.H[s], Jet)
+        out += time_derivative_diagnostics(sys, s, sys.jets[s] + tuple(h_jets))
+        if h_jets:
             out.append(Diagnostic("HContainsJets",
                                   f"equation {sys.sig.dep_names[s]}: source part depends on u"))
         for term in add_terms(sys.F[s]):
@@ -218,12 +368,20 @@ def validate_system(sys: PDESystem) -> list[Diagnostic]:
                 out.append(Diagnostic("FTermWithoutJets",
                                       f"equation {sys.sig.dep_names[s]}: F holds a pure source term"))
     for i, name in enumerate(sys.sig.space_names):
-        coupled = any(j.theta[i] >= 1
-                      for s in range(sys.q) for j in atoms(sys.F[s], Jet))
+        coupled = any(j.theta[i] >= 1 for jets in sys.jets for j in jets)
         if not coupled:
             out.append(Diagnostic("MissingSpaceCoupling",
                                   f"no equation differentiates any dependent in {name}"))
     return out
+
+
+def time_derivative_diagnostics(sys: PDESystem, s: int, jets) -> list[Diagnostic]:
+    """One TimeDerivativeOnRHS diagnostic of equation s per jet among jets
+    with a t-order or a fractional marker."""
+    return [Diagnostic("TimeDerivativeOnRHS",
+                       f"equation {sys.sig.dep_names[s]}: a t-derivative jet "
+                       "appears on the right-hand side")
+            for j in jets if j.t_order > 0 or j.frac is not None]
 
 
 # ---------------------------------------------------------------------------

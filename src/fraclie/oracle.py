@@ -11,9 +11,16 @@ definition, independently of the symbolic power rule:
 
 The Gauss-Jacobi rules are built with `math` alone: nodes by Newton's
 method on the three-term Jacobi recurrence from asymptotic first guesses,
-weights by Szego's closed formula at the final iterate.  The nodes depend
-only on (nodes, order) and a rule only on (nodes, order, m), so each is
-computed once per process and kept, as tuples, in a bounded cache.
+weights by Szego's closed formula at the final iterate.  The recurrence's
+coefficients that do not depend on the point are formed once per rule.
+The nodes depend only on (nodes, order) and a rule only on (nodes, order,
+m), so each is computed once per process and kept, as tuples, in a bounded
+cache.
+
+A rule's weighted products (W_i*c) * rho_i^k are summed by one math.fsum,
+which is correctly rounded: the value does not depend on the order of the
+terms.  evaluate dispatches on the node class through a table of
+module-level functions and sums an Add's terms in their order.
 
 This module owns all floating-point evaluation; the symbolic layer stays
 exact.
@@ -23,6 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .exponents import ExponentForm
@@ -42,40 +51,64 @@ class SingularInput(ValueError):
 def evaluate(e: Expr, env: Optional[dict[str, float]] = None) -> float:
     """Numeric value of a jet-free expression; symbols and variables are
     looked up by name in env."""
-    env = env or {}
+    return _value(e, env or {})
 
-    def form_value(f: ExponentForm) -> float:
-        total = 0.0
-        for mono, c in f.coeffs:
-            piece = float(c)
-            for name, k in mono:
-                if name not in env:
-                    raise KeyError(f"no value for symbol {name}")
-                piece *= env[name] ** k
-            total += piece
-        return total
 
-    def go(x: Expr) -> float:
-        if isinstance(x, Rat):
-            return float(x.stored)
-        if isinstance(x, (Sym, Var)):
-            if x.name not in env:
-                raise KeyError(f"no value for {x.name}")
-            return env[x.name]
-        if isinstance(x, Gamma):
-            return math.gamma(go(x.arg))
-        if isinstance(x, Pow):
-            return go(x.base) ** form_value(x.exp)
-        if isinstance(x, Mul):
-            out = 1.0
-            for f in x.factors:
-                out *= go(f)
-            return out
-        if isinstance(x, Add):
-            return sum(go(t) for t in x.terms)
+def _value(x: Expr, env: dict[str, float]) -> float:
+    how = _VALUE.get(x.__class__)
+    if how is None:
         raise TypeError(f"cannot evaluate {x!r} numerically")
+    return how(x, env)
 
-    return go(e)
+
+def _rat_value(x: Rat, env) -> float:
+    v = x.stored
+    # a Fraction's float is its numerator over its denominator, read here
+    # without the numbers.Rational route
+    return float(v) if v.__class__ is int else v.numerator / v.denominator
+
+
+def _name_value(x: Union[Sym, Var], env) -> float:
+    if x.name not in env:
+        raise KeyError(f"no value for {x.name}")
+    return env[x.name]
+
+
+def _gamma_value(x: Gamma, env) -> float:
+    return math.gamma(_value(x.arg, env))
+
+
+def _pow_value(x: Pow, env) -> float:
+    return _value(x.base, env) ** _form_value(x.exp, env)
+
+
+def _mul_value(x: Mul, env) -> float:
+    out = 1.0
+    for f in x.factors:
+        out *= _value(f, env)
+    return out
+
+
+def _add_value(x: Add, env) -> float:
+    # summed in the order of the terms: a float sum depends on its order
+    return sum([_value(t, env) for t in x.terms])
+
+
+def _form_value(f: ExponentForm, env) -> float:
+    total = 0.0
+    for mono, c in f.coeffs:
+        piece = float(c)
+        for name, k in mono:
+            if name not in env:
+                raise KeyError(f"no value for symbol {name}")
+            piece *= env[name] ** k
+        total += piece
+    return total
+
+
+_VALUE = {Rat: _rat_value, Sym: _name_value, Var: _name_value,
+          Gamma: _gamma_value, Pow: _pow_value, Mul: _mul_value,
+          Add: _add_value}
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +145,16 @@ def numeric_rl_oracle(f: Union[PowerSum, Callable[[float], float]],
     """Approximate (1/Gamma(1-alpha)) d/dt int_0^t (t-s)^(-alpha) f(s) ds on
     the grid, with an error estimate per point.  A power sum's coefficients
     must be numbers."""
-    a = float(alpha)
+    # a Fraction's float read off its integers, as float() reads it
+    a = (alpha.numerator / alpha.denominator if alpha.__class__ is Fraction
+         else float(alpha))
     if not (0.0 < a < 1.0):
         raise ValueError("the order must lie in (0, 1)")
     if isinstance(f, PowerSum):
         terms = _powersum_terms(f)
         for _, g in terms:
-            if g <= -1:
+            n, d = g.as_integer_ratio()
+            if n <= -d:
                 raise SingularInput(f"exponent {g} <= -1")
         vals, errs = [], []
         for t in t_grid:
@@ -143,16 +179,32 @@ _NEWTON_TOL = 3e-14
 _NEWTON_STEPS = 50
 
 
-def _jacobi(n: int, alf: float, z: float) -> tuple[float, float]:
-    """P_n(z) and P_n'(z) of the Jacobi polynomial P_n^(alf, 0), by the
-    three-term recurrence and the derivative identity (Szego, Orthogonal
-    Polynomials, (4.5.1) and (4.5.7))."""
-    p0, p1 = 1.0, (alf + (alf + 2.0) * z) / 2.0
+def _recurrence(n: int, alf: float) -> tuple[tuple[float, ...], ...]:
+    """The coefficients of _jacobi's recurrence step j = 2..n, which do not
+    depend on z: with c = 2j + alf,
+
+        P_j = ((c-1) (alf^2 + c(c-2) z) P_(j-1)
+               - 2 (j-1+alf) (j-1) c P_(j-2)) / (2 j (j+alf) (c-2)),
+
+    as (c-1, c(c-2), 2(j-1+alf)(j-1)c, 2j(j+alf)(c-2)), each product formed
+    in the order the step forms it, so a step gives the same floats."""
+    out = []
     for j in range(2, n + 1):
         c = 2.0 * j + alf
-        p0, p1 = p1, (((c - 1.0) * (alf * alf + c * (c - 2.0) * z) * p1
-                       - 2.0 * (j - 1.0 + alf) * (j - 1.0) * c * p0)
-                      / (2.0 * j * (j + alf) * (c - 2.0)))
+        out.append((c - 1.0, c * (c - 2.0), 2.0 * (j - 1.0 + alf) * (j - 1.0) * c,
+                    2.0 * j * (j + alf) * (c - 2.0)))
+    return tuple(out)
+
+
+def _jacobi(n: int, alf: float, z: float, steps: tuple[tuple[float, ...], ...]
+            ) -> tuple[float, float]:
+    """P_n(z) and P_n'(z) of the Jacobi polynomial P_n^(alf, 0), by the
+    three-term recurrence and the derivative identity (Szego, Orthogonal
+    Polynomials, (4.5.1) and (4.5.7)); steps is _recurrence(n, alf)."""
+    alf2 = alf * alf
+    p0, p1 = 1.0, (alf + (alf + 2.0) * z) / 2.0
+    for c1, cc, d, e in steps:
+        p0, p1 = p1, (c1 * (alf2 + cc * z) * p1 - d * p0) / e
     c = 2.0 * n + alf
     dp = ((n * (alf - c * z) * p1 + 2.0 * n * (n + alf) * p0)
           / (c * (1.0 - z) * (1.0 + z)))
@@ -173,6 +225,7 @@ def _gauss_jacobi(n: int, a: float
     weight has no (1+x) power; evaluated at the final iterate it is
     accurate to about 1e-11 even beside the singular endpoint."""
     alf = -a
+    steps = _recurrence(n, alf)
     x: list[float] = []
     w: list[float] = []
     for i in range(n):
@@ -196,7 +249,7 @@ def _gauss_jacobi(n: int, a: float
         else:
             z = 3.0 * x[i - 1] - 3.0 * x[i - 2] + x[i - 3]
         for _ in range(_NEWTON_STEPS):
-            p, dp = _jacobi(n, alf, z)
+            p, dp = _jacobi(n, alf, z, steps)
             step = p / dp
             z -= step
             if abs(step) <= _NEWTON_TOL:
@@ -204,7 +257,7 @@ def _gauss_jacobi(n: int, a: float
         else:
             raise ArithmeticError(f"Gauss-Jacobi node {i} of {n} for order {a} "
                                   f"did not converge")
-        _, dp = _jacobi(n, alf, z)
+        _, dp = _jacobi(n, alf, z, steps)
         x.append(z)
         w.append(2.0 ** (1.0 + alf) / ((1.0 - z) * (1.0 + z) * dp * dp))
     return tuple(reversed(x)), tuple(reversed(w))
@@ -238,12 +291,16 @@ def _gauss_jacobi_rl(terms: list[tuple[float, Fraction]], a: float, t: float,
     sigma^g gives rho^(m(g+1)-1), a power >= 0 as g > -1."""
     m = math.lcm(*(g.denominator for _, g in terms))
     weights, rhos = _jacobi_rule(nodes, a, m)
-    scaled = [(c * (1.0 - a + float(g)) * t ** float(g),
-               m // g.denominator * (g.numerator + g.denominator) - 1)
-              for c, g in terms]
-    bracket = math.fsum(wi * c * ri ** k
-                        for wi, ri in zip(weights, rhos) for c, k in scaled)
-    return t ** (-a) / math.gamma(1.0 - a) * bracket
+    # the products (W_i*c) * rho_i^k of every node and term, added by one
+    # fsum: correctly rounded, so the value is that of any order of the sum
+    products: list[float] = []
+    for c, g in terms:
+        n, d = g.as_integer_ratio()
+        gf = n / d                  # float(g)
+        c = c * (1.0 - a + gf) * t ** gf
+        k = m // d * (n + d) - 1
+        products += map(mul, map(mul, weights, repeat(c)), map(pow, rhos, repeat(k)))
+    return t ** (-a) / math.gamma(1.0 - a) * math.fsum(products)
 
 
 def _grunwald_letnikov(f: Callable[[float], float], a: float, t: float,

@@ -22,9 +22,10 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .expr import (Expr, Fn, Gamma, ONE, Rat, Sym, ZERO, _nadd, _nmul, div,
-                   neg, pow_, to_eform, total_derivative)
-from .model import ParamDecl, PDESystem, Signature, make_system, validate_system
+from .expr import (Expr, Fn, Gamma, Jet, ONE, Rat, Sym, ZERO, _nadd, _nmul,
+                   div, neg, pow_, to_eform, total_derivative)
+from .model import (ParamDecl, PDESystem, Signature, make_system,
+                    time_derivative_diagnostics)
 from .prolong import AnsatzGenerator
 from .solver import Generator
 
@@ -72,7 +73,7 @@ def tokenize(text: str) -> list[Token]:
             # the named tuple built by tuple.__new__, without a Python call
             append(new(Token, (_KINDS[kind], m.group(kind), lineno,
                                m.start(kind) + 1)))
-    append(Token("EOF", "", len(lines) + 1, 1))
+    append(new(Token, ("EOF", "", len(lines) + 1, 1)))
     return tokens
 
 
@@ -126,15 +127,22 @@ def _num_fraction(s: _Stream) -> Fraction:
 
 class ExprParser:
     """Recursive-descent expression parser bound to a signature.  extra_syms
-    admits additional free constants (generator files declare their own)."""
+    admits additional free constants (generator files declare their own).
+
+    The descent reads the stream's tokens and position directly, not
+    through the stream's methods, and a name of the signature parses to
+    its node of Signature.named_atoms."""
 
     def __init__(self, sig: Signature, stream: _Stream,
                  extra_syms: Optional[set[str]] = None):
         self.sig = sig
         self.s = stream
-        # the names that parse to a Sym: alpha, parameters, extra constants
-        self.constants = {sig.alpha_name, *(p.name for p in sig.params),
-                          *(extra_syms or ())}
+        self.tokens = stream.tokens
+        # the names that parse to an atom: the signature's, and the extra
+        # constants, each a Sym
+        self.atoms = sig.named_atoms
+        if extra_syms:
+            self.atoms = {**self.atoms, **{name: Sym(name) for name in extra_syms}}
         self.fn_args = dict(sig.fn_decls)
 
     def parse(self) -> Expr:
@@ -142,24 +150,31 @@ class ExprParser:
 
     def _sum(self) -> Expr:
         """The terms, signed, added at once."""
-        op = self.s.peek().text
-        if op in ("+", "-"):
-            self.s.next()
+        s, tokens = self.s, self.tokens
+        op = tokens[s.i].text
+        if op == "+" or op == "-":
+            s.i += 1
         terms = []
         while True:
             e = self._product()
             terms.append(neg(e) if op == "-" else e)
-            op = self.s.peek().text
-            if op not in ("+", "-"):
-                return _nadd(terms)
-            self.s.next()
+            op = tokens[s.i].text
+            if op != "+" and op != "-":
+                # a lone term is canonical already
+                return terms[0] if len(terms) == 1 else _nadd(terms)
+            s.i += 1
 
     def _product(self) -> Expr:
         """The factors, a divisor as its reciprocal, multiplied at once."""
+        s, tokens = self.s, self.tokens
         factors = [self._power()]
-        while self.s.peek().text in ("*", "/"):
-            op = self.s.next().text
-            at = self.s.peek()
+        while True:
+            op = tokens[s.i].text
+            if op != "*" and op != "/":
+                # a lone factor is canonical already
+                return factors[0] if len(factors) == 1 else _nmul(factors)
+            s.i += 1
+            at = tokens[s.i]
             rhs = self._power()
             if op == "*":
                 factors.append(rhs)
@@ -167,19 +182,20 @@ class ExprParser:
                 raise DslSemanticError("division by zero", at.line, at.col)
             else:
                 factors.append(div(ONE, rhs))
-        return _nmul(factors)
 
     def _power(self) -> Expr:
-        at = self.s.peek()
+        s, tokens = self.s, self.tokens
+        at = tokens[s.i]
         base = self._primary()
-        if self.s.peek().text == "^":
-            tok = self.s.next()
-            exp = self._exponent(tok)
-            try:
-                return pow_(base, exp)
-            except ZeroDivisionError as exc:
-                raise DslSemanticError(str(exc), at.line, at.col) from exc
-        return base
+        if tokens[s.i].text != "^":
+            return base
+        tok = tokens[s.i]
+        s.i += 1
+        exp = self._exponent(tok)
+        try:
+            return pow_(base, exp)
+        except ZeroDivisionError as exc:
+            raise DslSemanticError(str(exc), at.line, at.col) from exc
 
     def _exponent(self, at: Token):
         t = self.s.peek()
@@ -204,21 +220,23 @@ class ExprParser:
         return form
 
     def _primary(self) -> Expr:
-        t = self.s.peek()
+        s = self.s
+        t = self.tokens[s.i]
+        kind = t.kind
+        if kind == "IDENT":
+            s.i += 1
+            return self._ident(t)
+        if kind == "NUM":
+            s.i += 1
+            return Rat(_number(t.text))
         if t.text == "(":
-            self.s.next()
+            s.i += 1
             e = self._sum()
-            self.s.expect(")")
+            s.expect(")")
             return e
         if t.text == "-":
-            self.s.next()
+            s.i += 1
             return neg(self._power())
-        if t.kind == "NUM":
-            self.s.next()
-            return Rat(_number(t.text))
-        if t.kind == "IDENT":
-            self.s.next()
-            return self._ident(t)
         raise DslSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
 
     def _deriv_op(self, t: Token) -> Expr:
@@ -234,25 +252,27 @@ class ExprParser:
         self.s.expect("(")
         inner = self._sum()
         self.s.expect(")")
+        if inner.__class__ is Jet and not inner.t_order and inner.frac is None:
+            # D_v^order of a jet is the jet of the raised order
+            theta = list(inner.theta)
+            theta[v.axis] += order
+            return self.sig.u(inner.dep, tuple(theta))
         out = inner
         for _ in range(order):
             out = total_derivative(out, v)
         return out
 
     def _atom_ident(self, t: Token) -> Expr:
-        name = t.text
-        if name in self.constants:
-            return Sym(name)
-        if name in self.sig.dep_names:
-            return self.sig.dep(name)
-        if name == self.sig.t_name:
-            return self.sig.t
-        if name in self.sig.space_names:
-            return self.sig.space(name)
-        raise DslSemanticError(f"undeclared symbol {name!r}", t.line, t.col)
+        atom = self.atoms.get(t.text)
+        if atom is None:
+            raise DslSemanticError(f"undeclared symbol {t.text!r}", t.line, t.col)
+        return atom
 
     def _ident(self, t: Token) -> Expr:
         name = t.text
+        atom = self.atoms.get(name)
+        if atom is not None:
+            return atom
         if name == "Gamma":
             self.s.expect("(")
             inner = self._sum()
@@ -263,10 +283,9 @@ class ExprParser:
             inner = self._sum()
             self.s.expect(")")
             return Fn(name, (inner,))
-        if (len(name) > 1 and name[0] == "D"
-                and(name[1:] == self.sig.t_name or name[1:] in self.sig.space_names)):
+        if name in self.sig.operator_names:
             return self._deriv_op(t)
-        return self._atom_ident(t)
+        raise DslSemanticError(f"undeclared symbol {name!r}", t.line, t.col)
 
 
 def _clash(name: str, sig: Signature) -> Optional[str]:
@@ -474,12 +493,11 @@ def parse_system(text: str) -> PDESystem:
     # variables and dependents, so they are checked once all are declared
     ans = AnsatzGenerator(sig, alpha_expr)
     taken = ans.unknown_names() | set(ans.gamma_symbols())
-    operators = {f"D{v}" for v in (sig.t_name, *spaces)}
     for name, tok in seen.items():
         if name in taken:
             raise DslSemanticError(f"{name!r} names an unknown of the "
                                    "symmetry generator", tok.line, tok.col)
-        if name in operators:
+        if name in sig.operator_names:
             raise DslSemanticError(f"{name!r} names a derivative operator",
                                    tok.line, tok.col)
 
@@ -516,8 +534,10 @@ def parse_system(text: str) -> PDESystem:
 
     sys = make_system(sig, [rhs_by_dep[d] for d in deps], alpha=alpha_expr,
                       source=text)
-    issues = [d for d in validate_system(sys)
-              if d.code in ("TimeDerivativeOnRHS", "AlphaOutOfRange")]
+    # a numeric alpha outside (0, 1) was refused at its declaration, and
+    # make_system leaves no jet in H: the jets of F are all left to check
+    issues = [d for s, jets in enumerate(sys.jets)
+              for d in time_derivative_diagnostics(sys, s, jets)]
     if issues:
         raise DslSemanticError("; ".join(str(d) for d in issues))
     return sys

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import sub
 
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Jet, ONE, Rat, Sym, Var, ZERO, _is_zero, _nadd,
-                   _nmul, _npow, diff_wrt, partial_derivative, total_derivative)
+from .expr import (Expr, Fn, ONE, Rat, Sym, Var, ZERO, _is_zero, _nadd, _nmul,
+                   _npow, diff_wrt, partial_derivative, total_derivative)
 from .model import Signature
 from .records import record
 
@@ -172,6 +173,7 @@ class Prolongation:
         self.h = list(h)
         self.h_frac = list(h_frac)
         self._derived: dict[tuple, Expr] = {}
+        self._walks: dict[tuple, list] = {}
         self._eta: dict[tuple, list] = {}
 
     def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
@@ -196,10 +198,13 @@ class Prolongation:
         """(beta, d^beta coeff) for every beta <= theta whose derivative is
         nonzero.  beta + e_i, i at or after the last axis of beta, is
         derived from beta, as _derivative does, and only from a nonzero
-        one."""
-        out = []
+        one.  Walked once per (slot, theta)."""
         if _is_zero(coeff):
+            return []
+        out = self._walks.get((slot, theta))
+        if out is not None:
             return out
+        out = self._walks[(slot, theta)] = []
         stack = [((0,) * len(theta), coeff, 0)]
         while stack:
             beta, d, last = stack.pop()
@@ -221,24 +226,29 @@ class Prolongation:
         nonzero term of the Leibniz sum, so a jet may recur, and the
         jet-free d^theta h_s under ONE when it is nonzero.  Computed once
         per (s, theta)."""
-        theta = self._full(theta)
+        sig = self.sig
+        if theta.__class__ is not tuple or len(theta) != sig.p:
+            theta = self._full(theta)
         out = self._eta.get((s, theta))
         if out is not None:
             return out
-        sig = self.sig
         out = []
-        for j in range(sig.q):
-            slot = ("a", s, j)
-            for beta, d in self._nonzero_derivatives(self.a[s][j], slot, theta):
-                rest = tuple(k - b for k, b in zip(theta, beta))
-                out.append((Jet(j, rest), _weighted(_weight(theta, beta), d)))
-        for i in range(sig.p):
-            for beta, d in self._nonzero_derivatives(self.xi[i], ("xi", i), theta):
+        for j, a in enumerate(self.a[s]):
+            if _is_zero(a):
+                continue
+            for beta, d in self._nonzero_derivatives(a, ("a", s, j), theta):
+                rest = tuple(map(sub, theta, beta))
+                out.append((sig.u(j, rest), _weighted(_weight(theta, beta), d)))
+        for i, xi in enumerate(self.xi):
+            if _is_zero(xi):
+                continue
+            for beta, d in self._nonzero_derivatives(xi, ("xi", i), theta):
                 if not any(beta):
                     continue
-                bumped = tuple(k - b + (m == i)
-                               for m, (k, b) in enumerate(zip(theta, beta)))
-                out.append((Jet(s, bumped), _weighted(-_weight(theta, beta), d)))
+                bumped = list(map(sub, theta, beta))
+                bumped[i] += 1
+                out.append((sig.u(s, tuple(bumped)),
+                            _weighted(-_weight(theta, beta), d)))
         dh = self._derivative(self.h[s], ("h", s), theta)
         if dh != ZERO:
             out.append((ONE, dh))
@@ -253,7 +263,7 @@ def _weight(theta: tuple[int, ...], beta: tuple[int, ...]) -> int:
     """C(theta, beta), the product of the binomials per axis."""
     if not any(beta):
         return 1
-    return math.prod(math.comb(k, b) for k, b in zip(theta, beta))
+    return math.prod(map(math.comb, theta, beta))
 
 
 def _weighted(w: int, d: Expr) -> Expr:

@@ -7,7 +7,10 @@ a certified template library; each coefficient is a column of an exact
 linear system over the rational functions in the parameters.  The solver
 emits a normalized basis with machine-checked residual certificates: each
 generator's invariance condition is rebuilt from its own prolongation
-(admitted_prolongation), built already separated over jet monomials.
+(admitted_prolongation), built already separated over jet monomials.  Each
+eta_s is split once by the jet factor of its terms, and A_sj, h_s and the
+shape checks are read off that split; a Field is built only for a zero
+test that is actually needed.
 
 Every determining equation is homogeneous linear in the unknowns, so each
 is compiled once into operator form: per term, the unknown, its derivative
@@ -39,10 +42,9 @@ from typing import Optional, Sequence
 
 from .exponents import UNIT_FORM, ZERO_FORM, Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
-                   _nadd, _nmul, _npow, add_terms, any_node, atoms,
-                   depends_on_jets, diff_wrt, expand, mul_factors,
-                   partial_derivative, render, split_factors, split_power,
-                   substitute, to_eform)
+                   _nadd, _nmul, _npow, add_terms, any_node, depends_on_jets,
+                   expand, mul_factors, partial_derivative, render,
+                   split_factors, split_power, substitute, to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature
@@ -113,22 +115,29 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
                           assumptions: Optional[Assumptions] = None
                           ) -> Prolongation:
     """The prolongation of a concrete generator, from which the invariance
-    condition is re-derived for verification.  d eta_s/d u_j, h_s and
-    Dt^alpha h_s are computed once per generator; assumptions go to
+    condition is re-derived for verification.  Each eta_s is expanded and
+    split once by the jet factor of its terms: the class of u_j gives
+    A_sj = d eta_s/d u_j and the jet-free class gives h_s, whose
+    Dt^alpha h_s is computed once per generator; assumptions go to
     rl_derivative, whose default they keep when None.
 
     The Leibniz prolongation holds only on the admitted shape, so any other
-    generator is refused with ShapeViolation.  The shape is decided on
-    values: the summed coefficient of each power of t in tau and in the
-    xi_i, and the t-slopes of d eta/d u, go through the Field's zero test,
-    so a coefficient that is zero only once simplified, (k^2-1)/((k-1)(k+1))
-    - 1 say, does not count as a term."""
+    generator is refused with ShapeViolation: among them every eta with a
+    class of another jet monomial, a derivative jet u_x or a product u*v
+    say, which the prolongation would take for a function of (t, x).
+    The shape is decided on values: the summed coefficient of each power
+    of t in tau, in the xi_i and in the A_sj goes through the Field's zero
+    test, so a coefficient that is zero only once simplified,
+    (k^2-1)/((k-1)(k+1)) - 1 say, does not count as a term.  The Field is
+    built at the first such test."""
     sig = gen.sig
     t = sig.t
-    fld = Field(assumptions)
+    fields: list[Field] = []
 
     def vanishes(coeffs: list[Expr]) -> bool:
-        return fld.elem(_nadd(coeffs)).is_zero()
+        if not fields:
+            fields.append(Field(assumptions))
+        return fields[0].elem(_nadd(coeffs)).is_zero()
 
     def free_of_t(e: Expr) -> bool:
         # t only in powers whose summed coefficients vanish
@@ -138,7 +147,7 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
 
     chi2 = ZERO
     for texp, coeffs in _t_powers(gen.tau, t).items():
-        if any(depends_on_jets(c) or atoms(c, Var) for c in coeffs):
+        if any(any_node(c, _jet_or_variable) for c in coeffs):
             raise ShapeViolation("tau must be a polynomial in t with constant "
                                  "coefficients")
         if texp == _T2:
@@ -146,19 +155,25 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
         elif texp != UNIT_FORM and not vanishes(coeffs):
             raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
     for i, xi in enumerate(gen.xi):
-        if depends_on_jets(xi) or (any(v.is_time for v in atoms(xi, Var))
-                                   and not free_of_t(xi)):
+        # one walk finds whether xi holds a jet or t at all
+        if any_node(xi, _jet_or_time) and (depends_on_jets(xi)
+                                           or not free_of_t(xi)):
             raise ShapeViolation(f"xi_{sig.space_names[i]} must depend on "
                                  "the space variables only")
-    a = [[diff_wrt(eta, sig.u(i)) for i in range(sig.q)] for eta in gen.eta]
-    if any(depends_on_jets(d) for row in a for d in row):
-        raise ShapeViolation("eta must be linear in the dependents")
+    a, h = [], []
+    for eta in gen.eta:
+        row, hs, other = _split_eta(eta, sig.q)
+        if any(not vanishes(coeffs) for coeffs in other):
+            raise ShapeViolation("eta must be linear in the dependents")
+        a.append(row)
+        h.append(hs)
     slope = _nmul([_nadd([alpha, Rat(-1)]), chi2])
     for s, row in enumerate(a):
         for j, d in enumerate(row):
-            dt = partial_derivative(d, t)
             want = slope if j == s else ZERO
-            if dt == want or vanishes([dt, _nmul([Rat(-1), want])]):
+            if d == ZERO and want == ZERO:
+                continue
+            if _has_t_slope(d, want, t, vanishes):
                 continue
             if j != s:
                 raise ShapeViolation(
@@ -166,8 +181,6 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
             raise ShapeViolation(
                 "the t-slope of the u_s-coefficient of eta_s must equal "
                 "(alpha-1)*chi2")
-    h = [_nadd([eta] + [_nmul([Rat(-1), d, sig.u(j)]) for j, d in enumerate(row)])
-         for eta, row in zip(gen.eta, a)]
     h_frac = [ZERO if hs == ZERO else
               rl_derivative(PowerSum.from_expr(hs, t), alpha, tvar=t,
                             assumptions=assumptions).to_expr()
@@ -186,6 +199,73 @@ def _t_powers(e: Expr, t: Var) -> dict[ExponentForm, list[Expr]]:
             texp, coeff = split_power(term, t)
             out.setdefault(texp, []).append(coeff)
     return out
+
+
+def _split_eta(eta: Expr, q: int
+               ) -> tuple[list[Expr], Expr, list[list[Expr]]]:
+    """(A_s, h_s, other) of one expanded eta_s, from the jet factor of each
+    term: A_s[j] sums the coefficients of the plain dependent u_j, h_s the
+    jet-free terms, and other holds the coefficients of each further jet
+    monomial (a derivative jet, a power or a product of dependents, a jet
+    inside a function), grouped by monomial."""
+    a: list[list[Expr]] = [[] for _ in range(q)]
+    h: list[Expr] = []
+    other: dict[tuple, list[Expr]] = {}
+    for term in add_terms(expand(eta)):
+        jets, rest = [], []
+        for f in mul_factors(term):
+            (jets if _holds_jet(f) else rest).append(f)
+        if not jets:
+            if term != ZERO:
+                h.append(term)
+        elif len(jets) == 1 and _is_dependent(jets[0]):
+            a[jets[0].dep].append(_nmul(rest))
+        else:
+            other.setdefault(_nmul(jets).key(), []).append(_nmul(rest))
+    return [_nadd(c) for c in a], _nadd(h), list(other.values())
+
+
+def _jet_or_variable(x: Expr) -> bool:
+    return x.__class__ is Jet or x.__class__ is Var
+
+
+def _jet_or_time(x: Expr) -> bool:
+    return x.__class__ is Jet or (x.__class__ is Var and x.axis < 0)
+
+
+def _holds_jet(f: Expr) -> bool:
+    cls = f.__class__
+    if cls is Jet:
+        return True
+    return cls is not Rat and cls is not Sym and cls is not Var \
+        and depends_on_jets(f)
+
+
+def _is_dependent(f: Expr) -> bool:
+    """f is a plain dependent u_j: no derivative, no fractional marker."""
+    return (f.__class__ is Jet and f.t_order == 0 and f.frac is None
+            and not any(f.theta))
+
+
+def _has_t_slope(d: Expr, want: Expr, t: Var, vanishes) -> bool:
+    """Whether d_t d equals want, d the expanded coefficient of a dependent
+    in eta, read off its t-powers: the t^1 coefficient equals want and
+    every power but t^0 and t^1 has a vanishing coefficient.  A
+    coefficient holding t in another form, (1 + t)^(1/2) say, is
+    differentiated instead."""
+    powers = _t_powers(d, t)
+    if any(any_node(c, lambda x: x == t) for cs in powers.values() for c in cs):
+        dt = partial_derivative(d, t)
+        return dt == want or vanishes([dt, _nmul([Rat(-1), want])])
+    linear = powers.pop(UNIT_FORM, None)
+    powers.pop(ZERO_FORM, None)
+    if linear is None:
+        if not (want == ZERO or vanishes([want])):
+            return False
+    elif not ((len(linear) == 1 and linear[0] == want)
+              or vanishes(linear + [_nmul([Rat(-1), want])])):
+        return False
+    return all(vanishes(coeffs) for coeffs in powers.values())
 
 
 @record(frozen=True)
@@ -213,12 +293,19 @@ def verify_generator(sys: PDESystem, gen: Generator,
     sum of prolong.Prolongation, computed once per generator, and the facts
     of the system are those the system computed once."""
     asm = assumptions if assumptions is not None else sys.assumptions()
-    fld = Field(asm)
+    fld: Optional[Field] = None
     frac_res = []
     int_res = []
     for frac, fragments in invariance_condition(
             sys, admitted_prolongation(gen, sys.alpha, asm)):
-        frac_res.append(fld.to_expr(fld.elem(frac)))
+        # a structural ZERO needs no zero test, and the fragments are the
+        # classes that survived expand: the Field is built for the first
+        # residual to test
+        if fld is None and (frac != ZERO or fragments):
+            fld = Field(asm)
+        if frac != ZERO:
+            frac = fld.to_expr(fld.elem(frac))
+        frac_res.append(frac)
         kept = []
         for mono, coeff in fragments:
             c = fld.elem(coeff)

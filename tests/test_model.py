@@ -2,12 +2,13 @@
 round trips."""
 import pytest
 
-from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, ZERO,
+from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, Var, ZERO,
                      add, classify_terms, expand, mul, neg,
                      parse_system, pow_, simplify, validate_system)
-from fraclie.lemmas import emit_dsl
+from fraclie.lemmas import (emit_dsl, jet_coefficients_of_whole_rhs,
+                            rhs_partials_of_whole_rhs)
 from fraclie.model import make_system, Signature
-from conftest import HS_SRC, TELE_SRC, ZK_SRC
+from conftest import DEMOS, HS_SRC, TELE_SRC, ZK_SRC
 
 
 class TestParse:
@@ -163,3 +164,78 @@ class TestValidate:
         sys = make_system(sig, [sig.u(0, (1,))], alpha=Rat(2))
         codes = [d.code for d in validate_system(sys)]
         assert "AlphaOutOfRange" in codes
+
+
+_ROOT = DEMOS.parent
+SYSTEM_FILES = sorted([*(_ROOT / "demos").glob("*.fpde"),
+                       *(_ROOT / "tests" / "corpus").glob("*.fpde"),
+                       *(_ROOT / "perfbench" / "inputs").glob("*.fpde")])
+
+
+def _keyed(facts):
+    """A nested tuple of facts with every expression replaced by its key."""
+    if isinstance(facts, (tuple, list)):
+        return tuple(_keyed(f) for f in facts)
+    return facts.key()
+
+
+class TestSystemFacts:
+    """The facts the invariance condition reads come from the fragments of
+    rhs_s; the route through the whole rhs (fraclie.lemmas) is the
+    reference, key for key."""
+
+    def test_all_systems_are_read(self):
+        assert len(SYSTEM_FILES) == 24
+
+    @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
+    def test_rhs_partials_equal_the_whole_rhs_route(self, path):
+        sys = parse_system(path.read_text())
+        assert _keyed(sys.rhs_partials) == _keyed(rhs_partials_of_whole_rhs(sys))
+
+    @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
+    def test_jet_coefficients_equal_the_whole_rhs_route(self, path):
+        sys = parse_system(path.read_text())
+        assert _keyed(sys.jet_coefficients) \
+            == _keyed(jet_coefficients_of_whole_rhs(sys))
+
+    def test_a_variable_inside_a_jet_monomial(self):
+        # (x + u)^(1/2) holds x with the jet: that fragment is
+        # differentiated whole
+        sys = parse_system("alpha a; space x; dep u;"
+                           " Dt^a(u) = t*(x + u)^(1/2)*Dx(u) + x^2*Dx(u);")
+        assert _keyed(sys.rhs_partials) == _keyed(rhs_partials_of_whole_rhs(sys))
+        assert _keyed(sys.jet_coefficients) \
+            == _keyed(jet_coefficients_of_whole_rhs(sys))
+
+
+class TestSignatureNodes:
+    """t, x(i), space(name) and the plain u(s) are built once per
+    signature, and equal freshly built nodes."""
+
+    def test_equal_to_fresh_nodes(self):
+        sig = Signature("a", ("x", "y"), ("u", "v"))
+        assert sig.t == Var("t", -1) and sig.t.key() == Var("t", -1).key()
+        for i, name in enumerate(sig.space_names):
+            assert sig.x(i) == Var(name, i)
+            assert sig.space(name) == Var(name, i)
+        for s, name in enumerate(sig.dep_names):
+            assert sig.u(s) == Jet(s, (0, 0))
+            assert sig.dep(name) == Jet(s, (0, 0))
+
+    def test_built_once(self):
+        sig = Signature("a", ("x",), ("u",))
+        assert sig.t is sig.t
+        assert sig.x(0) is sig.x(0) and sig.space("x") is sig.x(0)
+        assert sig.u(0) is sig.u(0) and sig.dep("u") is sig.u(0)
+
+    def test_jets_with_orders_are_built_fresh(self):
+        sig = Signature("a", ("x", "y"), ("u",))
+        assert sig.u(0, (1,)) == Jet(0, (1, 0))
+        assert sig.u(0, (), 1) == Jet(0, (0, 0), 1)
+        assert sig.u(0, (), 0, 2) == Jet(0, (0, 0), 0, 2)
+
+    def test_equal_signatures_stay_equal(self):
+        a = Signature("a", ("x",), ("u",))
+        b = Signature("a", ("x",), ("u",))
+        a.t, a.x(0), a.u(0)
+        assert a == b and hash(a) == hash(b)

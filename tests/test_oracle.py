@@ -8,11 +8,17 @@ from fractions import Fraction
 import pytest
 
 from fraclie import oracle
-from fraclie import (ExponentForm, PowerSum, Rat, SingularInput, Var, ONE,
-                     evaluate, numeric_rl_oracle, pow_)
+from fraclie import (ExponentForm, Gamma, Jet, Mul, Pow, PowerSum, Rat,
+                     SingularInput, Sym, Var, ONE, add, evaluate, mul,
+                     numeric_rl_oracle, pow_, rl_derivative)
 
 F = Fraction
 t = Var("t", -1)
+
+# the power-rule grid of the certify benchmark workload
+CERTIFY_G = (F(1, 2), F(1), F(2), F(5, 2), F(3))
+CERTIFY_A = (F(1, 4), F(1, 2), F(3, 4))
+CERTIFY_T = (0.5, 1.0, 2.0)
 
 
 def mono(g) -> PowerSum:
@@ -90,6 +96,44 @@ class TestEvaluate:
     def test_power_with_exponent_form(self):
         e = pow_(t, ExponentForm.symbol("a") - ExponentForm.rational(1))
         assert abs(evaluate(e, {"t": 4.0, "a": 0.5}) - 4.0 ** (-0.5)) < 1e-14
+
+    def test_values_equal_a_plain_recursive_walk(self):
+        # the power rule's outputs on the certify grid, and a sum of
+        # terms, evaluated by the dispatch table and by a walk that sums
+        # each Add's terms in order: the same floats
+        def walk(x, env):
+            if isinstance(x, Rat):
+                return float(x.value)
+            if isinstance(x, (Sym, Var)):
+                return env[x.name]
+            if isinstance(x, Gamma):
+                return math.gamma(walk(x.arg, env))
+            if isinstance(x, Pow):
+                return walk(x.base, env) ** sum(
+                    float(c) * math.prod(env[n] ** k for n, k in mono)
+                    for mono, c in x.exp.coeffs)
+            if isinstance(x, Mul):
+                out = 1.0
+                for f in x.factors:
+                    out *= walk(f, env)
+                return out
+            total = 0
+            for term in x.terms:
+                total += walk(term, env)
+            return total
+
+        exprs = [rl_derivative(mono(g), a, tvar=t).to_expr()
+                 for g in CERTIFY_G for a in CERTIFY_A]
+        exprs.append(add(mul(F(1, 3), Gamma(Rat(F(1, 3))), pow_(t, F(2, 3))),
+                         Rat(F(-7, 5)), mul(Sym("a"), pow_(t, Sym("a")))))
+        for e in exprs:
+            for tv in CERTIFY_T:
+                env = {"t": tv, "a": 0.375}
+                assert evaluate(e, env) == walk(e, env)
+
+    def test_a_jet_is_refused(self):
+        with pytest.raises(TypeError):
+            evaluate(Jet(0, (1,)), {})
 
 
 def test_import_loads_neither_numpy_nor_scipy():
@@ -185,6 +229,47 @@ class TestQuadratureRules:
         again = oracle._jacobi_rule.cache_info().misses
         numeric_rl_oracle(mono(F(7, 3)), F(5, 17), [0.25, 3.0, 4.0])
         assert oracle._jacobi_rule.cache_info().misses == again
+
+    @pytest.mark.parametrize("n", [oracle._NODES, oracle._NODES // 2])
+    def test_recurrence_table_gives_the_same_floats(self, n):
+        # the Jacobi recurrence with its z-free coefficients read from
+        # _recurrence, against the step written out in full
+        def jacobi(n, alf, z):
+            p0, p1 = 1.0, (alf + (alf + 2.0) * z) / 2.0
+            for j in range(2, n + 1):
+                c = 2.0 * j + alf
+                p0, p1 = p1, (((c - 1.0) * (alf * alf + c * (c - 2.0) * z) * p1
+                               - 2.0 * (j - 1.0 + alf) * (j - 1.0) * c * p0)
+                              / (2.0 * j * (j + alf) * (c - 2.0)))
+            c = 2.0 * n + alf
+            dp = ((n * (alf - c * z) * p1 + 2.0 * n * (n + alf) * p0)
+                  / (c * (1.0 - z) * (1.0 + z)))
+            return p1, dp
+
+        for a in (0.125, 0.25, 0.375, 0.5, 0.75, 5 / 17, 0.875):
+            steps = oracle._recurrence(n, -a)
+            for k in range(-40, 41):
+                z = k / 41 + 1e-3
+                assert oracle._jacobi(n, -a, z, steps) == jacobi(n, -a, z)
+
+    @pytest.mark.parametrize("nodes", [oracle._NODES, oracle._NODES // 2])
+    def test_one_fsum_equals_the_node_by_node_sum(self, nodes):
+        # on the certify grid and on a power sum of three terms
+        sums = [[(1.0, g)] for g in CERTIFY_G]
+        sums.append([(2.5, F(1, 2)), (-1.25, F(7, 3)), (0.75, F(0))])
+        for terms in sums:
+            for a in map(float, CERTIFY_A):
+                for tv in CERTIFY_T:
+                    m = math.lcm(*(g.denominator for _, g in terms))
+                    weights, rhos = oracle._jacobi_rule(nodes, a, m)
+                    scaled = [(c * (1.0 - a + float(g)) * tv ** float(g),
+                               m // g.denominator * (g.numerator + g.denominator) - 1)
+                              for c, g in terms]
+                    bracket = math.fsum(wi * c * ri ** k
+                                        for wi, ri in zip(weights, rhos)
+                                        for c, k in scaled)
+                    want = tv ** (-a) / math.gamma(1.0 - a) * bracket
+                    assert oracle._gauss_jacobi_rl(terms, a, tv, nodes) == want
 
     def test_a_new_m_reuses_the_nodes(self):
         # an order no other test uses; the second exponent needs a new m

@@ -527,6 +527,36 @@ class TestVerifyGenerator:
         with pytest.raises(ShapeViolation):
             verify_generator(zk, gen)
 
+    @pytest.mark.parametrize("text", ["eta[u] = t^(a-1)*Dx(v);",
+                                      "eta[u] = Dx(v);"],
+                             ids=["kernel-times-v_x", "v_x"])
+    def test_derivative_jet_in_eta_refused(self, text):
+        # not a point generator: v_x is neither a dependent nor a function
+        # of (t, x), so the Leibniz prolongation does not hold for it
+        sys = parse_system(_PAIR_SRC)
+        with pytest.raises(ShapeViolation, match="eta must be linear in the dependents"):
+            verify_generator(sys, parse_generator(text, sys.sig)[0])
+
+    @pytest.mark.parametrize("text", ["eta[u] = u*v;", "eta[u] = x*Dx(u)*u;",
+                                      "eta[v] = Gamma(1 + u);"],
+                             ids=["product", "jet-times-dependent", "jet-in-gamma"])
+    def test_other_jet_monomials_in_eta_refused(self, text):
+        sys = parse_system(_PAIR_SRC)
+        with pytest.raises(ShapeViolation, match="eta must be linear in the dependents"):
+            verify_generator(sys, parse_generator(text, sys.sig)[0])
+
+    def test_a_jet_class_zero_in_value_is_no_jet(self):
+        # the u_x class of eta has the coefficient (k^2-1)/((k-1)(k+1)) - 1,
+        # zero once simplified: eta is the kernel shift t^(a-1)
+        sys = parse_system(_PAIR_SRC)
+        gen = parse_generator(f"param k; eta[v] = t^(a-1) + {_ZERO_IN_K}*Dx(u);",
+                              sys.sig)[0]
+        assert verify_generator(sys, gen) == verify_generator(
+            sys, parse_generator("eta[v] = t^(a-1);", sys.sig)[0])
+
+
+_PAIR_SRC = "alpha a; space x; dep u, v; Dt^a(u) = Dx(v); Dt^a(v) = Dx(v);"
+
 
 class TestNormalizeBasis:
     def test_rref_example(self, zk):

@@ -17,8 +17,8 @@ from .expr import (Add, CyclicBinding, Expr, Fn, FractionalChain, Gamma, Jet,
                    partial_derivative, pow_, render, simplify, substitute,
                    total_derivative)
 from .fraccalc import NotPowerSum, PowerSum, rl_derivative
-from .model import (Diagnostic, PDESystem, Signature, TermClassification,
-                    classify_terms, make_system, split_rhs, validate_system)
+from .model import (PDESystem, Signature, TermClassification, classify_terms,
+                    make_system, split_rhs, validate_system)
 from .parser import (DslSemanticError, DslSyntaxError, parse_expression,
                      parse_generator, parse_system)
 from .prolong import AnsatzGenerator

@@ -132,13 +132,19 @@ def separate(fragments: Fragments, sys: PDESystem) -> list[str]:
     equation's condition-2 fragments apart."""
     asm = sys.assumptions()
     forms: dict[tuple, tuple[ExponentForm, str]] = {}
-    profiles = [(_power_profile(m), m) for m, _ in fragments]
-    for a in range(len(profiles)):
-        for b in range(a + 1, len(profiles)):
-            (ska, pa), ma = profiles[a]
-            (skb, pb), mb = profiles[b]
-            if ska != skb:
-                continue
+    # only monomials of one skeleton are compared: each fragment's
+    # (powers, monomial) joins its skeleton's group, and is paired with the
+    # later members of that group, in the order of an all-pairs scan
+    groups: dict[tuple, list] = {}
+    places = []
+    for m, _ in fragments:
+        skeleton, powers = _power_profile(m)
+        group = groups.setdefault(skeleton, [])
+        places.append((group, len(group)))
+        group.append((powers, m))
+    for group, i in places:
+        pa, ma = group[i]
+        for pb, mb in group[i + 1:]:
             for dep in set(pa) | set(pb):
                 d = asm.undecided(pa.get(dep, ExponentForm())
                                   - pb.get(dep, ExponentForm()))

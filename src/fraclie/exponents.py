@@ -350,28 +350,26 @@ class UndecidableExponent(Exception):
 
 
 class Assumptions:
-    """Declared facts about exponent atoms.
+    """Declared facts about exponent atoms, all given to the constructor and
+    never changed after it, so one object can serve every reader.
 
     The fractional order symbol always lies in the open interval (0, 1).
-    Parameters may be declared positive / nonzero / inside an interval.
+    Parameters may be declared nonzero, positive, or inside an open
+    interval, given as (name, lo, hi).
     """
 
-    def __init__(self, alpha_name: Optional[str] = None):
+    def __init__(self, alpha_name: Optional[str] = None, *,
+                 nonzero: Iterable[str] = (), positive: Iterable[str] = (),
+                 intervals: Iterable[tuple[str, object, object]] = ()):
         self.alpha_name = alpha_name
         self._intervals: dict[str, Interval] = {}
-        self._nonzero: set[str] = set()
         if alpha_name is not None:
             self._intervals[alpha_name] = Interval(Fraction(0), Fraction(1), True, True)
-
-    # -- declarations --------------------------------------------------------
-    def declare_interval(self, name: str, lo, hi) -> None:
-        self._intervals[name] = Interval(Fraction(lo), Fraction(hi), True, True)
-
-    def declare_positive(self, name: str) -> None:
-        self._intervals[name] = Interval(Fraction(0), None, True, True)
-
-    def declare_nonzero(self, name: str) -> None:
-        self._nonzero.add(name)
+        for name, lo, hi in intervals:
+            self._intervals[name] = Interval(Fraction(lo), Fraction(hi), True, True)
+        for name in positive:
+            self._intervals[name] = Interval(Fraction(0), None, True, True)
+        self._nonzero = frozenset(nonzero)
 
     def is_declared_nonzero(self, name: str) -> bool:
         return name in self._nonzero or (name in self._intervals and

@@ -1,5 +1,5 @@
 """PDE system data model: signatures, the F/H split, term classification
-and validation diagnostics, and the facts of a system that the invariance
+and the input check, and the facts of a system that the invariance
 condition reads, each separated over jet monomials once per system.
 
 rhs_s is split once (jet_fragments), and every other fact is read off
@@ -118,25 +118,19 @@ class Signature:
         """The derivative operators of the input language, D<t> and D<x_i>."""
         return frozenset(f"D{name}" for name in (self.t_name, *self.space_names))
 
+    @cached_property
+    def _assumptions(self) -> Assumptions:
+        params = self.params
+        return Assumptions(
+            self.alpha_name,
+            nonzero=[p.name for p in params if p.kind == "nonzero"],
+            positive=[p.name for p in params if p.kind == "positive"],
+            intervals=[(p.name, p.lo, p.hi) for p in params if p.kind == "interval"])
+
     def assumptions(self) -> Assumptions:
-        asm = Assumptions(self.alpha_name)
-        for p in self.params:
-            if p.kind == "nonzero":
-                asm.declare_nonzero(p.name)
-            elif p.kind == "positive":
-                asm.declare_positive(p.name)
-            elif p.kind == "interval":
-                asm.declare_interval(p.name, p.lo, p.hi)
-        return asm
-
-
-@record(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-
-    def __str__(self):
-        return f"{self.code}: {self.message}"
+        """The declared facts of alpha and the parameters: one object per
+        signature, which nothing changes."""
+        return self._assumptions
 
 
 @record(frozen=True)
@@ -351,37 +345,18 @@ def make_system(sig: Signature, rhs_list: list[Expr], alpha: Optional[Expr] = No
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_system(sys: PDESystem) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
-    if isinstance(sys.alpha, Rat):
-        if not (0 < sys.alpha.value < 1):
-            out.append(Diagnostic("AlphaOutOfRange",
-                                  f"fractional order {sys.alpha.value} is outside (0,1)"))
-    for s in range(sys.q):
-        h_jets = atoms(sys.H[s], Jet)
-        out += time_derivative_diagnostics(sys, s, sys.jets[s] + tuple(h_jets))
-        if h_jets:
-            out.append(Diagnostic("HContainsJets",
-                                  f"equation {sys.sig.dep_names[s]}: source part depends on u"))
-        for term in add_terms(sys.F[s]):
-            if term != ZERO and not depends_on_jets(term):
-                out.append(Diagnostic("FTermWithoutJets",
-                                      f"equation {sys.sig.dep_names[s]}: F holds a pure source term"))
-    for i, name in enumerate(sys.sig.space_names):
-        coupled = any(j.theta[i] >= 1 for jets in sys.jets for j in jets)
-        if not coupled:
-            out.append(Diagnostic("MissingSpaceCoupling",
-                                  f"no equation differentiates any dependent in {name}"))
-    return out
-
-
-def time_derivative_diagnostics(sys: PDESystem, s: int, jets) -> list[Diagnostic]:
-    """One TimeDerivativeOnRHS diagnostic of equation s per jet among jets
-    with a t-order or a fractional marker."""
-    return [Diagnostic("TimeDerivativeOnRHS",
-                       f"equation {sys.sig.dep_names[s]}: a t-derivative jet "
-                       "appears on the right-hand side")
-            for j in jets if j.t_order > 0 or j.frac is not None]
+def validate_system(sys: PDESystem) -> list[tuple[str, str]]:
+    """The problems of a system, each as (the declared name it is about,
+    message); parse_system raises the first at that declaration.  A space
+    variable in which no equation differentiates a dependent is one: the
+    invariance condition then leaves its xi arbitrary, an algebra of no
+    finite dimension.  The parser refuses a t-derivative on a right-hand
+    side and a numeric alpha outside (0, 1) at their tokens, and
+    make_system's F/H split leaves no jet in H and no pure source in F, so
+    nothing else is left to check."""
+    return [(name, f"no equation differentiates any dependent in {name!r}")
+            for i, name in enumerate(sys.sig.space_names)
+            if not any(j.theta[i] for jets in sys.jets for j in jets)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 from .expr import (Expr, Fn, Gamma, Jet, ONE, Rat, Sym, ZERO, _nadd, _nmul,
                    div, neg, pow_, to_eform, total_derivative)
 from .model import (ParamDecl, PDESystem, Signature, make_system,
-                    time_derivative_diagnostics)
+                    validate_system)
 from .prolong import AnsatzGenerator
 from .solver import Generator
 
@@ -398,13 +398,16 @@ def parse_generator(text: str, sig: Signature):
 
 
 def parse_system(text: str) -> PDESystem:
+    """Parse a system file.  Every input check runs here, each failure
+    raised at its token or declaration; the last is validate_system's, on
+    the parsed system."""
     stream = _Stream(tokenize(text))
     params: list[ParamDecl] = []
     alpha_name: Optional[str] = None
     alpha_value: Optional[Fraction] = None
     spaces: list[str] = []
     deps: list[str] = []
-    fns: list[tuple[str, str]] = []
+    fns: list[tuple[str, Token]] = []
     seen: dict[str, Token] = {}
 
     def declare(tok: Token):
@@ -472,7 +475,7 @@ def parse_system(text: str) -> PDESystem:
             stream.expect("(")
             arg = stream.expect_kind("IDENT")
             stream.expect(")")
-            fns.append((nt.text, arg.text))
+            fns.append((nt.text, arg))
         stream.expect(";")
 
     if alpha_name is None:
@@ -482,12 +485,13 @@ def parse_system(text: str) -> PDESystem:
         t = stream.peek()
         raise DslSemanticError("missing dep declaration", t.line, t.col)
     for fname, arg in fns:
-        if arg not in deps:
-            raise DslSemanticError(f"fn {fname} argument {arg!r} is not a dependent")
+        if arg.text not in deps:
+            raise DslSemanticError(f"fn {fname} argument {arg.text!r} is not a "
+                                   "dependent", arg.line, arg.col)
 
     sig = Signature(alpha_name=alpha_name, space_names=tuple(spaces),
                     dep_names=tuple(deps), params=tuple(params),
-                    fn_decls=tuple(fns))
+                    fn_decls=tuple((fname, arg.text) for fname, arg in fns))
     alpha_expr: Expr = Rat(alpha_value) if alpha_value is not None else Sym(alpha_name)
     # the generator's unknowns and gamma_s depend on the counts of space
     # variables and dependents, so they are checked once all are declared
@@ -530,14 +534,15 @@ def parse_system(text: str) -> PDESystem:
 
     missing = [d for d in deps if d not in rhs_by_dep]
     if missing:
-        raise DslSemanticError(f"missing equation(s) for {', '.join(missing)}")
+        tok = seen[missing[0]]
+        raise DslSemanticError(f"missing equation(s) for {', '.join(missing)}",
+                               tok.line, tok.col)
 
     sys = make_system(sig, [rhs_by_dep[d] for d in deps], alpha=alpha_expr,
                       source=text)
-    # a numeric alpha outside (0, 1) was refused at its declaration, and
-    # make_system leaves no jet in H: the jets of F are all left to check
-    issues = [d for s, jets in enumerate(sys.jets)
-              for d in time_derivative_diagnostics(sys, s, jets)]
-    if issues:
-        raise DslSemanticError("; ".join(str(d) for d in issues))
+    problems = validate_system(sys)
+    if problems:
+        name, message = problems[0]
+        tok = seen[name]
+        raise DslSemanticError(message, tok.line, tok.col)
     return sys

@@ -19,7 +19,7 @@ from typing import Optional
 from .exponents import ExponentForm
 from .expr import Rat, render
 from .fraccalc import PowerSum
-from .model import PDESystem, classify_terms, validate_system
+from .model import PDESystem, classify_terms
 from .oracle import numeric_rl_oracle
 from .parser import parse_expression, parse_generator, parse_system
 from .reductions import (NotScaling, NotTranslation,
@@ -57,9 +57,6 @@ def run_pipeline(source: str, cfg: Optional[PipelineConfig] = None) -> Report:
     cfg = cfg if cfg is not None else PipelineConfig()
     t0 = time.perf_counter()
     sys = parse_system(source)
-    diags = validate_system(sys)
-    if diags:
-        raise ValueError("; ".join(str(d) for d in diags))
     ds = build_determining(sys)
     templates = tuple(parse_expression(t, sys.sig) for t in cfg.h_templates)
     scfg = SolverConfig(poly_degree=cfg.poly_degree, h_templates=templates,

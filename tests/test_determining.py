@@ -19,12 +19,13 @@ from fraclie import (AnsatzGenerator, Jet, Fn, Rat, Sym, Var,
                      invariance_condition, mul, neg, normalize_equation,
                      parse_system, separate, simplify,
                      substitute)
-from fraclie.determining import unknown_atoms_of
+from fraclie.determining import _power_profile, unknown_atoms_of
+from fraclie.exponents import ExponentForm
 from fraclie.lemmas import invariance_condition_sum, separated_by_one_sum
 from fraclie.model import jet_fragments
 from fraclie.linsolve import Field, rref
 from fraclie.solver import SolverConfig, build_instantiation, equation_rows
-from fraclie.expr import atoms
+from fraclie.expr import atoms, render
 
 from conftest import DEMOS
 
@@ -166,6 +167,50 @@ class TestSeparate:
         ds = build_determining(tele)
         assert any(a.startswith("P ") for a in ds.assumptions)
         assert any(a.startswith("G ") for a in ds.assumptions)
+
+
+def _all_pairs_separate(fragments, sys):
+    """separate's notes from a scan over every pair of fragments, the
+    pairs of different skeletons skipped: the reference of separate, which
+    visits only the pairs that share a skeleton."""
+    asm = sys.assumptions()
+    forms = {}
+    profiles = [(_power_profile(m), m) for m, _ in fragments]
+    for a, ((ska, pa), ma) in enumerate(profiles):
+        for (skb, pb), mb in profiles[a + 1:]:
+            if ska != skb:
+                continue
+            for dep in set(pa) | set(pb):
+                d = asm.undecided(pa.get(dep, ExponentForm())
+                                  - pb.get(dep, ExponentForm()))
+                if d is None or (len(d.coeffs) == 1 and all(
+                        asm.is_declared_nonzero(nm) for nm, _ in d.coeffs[0][0])):
+                    continue
+                forms.setdefault(d.sort_key(), (
+                    d, f"separates {render(ma, sys.sig)} from {render(mb, sys.sig)}"))
+    notes = [f"{d.render()} != 0 ({why})" for d, why in
+             (forms[k] for k in sorted(forms))]
+    for name in sorted({f.fname for m, _ in fragments for f in atoms(m, Fn)}):
+        notes.append(f"{name} and its derivatives span coefficient classes "
+                     f"independent of each other and of powers of the dependents")
+    return sorted(notes)
+
+
+_SEPARATE_CASES = {f"{p.parent.name}/{p.stem}": p.read_text() for p in SYSTEMS}
+_SEPARATE_CASES.update({
+    "Dx^8(u^n)": "param n nonzero; alpha a; space x; dep u; Dt^a(u) = Dx^8(u^n);",
+    "Dx^4(u^n)+Dx^2(u^m)": "param n; param m; alpha a; space x; dep u; "
+                           "Dt^a(u) = Dx^4(u^n) + Dx^2(u^m);",
+})
+
+
+@pytest.mark.parametrize("source", list(_SEPARATE_CASES.values()),
+                         ids=list(_SEPARATE_CASES))
+def test_separate_equals_the_all_pairs_scan(source):
+    sys = parse_system(source)
+    pro = AnsatzGenerator(sys.sig, sys.alpha).prolongation
+    for _, frags in invariance_condition(sys, pro):
+        assert separate(frags, sys) == _all_pairs_separate(frags, sys)
 
 
 class TestNormalizeEquation:

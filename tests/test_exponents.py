@@ -15,9 +15,8 @@ m = ExponentForm.symbol("m")
 
 
 def assumptions():
-    asm = Assumptions("a")          # 0 < a < 1
-    asm.declare_positive("m")       # m > 0, unbounded
-    return asm                      # k is free
+    # 0 < a < 1, m > 0 and unbounded, k free
+    return Assumptions("a", positive=["m"])
 
 
 class TestUnboundedEnds:

@@ -629,9 +629,7 @@ def _stepwise_shift(f: ExponentForm, asm: Assumptions) -> Expr:
 
 
 def _shift_asm() -> Assumptions:
-    asm = Assumptions("a")
-    asm.declare_positive("n")
-    return asm
+    return Assumptions("a", positive=["n"])
 
 
 _SHIFT_ARGS = st.one_of(

@@ -5,6 +5,7 @@ Values are compared with ==, a structural zero test on the numerator of
 the difference.  The zero test is checked against exact evaluation at
 random rational points, with Gamma(a) taken as an independent variable.
 """
+import random
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,9 +21,7 @@ ATOMS = (a, n, G)
 
 
 def field():
-    asm = Assumptions("a")
-    asm.declare_nonzero("n")
-    return Field(asm)
+    return Field(Assumptions("a", nonzero=["n"]))
 
 
 _monomials = st.tuples(st.integers(-3, 3).filter(bool),
@@ -139,8 +138,12 @@ _COMBINATIONS = [
 
 @SETTINGS
 @given(elements(), elements(), elements(nonzero=True),
-       st.integers(0, len(_COMBINATIONS) - 1), st.randoms(use_true_random=False))
-def test_zero_test_agrees_with_evaluation(p, q, r, which, rng):
+       st.integers(0, len(_COMBINATIONS) - 1), st.integers(0, 2 ** 32 - 1))
+def test_zero_test_agrees_with_evaluation(p, q, r, which, seed):
+    # the points come from a seeded generator: drawn by hypothesis, they
+    # can shrink to values that put every point on a zero of a nonzero
+    # element, Gamma(a) = 0 say
+    rng = random.Random(seed)
     fld = field()
     x, y, z = fld.elem(*p), fld.elem(*q), fld.elem(*r)
     build, value = _COMBINATIONS[which]

@@ -100,8 +100,7 @@ class TestPowerRule:
                           assumptions=ASM)
 
     def test_declared_assumption_unblocks(self):
-        asm = Assumptions("a")
-        asm.declare_positive("gexp")
+        asm = Assumptions("a", positive=["gexp"])
         out = rl_derivative(pow_(t, ExponentForm.symbol("gexp")), a, tvar=t,
                             assumptions=asm)
         assert len(out.terms) == 1

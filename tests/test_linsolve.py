@@ -13,9 +13,7 @@ n = Sym("n")
 
 
 def field():
-    asm = Assumptions("a")
-    asm.declare_nonzero("n")
-    return Field(asm)
+    return Field(Assumptions("a", nonzero=["n"]))
 
 
 class TestFieldArithmetic:

@@ -1,5 +1,5 @@
-"""System model: parsing, the F/H split, term classification, validation,
-round trips."""
+"""System model: parsing, the F/H split, term classification, the input
+check, round trips."""
 import pytest
 
 from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, Var, ZERO,
@@ -144,26 +144,39 @@ class TestClassify:
 
 
 class TestValidate:
+    """validate_system is the one input check, run by parse_system, which
+    raises each problem at the declaration or token it is about."""
+
     def test_zk_clean(self, zk):
         assert validate_system(zk) == []
 
     def test_missing_space_coupling(self):
         sig = Signature(alpha_name="a", space_names=("x", "y"), dep_names=("u",))
         sys = make_system(sig, [sig.u(0, (1, 0))])
-        codes = [d.code for d in validate_system(sys)]
-        assert "MissingSpaceCoupling" in codes
+        assert validate_system(sys) == [
+            ("y", "no equation differentiates any dependent in 'y'")]
+        with pytest.raises(DslSemanticError) as exc:
+            parse_system("alpha a;\nspace x, y;\ndep u;\nDt^a(u) = Dx(u);")
+        assert (exc.value.line, exc.value.col) == (2, 10)
+        assert str(exc.value) == ("semantic error at 2:10: no equation "
+                                  "differentiates any dependent in 'y'")
 
     def test_time_derivative_on_rhs(self):
-        sig = Signature(alpha_name="a", space_names=("x",), dep_names=("u",))
-        sys = make_system(sig, [Jet(0, (1,), t_order=1)])
-        codes = [d.code for d in validate_system(sys)]
-        assert "TimeDerivativeOnRHS" in codes
+        with pytest.raises(DslSemanticError) as exc:
+            parse_system("alpha a; space x; dep u;\nDt^a(u) = Dx(u) + Dt(Dx(u));")
+        assert (exc.value.line, exc.value.col) == (2, 19)
+        assert "t-derivatives may not appear" in str(exc.value)
 
     def test_alpha_out_of_range_diagnostic(self):
-        sig = Signature(alpha_name="a", space_names=("x",), dep_names=("u",))
-        sys = make_system(sig, [sig.u(0, (1,))], alpha=Rat(2))
-        codes = [d.code for d in validate_system(sys)]
-        assert "AlphaOutOfRange" in codes
+        with pytest.raises(DslSemanticError) as exc:
+            parse_system("space x; dep u;\nalpha 2; Dt^alpha(u) = Dx(u);")
+        assert (exc.value.line, exc.value.col) == (2, 7)
+        assert "outside (0,1)" in str(exc.value)
+
+    def test_one_assumptions_object_per_signature(self, zk):
+        assert zk.assumptions() is zk.assumptions()
+        assert zk.assumptions() is zk.sig.assumptions()
+        assert zk.assumptions().is_declared_nonzero("n")
 
 
 _ROOT = DEMOS.parent

@@ -109,6 +109,22 @@ class TestCli:
         assert out.stderr == "error: semantic error at 2:16: division by zero\n"
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("src,message", [
+        ((DEMOS.parent / "tests" / "corpus" / "transport.fpde").read_text()
+         .replace("space x;\n", "space x;\nspace y;\n"),
+         "4:7: no equation differentiates any dependent in 'y'"),
+        ("alpha a; space x; dep u;\nfn P(x);\nDt^a(u) = P(u)*Dx(u);\n",
+         "2:6: fn P argument 'x' is not a dependent"),
+        ("alpha a; space x;\ndep u, v;\nDt^a(u) = Dx(u);\n",
+         "2:8: missing equation(s) for v"),
+    ], ids=["uncoupled_space_variable", "fn_argument", "missing_equation"])
+    def test_system_checks_are_located_errors(self, tmp_path, src, message):
+        f = tmp_path / "bad.fpde"
+        f.write_text(src)
+        out = run_cli("analyze", str(f))
+        assert out.returncode == 1
+        assert out.stderr == f"error: semantic error at {message}\n"
+
     @pytest.mark.parametrize("power", ["0^(-1)", "0^(a-1)"])
     def test_zero_to_a_negative_power_is_a_located_error(self, tmp_path, power):
         f = tmp_path / "zero_base.fpde"

@@ -4,27 +4,26 @@ One condition per equation comes from the generator's prolongation
 (prolong.Prolongation) and the facts of the system (model.PDESystem).
 Every piece of it is a jet-free coefficient times a jet monomial: the
 terms of rhs_s and of its partials, each dF_s/d jet, and the Leibniz terms
-of eta^theta.  So the pieces go straight into a dict keyed by jet monomial
-(symbolic powers and opaque functional parameters are distinct monomial
-classes), and each class's coefficient products are summed and expanded
-once; no sum of the whole condition is built.  The jet-free class is
-condition 1, a linear fractional constraint on the inhomogeneous parts
-h_s(t,x), and the other classes are condition 2: integer-order linear
-equations in the ansatz unknowns.  The genericity facts used to keep
-monomial classes apart are recorded.  The route through one expanded sum
-is kept in fraclie.lemmas as the reference.
+of eta^theta.  So the pieces go straight to expr.summed_classes, which
+groups them by jet monomial (symbolic powers and opaque functional
+parameters are distinct monomial classes) and sums and expands each
+class's coefficient products once; no sum of the whole condition is
+built.  The jet-free class is condition 1, a linear fractional constraint
+on the inhomogeneous parts h_s(t,x), and the other classes are condition
+2: integer-order linear equations in the ansatz unknowns.  The genericity
+facts used to keep monomial classes apart are recorded.  The route
+through one expanded sum is kept in fraclie.lemmas as the reference.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, Gamma, Jet, ONE, Rat, Sym, ZERO,
-                   _base_exp, _coeff_mono, _nadd, _nmul, _npow,
+from .expr import (Expr, Fn, Gamma, ONE, Rat, Sym, ZERO,
+                   _base_exp, _coeff_mono, _nmul, _npow,
                    add_terms, atoms, depends_on_jets, expand,
-                   map_children, mul_factors, render, substitute)
+                   map_children, mul_factors, render, substitute,
+                   summed_classes)
 from .linsolve import _content
-from .model import Fragments, PDESystem
+from .model import Fragments, PDESystem, _is_dependent
 from .prolong import AnsatzGenerator, Prolongation, is_unknown
 from .records import record
 
@@ -47,56 +46,39 @@ def invariance_condition(sys: PDESystem, pro: Prolongation
     system."""
     sig = sys.sig
     minus_one = Rat(-1)
-    products = sys.jet_products
     out = []
     for s in range(sig.q):
         d_rhs = sys.rhs_partials[s]
-        classes: dict[Expr, list] = {}      # monomial -> terms
+        pieces: list[tuple[Expr, Expr]] = []
         if pro.h_frac[s] != ZERO:
-            classes[ONE] = [pro.h_frac[s]]
+            pieces.append((ONE, pro.h_frac[s]))
         for i, a in enumerate(pro.a[s]):
-            _collect(classes, sys.rhs_fragments[i], a)
+            _collect(pieces, sys.rhs_fragments[i], a)
         # a ZERO factor adds nothing, so its product is not built
         if pro.tau_prime != ZERO:
-            _collect(classes, sys.rhs_fragments[s],
+            _collect(pieces, sys.rhs_fragments[s],
                      _nmul([minus_one, sys.alpha, pro.tau_prime]))
         if pro.tau != ZERO:
-            _collect(classes, d_rhs[0], _nmul([minus_one, pro.tau]))
+            _collect(pieces, d_rhs[0], _nmul([minus_one, pro.tau]))
         for i, xi in enumerate(pro.xi):
             if xi != ZERO:
-                _collect(classes, d_rhs[i + 1], _nmul([minus_one, xi]))
+                _collect(pieces, d_rhs[i + 1], _nmul([minus_one, xi]))
         for jet, d_f in sys.jet_coefficients[s]:
             for mono, coeff in pro.eta_theta(jet.dep, jet.theta):
-                _collect(classes, d_f, _nmul([minus_one, coeff]), mono, products)
-        fragments = []
-        for mono in sorted(classes, key=Expr.key):
-            coeff = expand(_nadd(classes[mono]))
-            if coeff != ZERO:
-                fragments.append((mono, coeff))
-        out.append(h_condition(fragments))
+                _collect(pieces, d_f, _nmul([minus_one, coeff]), mono)
+        out.append(h_condition(summed_classes(pieces)))
     return out
 
 
-def _collect(classes: dict, fragments: Fragments, factor: Expr,
-             jet: Expr = ONE, products: Optional[dict] = None) -> None:
+def _collect(pieces: list, fragments: Fragments, factor: Expr,
+             jet: Expr = ONE) -> None:
     """Add each fragment of a jet polynomial, times the jet-free factor and
-    the jet monomial jet, to its class.  A ZERO factor adds nothing.  The
-    products of jet and the fragments' monomials are read from and kept
-    in products (PDESystem.jet_products)."""
+    the jet monomial jet, to pieces.  A ZERO factor adds nothing."""
     if factor == ZERO:
         return
     for mono, coeff in fragments:
-        if jet is not ONE:
-            pair = (jet, mono)
-            mono = products.get(pair)
-            if mono is None:
-                mono = products[pair] = _nmul([jet, pair[1]])
-        term = coeff if factor is ONE else _nmul([factor, coeff])
-        entry = classes.get(mono)
-        if entry is None:
-            classes[mono] = [term]
-        else:
-            entry.append(term)
+        pieces.append((mono if jet is ONE else _nmul([jet, mono]),
+                       coeff if factor is ONE else _nmul([factor, coeff])))
 
 
 def h_condition(fragments: Fragments) -> tuple[Expr, Fragments]:
@@ -120,7 +102,7 @@ def _power_profile(mono: Expr) -> tuple[tuple, dict[int, ExponentForm]]:
     powers: dict[int, ExponentForm] = {}
     for f in mul_factors(mono):
         b, e = _base_exp(f)
-        if isinstance(b, Jet) and not any(b.theta) and b.t_order == 0 and b.frac is None:
+        if _is_dependent(b):
             powers[b.dep] = powers.get(b.dep, ExponentForm()) + e
         else:
             skeleton.append(f.key())

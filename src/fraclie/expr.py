@@ -26,8 +26,8 @@ Traversal contract: the children of a node are the operands of a Mul or
 Add, the base of a Pow, the argument of a Gamma and the arguments of an Fn;
 Rat, Sym, Var and Jet are leaves.  The exponent of a Pow is an
 ExponentForm, not a child, so no walk over children reaches it; only
-substitute rewrites exponents.  Walkers are built from children,
-map_children (rebuild canonically) and any_node (pre-order search).
+substitute rewrites exponents.  Walkers are built from map_children
+(rebuild canonically) and any_node (pre-order search).
 """
 from __future__ import annotations
 
@@ -589,22 +589,6 @@ def _nadd(terms: Iterable[Expr]) -> Expr:
 # Traversal
 # ---------------------------------------------------------------------------
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    """Direct subexpressions; exponents are not children."""
-    cls = e.__class__
-    if cls is Mul:
-        return e.factors
-    if cls is Add:
-        return e.terms
-    if cls is Pow:
-        return (e.base,)
-    if cls is Gamma:
-        return (e.arg,)
-    if cls is Fn:
-        return e.args
-    return ()
-
-
 def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Rebuild e canonically with f applied to each child; leaves come back
     unchanged."""
@@ -624,8 +608,8 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 
 
 def any_node(e: Expr, pred: Callable[[Expr], bool]) -> bool:
-    """Pre-order search: True when pred holds at e or at a node below it.
-    The children are those of children(), read inline."""
+    """Pre-order search: True when pred holds at e or at a node below it,
+    the children being those of the traversal contract."""
     todo = [e]
     pop, push, extend = todo.pop, todo.append, todo.extend
     while todo:
@@ -667,20 +651,33 @@ def split_power(term: Expr, base: Expr) -> tuple[ExponentForm, Expr]:
     return (ZERO_FORM if power == ONE else _base_exp(power)[1]), rest
 
 
+def summed_classes(pieces: Iterable[tuple[Expr, Expr]]
+                   ) -> list[tuple[Expr, Expr]]:
+    """The classes of (monomial, coefficient) pieces: the coefficients of
+    equal monomials are summed and expanded once per class, zero sums are
+    dropped, and classes come in monomial-key order."""
+    classes: dict[tuple, tuple[Expr, list]] = {}
+    for mono, coeff in pieces:
+        k = mono.key()
+        entry = classes.get(k)
+        if entry is None:
+            classes[k] = (mono, [coeff])
+        else:
+            entry[1].append(coeff)
+    out = []
+    for k in sorted(classes):
+        mono, coeffs = classes[k]
+        c = expand(_nadd(coeffs))
+        if c != ZERO:
+            out.append((mono, c))
+    return out
+
+
 def group_by_monomial(e: Expr, pred: Callable[[Expr, ExponentForm], bool]
                       ) -> list[tuple[Expr, Expr]]:
-    """(monomial, coefficient) pairs of an expanded expression: the factors
-    selected by pred form the monomial, the coefficients of equal monomials
-    are summed, zero sums are dropped, and pairs come in monomial-key order."""
-    groups: dict[tuple, list] = {}
-    for term in add_terms(e):
-        mono, coeff = split_factors(term, pred)
-        k = mono.key()
-        if k in groups:
-            groups[k][1] = _nadd([groups[k][1], coeff])
-        else:
-            groups[k] = [mono, coeff]
-    return [(m, c) for m, c in (groups[k] for k in sorted(groups)) if c != ZERO]
+    """The summed classes of an expanded expression whose monomials are the
+    factors of each term that pred selects."""
+    return summed_classes(split_factors(t, pred) for t in add_terms(e))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ condition reads, each separated over jet monomials once per system.
 rhs_s is split once (jet_fragments), and every other fact is read off
 that split: d rhs_s/dt and d rhs_s/dx_i differentiate the jet-free
 coefficients only, since jets are coordinates of their own, and dF_s/d jet
-differentiates each jet monomial.  The whole-rhs route of the same facts
+differentiates each jet monomial; the pieces of each fact are summed into
+classes by expr.summed_classes.  The whole-rhs route of the same facts
 is kept in fraclie.lemmas as the reference.  A Signature builds its
 variables, its plain dependents and the atoms its names parse to once, so
 their keys are built once too."""
@@ -19,7 +20,8 @@ from .exponents import UNIT_FORM, Assumptions
 from .expr import (Expr, Gamma, Jet, NonPolynomial, ONE, Pow, Rat, Sym, Var,
                    ZERO, _nadd, _nmul, _npow, add_terms, any_node, atoms,
                    depends_on_jets, expand, from_eform, group_by_monomial,
-                   mul_factors, partial_derivative, render, split_factors)
+                   mul_factors, partial_derivative, render, split_factors,
+                   summed_classes)
 from .records import record
 
 
@@ -162,13 +164,6 @@ class PDESystem:
     # (jet_fragments).
 
     @cached_property
-    def jet_products(self) -> dict[tuple[Expr, Expr], Expr]:
-        """The memo of determining.invariance_condition: the product of a
-        jet monomial of a prolongation and a monomial of these facts, by
-        the pair."""
-        return {}
-
-    @cached_property
     def jets(self) -> tuple[tuple[Jet, ...], ...]:
         """Per equation: the distinct jets of F_s, in key order."""
         return tuple(tuple(atoms(f, Jet)) for f in self.F)
@@ -211,16 +206,15 @@ class PDESystem:
         fragment's coefficient."""
         out = []
         for frags in self.rhs_fragments:
-            by_jet: dict[tuple, tuple[Jet, dict]] = {}
+            by_jet: dict[tuple, tuple[Jet, list]] = {}
             for mono, coeff in frags:
                 for jet, m, c in _monomial_partials(mono):
                     entry = by_jet.get(jet.key())
                     if entry is None:
-                        entry = by_jet[jet.key()] = (jet, {})
-                    _add_piece(entry[1], m,
-                               c if coeff is ONE else _nmul([c, coeff]))
-            pairs = ((jet, _summed(classes))
-                     for jet, classes in (by_jet[k] for k in sorted(by_jet)))
+                        entry = by_jet[jet.key()] = (jet, [])
+                    entry[1].append((m, c if coeff is ONE else _nmul([c, coeff])))
+            pairs = ((jet, summed_classes(pieces))
+                     for jet, pieces in (by_jet[k] for k in sorted(by_jet)))
             out.append(tuple((jet, c) for jet, c in pairs if c))
         return tuple(out)
 
@@ -249,24 +243,10 @@ def jet_fragments(e: Expr) -> Fragments:
     return group_by_monomial(expand(e), _jet_factor)
 
 
-def _add_piece(classes: dict, mono: Expr, coeff: Expr) -> None:
-    entry = classes.get(mono.key())
-    if entry is None:
-        classes[mono.key()] = (mono, [coeff])
-    else:
-        entry[1].append(coeff)
-
-
-def _summed(classes: dict) -> Fragments:
-    """The fragments of pieces grouped by monomial key: each class's pieces
-    summed and expanded, zero sums dropped, in monomial-key order."""
-    out = []
-    for k in sorted(classes):
-        mono, pieces = classes[k]
-        c = expand(_nadd(pieces))
-        if c != ZERO:
-            out.append((mono, c))
-    return out
+def _is_dependent(f: Expr) -> bool:
+    """f is a plain dependent u_j: no derivative, no fractional marker."""
+    return (f.__class__ is Jet and f.t_order == 0 and f.frac is None
+            and not any(f.theta))
 
 
 def _is_variable(x: Expr) -> bool:
@@ -305,16 +285,15 @@ def _partial_fragments(frags: Fragments, v: Var) -> Fragments:
     coordinates of their own, so only a coefficient is differentiated,
     unless the monomial holds v itself, a jet inside a power of a sum with
     v say; such a fragment is differentiated whole and split again."""
-    classes: dict[tuple, tuple[Expr, list]] = {}
+    pieces = []
     for mono, coeff in frags:
         if not _jet_powers(mono) and any_node(mono, lambda x: x == v):
-            for m, c in jet_fragments(partial_derivative(_nmul([mono, coeff]), v)):
-                _add_piece(classes, m, c)
+            pieces += jet_fragments(partial_derivative(_nmul([mono, coeff]), v))
             continue
         d = partial_derivative(coeff, v)
         if d != ZERO:
-            _add_piece(classes, mono, d)
-    return _summed(classes)
+            pieces.append((mono, d))
+    return summed_classes(pieces)
 
 
 def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:

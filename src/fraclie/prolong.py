@@ -22,7 +22,7 @@ from functools import cached_property
 from operator import sub
 
 from .exponents import ExponentForm
-from .expr import (Expr, Fn, ONE, Rat, Sym, Var, ZERO, _is_zero, _nadd, _nmul,
+from .expr import (Expr, Fn, ONE, Rat, Sym, Var, _is_zero, _nadd, _nmul,
                    _npow, diff_wrt, partial_derivative, total_derivative)
 from .model import Signature
 from .records import record
@@ -159,8 +159,9 @@ class Prolongation:
     x-derivatives, each taken once per coefficient and multi-index, and the
     sum visits only the beta whose derivative is nonzero: d^beta c comes
     from d^(beta-e_i) c, i the last axis of beta, and a ZERO there ends the
-    walk.  The thetas asked for are the jets of the system, so the walk is
-    bounded by its highest jet orders.  The records come from
+    walk; d^theta h_s is the last step of the walk of h_s.  The thetas
+    asked for are the jets of the system, so the walk is bounded by its
+    highest jet orders.  The records come from
     AnsatzGenerator.prolongation and solver.admitted_prolongation; the
     latter refuses a generator outside the premise."""
 
@@ -173,38 +174,19 @@ class Prolongation:
         self.h = list(h)
         self.h_frac = list(h_frac)
         self._derived: dict[tuple, Expr] = {}
-        self._walks: dict[tuple, list] = {}
-        self._eta: dict[tuple, list] = {}
-
-    def _derivative(self, coeff: Expr, slot: tuple, beta: tuple[int, ...]) -> Expr:
-        """d^beta coeff, coeff being the coefficient named by slot.  Every
-        derivative of a ZERO is ZERO, with no total derivative taken: the
-        coefficients of a concrete generator are mostly constant or linear."""
-        if not any(beta) or _is_zero(coeff):
-            return coeff
-        key = (slot, beta)
-        out = self._derived.get(key)
-        if out is None:
-            i = max(j for j, k in enumerate(beta) if k)
-            lower = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            out = self._derivative(coeff, slot, lower)
-            if out != ZERO:
-                out = total_derivative(out, self.sig.x(i))
-            self._derived[key] = out
-        return out
 
     def _nonzero_derivatives(self, coeff: Expr, slot: tuple, theta: tuple[int, ...]
                              ) -> list[tuple[tuple[int, ...], Expr]]:
         """(beta, d^beta coeff) for every beta <= theta whose derivative is
-        nonzero.  beta + e_i, i at or after the last axis of beta, is
-        derived from beta, as _derivative does, and only from a nonzero
-        one.  Walked once per (slot, theta)."""
+        nonzero, theta itself last when it is among them.  beta + e_i, i at
+        or after the last axis of beta, is derived from beta, and only from
+        a nonzero one; every derivative of a ZERO is ZERO, with no total
+        derivative taken, since the coefficients of a concrete generator
+        are mostly constant or linear.  Each derivative is taken once per
+        coefficient named by slot."""
         if _is_zero(coeff):
             return []
-        out = self._walks.get((slot, theta))
-        if out is not None:
-            return out
-        out = self._walks[(slot, theta)] = []
+        out = []
         stack = [((0,) * len(theta), coeff, 0)]
         while stack:
             beta, d, last = stack.pop()
@@ -224,14 +206,10 @@ class Prolongation:
     def eta_theta(self, s: int, theta: tuple[int, ...]) -> list[tuple[Expr, Expr]]:
         """eta_s^theta as (jet monomial, jet-free coefficient) pairs: one per
         nonzero term of the Leibniz sum, so a jet may recur, and the
-        jet-free d^theta h_s under ONE when it is nonzero.  Computed once
-        per (s, theta)."""
+        jet-free d^theta h_s under ONE when it is nonzero."""
         sig = self.sig
         if theta.__class__ is not tuple or len(theta) != sig.p:
             theta = self._full(theta)
-        out = self._eta.get((s, theta))
-        if out is not None:
-            return out
         out = []
         for j, a in enumerate(self.a[s]):
             if _is_zero(a):
@@ -249,10 +227,9 @@ class Prolongation:
                 bumped[i] += 1
                 out.append((sig.u(s, tuple(bumped)),
                             _weighted(-_weight(theta, beta), d)))
-        dh = self._derivative(self.h[s], ("h", s), theta)
-        if dh != ZERO:
-            out.append((ONE, dh))
-        self._eta[(s, theta)] = out
+        walk = self._nonzero_derivatives(self.h[s], ("h", s), theta)
+        if walk and walk[-1][0] == theta:
+            out.append((ONE, walk[-1][1]))
         return out
 
     def _full(self, theta: tuple[int, ...]) -> tuple[int, ...]:

@@ -8,9 +8,9 @@ linear system over the rational functions in the parameters.  The solver
 emits a normalized basis with machine-checked residual certificates: each
 generator's invariance condition is rebuilt from its own prolongation
 (admitted_prolongation), built already separated over jet monomials.  Each
-eta_s is split once by the jet factor of its terms, and A_sj, h_s and the
-shape checks are read off that split; a Field is built only for a zero
-test that is actually needed.
+eta_s is split once into its jet fragments (model.jet_fragments), and
+A_sj, h_s and the shape checks are read off that split; a Field is built
+only for a zero test that is actually needed.
 
 Every determining equation is homogeneous linear in the unknowns, so each
 is compiled once into operator form: per term, the unknown, its derivative
@@ -41,13 +41,14 @@ from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .exponents import UNIT_FORM, ZERO_FORM, Assumptions, ExponentForm
-from .expr import (Add, Expr, Fn, Jet, Mul, Rat, Sym, Var, ZERO, ONE,
-                   _nadd, _nmul, _npow, add_terms, any_node, depends_on_jets,
-                   expand, mul_factors, partial_derivative, render,
-                   split_factors, split_power, substitute, to_eform)
+from .expr import (Add, Expr, Fn, Jet, Mul, NonPolynomial, Rat, Sym, Var,
+                   ZERO, ONE, _base_exp, _nadd, _nmul, _npow, add_terms,
+                   any_node, depends_on_jets, expand, group_by_monomial,
+                   mul_factors, partial_derivative, render, split_factors,
+                   split_power, substitute, to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
-from .model import PDESystem, Signature
+from .model import PDESystem, Signature, _is_dependent, jet_fragments
 from .prolong import Prolongation, is_unknown
 from .determining import (DeterminingSystem, build_determining,
                           invariance_condition)
@@ -115,11 +116,11 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
                           assumptions: Optional[Assumptions] = None
                           ) -> Prolongation:
     """The prolongation of a concrete generator, from which the invariance
-    condition is re-derived for verification.  Each eta_s is expanded and
-    split once by the jet factor of its terms: the class of u_j gives
-    A_sj = d eta_s/d u_j and the jet-free class gives h_s, whose
-    Dt^alpha h_s is computed once per generator; assumptions go to
-    rl_derivative, whose default they keep when None.
+    condition is re-derived for verification.  Each eta_s is split once
+    into its jet fragments: the class of u_j gives A_sj = d eta_s/d u_j and
+    the jet-free class gives h_s, whose Dt^alpha h_s is computed once per
+    generator; assumptions go to rl_derivative, whose default they keep
+    when None.
 
     The Leibniz prolongation holds only on the admitted shape, so any other
     generator is refused with ShapeViolation: among them every eta with a
@@ -134,25 +135,25 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
     t = sig.t
     fields: list[Field] = []
 
-    def vanishes(coeffs: list[Expr]) -> bool:
+    def vanishes(c: Expr) -> bool:
         if not fields:
             fields.append(Field(assumptions))
-        return fields[0].elem(_nadd(coeffs)).is_zero()
+        return fields[0].elem(c).is_zero()
 
     def free_of_t(e: Expr) -> bool:
         # t only in powers whose summed coefficients vanish
-        return all(not any(any_node(c, lambda x: x == t) for c in coeffs)
-                   and (texp.is_zero() or vanishes(coeffs))
-                   for texp, coeffs in _t_powers(e, t).items())
+        return all(not any_node(c, lambda x: x == t)
+                   and (texp.is_zero() or vanishes(c))
+                   for texp, c in _t_powers(e, t).items())
 
     chi2 = ZERO
-    for texp, coeffs in _t_powers(gen.tau, t).items():
-        if any(any_node(c, _jet_or_variable) for c in coeffs):
+    for texp, c in _t_powers(gen.tau, t).items():
+        if any_node(c, _jet_or_variable):
             raise ShapeViolation("tau must be a polynomial in t with constant "
                                  "coefficients")
         if texp == _T2:
-            chi2 = _nadd(coeffs)
-        elif texp != UNIT_FORM and not vanishes(coeffs):
+            chi2 = c
+        elif texp != UNIT_FORM and not vanishes(c):
             raise ShapeViolation("tau must have the form chi2*t^2 + chi1*t")
     for i, xi in enumerate(gen.xi):
         # one walk finds whether xi holds a jet or t at all
@@ -163,7 +164,7 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
     a, h = [], []
     for eta in gen.eta:
         row, hs, other = _split_eta(eta, sig.q)
-        if any(not vanishes(coeffs) for coeffs in other):
+        if any(not vanishes(c) for c in other):
             raise ShapeViolation("eta must be linear in the dependents")
         a.append(row)
         h.append(hs)
@@ -191,38 +192,34 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
 _T2 = ExponentForm.rational(2)
 
 
-def _t_powers(e: Expr, t: Var) -> dict[ExponentForm, list[Expr]]:
-    """The coefficients of each power of t among the expanded terms of e."""
-    out: dict[ExponentForm, list[Expr]] = {}
-    for term in add_terms(expand(e)):
-        if term != ZERO:
-            texp, coeff = split_power(term, t)
-            out.setdefault(texp, []).append(coeff)
-    return out
+def _t_powers(e: Expr, t: Var) -> dict[ExponentForm, Expr]:
+    """The summed coefficient of each power of t in e, by exponent; a power
+    whose coefficient sums to zero is left out."""
+    return {ZERO_FORM if m == ONE else _base_exp(m)[1]: c
+            for m, c in group_by_monomial(expand(e), lambda b, _: b == t)}
 
 
-def _split_eta(eta: Expr, q: int
-               ) -> tuple[list[Expr], Expr, list[list[Expr]]]:
-    """(A_s, h_s, other) of one expanded eta_s, from the jet factor of each
-    term: A_s[j] sums the coefficients of the plain dependent u_j, h_s the
-    jet-free terms, and other holds the coefficients of each further jet
-    monomial (a derivative jet, a power or a product of dependents, a jet
-    inside a function), grouped by monomial."""
-    a: list[list[Expr]] = [[] for _ in range(q)]
-    h: list[Expr] = []
-    other: dict[tuple, list[Expr]] = {}
-    for term in add_terms(expand(eta)):
-        jets, rest = [], []
-        for f in mul_factors(term):
-            (jets if _holds_jet(f) else rest).append(f)
-        if not jets:
-            if term != ZERO:
-                h.append(term)
-        elif len(jets) == 1 and _is_dependent(jets[0]):
-            a[jets[0].dep].append(_nmul(rest))
+def _split_eta(eta: Expr, q: int) -> tuple[list[Expr], Expr, list[Expr]]:
+    """(A_s, h_s, other) of one eta_s, from its jet fragments: A_s[j] is
+    the coefficient of the plain dependent u_j, h_s that of the jet-free
+    class, and other holds the coefficient of each further jet monomial (a
+    derivative jet, a power or a product of dependents, a function of a
+    dependent).  A jet inside a Gamma is refused with ShapeViolation."""
+    try:
+        fragments = jet_fragments(eta)
+    except NonPolynomial:
+        raise ShapeViolation("eta must be linear in the dependents") from None
+    a = [ZERO] * q
+    h = ZERO
+    other = []
+    for mono, coeff in fragments:
+        if mono == ONE:
+            h = coeff
+        elif _is_dependent(mono):
+            a[mono.dep] = coeff
         else:
-            other.setdefault(_nmul(jets).key(), []).append(_nmul(rest))
-    return [_nadd(c) for c in a], _nadd(h), list(other.values())
+            other.append(coeff)
+    return a, h, other
 
 
 def _jet_or_variable(x: Expr) -> bool:
@@ -233,20 +230,6 @@ def _jet_or_time(x: Expr) -> bool:
     return x.__class__ is Jet or (x.__class__ is Var and x.axis < 0)
 
 
-def _holds_jet(f: Expr) -> bool:
-    cls = f.__class__
-    if cls is Jet:
-        return True
-    return cls is not Rat and cls is not Sym and cls is not Var \
-        and depends_on_jets(f)
-
-
-def _is_dependent(f: Expr) -> bool:
-    """f is a plain dependent u_j: no derivative, no fractional marker."""
-    return (f.__class__ is Jet and f.t_order == 0 and f.frac is None
-            and not any(f.theta))
-
-
 def _has_t_slope(d: Expr, want: Expr, t: Var, vanishes) -> bool:
     """Whether d_t d equals want, d the expanded coefficient of a dependent
     in eta, read off its t-powers: the t^1 coefficient equals want and
@@ -254,18 +237,14 @@ def _has_t_slope(d: Expr, want: Expr, t: Var, vanishes) -> bool:
     coefficient holding t in another form, (1 + t)^(1/2) say, is
     differentiated instead."""
     powers = _t_powers(d, t)
-    if any(any_node(c, lambda x: x == t) for cs in powers.values() for c in cs):
+    if any(any_node(c, lambda x: x == t) for c in powers.values()):
         dt = partial_derivative(d, t)
-        return dt == want or vanishes([dt, _nmul([Rat(-1), want])])
-    linear = powers.pop(UNIT_FORM, None)
+        return dt == want or vanishes(_nadd([dt, _nmul([Rat(-1), want])]))
+    linear = powers.pop(UNIT_FORM, ZERO)
     powers.pop(ZERO_FORM, None)
-    if linear is None:
-        if not (want == ZERO or vanishes([want])):
-            return False
-    elif not ((len(linear) == 1 and linear[0] == want)
-              or vanishes(linear + [_nmul([Rat(-1), want])])):
+    if not (linear == want or vanishes(_nadd([linear, _nmul([Rat(-1), want])]))):
         return False
-    return all(vanishes(coeffs) for coeffs in powers.values())
+    return all(vanishes(c) for c in powers.values())
 
 
 @record(frozen=True)

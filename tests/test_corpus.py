@@ -1,4 +1,4 @@
-"""The comparison corpus: eighteen systems beyond the demos, with their
+"""The comparison corpus: nineteen systems beyond the demos, with their
 recorded `fraclie analyze --emit json` output and that of `--branch zero`,
 compared byte for byte.  The recordings are regenerated with
 
@@ -18,8 +18,8 @@ CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 SYSTEMS = sorted(p.stem for p in CORPUS.glob("*.fpde"))
 
 
-def test_corpus_has_eighteen_systems():
-    assert len(SYSTEMS) == 18
+def test_corpus_has_nineteen_systems():
+    assert len(SYSTEMS) == 19
 
 
 @pytest.mark.parametrize("branch", ["both", "zero"])

@@ -14,7 +14,8 @@ from fraclie import (Assumptions, CyclicBinding, ExponentForm, Fn, Gamma, Jet,
 from fraclie.exponents import UNIT_FORM
 from fraclie.expr import (Add, Expr, FractionalChain, Mul, Pow,
                           UnsupportedDerivative, _nadd, _nmul, _npow, any_node,
-                          from_eform, map_children, mul_factors)
+                          from_eform, map_children, mul_factors,
+                          summed_classes)
 from fraclie.lemmas import collect_monomials
 
 F = Fraction
@@ -581,6 +582,21 @@ class TestCollectMonomials:
             got = collect_monomials(e, [u, ux, uy])
             back = add(*[mul(m, c) for m, c in got.items()]) if got else ZERO
             assert simplify(expand(back - e)) == ZERO
+
+
+class TestSummedClasses:
+    """The one accumulator of (monomial, coefficient) pieces."""
+
+    def test_unexpanded_pieces_are_summed_expanded_and_ordered(self):
+        c = Sym("c")
+        one_plus_a = add(1, a)
+        pieces = [(u, mul(one_plus_a, c)), (ux, a), (ONE, pow_(one_plus_a, 2)),
+                  (u, mul(one_plus_a, c)), (ux, neg(a))]
+        got = summed_classes(pieces)
+        assert got == [(ONE, add(1, mul(2, a), pow_(a, 2))),
+                       (u, add(mul(2, c), mul(2, a, c)))]
+        assert [m.key() for m, _ in got] == sorted([ONE.key(), u.key()])
+        assert all(expand(coeff) is coeff for _, coeff in got)
 
 
 class TestGammaSimplify:

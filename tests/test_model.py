@@ -198,7 +198,7 @@ class TestSystemFacts:
     reference, key for key."""
 
     def test_all_systems_are_read(self):
-        assert len(SYSTEM_FILES) == 24
+        assert len(SYSTEM_FILES) == 25
 
     @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
     def test_rhs_partials_equal_the_whole_rhs_route(self, path):

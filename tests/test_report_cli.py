@@ -237,6 +237,14 @@ class TestCli:
         payload = json.loads(out.stdout)
         assert payload["checks"]["verify_generator"]["ok"] is True
 
+    def test_verify_generator_refuses_a_jet_inside_gamma(self, tmp_path):
+        gfile = tmp_path / "gamma.gen"
+        gfile.write_text("eta[u] = Gamma(u);\n")
+        out = run_cli("analyze", "demos/telegraph.fpde",
+                      "--verify-generator", str(gfile))
+        assert out.returncode == 1
+        assert out.stderr == "error: eta must be linear in the dependents\n"
+
     def test_reduce_flag_and_branch(self):
         out = run_cli("analyze", "demos/hs.fpde", "--reduce", "--branch", "zero",
                       "--emit", "json")

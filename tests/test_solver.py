@@ -545,6 +545,13 @@ class TestVerifyGenerator:
         with pytest.raises(ShapeViolation, match="eta must be linear in the dependents"):
             verify_generator(sys, parse_generator(text, sys.sig)[0])
 
+    def test_jet_inside_gamma_in_eta_refused_on_telegraph(self, tele):
+        # jet_fragments refuses a jet inside a Gamma; the refusal is the
+        # shape violation of any eta that is not linear in the dependents
+        gen = parse_generator("eta[u] = Gamma(u);", tele.sig)[0]
+        with pytest.raises(ShapeViolation, match="eta must be linear in the dependents"):
+            verify_generator(tele, gen)
+
     def test_a_jet_class_zero_in_value_is_no_jet(self):
         # the u_x class of eta has the coefficient (k^2-1)/((k-1)(k+1)) - 1,
         # zero once simplified: eta is the kernel shift t^(a-1)

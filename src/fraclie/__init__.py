@@ -11,9 +11,9 @@ import.
 """
 
 from .exponents import Assumptions, ExponentForm, UndecidableExponent
-from .expr import (Add, CyclicBinding, Expr, Fn, FractionalChain, Gamma, Jet,
-                   KernelError, Mul, NonPolynomial, Pow, Rat, Sym, Var, ZERO,
-                   ONE, add, diff_wrt, div, expand, gamma_simplify, mul, neg,
+from .expr import (Add, Expr, Fn, FractionalChain, Gamma, Jet, KernelError,
+                   Mul, NonPolynomial, Pow, Rat, Sym, Var, ZERO, ONE, add,
+                   diff_wrt, div, expand, gamma_simplify, mul, neg,
                    partial_derivative, pow_, render, simplify, substitute,
                    total_derivative)
 from .fraccalc import NotPowerSum, PowerSum, rl_derivative

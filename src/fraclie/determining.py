@@ -13,15 +13,19 @@ on the inhomogeneous parts h_s(t,x), and the other classes are condition
 2: integer-order linear equations in the ansatz unknowns.  The genericity
 facts used to keep monomial classes apart are recorded.  The route
 through one expanded sum is kept in fraclie.lemmas as the reference.
+
+reduce_for_presentation propagates zero facts, for display only: each pass
+rebinds every equation with one substitute call that sends each chi fact,
+and each function atom that is a fact or a derivative of one (_derives), to
+ZERO.  The solver consumes the raw system.
 """
 from __future__ import annotations
 
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, Gamma, ONE, Rat, Sym, ZERO,
                    _base_exp, _coeff_mono, _nmul, _npow,
-                   add_terms, atoms, depends_on_jets, expand,
-                   map_children, mul_factors, render, substitute,
-                   summed_classes)
+                   add_terms, atoms, depends_on_jets, expand, mul_factors,
+                   render, substitute, summed_classes)
 from .linsolve import _content
 from .model import Fragments, PDESystem, _is_dependent
 from .prolong import AnsatzGenerator, Prolongation, is_unknown
@@ -225,20 +229,11 @@ def _invertible_coefficient(e: Expr, sys: PDESystem) -> bool:
     return True
 
 
-def _zero_substitute(e: Expr, facts: list[Fn]) -> Expr:
-    def killed(f: Fn) -> bool:
-        for z in facts:
-            if (f.fname == z.fname and f.frac == z.frac
-                    and all(a >= b for a, b in zip(f.deriv, z.deriv))):
-                return True
-        return False
-
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Fn) and killed(x):
-            return ZERO
-        return map_children(x, walk)
-
-    return walk(e)
+def _derives(f: Fn, z: Fn) -> bool:
+    """f is z or a derivative of it: the same function and fractional order,
+    differentiated at least as often in every argument."""
+    return (f.fname == z.fname and f.frac == z.frac
+            and all(a >= b for a, b in zip(f.deriv, z.deriv)))
 
 
 def reduce_for_presentation(ds: DeterminingSystem) -> list[Expr]:
@@ -253,9 +248,11 @@ def reduce_for_presentation(ds: DeterminingSystem) -> list[Expr]:
         changed = False
         new_eqs = []
         for e in eqs:
-            e = _zero_substitute(e, facts)
-            if chi_facts:
-                e = substitute(e, {c: ZERO for c in chi_facts})
+            zeros = dict.fromkeys(
+                chi_facts + [f for f in atoms(e, Fn)
+                             if any(_derives(f, z) for z in facts)], ZERO)
+            if zeros:
+                e = substitute(e, zeros)
             if e == ZERO:
                 changed = True
                 continue
@@ -296,9 +293,7 @@ def _npow_inv(atom: Expr) -> Expr:
 def _minimal_facts(facts: list[Fn]) -> list[Fn]:
     out: list[Fn] = []
     for f in sorted({f.key(): f for f in facts}.values(), key=lambda x: x.key()):
-        if any(f.fname == g.fname and f.frac == g.frac
-               and all(a >= b for a, b in zip(f.deriv, g.deriv)) and f != g
-               for g in facts):
+        if any(f != g and _derives(f, g) for g in facts):
             continue
         out.append(f)
     return out

@@ -26,8 +26,9 @@ Traversal contract: the children of a node are the operands of a Mul or
 Add, the base of a Pow, the argument of a Gamma and the arguments of an Fn;
 Rat, Sym, Var and Jet are leaves.  The exponent of a Pow is an
 ExponentForm, not a child, so no walk over children reaches it; only
-substitute rewrites exponents.  Walkers are built from map_children
-(rebuild canonically) and any_node (pre-order search).
+substitute rewrites exponents.  substitute is the one rebinding walk, and
+map_children (rebuild canonically) serves only this module's walks; other
+modules search with any_node (pre-order) and rebind with substitute.
 """
 from __future__ import annotations
 
@@ -50,10 +51,6 @@ class FractionalChain(KernelError):
 class NonPolynomial(KernelError):
     """Separating the determining condition over jet monomials met a jet
     inside a Gamma application."""
-
-
-class CyclicBinding(KernelError):
-    """A substitution binding mentions its own key transitively."""
 
 
 class UnsupportedDerivative(KernelError):
@@ -860,66 +857,26 @@ def eform_subs(f: ExponentForm, bindings: Mapping[str, Expr]) -> ExponentForm:
 _ATOMS = frozenset({Sym, Var, Jet, Fn})
 
 
-def _mentions(e: Expr, keys: set, sym_names: set) -> set:
-    """The keys among `keys` of the atoms of e and of its exponent symbols.
-    Only an atom (Sym, Var, Jet or Fn) can be a key, so only atoms have
-    their keys computed, and exponents are read only when a Sym is bound
-    (sym_names, the names of the bound symbols)."""
-    found = set()
-
-    def note(x: Expr) -> bool:
-        cls = x.__class__
-        if cls in _ATOMS:
-            k = x.key()
-            if k in keys:
-                found.add(k)
-        elif cls is Pow and sym_names:
-            found.update(Sym(name).key() for name in x.exp.symbols() & sym_names)
-        return False        # never matches, so every node is visited
-
-    any_node(e, note)
-    return found
-
-
 def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
     """Simultaneous substitution, rebuilt canonically.  Keys may be Sym, Var,
-    Jet or Fn nodes.  Raises CyclicBinding when a binding's value mentions its
-    own key transitively."""
-    norm: dict[tuple, tuple[Expr, Expr]] = {}
+    Jet or Fn nodes.  No value is substituted again, so a value may mention
+    any key, its own included."""
+    norm: dict[tuple, Expr] = {}
+    sym_bindings: dict[str, Expr] = {}
     for k, v in bindings.items():
         k = as_expr(k)
-        if not isinstance(k, (Sym, Var, Jet, Fn)):
+        if k.__class__ not in _ATOMS:
             raise TypeError(f"substitution key must be an atom, got {k!r}")
-        norm[k.key()] = (k, as_expr(v))
-
-    keyset = set(norm)
-    sym_bindings = {k.name: v for _, (k, v) in norm.items() if isinstance(k, Sym)}
-    bound = set(sym_bindings)
-    graph = {kk: _mentions(v, keyset, bound) for kk, (_, v) in norm.items()}
-    state: dict[tuple, int] = {}
-
-    def dfs(node):
-        state[node] = 1
-        for nxt in graph[node]:
-            if state.get(nxt) == 1:
-                raise CyclicBinding(f"binding cycle through {norm[node][0]!r}")
-            if state.get(nxt) is None:
-                dfs(nxt)
-        state[node] = 2
-
-    for kk in norm:
-        if kk in graph[kk]:
-            raise CyclicBinding(f"binding for {norm[kk][0]!r} mentions its own key")
-    for kk in norm:
-        if state.get(kk) is None:
-            dfs(kk)
+        norm[k.key()] = v = as_expr(v)
+        if k.__class__ is Sym:
+            sym_bindings[k.name] = v
 
     def rep(x: Expr) -> Expr:
         cls = x.__class__
         if cls in _ATOMS:
             kk = x.key()
             if kk in norm:
-                return norm[kk][1]
+                return norm[kk]
         if (cls is Pow and sym_bindings
                 and x.exp.symbols() & sym_bindings.keys()):
             return _npow(rep(x.base), eform_subs(x.exp, sym_bindings))

@@ -1,11 +1,12 @@
 """Symmetry reductions and exact-solution verification.
 
-Translations remove a space variable outright.  Scaling generators produce
-similarity variables with exact exponents plus the parameters of the
-generalized Erdelyi-Kober operator of the reduced form (recorded, not
-symbolically verified).  Exact candidate solutions are verified against the
-system with the closed-form power rule: the jets of F, read once per
-system (PDESystem.jets), are bound to the derivatives of the candidate and
+Translations remove a space variable outright, in one substitute call.
+Scaling generators produce similarity variables with exact exponents plus
+the parameters of the generalized Erdelyi-Kober operator of the reduced
+form (recorded, not symbolically verified).  Exact candidate solutions,
+which must not mention a dependent, are verified against the system with
+the closed-form power rule: the jets of F, read once per system
+(PDESystem.jets), are bound to the derivatives of the candidate and
 substituted into rhs_s in one pass.
 """
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .exponents import Assumptions, ExponentForm, UNIT_FORM
-from .expr import (Expr, Jet, Var, ZERO, ONE, _nmul,
-                   depends_on_jets, expand, map_children, partial_derivative,
-                   substitute, to_eform)
+from .expr import (Expr, Jet, Var, ZERO, ONE, _nmul, atoms,
+                   depends_on_jets, expand, partial_derivative, substitute,
+                   to_eform)
 from .fraccalc import PowerSum, rl_derivative
 from .linsolve import Field
 from .model import PDESystem, Signature, make_system
@@ -42,23 +43,21 @@ class TranslationReduction:
     similarity: tuple[str, ...]      # human-readable similarity variables
 
 
-def _drop_axis(e: Expr, axis: int, new_sig: Signature) -> Expr:
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, Jet):
-            if axis < len(x.theta) and x.theta[axis] > 0:
-                return ZERO
-            theta = tuple(k for i, k in enumerate(x.theta) if i != axis)
-            return Jet(x.dep, theta, x.t_order, x.frac)
-        if isinstance(x, Var):
-            if x.axis == axis and not x.is_time:
-                raise NotTranslation(
-                    f"the system depends explicitly on {x.name}")
-            if not x.is_time and x.axis > axis:
-                return Var(x.name, x.axis - 1)
-            return x
-        return map_children(x, walk)
-
-    return walk(e)
+def _drop_axis(e: Expr, axis: int) -> Expr:
+    """e without space axis `axis`: a jet differentiated along it is ZERO,
+    and later axes shift down by one, in variables and jet orders alike."""
+    bindings: dict[Expr, Expr] = {}
+    for v in atoms(e, Var):
+        if v.is_time or v.axis < axis:
+            continue
+        if v.axis == axis:
+            raise NotTranslation(f"the system depends explicitly on {v.name}")
+        bindings[v] = Var(v.name, v.axis - 1)
+    for j in atoms(e, Jet):
+        th = j.theta
+        bindings[j] = (ZERO if axis < len(th) and th[axis] > 0 else
+                       Jet(j.dep, th[:axis] + th[axis + 1:], j.t_order, j.frac))
+    return substitute(e, bindings)
 
 
 def translation_reduction(sys: PDESystem, gen: Generator) -> TranslationReduction:
@@ -83,7 +82,7 @@ def translation_reduction(sys: PDESystem, gen: Generator) -> TranslationReductio
                                           if i != axis),
                         dep_names=sig.dep_names, params=sig.params,
                         fn_decls=sig.fn_decls, t_name=sig.t_name)
-    rhs = [_drop_axis(sys.rhs(s), axis, new_sig) for s in range(sys.q)]
+    rhs = [_drop_axis(sys.rhs(s), axis) for s in range(sys.q)]
     reduced = make_system(new_sig, rhs, alpha=sys.alpha)
     similarity = [f"z1 = {sig.t_name}"]
     similarity += [f"z{i + 2} = {n}" for i, n in enumerate(new_sig.space_names)]
@@ -181,9 +180,12 @@ def verify_exact_solution(sys: PDESystem, sol: list[Expr],
                           assumptions: Optional[Assumptions] = None) -> list[Expr]:
     """residual_s = Dt^alpha(sol_s) - (F_s + H_s) evaluated on the candidate;
     all-zero means verified.  Solutions must be power sums in t whose
-    coefficients may involve x and opaque function atoms."""
+    coefficients may involve x and opaque function atoms, but no dependent
+    or jet: a component that mentions one raises ValueError."""
     if len(sol) != sys.q:
         raise ValueError(f"expected {sys.q} solution components")
+    if any(depends_on_jets(c) for c in sol):
+        raise ValueError("a solution component mentions a dependent")
     asm = assumptions if assumptions is not None else sys.assumptions()
     fld = None
     sig = sys.sig

@@ -1,22 +1,47 @@
 """Reductions and exact-solution verification."""
+import json
 from fractions import Fraction
 
 import pytest
 
 from fraclie import (ExponentForm, Fn, Gamma, Generator, NotScaling, NotTranslation, Sym, UndecidableExponent,
-                     ZERO, ONE, add, expand, mul, neg, parse_system, pow_, scaling_similarity,
+                     ZERO, ONE, add, expand, mul, neg, parse_expression, parse_system, pow_, scaling_similarity,
                      simplify, translation_reduction, verify_exact_solution)
 from fraclie.lemmas import similarity_invariance_residuals
+from fraclie.report import PipelineConfig, report_payload, run_pipeline
+from conftest import DEMOS
 
 F = Fraction
 a = Sym("a")
 AF = ExponentForm.symbol("a")
+ROOT = DEMOS.parent
+REDUCTION_REPORTS = ROOT / "tests" / "reduction_reports.json"
+
+
+def reduction_reports() -> list[dict]:
+    """The `reductions` block of the `--reduce` report of every demo, corpus
+    and perfbench input system, which tests/reduction_reports.json
+    records."""
+    paths = sorted(p.relative_to(ROOT).as_posix()
+                   for d in ("demos", "tests/corpus", "perfbench/inputs")
+                   for p in (ROOT / d).glob("*.fpde"))
+    return [{"system": path,
+             "reductions": report_payload(run_pipeline(
+                 (ROOT / path).read_text(), PipelineConfig(reduce=True)))["reductions"]}
+            for path in paths]
 
 
 def gen_of(sig, tau=ZERO, xi=None, eta=None):
     return Generator(sig, simplify(tau),
                      tuple(simplify(x) for x in (xi or [ZERO] * sig.p)),
                      tuple(simplify(e) for e in (eta or [ZERO] * sig.q)))
+
+
+def test_reduction_reports_match_recording():
+    """Every reduction the `--reduce` report lists, translations and
+    scalings, equals the recording in tests/reduction_reports.json."""
+    got = json.loads(json.dumps(reduction_reports()))
+    assert got == json.loads(REDUCTION_REPORTS.read_text())
 
 
 class TestTranslation:
@@ -50,6 +75,12 @@ class TestTranslation:
             assert not depends_on_jets(red.system.H[s])
             for t_ in add_terms(red.system.F[s]):
                 assert t_ == ZERO or depends_on_jets(t_)
+
+    def test_explicit_dependence_on_the_axis_is_refused(self):
+        sys = parse_system("alpha a; space x; dep u; Dt^a(u) = Dx^2(u) + x;")
+        with pytest.raises(NotTranslation,
+                           match="the system depends explicitly on x"):
+            translation_reduction(sys, gen_of(sys.sig, xi=[ONE]))
 
     def test_not_translation(self, zk):
         gen = gen_of(zk.sig, tau=zk.sig.t, xi=[ZERO, ZERO])
@@ -163,3 +194,9 @@ class TestExactSolutions:
         with pytest.raises(UndecidableExponent):
             verify_exact_solution(
                 hs, [pow_(sig.t, ExponentForm.symbol("m")), ZERO])
+
+    @pytest.mark.parametrize("sol", ["u", "t*Dx^2(u)"])
+    def test_solution_mentioning_a_dependent_is_refused(self, sol):
+        heat = parse_system((ROOT / "tests" / "corpus" / "heat.fpde").read_text())
+        with pytest.raises(ValueError, match="mentions a dependent"):
+            verify_exact_solution(heat, [parse_expression(sol, heat.sig)])

@@ -451,24 +451,15 @@ def parse_system(text: str) -> PDESystem:
                 nt = stream.expect_kind("IDENT")
                 declare(nt)
                 alpha_name = nt.text
-        elif head.text == "space":
-            nt = stream.expect_kind("IDENT")
-            declare(nt)
-            spaces.append(nt.text)
-            while stream.peek().text == ",":
-                stream.next()
+        elif head.text in ("space", "dep"):
+            names = spaces if head.text == "space" else deps
+            while True:
                 nt = stream.expect_kind("IDENT")
                 declare(nt)
-                spaces.append(nt.text)
-        elif head.text == "dep":
-            nt = stream.expect_kind("IDENT")
-            declare(nt)
-            deps.append(nt.text)
-            while stream.peek().text == ",":
+                names.append(nt.text)
+                if stream.peek().text != ",":
+                    break
                 stream.next()
-                nt = stream.expect_kind("IDENT")
-                declare(nt)
-                deps.append(nt.text)
         else:  # fn
             nt = stream.expect_kind("IDENT")
             declare(nt)

@@ -3,11 +3,11 @@
 `record` turns a class with annotated fields into a record, as
 `dataclasses.dataclass` does for the subset fraclie uses: `__init__` takes
 the fields positionally or by keyword, in declaration order, with class
-attribute defaults and `field(default_factory=...)`, then calls
-`__post_init__` when the class has one; `__eq__` compares the field values
-of two instances of one class; `__repr__` shows them.  A frozen record also
-hashes by its field values and refuses assignment; an unfrozen one is
-unhashable.  Methods the class defines itself are kept.
+attribute defaults, then calls `__post_init__` when the class has one;
+`__eq__` compares the field values of two instances of one class;
+`__repr__` shows them.  A frozen record also hashes by its field values
+and refuses assignment; an unfrozen one is unhashable.  Methods the class
+defines itself are kept.
 
 The methods are closures over the field names, so declaring a record costs
 no `exec` and importing this module pulls in nothing beyond the builtins.
@@ -21,19 +21,6 @@ class FrozenRecordError(AttributeError):
     """Assignment to a field of a frozen record."""
 
 
-class _Field:
-    __slots__ = ("default_factory",)
-
-    def __init__(self, default_factory):
-        self.default_factory = default_factory
-
-
-def field(*, default_factory):
-    """A field whose default is a fresh value from default_factory, for each
-    record; a plain default is given as the class attribute."""
-    return _Field(default_factory)
-
-
 def record(cls=None, /, *, frozen: bool = False):
     """Class decorator: `@record` or `@record(frozen=True)`."""
     if cls is None:
@@ -41,28 +28,14 @@ def record(cls=None, /, *, frozen: bool = False):
     return _build(cls, frozen)
 
 
-def replace(obj, /, **changes):
-    """A new record like obj, with the given fields changed."""
-    names = obj.__record_fields__
-    unknown = changes.keys() - set(names)
-    if unknown:
-        raise TypeError(f"{type(obj).__name__} has no field {sorted(unknown)[0]!r}")
-    return obj.__class__(*[changes[n] if n in changes else obj.__dict__[n]
-                           for n in names])
-
-
 def _build(cls, frozen: bool):
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults: dict[str, object] = {}
-    factories: dict[str, object] = {}
     for name in names:
         value = cls.__dict__.get(name, _MISSING)
-        if isinstance(value, _Field):
-            factories[name] = value.default_factory
-            delattr(cls, name)
-        elif value is not _MISSING:
+        if value is not _MISSING:
             defaults[name] = value
-        elif defaults or factories:
+        elif defaults:
             raise TypeError(f"{cls.__name__}: field {name!r} without a default "
                             "follows a field with one")
     nfields = len(names)
@@ -79,8 +52,6 @@ def _build(cls, frozen: bool):
                 values.append(kwargs.pop(name))
             elif name in defaults:
                 values.append(defaults[name])
-            elif name in factories:
-                values.append(factories[name]())
             else:
                 raise TypeError(f"{qualname}() missing required argument: {name!r}")
         for name in kwargs:
@@ -129,5 +100,4 @@ def _build(cls, frozen: bool):
             if fn is not None:
                 fn.__qualname__ = f"{qualname}.{name}"
             setattr(cls, name, fn)
-    cls.__record_fields__ = names
     return cls

@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .exponents import ExponentForm
-from .expr import Rat, render
-from .fraccalc import PowerSum
+from .expr import Rat, depends_on_jets, render
+from .fraccalc import PowerSum, rl_derivative
 from .model import PDESystem, classify_terms
-from .oracle import numeric_rl_oracle
-from .parser import parse_expression, parse_generator, parse_system
+from .oracle import evaluate, numeric_rl_oracle
+from .parser import (DslSemanticError, parse_expression, parse_generator,
+                     parse_system)
 from .reductions import (NotScaling, NotTranslation,
                          scaling_similarity, translation_reduction)
 from .determining import DeterminingSystem, build_determining
@@ -59,6 +60,10 @@ def run_pipeline(source: str, cfg: Optional[PipelineConfig] = None) -> Report:
     sys = parse_system(source)
     ds = build_determining(sys)
     templates = tuple(parse_expression(t, sys.sig) for t in cfg.h_templates)
+    for text, T in zip(cfg.h_templates, templates):
+        # h_s is a function of t and the space variables
+        if depends_on_jets(T):
+            raise DslSemanticError(f"h-template {text!r} mentions a dependent")
     scfg = SolverConfig(poly_degree=cfg.poly_degree, h_templates=templates,
                         branch=cfg.branch)
     basis = solve(ds, scfg)
@@ -119,8 +124,9 @@ def run_generator_check(sys: PDESystem, text: str) -> dict:
 
 
 def run_oracle_check(sys: PDESystem) -> dict:
-    """Power rule vs the quadrature oracle on the fixed grid plus seeded
-    random samples (FRACLIE_SEED)."""
+    """The symbolic power rule and the quadrature oracle vs the closed form
+    from math.gamma, on the fixed grid plus seeded random samples
+    (FRACLIE_SEED); the worst error is that of either."""
     import random       # only this check draws samples; kept off start-up
     t = sys.sig.t
     grid_g = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)]
@@ -140,8 +146,11 @@ def run_oracle_check(sys: PDESystem) -> dict:
                           / math.gamma(float(g) + 1.0 - float(a))
                           * tv ** (float(g) - float(a)))
                 ps = PowerSum.build(t, [(Rat(1), ExponentForm.rational(g))])
+                symbolic = evaluate(rl_derivative(ps, a, tvar=t).to_expr(),
+                                    {t.name: tv})
                 got = numeric_rl_oracle(ps, a, [tv]).values[0]
-                worst = max(worst, abs(float(got) - closed))
+                worst = max(worst, abs(symbolic - closed),
+                            abs(float(got) - closed))
                 count += 1
     return {"samples": count, "worst_abs_error": worst, "seed": seed,
             "pass": bool(worst < 1e-8)}

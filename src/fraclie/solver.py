@@ -42,17 +42,16 @@ from typing import Optional, Sequence
 
 from .exponents import UNIT_FORM, ZERO_FORM, Assumptions, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, NonPolynomial, Rat, Sym, Var,
-                   ZERO, ONE, _base_exp, _nadd, _nmul, _npow, add_terms,
-                   any_node, depends_on_jets, expand, group_by_monomial,
-                   mul_factors, partial_derivative, render, split_factors,
-                   split_power, substitute, to_eform)
-from .fraccalc import PowerSum, rl_derivative
+                   ZERO, ONE, _nadd, _nmul, _npow, add_terms, any_node,
+                   depends_on_jets, expand, mul_factors, partial_derivative,
+                   render, split_factors, split_power, substitute, to_eform)
+from .fraccalc import NotPowerSum, PowerSum, rl_derivative
 from .linsolve import Elem, Field, Term, nullspace, rref
 from .model import PDESystem, Signature, _is_dependent, jet_fragments
 from .prolong import Prolongation, is_unknown
 from .determining import (DeterminingSystem, build_determining,
                           invariance_condition)
-from .records import field, record
+from .records import record
 
 
 class DegreeInsufficient(Exception):
@@ -142,15 +141,17 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
 
     def free_of_t(e: Expr) -> bool:
         # t only in powers whose summed coefficients vanish
-        return all(not any_node(c, lambda x: x == t)
-                   and (texp.is_zero() or vanishes(c))
-                   for texp, c in _t_powers(e, t).items())
+        powers = _t_powers(e, t)
+        return powers is not None and all(texp.is_zero() or vanishes(c)
+                                          for texp, c in powers.items())
 
     chi2 = ZERO
-    for texp, c in _t_powers(gen.tau, t).items():
-        if any_node(c, _jet_or_variable):
-            raise ShapeViolation("tau must be a polynomial in t with constant "
-                                 "coefficients")
+    powers = _t_powers(gen.tau, t)
+    if powers is None or any(any_node(c, _jet_or_variable)
+                             for c in powers.values()):
+        raise ShapeViolation("tau must be a polynomial in t with constant "
+                             "coefficients")
+    for texp, c in powers.items():
         if texp == _T2:
             chi2 = c
         elif texp != UNIT_FORM and not vanishes(c):
@@ -192,11 +193,13 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
 _T2 = ExponentForm.rational(2)
 
 
-def _t_powers(e: Expr, t: Var) -> dict[ExponentForm, Expr]:
-    """The summed coefficient of each power of t in e, by exponent; a power
-    whose coefficient sums to zero is left out."""
-    return {ZERO_FORM if m == ONE else _base_exp(m)[1]: c
-            for m, c in group_by_monomial(expand(e), lambda b, _: b == t)}
+def _t_powers(e: Expr, t: Var) -> Optional[dict[ExponentForm, Expr]]:
+    """The summed coefficient of each power of t in e by exponent, zero sums
+    left out (PowerSum.from_expr), or None when a coefficient holds t."""
+    try:
+        return {g: c for c, g in PowerSum.from_expr(e, t).terms}
+    except NotPowerSum:
+        return None
 
 
 def _split_eta(eta: Expr, q: int) -> tuple[list[Expr], Expr, list[Expr]]:
@@ -237,14 +240,12 @@ def _has_t_slope(d: Expr, want: Expr, t: Var, vanishes) -> bool:
     coefficient holding t in another form, (1 + t)^(1/2) say, is
     differentiated instead."""
     powers = _t_powers(d, t)
-    if any(any_node(c, lambda x: x == t) for c in powers.values()):
-        dt = partial_derivative(d, t)
-        return dt == want or vanishes(_nadd([dt, _nmul([Rat(-1), want])]))
+    if powers is None:
+        powers = {UNIT_FORM: partial_derivative(d, t)}
     linear = powers.pop(UNIT_FORM, ZERO)
     powers.pop(ZERO_FORM, None)
-    if not (linear == want or vanishes(_nadd([linear, _nmul([Rat(-1), want])]))):
-        return False
-    return all(vanishes(c) for c in powers.values())
+    return ((linear == want or vanishes(_nadd([linear, _nmul([Rat(-1), want])])))
+            and all(vanishes(c) for c in powers.values()))
 
 
 @record(frozen=True)
@@ -260,9 +261,7 @@ class VerificationReport:
         return out
 
 
-def verify_generator(sys: PDESystem, gen: Generator,
-                     assumptions: Optional[Assumptions] = None
-                     ) -> VerificationReport:
+def verify_generator(sys: PDESystem, gen: Generator) -> VerificationReport:
     """Re-derive the invariance condition with the concrete generator,
     built already separated into condition 1 (its jet-free class) and
     condition 2 (its jet classes), and report the residuals; all-zero means
@@ -271,7 +270,7 @@ def verify_generator(sys: PDESystem, gen: Generator,
     otherwise); on that shape the extended infinitesimals are the Leibniz
     sum of prolong.Prolongation, computed once per generator, and the facts
     of the system are those the system computed once."""
-    asm = assumptions if assumptions is not None else sys.assumptions()
+    asm = sys.assumptions()
     fld: Optional[Field] = None
     frac_res = []
     int_res = []
@@ -323,6 +322,9 @@ class SolverConfig:
         if self.branch not in ("both", "zero"):
             raise ValueError(f"branch must be 'both' or 'zero', not "
                              f"{self.branch!r}")
+        if self.poly_degree < 0:
+            raise ValueError(f"the polynomial degree must be at least 0, not "
+                             f"{self.poly_degree}")
 
 
 def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
@@ -366,14 +368,14 @@ class _Instantiation:
     templates: list[Expr]
     rl_templates: list[Expr]
     ndeg: int
-    shapes: list[tuple[ExponentForm, Expr, tuple]] = field(default_factory=list)
-    _shape_ids: dict[tuple, int] = field(default_factory=dict)
-    _products: dict[tuple[int, int], int] = field(default_factory=dict)
-    _images: dict[tuple, list] = field(default_factory=dict)
-    _x_monomials: dict[tuple[int, ...], tuple[Expr, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.col_index = {c: i for i, c in enumerate(self.columns)}
+        self.shapes: list[tuple[ExponentForm, Expr, tuple]] = []
+        self._shape_ids: dict[tuple, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._images: dict[tuple, list] = {}
+        self._x_monomials: dict[tuple[int, ...], tuple[Expr, int]] = {}
 
     def is_unknown(self, b: Expr, _=None) -> bool:
         return is_unknown(b, self.unknowns)

@@ -112,6 +112,25 @@ def test_only_a_monomial_is_inverted():
         ExponentForm() ** -1
 
 
+@settings(max_examples=300, deadline=None)
+@given(_small_forms(), _small_forms(), st.sampled_from(_MONOMIALS), _SMALL, _SMALL)
+def test_add_and_scale_shortcuts_agree_with_the_general_path(f, g, mono, c, d):
+    """__add__'s shortcuts (an empty side; one monomial on each side, the
+    same one) and scale's (by 1, by 0) build what the constructor's merge
+    builds: the same coefficients, stored alike."""
+    def stored(h):
+        return [(mono, type(v), v) for mono, v in h.coeffs]
+
+    one, other = ExponentForm({mono: c}), ExponentForm({mono: d})
+    sums = [(f, g), (f, ExponentForm()), (ExponentForm(), g), (one, other)]
+    for left, right in sums:
+        want = ExponentForm(left.coeffs + right.coeffs)
+        assert stored(left + right) == stored(want)
+    for factor in (c, 1, 0, F(1), F(0)):
+        want = ExponentForm([(mono, v * factor) for mono, v in f.coeffs])
+        assert stored(f.scale(factor)) == stored(want)
+
+
 def _as_fractions(f):
     """The form with every coefficient stored as a Fraction, as it was
     before the storage rule."""

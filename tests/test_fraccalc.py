@@ -189,6 +189,39 @@ _COEFFS = [ONE, mul(3, x), add(x, Sym("k")), Gamma(Rat(F(7, 2))),
            div(Gamma(Rat(F(1, 3))), Gamma(Rat(F(8, 3)))), pow_(Gamma(Rat(F(5, 4))), 2)]
 
 
+# exponents of both routes of the power rule, all inside its domain
+_ONE_TERM_EXPONENTS = st.one_of(
+    st.fractions(F(-1, 2), 6, max_denominator=6).map(ExponentForm.rational),
+    st.sampled_from([AF, AF - ExponentForm.rational(1), AF.scale(2),
+                     AF + ExponentForm.rational(F(1, 2))]))
+
+
+class TestOneTermShortcuts:
+    """PowerSum.build, PowerSum.to_expr and rl_derivative hand back a lone
+    term with no merging or ordering; the general path must build the same
+    thing.  A zero coefficient at another exponent beside the term forces
+    the general path of build and to_expr."""
+
+    @settings(deadline=None)
+    @given(c=st.sampled_from(_COEFFS), g=_ONE_TERM_EXPONENTS,
+           order=st.sampled_from([None, Rat(F(1, 2)), Rat(2)]))
+    @example(c=ONE, g=ExponentForm.rational(0), order=Rat(2))     # a pole
+    def test_one_term_paths_agree_with_the_general_path(self, c, g, order):
+        pad = (ZERO, ExponentForm.rational(7))
+        ps = PowerSum.build(t, [(c, g)])
+        padded = PowerSum(t, ps.terms + (pad,))
+        assert ps == PowerSum.build(t, [(c, g), pad]) == PowerSum(t, ((c, g),))
+        assert ps.to_expr().key() == padded.to_expr().key()
+        # rl_derivative's lone output term skips build, the general path
+        got = rl_derivative(ps, a, order=order, tvar=t, assumptions=ASM)
+        assert got == PowerSum.build(t, got.terms)
+        assert got.to_expr().key() == PowerSum(t, got.terms + (pad,)).to_expr().key()
+
+    def test_a_zero_term_alone_is_no_term(self):
+        assert PowerSum.build(t, [(ZERO, AF)]).terms == ()
+        assert PowerSum.build(t, [(ZERO, AF)]) == PowerSum.build(t, [])
+
+
 class TestRationalPowerRule:
     """At rational exponent and order the power rule builds the Gamma ratio
     directly; it must agree with the generic route through gamma_simplify."""

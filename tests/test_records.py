@@ -1,7 +1,7 @@
 """Records: the field semantics fraclie's record classes rely on."""
 import pytest
 
-from fraclie.records import FrozenRecordError, field, record, replace
+from fraclie.records import FrozenRecordError, record
 
 
 @record(frozen=True)
@@ -14,7 +14,7 @@ class Point:
 @record
 class Bag:
     name: str
-    items: list = field(default_factory=list)
+    items: list
 
     def __post_init__(self):
         self.size = len(self.items)
@@ -55,22 +55,13 @@ class TestRecord:
         with pytest.raises(AttributeError):
             del p.y
 
-    def test_mutable_record_factory_post_init_and_no_hash(self):
-        a, b = Bag("a"), Bag("a")
-        assert a == b and a.items is not b.items
+    def test_mutable_record_post_init_and_no_hash(self):
+        a, b = Bag("a", []), Bag("a", [])
+        assert a == b
         a.items.append(1)
         assert a != b and Bag("c", [1, 2]).size == 2
         with pytest.raises(TypeError):
             hash(a)
-        assert "items" not in Bag.__dict__
 
     def test_repr(self):
         assert repr(Point(1, tags=("a",))) == "Point(x=1, y=0, tags=('a',))"
-
-    def test_replace(self):
-        p = Point(1, 2, ("a",))
-        assert replace(p, y=5) == Point(1, 5, ("a",))
-        assert replace(p) == p
-        assert replace(Bag("a", [1]), name="b").size == 1
-        with pytest.raises(TypeError, match="no field 'z'"):
-            replace(p, z=1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fraclie import (ExponentForm, Fn, Gamma, Generator, NotScaling, NotTranslation, Sym, UndecidableExponent,
-                     ZERO, ONE, add, expand, mul, neg, parse_expression, parse_system, pow_, scaling_similarity,
+                     ZERO, ONE, add, expand, mul, neg, parse_expression, parse_generator, parse_system, pow_, scaling_similarity,
                      simplify, translation_reduction, verify_exact_solution)
 from fraclie.lemmas import similarity_invariance_residuals
 from fraclie.report import PipelineConfig, report_payload, run_pipeline
@@ -115,6 +115,16 @@ class TestScaling:
         red = scaling_similarity(gen, hs.alpha)
         assert red.z_exponents == (AF.scale(F(1, 3)),)
         assert red.u_exponents == (AF.scale(F(-2, 3)), AF.scale(F(-2, 3)))
+
+    def test_a_sum_of_multiples_of_the_dependent_is_one_multiple(self, hs):
+        # a*u + u is (1 + a)*u: one coefficient, one reduction
+        def reduction(eta_u):
+            text = f"tau = t; xi[x] = x; eta[u] = {eta_u}; eta[v] = v;"
+            return scaling_similarity(parse_generator(text, hs.sig)[0], hs.alpha)
+        red = reduction("a*u + u")
+        assert red == reduction("(1+a)*u")
+        assert red.u_exponents == (AF + ExponentForm.rational(1),
+                                   ExponentForm.rational(1))
 
     def test_generator_annihilates_similarity_variables(self, zk, hs):
         sig = zk.sig

@@ -2,6 +2,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -76,9 +77,27 @@ class TestReport:
         assert r.checks["oracle"]["pass"] is True
         assert r.checks["oracle"]["worst_abs_error"] < 1e-8
 
+    def test_oracle_check_evaluates_the_symbolic_power_rule(self, monkeypatch):
+        # a power rule off by a factor 2 fails the check, whatever the oracle
+        import fraclie.report as report
+        doubled = lambda *args, **kw: fraclie.PowerSum(
+            kw["tvar"], tuple((mul(2, c), g) for c, g in
+                              fraclie.rl_derivative(*args, **kw).terms))
+        monkeypatch.setattr(report, "rl_derivative", doubled)
+        oracle = run_pipeline(ZK_SRC, PipelineConfig(oracle_check=True)).checks["oracle"]
+        assert oracle["pass"] is False and oracle["worst_abs_error"] > 0.1
+
     def test_custom_h_templates(self):
         r = run_pipeline(ZK_SRC, PipelineConfig(h_templates=("t^(a-1)", "1")))
         assert r.basis.dimension == 3
+
+    @pytest.mark.parametrize("template", ["u", "Dx(u)", "t*u"])
+    def test_h_template_mentioning_a_dependent_is_refused(self, template):
+        # h_s is a function of t and the space variables
+        with pytest.raises(DslSemanticError,
+                           match=f"h-template '{re.escape(template)}' mentions "
+                           "a dependent"):
+            run_pipeline(ZK_SRC, PipelineConfig(h_templates=("1", template)))
 
 
 class TestCli:
@@ -224,6 +243,13 @@ class TestCli:
         with pytest.raises(DslSemanticError, match="'u' names a variable"):
             parse_expression("C1*u", hs.sig, {"C1", "u"})
         assert parse_expression("C1*t", hs.sig, {"C1"}) == mul(Sym("C1"), hs.sig.t)
+
+    @pytest.mark.parametrize("degree", ["-1", "-3"])
+    def test_negative_poly_degree_is_refused(self, degree):
+        out = run_cli("analyze", "demos/zk.fpde", "--poly-degree", degree)
+        assert out.returncode == 1
+        assert out.stderr == ("error: the polynomial degree must be at least "
+                              f"0, not {degree}\n")
 
     def test_exit_one_on_missing_file(self):
         out = run_cli("analyze", "no-such-file.fpde")

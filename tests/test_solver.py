@@ -10,15 +10,16 @@ from fraclie import (DegreeInsufficient, ExponentForm,
                      Sym, TemplateResidual, ZERO,
                      ONE, add, build_determining, mul, neg, parse_generator, parse_system, partial_derivative, pow_,
                      solve, solve_system, verify_generator)
+from fraclie.determining import DeterminingSystem
 from fraclie.expr import Fn, _nadd, _nmul, expand, simplify, substitute
 from fraclie.linsolve import Field, nullspace, rref
 from fraclie.model import ParamDecl, make_system
-from fraclie.records import replace
 from fraclie.lemmas import (_generator_vector, _structural_groups,
                             basis_function, normalize_basis)
 from fraclie import solver
 from fraclie.report import run_generator_check
-from fraclie.solver import (_component_coefficients, _determining_rows,
+from fraclie.solver import (SolutionBasis, _component_coefficients,
+                            _determining_rows,
                             _gamma_subs, _rebuild_generator,
                             _vector_to_generator, build_instantiation,
                             equation_rows, normalize_generators)
@@ -248,7 +249,8 @@ class TestStability:
     def test_equation_scaling_invariance(self, zk):
         ds = build_determining(zk)
         scaled = (mul(F(7, 3), ds.integer_eqs[0]),) + ds.integer_eqs[1:]
-        ds2 = replace(ds, integer_eqs=scaled)
+        ds2 = DeterminingSystem(ds.sys, ds.ans, ds.fragments, scaled,
+                                ds.frac_eqs, ds.assumptions)
         b1 = solve(ds, SolverConfig())
         b2 = solve(ds2, SolverConfig())
         assert set(b1.generators) == set(b2.generators)
@@ -565,16 +567,20 @@ class TestVerifyGenerator:
 _PAIR_SRC = "alpha a; space x; dep u, v; Dt^a(u) = Dx(v); Dt^a(v) = Dx(v);"
 
 
+def _with_generators(basis, generators):
+    """basis with the given generators, no shifts and no reports."""
+    return SolutionBasis(basis.sys, generators, (), basis.assumptions,
+                         basis.branch_dims, (), ())
+
+
 class TestNormalizeBasis:
     def test_rref_example(self, zk):
         _, basis = solve_system(zk)
         sig = zk.sig
         dx = exp_gen(sig, xi=[ONE, ZERO])
         dy = exp_gen(sig, xi=[ZERO, ONE])
-        messy = replace(
-            basis, generators=(exp_gen(sig, xi=[Rat(2), ZERO]),
-                               exp_gen(sig, xi=[ONE, ONE])),
-            shift_generators=(), reports=(), shift_reports=())
+        messy = _with_generators(basis, (exp_gen(sig, xi=[Rat(2), ZERO]),
+                                         exp_gen(sig, xi=[ONE, ONE])))
         out = normalize_basis(messy)
         assert set(out.generators) == {dx, dy}
 
@@ -586,8 +592,7 @@ class TestNormalizeBasis:
 
     def test_empty(self, zk):
         _, basis = solve_system(zk)
-        empty = replace(basis, generators=(), shift_generators=(),
-                        reports=(), shift_reports=())
+        empty = _with_generators(basis, ())
         out = normalize_basis(empty)
         assert out.generators == () and out.shift_generators == ()
 

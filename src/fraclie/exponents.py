@@ -87,8 +87,8 @@ class ExponentForm:
         return ExponentForm._of(((UNIT, v),) if v else ())
 
     @staticmethod
-    def symbol(name: str, power: int = 1, coeff=1) -> "ExponentForm":
-        return ExponentForm({((name, power),): exact(coeff)})
+    def symbol(name: str, power: int = 1) -> "ExponentForm":
+        return ExponentForm({((name, power),): 1})
 
     # -- ring/module operations --------------------------------------------
     def __add__(self, other: "ExponentForm") -> "ExponentForm":

@@ -870,19 +870,21 @@ def substitute(e: Expr, bindings: Mapping[Expr, ExprLike]) -> Expr:
         norm[k.key()] = v = as_expr(v)
         if k.__class__ is Sym:
             sym_bindings[k.name] = v
+    return _substituted(e, norm, sym_bindings)
 
-    def rep(x: Expr) -> Expr:
-        cls = x.__class__
-        if cls in _ATOMS:
-            kk = x.key()
-            if kk in norm:
-                return norm[kk]
-        if (cls is Pow and sym_bindings
-                and x.exp.symbols() & sym_bindings.keys()):
-            return _npow(rep(x.base), eform_subs(x.exp, sym_bindings))
-        return map_children(x, rep)
 
-    return rep(e)
+def _substituted(x: Expr, norm: dict, sym_bindings: dict) -> Expr:
+    """substitute's walk; a module function, so no call leaves a cycle."""
+    cls = x.__class__
+    if cls in _ATOMS:
+        kk = x.key()
+        if kk in norm:
+            return norm[kk]
+    if (cls is Pow and sym_bindings
+            and x.exp.symbols() & sym_bindings.keys()):
+        return _npow(_substituted(x.base, norm, sym_bindings),
+                     eform_subs(x.exp, sym_bindings))
+    return map_children(x, lambda c: _substituted(c, norm, sym_bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -971,25 +973,27 @@ def _bump_jet(j: Jet, v: Var) -> Jet:
 def total_derivative(e: Expr, v: Var) -> Expr:
     """Total derivative D_v: chains through jet coordinates and through
     unknown-function arguments."""
-    def leaf(x: Expr) -> Optional[Expr]:
-        if isinstance(x, Var):
-            return ONE if x == v else ZERO
-        if isinstance(x, Jet):
-            return _bump_jet(x, v)
-        if isinstance(x, Fn):
-            out = []
-            for i, a in enumerate(x.args):
-                da = leaf(a)
-                if da is None or da == ZERO:
-                    continue
-                if x.frac and v.is_time:
-                    raise FractionalChain(
-                        "t-derivative through an opaque fractional application")
-                out.append(_nmul([x.bump(i), da]))
-            return _nadd(out)
-        return None
+    return _diff(e, lambda x: _total_leaf(x, v))
 
-    return _diff(e, leaf)
+
+def _total_leaf(x: Expr, v: Var) -> Optional[Expr]:
+    """D_v of an atom; a module function, so no call leaves a cycle."""
+    if isinstance(x, Var):
+        return ONE if x == v else ZERO
+    if isinstance(x, Jet):
+        return _bump_jet(x, v)
+    if isinstance(x, Fn):
+        out = []
+        for i, a in enumerate(x.args):
+            da = _total_leaf(a, v)
+            if da is None or da == ZERO:
+                continue
+            if x.frac and v.is_time:
+                raise FractionalChain(
+                    "t-derivative through an opaque fractional application")
+            out.append(_nmul([x.bump(i), da]))
+        return _nadd(out)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1111,24 +1115,25 @@ def gamma_simplify(e: Expr, assumptions: Optional[Assumptions] = None) -> Expr:
     Ratios Gamma(z+m)/Gamma(z) then cancel through ordinary exponent
     merging, whatever m.  Idempotent."""
     asm = assumptions if assumptions is not None else Assumptions()
+    return _gamma_normal(e, asm)
 
-    def transform(x: Expr) -> Expr:
-        if isinstance(x, Gamma):
-            arg = transform(x.arg)
-            f = to_eform(arg)
-            if f is None:
-                return Gamma(arg)
-            r = f.as_rational()
-            if r is not None:
-                return gamma_of_rational(r)
-            k = _shift_count(asm.interval_of(f))
-            prefactors = [from_eform(f - ExponentForm.rational(j))
-                          for j in range(1, k + 1)]
-            core = Gamma(from_eform(f - ExponentForm.rational(k)))
-            return _nmul(prefactors + [core])
-        return map_children(x, transform)
 
-    return transform(e)
+def _gamma_normal(x: Expr, asm: Assumptions) -> Expr:
+    """gamma_simplify's walk; a module function, so no call leaves a cycle."""
+    if isinstance(x, Gamma):
+        arg = _gamma_normal(x.arg, asm)
+        f = to_eform(arg)
+        if f is None:
+            return Gamma(arg)
+        r = f.as_rational()
+        if r is not None:
+            return gamma_of_rational(r)
+        k = _shift_count(asm.interval_of(f))
+        prefactors = [from_eform(f - ExponentForm.rational(j))
+                      for j in range(1, k + 1)]
+        core = Gamma(from_eform(f - ExponentForm.rational(k)))
+        return _nmul(prefactors + [core])
+    return map_children(x, lambda c: _gamma_normal(c, asm))
 
 
 # ---------------------------------------------------------------------------

@@ -101,11 +101,11 @@ def as_power_sum(e: Union[PowerSum, ExprLike], tvar: Var) -> PowerSum:
 # ---------------------------------------------------------------------------
 
 def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
-                  order: Optional[ExprLike] = None, tvar: Optional[Var] = None,
+                  tvar: Optional[Var] = None,
                   assumptions: Optional[Assumptions] = None) -> PowerSum:
-    """Termwise power rule: c*t^g maps to c*Gamma(g+1)/Gamma(g+1-order)*
-    t^(g-order); a pole of the denominator (g+1-order a nonpositive integer,
-    e.g. g = alpha-1 at order alpha) kills the term.
+    """Termwise power rule of order alpha: c*t^g maps to
+    c*Gamma(g+1)/Gamma(g+1-alpha)*t^(g-alpha); a pole of the denominator
+    (g+1-alpha a nonpositive integer, e.g. g = alpha-1) kills the term.
 
     Two routes, one result.  When the order and g are rational, g+1 and
     g+1-order are kept as integer numerators over integer denominators:
@@ -119,16 +119,15 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
 
     Requires g > -1 for every exponent, decided from the assumptions;
     otherwise UndecidableExponent is raised and the caller must declare one.
-    The default order is alpha itself.
+    Without assumptions, those of alpha (default_assumptions) are taken.
     """
     alpha = as_expr(alpha)
     if tvar is None:
         tvar = f.tvar if isinstance(f, PowerSum) else Var("t", -1)
     ps = as_power_sum(f, tvar)
     asm = assumptions
-    order_e = alpha if order is None else as_expr(order)
     # a rational order is a Rat: canonical trees fold every constant
-    order_r = order_e.stored if isinstance(order_e, Rat) else None
+    order_r = alpha.stored if isinstance(alpha, Rat) else None
     if order_r is not None:
         on, od = order_r.as_integer_ratio()
     order_form = None
@@ -159,7 +158,7 @@ def rl_derivative(f: Union[PowerSum, ExprLike], alpha: ExprLike, *,
         if asm is None:
             asm = default_assumptions(alpha)
         if order_form is None:
-            order_form = as_eform(order_e)
+            order_form = as_eform(alpha)
         g1 = g + UNIT_FORM
         s = asm.sign(g1)
         if s is None:

@@ -105,8 +105,8 @@ def leibniz_expand(u: ExprLike, v: Union[PowerSum, ExprLike], alpha: ExprLike,
     for k in range(K + 1):
         if du == ZERO:
             break
-        dv = rl_derivative(vps, alpha, order=alpha - Rat(Fraction(k)),
-                           tvar=tvar, assumptions=asm)
+        dv = rl_derivative(vps, alpha - Rat(Fraction(k)), tvar=tvar,
+                           assumptions=asm)
         pieces.append(_nmul([gen_binomial(alpha, k), du, dv.to_expr()]))
         du = total_derivative(du, tvar)
     return gamma_simplify(_nadd(pieces), asm)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exponents import Assumptions, ExponentForm
-from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO, ONE,
+from .expr import (Add, Expr, Fn, Gamma, Jet, Rat, Sym, Var, ZERO,
                    _base_exp, _coeff_mono, _nadd, _nmul, _npow, add_terms,
                    any_node, expand, gamma_simplify, mul_factors, render,
                    to_eform)
@@ -315,13 +315,10 @@ class Field:
         return Elem(self, p, c, f)
 
     # -- conversion ----------------------------------------------------------
-    def elem(self, num: Expr, den: Expr = ONE) -> Elem:
-        if isinstance(num, Rat) and den == ONE:
-            return self._rat(num.value)
-        a = self.fold(self.terms(num))
-        if den == ONE:
-            return a
-        return self.div(a, self.fold(self.terms(den)))
+    def elem(self, e: Expr) -> Elem:
+        if isinstance(e, Rat):
+            return self._rat(e.value)
+        return self.fold(self.terms(e))
 
     def fold(self, terms: Iterable[Term]) -> Elem:
         """The sum of the elements of the terms, added in the given order."""

@@ -1,6 +1,6 @@
-"""PDE system data model: signatures, the F/H split, term classification
-and the input check, and the facts of a system that the invariance
-condition reads, each separated over jet monomials once per system.
+"""PDE system data model: signatures, the F/H split, the input check,
+and the facts of a system that the invariance condition and the text
+report read, each separated over jet monomials once per system.
 
 rhs_s is split once (jet_fragments), and every other fact is read off
 that split: d rhs_s/dt and d rhs_s/dx_i differentiate the jet-free
@@ -20,8 +20,7 @@ from .exponents import UNIT_FORM, Assumptions
 from .expr import (Expr, Gamma, Jet, NonPolynomial, ONE, Pow, Rat, Sym, Var,
                    ZERO, _nadd, _nmul, _npow, add_terms, any_node, atoms,
                    depends_on_jets, expand, from_eform, group_by_monomial,
-                   mul_factors, partial_derivative, render, split_factors,
-                   summed_classes)
+                   mul_factors, partial_derivative, render, summed_classes)
 from .records import record
 
 
@@ -336,48 +335,3 @@ def validate_system(sys: PDESystem) -> list[tuple[str, str]]:
     return [(name, f"no equation differentiates any dependent in {name!r}")
             for i, name in enumerate(sys.sig.space_names)
             if not any(j.theta[i] for jets in sys.jets for j in jets)]
-
-
-# ---------------------------------------------------------------------------
-# Term classification (the I_s / J_s split)
-# ---------------------------------------------------------------------------
-
-@record(frozen=True)
-class JTerm:
-    coeff: Expr       # free of all jets
-    jet: Jet
-
-    def term(self) -> Expr:
-        return _nmul([self.coeff, self.jet])
-
-
-@record(frozen=True)
-class TermClassification:
-    """Per equation, a partition of the F-terms (I): the linear single-jet
-    terms (J) with their coefficients, and the complement I \\ J."""
-    j_terms: tuple[tuple[JTerm, ...], ...]
-    rest: tuple[tuple[Expr, ...], ...]
-
-
-def _linear_jet_split(term: Expr) -> Optional[JTerm]:
-    """c * (single jet to the first power) with c jet-free, else None."""
-    jet, coeff = split_factors(term, lambda b, _: depends_on_jets(b))
-    return JTerm(coeff, jet) if isinstance(jet, Jet) else None
-
-
-def classify_terms(sys: PDESystem) -> TermClassification:
-    j_all, rest_all = [], []
-    for s in range(sys.q):
-        f = expand(sys.F[s])
-        j_terms, rest = [], []
-        for term in add_terms(f):
-            if term == ZERO:
-                continue
-            jt = _linear_jet_split(term)
-            if jt is not None:
-                j_terms.append(jt)
-            else:
-                rest.append(term)
-        j_all.append(tuple(j_terms))
-        rest_all.append(tuple(rest))
-    return TermClassification(tuple(j_all), tuple(rest_all))

@@ -17,12 +17,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .exponents import ExponentForm
-from .expr import Rat, depends_on_jets, render
+from .expr import ONE, Jet, Rat, _nmul, render
 from .fraccalc import PowerSum, rl_derivative
-from .model import PDESystem, classify_terms
+from .model import PDESystem
 from .oracle import evaluate, numeric_rl_oracle
-from .parser import (DslSemanticError, parse_expression, parse_generator,
-                     parse_system)
+from .parser import parse_expression, parse_generator, parse_system
 from .reductions import (NotScaling, NotTranslation,
                          scaling_similarity, translation_reduction)
 from .determining import DeterminingSystem, build_determining
@@ -60,10 +59,6 @@ def run_pipeline(source: str, cfg: Optional[PipelineConfig] = None) -> Report:
     sys = parse_system(source)
     ds = build_determining(sys)
     templates = tuple(parse_expression(t, sys.sig) for t in cfg.h_templates)
-    for text, T in zip(cfg.h_templates, templates):
-        # h_s is a function of t and the space variables
-        if depends_on_jets(T):
-            raise DslSemanticError(f"h-template {text!r} mentions a dependent")
     scfg = SolverConfig(poly_degree=cfg.poly_degree, h_templates=templates,
                         branch=cfg.branch)
     basis = solve(ds, scfg)
@@ -229,12 +224,16 @@ def _emit_text(r: Report) -> str:
     for s in range(r.sys.q):
         L.append(f"  Dt^{sig.alpha_name}({sig.dep_names[s]}) = "
                  + render(r.sys.rhs(s), sig))
-    cl = classify_terms(r.sys)
-    for s in range(r.sys.q):
-        jt = ", ".join(render(j.term(), sig) for j in cl.j_terms[s]) or "(none)"
-        rest = ", ".join(render(t, sig) for t in cl.rest[s]) or "(none)"
+    for s, frags in enumerate(r.sys.rhs_fragments):
+        # F_s by jet monomial: a lone jet is a linear term; ONE is H_s
+        linear, rest = [], []
+        for m, c in frags:
+            if m != ONE:
+                (linear if m.__class__ is Jet else rest).append(
+                    render(_nmul([c, m]), sig))
+        jt, other = (", ".join(terms) or "(none)" for terms in (linear, rest))
         L.append(f"  eq {sig.dep_names[s]}: linear terms {{{jt}}}; "
-                 f"nonlinear/opaque {{{rest}}}")
+                 f"nonlinear/opaque {{{other}}}")
     L.append("== determining system (integer-order, separated) ==")
     for e in r.ds.integer_eqs:
         L.append("  " + render(e, sig) + " = 0")

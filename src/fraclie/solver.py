@@ -111,15 +111,12 @@ class Generator:
         return " + ".join(parts) if parts else "0"
 
 
-def admitted_prolongation(gen: Generator, alpha: Expr,
-                          assumptions: Optional[Assumptions] = None
-                          ) -> Prolongation:
-    """The prolongation of a concrete generator, from which the invariance
-    condition is re-derived for verification.  Each eta_s is split once
-    into its jet fragments: the class of u_j gives A_sj = d eta_s/d u_j and
-    the jet-free class gives h_s, whose Dt^alpha h_s is computed once per
-    generator; assumptions go to rl_derivative, whose default they keep
-    when None.
+def admitted_prolongation(gen: Generator, sys: PDESystem) -> Prolongation:
+    """The prolongation of a concrete generator of sys, from which the
+    invariance condition is re-derived for verification.  Each eta_s is
+    split once into its jet fragments: the class of u_j gives A_sj =
+    d eta_s/d u_j and the jet-free class gives h_s, whose Dt^alpha h_s is
+    computed once per generator under the system's assumptions.
 
     The Leibniz prolongation holds only on the admitted shape, so any other
     generator is refused with ShapeViolation: among them every eta with a
@@ -130,13 +127,13 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
     test, so a coefficient that is zero only once simplified,
     (k^2-1)/((k-1)(k+1)) - 1 say, does not count as a term.  The Field is
     built at the first such test."""
-    sig = gen.sig
+    sig, alpha, asm = gen.sig, sys.alpha, sys.assumptions()
     t = sig.t
     fields: list[Field] = []
 
     def vanishes(c: Expr) -> bool:
         if not fields:
-            fields.append(Field(assumptions))
+            fields.append(Field(asm))
         return fields[0].elem(c).is_zero()
 
     def free_of_t(e: Expr) -> bool:
@@ -185,7 +182,7 @@ def admitted_prolongation(gen: Generator, alpha: Expr,
                 "(alpha-1)*chi2")
     h_frac = [ZERO if hs == ZERO else
               rl_derivative(PowerSum.from_expr(hs, t), alpha, tvar=t,
-                            assumptions=assumptions).to_expr()
+                            assumptions=asm).to_expr()
               for hs in h]
     return Prolongation(sig, gen.tau, gen.xi, a, h, h_frac)
 
@@ -275,7 +272,7 @@ def verify_generator(sys: PDESystem, gen: Generator) -> VerificationReport:
     frac_res = []
     int_res = []
     for frac, fragments in invariance_condition(
-            sys, admitted_prolongation(gen, sys.alpha, asm)):
+            sys, admitted_prolongation(gen, sys)):
         # a structural ZERO needs no zero test, and the fragments are the
         # classes that survived expand: the Field is built for the first
         # residual to test
@@ -325,6 +322,10 @@ class SolverConfig:
         if self.poly_degree < 0:
             raise ValueError(f"the polynomial degree must be at least 0, not "
                              f"{self.poly_degree}")
+        for T in self.h_templates:
+            # h_s is a function of t and the space variables
+            if depends_on_jets(T):
+                raise ValueError(f"h-template {render(T)} mentions a dependent")
 
 
 def _monomials(p: int, total: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Expression kernel: canonical form, substitution, differentiation,
 monomial collection, Gamma normalization."""
+import gc
 import math
 import random
 from fractions import Fraction
@@ -687,3 +688,22 @@ class TestExactInput:
         for build in (lambda: add(x, bad), lambda: mul(bad, x), lambda: pow_(x, bad)):
             with pytest.raises(TypeError):
                 build()
+
+
+def test_the_recursive_walks_leave_no_cycle(zk):
+    # total_derivative, substitute and gamma_simplify recurse through module
+    # functions, not through a closure that holds itself, so a call leaves
+    # nothing that only the cyclic collector frees
+    f = zk.F[0]
+    g = mul(Gamma(add(zk.sig.alpha, 2)), f)
+    calls = [lambda: total_derivative(f, zk.sig.x(0)),
+             lambda: substitute(f, {Sym("n"): 2}),
+             lambda: gamma_simplify(g, zk.assumptions())]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,9 +1,12 @@
 """Every import in the package modules and in the tests is used: a name an
 import binds is read somewhere in its module.  A deletion that leaves an
 import behind fails here.  fraclie/__init__.py is exempt, since its imports
-are the package's exports."""
+are the package's exports.  The runtime import, that of fraclie.cli, holds
+every package module but the test-only fraclie.lemmas."""
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,22 @@ def test_the_scan_finds_an_unused_import():
     src = ("import os\nfrom x import (a, b as c, D)\nimport p.q\n"
            "def f(y: 'D'):\n    print(a, p, 'c')\n")
     assert unused_imports(src) == ["line 1: os", "line 2: c"]
+
+
+RUNTIME_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+import fraclie.cli
+print(" ".join(sorted(m for m in sys.modules if m.startswith("fraclie."))))
+"""
+
+
+def test_the_runtime_import_is_the_package_but_the_lemmas():
+    # -S: no site hooks, so only this import loads package modules
+    probe = RUNTIME_PROBE.format(src=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    package = {f"fraclie.{p.stem}" for p in (ROOT / "src" / "fraclie").glob("*.py")
+               if p.name != "__init__.py"}
+    assert set(out.stdout.split()) == package - {"fraclie.lemmas"}

@@ -1,9 +1,9 @@
-"""System model: parsing, the F/H split, term classification, the input
-check, round trips."""
+"""System model: parsing, the F/H split, the split of F by jet monomial,
+the input check, round trips."""
 import pytest
 
-from fraclie import (DslSemanticError, DslSyntaxError, Jet, Rat, Sym, Var, ZERO,
-                     add, classify_terms, expand, mul, neg,
+from fraclie import (DslSemanticError, DslSyntaxError, Jet, ONE, Rat, Sym, Var,
+                     ZERO, add, expand, mul, neg,
                      parse_system, pow_, simplify, validate_system)
 from fraclie.lemmas import (emit_dsl, jet_coefficients_of_whole_rhs,
                             rhs_partials_of_whole_rhs)
@@ -103,43 +103,48 @@ class TestRoundTrip:
             assert back == simplify(expand(sys.rhs(s)))
 
 
+def split_by_jet(sys, s):
+    """F_s by jet monomial, as the text report reads rhs_fragments: the
+    lone jets with their coefficients, and the other (monomial,
+    coefficient) pairs; the class ONE is H_s."""
+    frags = [(m, c) for m, c in sys.rhs_fragments[s] if m != ONE]
+    return ({m: c for m, c in frags if isinstance(m, Jet)},
+            [(m, c) for m, c in frags if not isinstance(m, Jet)])
+
+
 class TestClassify:
     def test_zk_sets(self, zk):
-        cl = classify_terms(zk)
         sig = zk.sig
-        jets = {j.jet for j in cl.j_terms[0]}
-        assert jets == {sig.u(0, (3, 0)), sig.u(0, (1, 2))}
-        assert all(j.coeff == Rat(-1) for j in cl.j_terms[0])
-        assert len(cl.rest[0]) == 1  # the u^n u_x term
+        linear, rest = split_by_jet(zk, 0)
+        assert set(linear) == {sig.u(0, (3, 0)), sig.u(0, (1, 2))}
+        assert all(c == Rat(-1) for c in linear.values())
+        assert len(rest) == 1  # the u^n u_x term
 
     def test_hs_sets(self, hs):
-        cl = classify_terms(hs)
         sig = hs.sig
-        assert {j.jet for j in cl.j_terms[0]} == {sig.u(0, (3,))}
-        assert len(cl.rest[0]) == 2  # u u_x and v v_x
-        assert {j.jet for j in cl.j_terms[1]} == {sig.u(1, (3,))}
+        linear, rest = split_by_jet(hs, 0)
+        assert set(linear) == {sig.u(0, (3,))}
+        assert len(rest) == 2  # u u_x and v v_x
+        assert set(split_by_jet(hs, 1)[0]) == {sig.u(1, (3,))}
 
     def test_fully_linear(self):
         sys = parse_system("alpha a; space x; dep u; Dt^a(u) = 3*Dx(u);")
-        cl = classify_terms(sys)
-        assert len(cl.j_terms[0]) == 1 and not cl.rest[0]
-        assert cl.j_terms[0][0].coeff == Rat(3)
+        linear, rest = split_by_jet(sys, 0)
+        assert list(linear.values()) == [Rat(3)] and not rest
 
     def test_zero_order_linear_term_is_j(self, tele_pow):
-        cl = classify_terms(tele_pow)
-        sig = tele_pow.sig
-        assert {j.jet for j in cl.j_terms[1]} == {sig.u(0)}
+        assert set(split_by_jet(tele_pow, 1)[0]) == {tele_pow.sig.u(0)}
 
     def test_opaque_function_terms_go_to_rest(self, tele):
-        cl = classify_terms(tele)
-        assert not cl.j_terms[1]
-        assert len(cl.rest[1]) == 2
+        linear, rest = split_by_jet(tele, 1)
+        assert not linear
+        assert len(rest) == 2
 
     def test_partition_reconstructs(self, zk, hs, tele):
         for sys in (zk, hs, tele):
-            cl = classify_terms(sys)
             for s in range(sys.q):
-                total = add(*[j.term() for j in cl.j_terms[s]], *cl.rest[s])
+                linear, rest = split_by_jet(sys, s)
+                total = add(*[mul(c, m) for m, c in [*linear.items(), *rest]])
                 assert simplify(expand(total - sys.F[s])) == ZERO
 
 

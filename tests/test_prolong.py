@@ -139,7 +139,7 @@ def test_leibniz_matches_total_derivative_route(path, generators):
     cases = [(ans.prolongation, [ans.eta(s) for s in range(sig.q)])]
     for text in generators:
         gen = parse_generator(text, sig)[0]
-        cases.append((admitted_prolongation(gen, sys.alpha), gen.eta))
+        cases.append((admitted_prolongation(gen, sys), gen.eta))
     thetas = _multi_indices(sig.p, 3)
     for pro, eta in cases:
         for s in range(sig.q):
@@ -159,7 +159,7 @@ def test_builder_matches_the_one_sum_route(path, generators):
     every certified or rejected generator."""
     sys = parse_system(pathlib.Path(path).read_text())
     pros = [AnsatzGenerator(sys.sig, sys.alpha).prolongation]
-    pros += [admitted_prolongation(parse_generator(text, sys.sig)[0], sys.alpha)
+    pros += [admitted_prolongation(parse_generator(text, sys.sig)[0], sys)
              for text in generators]
     for pro in pros:
         assert _by_key(invariance_condition(sys, pro)) \
@@ -178,30 +178,30 @@ class TestLeibnizPremise:
     def test_nonlinear_eta_refused(self, zk):
         gen = self._gen(zk, eta=[pow_(zk.sig.u(0), 2)])
         with pytest.raises(ShapeViolation):
-            invariance_condition(zk, admitted_prolongation(gen, zk.alpha))
+            invariance_condition(zk, admitted_prolongation(gen, zk))
 
     def test_jet_dependent_eta_coefficient_refused(self, zk):
         sig = zk.sig
         gen = self._gen(zk, eta=[mul(sig.u(0, (1, 0)), sig.u(0))])
         with pytest.raises(ShapeViolation):
-            invariance_condition(zk, admitted_prolongation(gen, zk.alpha))
+            invariance_condition(zk, admitted_prolongation(gen, zk))
 
     def test_jet_dependent_xi_refused(self, zk):
         sig = zk.sig
         gen = self._gen(zk, xi=[sig.u(0), ZERO])
         with pytest.raises(ShapeViolation):
-            invariance_condition(zk, admitted_prolongation(gen, zk.alpha))
+            invariance_condition(zk, admitted_prolongation(gen, zk))
 
     def test_cubic_tau_refused_at_construction(self, zk):
         sig = zk.sig
         gen = Generator(sig, pow_(sig.t, 3), (ZERO,) * sig.p, (ZERO,) * sig.q)
         with pytest.raises(ShapeViolation, match="chi2\\*t\\^2 \\+ chi1\\*t"):
-            admitted_prolongation(gen, zk.alpha)
+            admitted_prolongation(gen, zk)
 
     def test_affine_eta_accepted(self, zk):
         sig = zk.sig
         gen = self._gen(zk, eta=[add(mul(sig.x(0), sig.u(0)), sig.x(1))])
-        assert len(invariance_condition(zk, admitted_prolongation(gen, zk.alpha))) == 1
+        assert len(invariance_condition(zk, admitted_prolongation(gen, zk))) == 1
 
 
 def test_no_derivative_of_a_zero_coefficient(zk, monkeypatch):
@@ -217,7 +217,7 @@ def test_no_derivative_of_a_zero_coefficient(zk, monkeypatch):
 
     monkeypatch.setattr(prolong, "total_derivative", counting)
     text = "tau = t; xi[x] = a/3*x; xi[y] = a/3*y; eta[u] = -2*a/(3*n)*u;"
-    pro = admitted_prolongation(parse_generator(text, zk.sig)[0], zk.alpha)
+    pro = admitted_prolongation(parse_generator(text, zk.sig)[0], zk)
     assert all(frac == ZERO and not frags
                for frac, frags in invariance_condition(zk, pro))
     assert ZERO not in seen

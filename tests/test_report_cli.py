@@ -91,13 +91,22 @@ class TestReport:
         r = run_pipeline(ZK_SRC, PipelineConfig(h_templates=("t^(a-1)", "1")))
         assert r.basis.dimension == 3
 
-    @pytest.mark.parametrize("template", ["u", "Dx(u)", "t*u"])
-    def test_h_template_mentioning_a_dependent_is_refused(self, template):
-        # h_s is a function of t and the space variables
-        with pytest.raises(DslSemanticError,
-                           match=f"h-template '{re.escape(template)}' mentions "
-                           "a dependent"):
+    @pytest.mark.parametrize("template,shown", [("u", "u1"), ("Dx(u)", "u1_x1"),
+                                                ("t*u", "t*u1")],
+                             ids=["u", "Dx(u)", "t*u"])
+    def test_h_template_mentioning_a_dependent_is_refused(self, template, shown):
+        # h_s is a function of t and the space variables; SolverConfig
+        # refuses the parsed template, rendered without the signature
+        with pytest.raises(ValueError,
+                           match=f"h-template {re.escape(shown)} mentions a dependent"):
             run_pipeline(ZK_SRC, PipelineConfig(h_templates=("1", template)))
+
+    def test_text_groups_the_terms_of_one_jet_monomial(self):
+        # F is read by jet monomial: Dx(u) + x*Dx(u) is one linear term
+        src = "alpha a; space x; dep u; Dt^a(u) = Dx(u) + x*Dx(u) + u*Dx(u) + x;"
+        text = emit(run_pipeline(src), "text").decode()
+        assert ("  eq u: linear terms {u_x*(1 + x)}; nonlinear/opaque {u*u_x}\n"
+                in text)
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 """Exact solve: golden bases for the worked examples, verification
 certificates, normalization, degree stability, branch behavior."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,14 @@ class TestBranches:
     def test_unknown_branch_is_a_value_error(self, branch):
         with pytest.raises(ValueError, match="'both' or 'zero'"):
             SolverConfig(branch=branch)
+
+    def test_h_template_mentioning_a_dependent_is_a_value_error(self, zk):
+        # h_s is a function of t and the space variables, whatever the caller
+        sig = zk.sig
+        for T, shown in [(sig.u(0), "u1"), (mul(sig.t, sig.u(0, (1, 0))), "t*u1_x1")]:
+            with pytest.raises(ValueError,
+                               match=f"h-template {re.escape(shown)} mentions a dependent"):
+                SolverConfig(h_templates=(ONE, T))
 
     @pytest.mark.parametrize("path", BRANCH_SYSTEMS,
                              ids=[f"{p.parent.name}/{p.stem}" for p in BRANCH_SYSTEMS])
@@ -360,7 +369,7 @@ class TestDegreeLift:
             ds, SolverConfig(poly_degree=1, check_degree_stability=False),
             sys.assumptions())
         t = sys.sig.t
-        two_a = ExponentForm.symbol("a", coeff=2)
+        two_a = ExponentForm.symbol("a").scale(2)
         # xi_x = c[xi.1] in the class t, g_x = c[g.1] in the class t^(2a)
         e = add(mul(ds.ans.xi(0).bump(0), t), mul(ds.ans.g(0).bump(0), pow_(t, two_a)))
         note = "2*a-1 != 0 (separates t-power classes during the solve)"

@@ -19,7 +19,7 @@ def main():
     sys = parse_system(SRC)
     sig = sys.sig
     print("system:")
-    print("  Dt^a(u) =", render(sys.rhs(0), sig))
+    print("  Dt^a(u) =", render(sys.rhs[0], sig))
 
     ds, basis = solve_system(sys)
 
@@ -46,7 +46,7 @@ def main():
         else:
             print(f"   translation d/d{red.removed}:")
             for s, d in enumerate(red.system.sig.dep_names):
-                print(f"     Dt^a({d}) =", render(red.system.rhs(s), red.system.sig))
+                print(f"     Dt^a({d}) =", render(red.system.rhs[s], red.system.sig))
             continue
         try:
             ek = scaling_similarity(g, sys.alpha)

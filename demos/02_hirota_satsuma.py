@@ -32,7 +32,7 @@ def main():
     red = translation_reduction(sys, dx)
     print("\ntranslation reduction by d/dx:")
     for s, d in enumerate(red.system.sig.dep_names):
-        print(f"   Dt^a({d}) =", render(red.system.rhs(s), red.system.sig))
+        print(f"   Dt^a({d}) =", render(red.system.rhs[s], red.system.sig))
     print("   solving the reduced pair gives u = C1 t^(a-1), v = C2 t^(a-1)")
 
     af = ExponentForm.symbol("a")

@@ -13,12 +13,10 @@ import.
 from .exponents import Assumptions, ExponentForm, UndecidableExponent
 from .expr import (Add, Expr, Fn, FractionalChain, Gamma, Jet, KernelError,
                    Mul, NonPolynomial, Pow, Rat, Sym, Var, ZERO, ONE, add,
-                   diff_wrt, div, expand, gamma_simplify, mul, neg,
-                   partial_derivative, pow_, render, simplify, substitute,
-                   total_derivative)
+                   div, expand, gamma_simplify, mul, neg, partial_derivative,
+                   pow_, render, simplify, substitute, total_derivative)
 from .fraccalc import NotPowerSum, PowerSum, rl_derivative
-from .model import (PDESystem, Signature, make_system, split_rhs,
-                    validate_system)
+from .model import PDESystem, Signature, make_system, validate_system
 from .parser import (DslSemanticError, DslSyntaxError, parse_expression,
                      parse_generator, parse_system)
 from .prolong import AnsatzGenerator

@@ -954,9 +954,6 @@ def partial_derivative(e: Expr, atom: ExprLike) -> Expr:
     return _diff(e, leaf)
 
 
-diff_wrt = partial_derivative
-
-
 def _bump_jet(j: Jet, v: Var) -> Jet:
     if v.is_time:
         if j.frac is not None:

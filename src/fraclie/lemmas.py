@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Optional, Union
 from .exponents import Assumptions, ExponentForm
 from .expr import (Add, Expr, ExprLike, Fn, Gamma, Jet, Mul, NonPolynomial, Pow,
                    Rat, Sym, Var, ZERO, ONE, _coeff_mono, _nadd, _nmul, _npow,
-                   add_terms, any_node, as_expr, as_eform, atoms, diff_wrt,
-                   expand, from_eform, gamma_simplify, group_by_monomial,
+                   add_terms, any_node, as_expr, as_eform, atoms, expand,
+                   from_eform, gamma_simplify, group_by_monomial,
                    partial_derivative, render, split_factors, substitute,
                    to_eform, total_derivative)
 from .fraccalc import PowerSum, as_power_sum, default_assumptions, rl_derivative
@@ -190,9 +190,9 @@ def invariance_condition_sum(sys: PDESystem, pro: Prolongation) -> list[Expr]:
            for r in range(sig.q)]
     out = []
     for s in range(sig.q):
-        rhs = sys.rhs(s)
+        rhs = sys.rhs[s]
         pieces = [pro.h_frac[s]]
-        pieces += [_nmul([pro.a[s][i], sys.rhs(i)]) for i in range(sig.q)]
+        pieces += [_nmul([pro.a[s][i], sys.rhs[i]]) for i in range(sig.q)]
         pieces.append(_nmul([Rat(-1), sys.alpha, pro.tau_prime, rhs]))
         pieces.append(_nmul([Rat(-1), pro.tau, partial_derivative(rhs, sig.t)]))
         for i in range(sig.p):
@@ -220,7 +220,7 @@ def rhs_partials_of_whole_rhs(sys: PDESystem
     d rhs_s/dx_i taken of all of rhs_s, then split by jet_fragments."""
     sig = sys.sig
     variables = (sig.t,) + tuple(sig.x(i) for i in range(sig.p))
-    return tuple(tuple(jet_fragments(partial_derivative(sys.rhs(s), v))
+    return tuple(tuple(jet_fragments(partial_derivative(sys.rhs[s], v))
                        for v in variables) for s in range(sys.q))
 
 
@@ -254,8 +254,8 @@ def eta_alpha_ansatz(ans: AnsatzGenerator, sys: PDESystem, s: int,
                frac=True)
     pieces: list[Expr] = [local]
     for i in range(sig.q):
-        pieces.append(_nmul([ans.deta_du(s, i), sys.rhs(i)]))
-    pieces.append(_nmul([Rat(-1), alpha, ans.tau_prime, sys.rhs(s)]))
+        pieces.append(_nmul([ans.deta_du(s, i), sys.rhs[i]]))
+    pieces.append(_nmul([Rat(-1), alpha, ans.tau_prime, sys.rhs[s]]))
     local_expr = _nadd(pieces)
 
     series_u: dict[int, tuple[Expr, ...]] = {}
@@ -388,7 +388,7 @@ def mu_truncated(eta: Expr, N: int, q: int, *, alpha: Expr,
                     dpart = eta
                     for i, ki in enumerate(k):
                         for _ in range(ki):
-                            dpart = diff_wrt(dpart, u_of(i))
+                            dpart = partial_derivative(dpart, u_of(i))
                         if dpart == ZERO:
                             break
                     if dpart == ZERO:
@@ -540,7 +540,7 @@ def emit_dsl(sys: PDESystem) -> str:
     for fname, arg in sig.fn_decls:
         lines.append(f"fn {fname}({arg});")
     for s in range(sys.q):
-        rhs = emit_expr_dsl(sys.rhs(s), sig)
+        rhs = emit_expr_dsl(sys.rhs[s], sig)
         lines.append(f"Dt^{sig.alpha_name}({sig.dep_names[s]}) = {rhs};")
     return "\n".join(lines) + "\n"
 
@@ -613,7 +613,7 @@ def similarity_invariance_residuals(gen: Generator, red: EKReduction) -> list[Ex
         for i in range(sig.p):
             pieces.append(_nmul([gen.xi[i], partial_derivative(expr, sig.x(i))]))
         for s in range(sig.q):
-            pieces.append(_nmul([gen.eta[s], diff_wrt(expr, sig.u(s))]))
+            pieces.append(_nmul([gen.eta[s], partial_derivative(expr, sig.u(s))]))
         return expand(_nadd(pieces))
 
     for i in range(sig.p):

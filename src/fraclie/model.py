@@ -1,15 +1,16 @@
-"""PDE system data model: signatures, the F/H split, the input check,
+"""PDE system data model: signatures, the systems, the input check,
 and the facts of a system that the invariance condition and the text
 report read, each separated over jet monomials once per system.
 
 rhs_s is split once (jet_fragments), and every other fact is read off
-that split: d rhs_s/dt and d rhs_s/dx_i differentiate the jet-free
-coefficients only, since jets are coordinates of their own, and dF_s/d jet
-differentiates each jet monomial; the pieces of each fact are summed into
-classes by expr.summed_classes.  The whole-rhs route of the same facts
-is kept in fraclie.lemmas as the reference.  A Signature builds its
-variables, its plain dependents and the atoms its names parse to once, so
-their keys are built once too."""
+that split: H_s is its jet-free class and F_s the rest, d rhs_s/dt and
+d rhs_s/dx_i differentiate the jet-free coefficients only, since jets are
+coordinates of their own, and dF_s/d jet differentiates each jet
+monomial; the pieces of each fact are summed into classes by
+expr.summed_classes.  The whole-rhs route of the same facts is kept in
+fraclie.lemmas as the reference.  A Signature builds its variables, its
+plain dependents and the atoms its names parse to once, so their keys are
+built once too."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -18,9 +19,9 @@ from typing import Optional
 
 from .exponents import UNIT_FORM, Assumptions
 from .expr import (Expr, Gamma, Jet, NonPolynomial, ONE, Pow, Rat, Sym, Var,
-                   ZERO, _nadd, _nmul, _npow, add_terms, any_node, atoms,
-                   depends_on_jets, expand, from_eform, group_by_monomial,
-                   mul_factors, partial_derivative, render, summed_classes)
+                   ZERO, _nmul, _npow, any_node, atoms, depends_on_jets,
+                   expand, from_eform, group_by_monomial, mul_factors,
+                   partial_derivative, render, summed_classes)
 from .records import record
 
 
@@ -136,13 +137,13 @@ class Signature:
 
 @record(frozen=True)
 class PDESystem:
-    """q equations Dt^alpha u_s = F_s + H_s over p space variables; every
-    term of F_s involves u or its x-derivatives, H_s is a pure (t,x) source."""
+    """q equations Dt^alpha u_s = rhs_s over p space variables, each rhs_s
+    expanded.  rhs_s = F_s + H_s: every term of F_s involves u or its
+    x-derivatives, H_s is a pure (t,x) source; both are read off the split
+    of rhs_s by jet monomial (rhs_fragments)."""
     sig: Signature
     alpha: Expr
-    F: tuple[Expr, ...]
-    H: tuple[Expr, ...]
-    source: Optional[str] = None
+    rhs: tuple[Expr, ...]
 
     @property
     def p(self) -> int:
@@ -152,9 +153,6 @@ class PDESystem:
     def q(self) -> int:
         return self.sig.q
 
-    def rhs(self, s: int) -> Expr:
-        return self._rhs[s]
-
     def assumptions(self) -> Assumptions:
         return self.sig.assumptions()
 
@@ -163,25 +161,30 @@ class PDESystem:
     # (jet_fragments).
 
     @cached_property
+    def rhs_fragments(self) -> tuple[Fragments, ...]:
+        """Per equation: rhs_s."""
+        return tuple(jet_fragments(r) for r in self.rhs)
+
+    @cached_property
+    def H(self) -> tuple[Expr, ...]:
+        """Per equation: H_s, the coefficient of the jet-free class of rhs_s."""
+        return tuple(next((c for m, c in frags if m == ONE), ZERO)
+                     for frags in self.rhs_fragments)
+
+    @cached_property
+    def F(self) -> tuple[Expr, ...]:
+        """Per equation: F_s = rhs_s - H_s."""
+        return tuple(expand(r - h) for r, h in zip(self.rhs, self.H))
+
+    @cached_property
     def jets(self) -> tuple[tuple[Jet, ...], ...]:
-        """Per equation: the distinct jets of F_s, in key order."""
-        return tuple(tuple(atoms(f, Jet)) for f in self.F)
+        """Per equation: the distinct jets of rhs_s, all in F_s, in key order."""
+        return tuple(tuple(atoms(r, Jet)) for r in self.rhs)
 
     @cached_property
     def k(self) -> int:
-        """The highest total space order of a jet of the system; make_system
-        leaves no jet in H."""
+        """The highest total space order of a jet of the system."""
         return max((sum(j.theta) for jets in self.jets for j in jets), default=0)
-
-    @cached_property
-    def _rhs(self) -> tuple[Expr, ...]:
-        return tuple(f if h == ZERO else _nadd([f, h])
-                     for f, h in zip(self.F, self.H))
-
-    @cached_property
-    def rhs_fragments(self) -> tuple[Fragments, ...]:
-        """Per equation: rhs_s."""
-        return tuple(jet_fragments(r) for r in self._rhs)
 
     @cached_property
     def rhs_partials(self) -> tuple[tuple[Fragments, ...], ...]:
@@ -295,28 +298,12 @@ def _partial_fragments(frags: Fragments, v: Var) -> Fragments:
     return summed_classes(pieces)
 
 
-def split_rhs(rhs: Expr) -> tuple[Expr, Expr]:
-    """The F/H split: terms containing u-dependence go to F, the rest to H."""
-    rhs = expand(rhs)
-    f_terms, h_terms = [], []
-    for term in add_terms(rhs):
-        if term == ZERO:
-            continue
-        (f_terms if depends_on_jets(term) else h_terms).append(term)
-    return _nadd(f_terms), _nadd(h_terms)
-
-
-def make_system(sig: Signature, rhs_list: list[Expr], alpha: Optional[Expr] = None,
-                source: Optional[str] = None) -> PDESystem:
+def make_system(sig: Signature, rhs_list: list[Expr], alpha: Optional[Expr] = None
+                ) -> PDESystem:
     if len(rhs_list) != sig.q:
         raise ValueError(f"expected {sig.q} equations, got {len(rhs_list)}")
     alpha = alpha if alpha is not None else sig.alpha
-    F, H = [], []
-    for rhs in rhs_list:
-        fs, hs = split_rhs(rhs)
-        F.append(fs)
-        H.append(hs)
-    return PDESystem(sig, alpha, tuple(F), tuple(H), source)
+    return PDESystem(sig, alpha, tuple(expand(r) for r in rhs_list))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +316,8 @@ def validate_system(sys: PDESystem) -> list[tuple[str, str]]:
     variable in which no equation differentiates a dependent is one: the
     invariance condition then leaves its xi arbitrary, an algebra of no
     finite dimension.  The parser refuses a t-derivative on a right-hand
-    side and a numeric alpha outside (0, 1) at their tokens, and
-    make_system's F/H split leaves no jet in H and no pure source in F, so
+    side and a numeric alpha outside (0, 1) at their tokens, and H_s, the
+    jet-free class of rhs_s, holds no jet and F_s no pure source, so
     nothing else is left to check."""
     return [(name, f"no equation differentiates any dependent in {name!r}")
             for i, name in enumerate(sys.sig.space_names)

@@ -529,8 +529,7 @@ def parse_system(text: str) -> PDESystem:
         raise DslSemanticError(f"missing equation(s) for {', '.join(missing)}",
                                tok.line, tok.col)
 
-    sys = make_system(sig, [rhs_by_dep[d] for d in deps], alpha=alpha_expr,
-                      source=text)
+    sys = make_system(sig, [rhs_by_dep[d] for d in deps], alpha=alpha_expr)
     problems = validate_system(sys)
     if problems:
         name, message = problems[0]

@@ -23,7 +23,7 @@ from operator import sub
 
 from .exponents import ExponentForm
 from .expr import (Expr, Fn, ONE, Rat, Sym, Var, _is_zero, _nadd, _nmul,
-                   _npow, diff_wrt, partial_derivative, total_derivative)
+                   _npow, partial_derivative, total_derivative)
 from .model import Signature
 from .records import record
 
@@ -98,7 +98,7 @@ class AnsatzGenerator:
         return _nadd(pieces)
 
     def deta_du(self, s: int, i: int) -> Expr:
-        return diff_wrt(self.eta(s), self.sig.u(i))
+        return partial_derivative(self.eta(s), self.sig.u(i))
 
     def unknown_fn_names(self) -> dict[str, tuple[Var, ...]]:
         """All unknown function atoms with their argument signatures."""
@@ -208,8 +208,6 @@ class Prolongation:
         nonzero term of the Leibniz sum, so a jet may recur, and the
         jet-free d^theta h_s under ONE when it is nonzero."""
         sig = self.sig
-        if theta.__class__ is not tuple or len(theta) != sig.p:
-            theta = self._full(theta)
         out = []
         for j, a in enumerate(self.a[s]):
             if _is_zero(a):
@@ -231,9 +229,6 @@ class Prolongation:
         if walk and walk[-1][0] == theta:
             out.append((ONE, walk[-1][1]))
         return out
-
-    def _full(self, theta: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(theta) + (0,) * (self.sig.p - len(theta))
 
 
 def _weight(theta: tuple[int, ...], beta: tuple[int, ...]) -> int:

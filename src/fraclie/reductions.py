@@ -82,7 +82,7 @@ def translation_reduction(sys: PDESystem, gen: Generator) -> TranslationReductio
                                           if i != axis),
                         dep_names=sig.dep_names, params=sig.params,
                         fn_decls=sig.fn_decls, t_name=sig.t_name)
-    rhs = [_drop_axis(sys.rhs(s), axis) for s in range(sys.q)]
+    rhs = [_drop_axis(sys.rhs[s], axis) for s in range(sys.q)]
     reduced = make_system(new_sig, rhs, alpha=sys.alpha)
     similarity = [f"z1 = {sig.t_name}"]
     similarity += [f"z{i + 2} = {n}" for i, n in enumerate(new_sig.space_names)]
@@ -203,7 +203,7 @@ def verify_exact_solution(sys: PDESystem, sol: list[Expr]) -> list[Expr]:
     for s in range(sys.q):
         ps = PowerSum.from_expr(sol[s], sig.t)
         lhs = rl_derivative(ps, sys.alpha, tvar=sig.t, assumptions=asm).to_expr()
-        rhs = substitute(sys.rhs(s), bindings) if bindings else sys.rhs(s)
+        rhs = substitute(sys.rhs[s], bindings) if bindings else sys.rhs[s]
         diff = lhs - rhs
         if diff != ZERO:
             # a residual that is not ZERO structurally goes through the

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from fractions import Fraction
 from typing import Optional
@@ -90,7 +89,7 @@ def compute_reductions(sys: PDESystem, basis: SolutionBasis) -> list[dict]:
                 "similarity": list(tr.similarity),
                 "reduced": [
                     f"Dt^{sys.sig.alpha_name}({d}) = "
-                    + render(tr.system.rhs(s), tr.system.sig)
+                    + render(tr.system.rhs[s], tr.system.sig)
                     for s, d in enumerate(tr.system.sig.dep_names)],
             })
             continue
@@ -120,15 +119,14 @@ def run_generator_check(sys: PDESystem, text: str) -> dict:
 
 def run_oracle_check(sys: PDESystem) -> dict:
     """The symbolic power rule and the quadrature oracle vs the closed form
-    from math.gamma, on the fixed grid plus seeded random samples
-    (FRACLIE_SEED); the worst error is that of either."""
+    from math.gamma, on the fixed grid plus random samples of seed 0; the
+    worst error is that of either."""
     import random       # only this check draws samples; kept off start-up
     t = sys.sig.t
     grid_g = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)]
     grid_a = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     grid_t = [0.5, 1.0, 2.0]
-    seed = int(os.environ.get("FRACLIE_SEED", "0"))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(5):
         grid_g.append(Fraction(rng.randint(1, 12), rng.choice([1, 2, 4])))
         grid_a.append(Fraction(rng.randint(1, 7), 8))
@@ -147,7 +145,7 @@ def run_oracle_check(sys: PDESystem) -> dict:
                 worst = max(worst, abs(symbolic - closed),
                             abs(float(got) - closed))
                 count += 1
-    return {"samples": count, "worst_abs_error": worst, "seed": seed,
+    return {"samples": count, "worst_abs_error": worst, "seed": 0,
             "pass": bool(worst < 1e-8)}
 
 
@@ -223,7 +221,7 @@ def _emit_text(r: Report) -> str:
     L.append("== system ==")
     for s in range(r.sys.q):
         L.append(f"  Dt^{sig.alpha_name}({sig.dep_names[s]}) = "
-                 + render(r.sys.rhs(s), sig))
+                 + render(r.sys.rhs[s], sig))
     for s, frags in enumerate(r.sys.rhs_fragments):
         # F_s by jet monomial: a lone jet is a linear term; ONE is H_s
         linear, rest = [], []
@@ -293,7 +291,7 @@ def _emit_latex(r: Report) -> str:
     for s in range(r.sys.q):
         L.append(r"\item \texttt{" + _tex(
             f"Dt^{sig.alpha_name}({sig.dep_names[s]}) = "
-            + render(r.sys.rhs(s), sig)) + "}")
+            + render(r.sys.rhs[s], sig)) + "}")
     L.append(r"\end{itemize}")
     L.append(r"\subsection*{Determining system}")
     L.append(r"\begin{itemize}")

@@ -88,10 +88,6 @@ class Generator:
         out += [(self.sig.dep_names[s], self.eta[s]) for s in range(self.sig.q)]
         return out
 
-    def is_zero(self) -> bool:
-        return (self.tau == ZERO and all(x == ZERO for x in self.xi)
-                and all(e == ZERO for e in self.eta))
-
     def is_shift(self) -> bool:
         """Pure solution-shift: only eta components, independent of the u_j."""
         if self.tau != ZERO or any(x != ZERO for x in self.xi):
@@ -322,10 +318,6 @@ class SolverConfig:
         if self.poly_degree < 0:
             raise ValueError(f"the polynomial degree must be at least 0, not "
                              f"{self.poly_degree}")
-        for T in self.h_templates:
-            # h_s is a function of t and the space variables
-            if depends_on_jets(T):
-                raise ValueError(f"h-template {render(T)} mentions a dependent")
 
 
 def _monomials(p: int, total: int) -> list[tuple[int, ...]]:
@@ -456,6 +448,9 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
     ans = ds.ans
     templates = default_h_templates(ds.sys)
     for T in cfg.h_templates:
+        # h_s is a function of t and the space variables
+        if depends_on_jets(T):
+            raise ValueError(f"h-template {render(T, sig)} mentions a dependent")
         if T not in templates:
             templates.append(T)
     rl_templates = []

@@ -114,6 +114,17 @@ class TestFieldArithmetic:
         r = fld.div(fld.mul(p, q), q)
         assert r == p
 
+    def test_merged_powers_of_an_unsafe_base_multiply_through_nmul(self):
+        # a merged power of a sum or of a rational base is no monomial
+        # exponent sum (mono_mul gives None): term_mul rebuilds the product
+        # and reads its terms
+        fld = field()
+        for base in (add(1, a), Rat(2)):
+            root = fld.elem(pow_(base, F(1, 2)))
+            prod = fld.mul(root, root)
+            assert prod == fld.elem(base)
+            assert fld.to_expr(prod) == base
+
     def test_gamma_atoms_ride_along(self):
         fld = field()
         g = fld.elem(Gamma(add(ONE, neg(a))))

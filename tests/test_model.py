@@ -5,6 +5,7 @@ import pytest
 from fraclie import (DslSemanticError, DslSyntaxError, Jet, ONE, Rat, Sym, Var,
                      ZERO, add, expand, mul, neg,
                      parse_system, pow_, simplify, validate_system)
+from fraclie.expr import add_terms, atoms, depends_on_jets
 from fraclie.lemmas import (emit_dsl, jet_coefficients_of_whole_rhs,
                             rhs_partials_of_whole_rhs)
 from fraclie.model import make_system, Signature
@@ -100,7 +101,7 @@ class TestRoundTrip:
         sys = parse_system(src)
         for s in range(sys.q):
             back = simplify(expand(add(sys.F[s], sys.H[s])))
-            assert back == simplify(expand(sys.rhs(s)))
+            assert back == simplify(expand(sys.rhs[s]))
 
 
 def split_by_jet(sys, s):
@@ -204,6 +205,18 @@ class TestSystemFacts:
 
     def test_all_systems_are_read(self):
         assert len(SYSTEM_FILES) == 25
+
+    @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
+    def test_f_h_and_jets_are_read_off_rhs(self, path):
+        # one split of rhs_s: H_s is its jet-free class and holds no jet,
+        # every term of F_s holds one, and the jets of rhs_s are F_s's
+        sys = parse_system(path.read_text())
+        for s in range(sys.q):
+            f, h = sys.F[s], sys.H[s]
+            assert expand(add(f, h)) == sys.rhs[s]
+            assert f == ZERO or all(depends_on_jets(t) for t in add_terms(f))
+            assert not depends_on_jets(h)
+            assert sys.jets[s] == tuple(atoms(f, Jet))
 
     @pytest.mark.parametrize("path", SYSTEM_FILES, ids=lambda p: p.stem)
     def test_rhs_partials_equal_the_whole_rhs_route(self, path):

@@ -326,8 +326,7 @@ class TestMuTruncated:
         #   C(a,n) C(n,m) C(k,r)/k! t^(n-a) (-u)^r / Gamma(n+1-a)
         #   * Dt^m(u^(k-r)) * dt^(n-m)(d^k eta/du^k)
         import math
-        from fraclie import (Gamma, Rat, diff_wrt, partial_derivative,
-                             total_derivative)
+        from fraclie import Gamma, Rat, partial_derivative, total_derivative
         from fraclie.lemmas import gen_binomial
 
         t, xv = Var("t", -1), Var("x", 0)
@@ -340,7 +339,7 @@ class TestMuTruncated:
                     for k in range(2, m + 1):
                         dk = eta
                         for _ in range(k):
-                            dk = diff_wrt(dk, u)
+                            dk = partial_derivative(dk, u)
                         for _ in range(nn - m):
                             dk = partial_derivative(dk, t)
                         if dk == ZERO:

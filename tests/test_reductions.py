@@ -49,7 +49,7 @@ class TestTranslation:
         gen = gen_of(zk.sig, xi=[ONE, ZERO])
         red = translation_reduction(zk, gen)
         assert red.removed == "x"
-        assert red.system.rhs(0) == ZERO
+        assert red.system.rhs[0] == ZERO
         assert red.system.sig.space_names == ("y",)
 
     def test_zk_dy_keeps_x_part(self, zk):
@@ -59,13 +59,13 @@ class TestTranslation:
         u, ux, uxxx = sig.u(0), sig.u(0, (1,)), sig.u(0, (3,))
         n = Sym("n")
         want = add(neg(mul(pow_(u, ExponentForm.symbol("n")), ux)), neg(uxxx))
-        assert simplify(expand(red.system.rhs(0) - want)) == ZERO
+        assert simplify(expand(red.system.rhs[0] - want)) == ZERO
 
     def test_hs_dx(self, hs):
         gen = gen_of(hs.sig, xi=[ONE])
         red = translation_reduction(hs, gen)
-        assert red.system.rhs(0) == ZERO
-        assert red.system.rhs(1) == ZERO
+        assert red.system.rhs[0] == ZERO
+        assert red.system.rhs[1] == ZERO
 
     def test_split_preserved(self, zk):
         gen = gen_of(zk.sig, xi=[ZERO, ONE])

@@ -172,12 +172,15 @@ class TestBranches:
             SolverConfig(branch=branch)
 
     def test_h_template_mentioning_a_dependent_is_a_value_error(self, zk):
-        # h_s is a function of t and the space variables, whatever the caller
+        # h_s is a function of t and the space variables, whatever the
+        # caller; the refusal names the template in the system's names
         sig = zk.sig
-        for T, shown in [(sig.u(0), "u1"), (mul(sig.t, sig.u(0, (1, 0))), "t*u1_x1")]:
+        ds = build_determining(zk)
+        for T, shown in [(sig.u(0), "u"), (mul(sig.t, sig.u(0, (1, 0))), "t*u_x")]:
+            cfg = SolverConfig(h_templates=(ONE, T))
             with pytest.raises(ValueError,
                                match=f"h-template {re.escape(shown)} mentions a dependent"):
-                SolverConfig(h_templates=(ONE, T))
+                solve(ds, cfg)
 
     @pytest.mark.parametrize("path", BRANCH_SYSTEMS,
                              ids=[f"{p.parent.name}/{p.stem}" for p in BRANCH_SYSTEMS])

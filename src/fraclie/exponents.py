@@ -144,20 +144,6 @@ class ExponentForm:
     def __neg__(self) -> "ExponentForm":
         return self.scale(-1)
 
-    def subs(self, values: Mapping[str, Fraction]) -> "ExponentForm":
-        """Substitute exact rational values for symbols."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in self.coeffs:
-            rest = []
-            for name, k in mono:
-                if name in values:
-                    c = c * Fraction(values[name]) ** k
-                else:
-                    rest.append((name, k))
-            key = tuple(rest)
-            acc[key] = acc.get(key, 0) + c
-        return ExponentForm._of(_canonical(acc))
-
     # -- queries -------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -1140,92 +1140,94 @@ def _gamma_normal(x: Expr, asm: Assumptions) -> Expr:
 def render(e: Expr, sig=None) -> str:
     """Deterministic plain-text rendering.  sig (a model.Signature) supplies
     variable names; without it generic names u1.., x1.., t, a are used."""
-    dep_name = (lambda s: sig.dep_names[s]) if sig is not None else (lambda s: f"u{s + 1}")
-    space_name = (lambda i: sig.space_names[i]) if sig is not None else (lambda i: f"x{i + 1}")
-    alpha_name = sig.alpha_name if sig is not None else "a"
+    return _render(e, 0, sig)
 
-    def jet_str(j: Jet) -> str:
-        base = dep_name(j.dep)
-        subs = "t" * j.t_order + "".join(space_name(i) * k for i, k in enumerate(j.theta))
-        body = base + ("_" + subs if subs else "")
-        if j.frac is not None:
-            off = f"{alpha_name}-{j.frac}" if j.frac else alpha_name
-            return f"Dt^({off})[{body}]"
-        return body
 
-    def fn_str(f: Fn) -> str:
-        subs = []
-        for a, k in zip(f.args, f.deriv):
-            if k:
-                nm = a.name if isinstance(a, Var) else render(a, sig)
-                subs.append(nm * k)
-        body = f.fname + ("_" + "".join(subs) if subs else "")
-        if f.frac:
-            return f"Dt^{alpha_name}[{body}]"
-        return body
+def _jet_str(j: Jet, sig) -> str:
+    if sig is None:
+        base, names = f"u{j.dep + 1}", [f"x{i + 1}" for i in range(len(j.theta))]
+    else:
+        base, names = sig.dep_names[j.dep], sig.space_names
+    subs = "t" * j.t_order + "".join(names[i] * k for i, k in enumerate(j.theta))
+    body = base + ("_" + subs if subs else "")
+    if j.frac is not None:
+        alpha = sig.alpha_name if sig is not None else "a"
+        off = f"{alpha}-{j.frac}" if j.frac else alpha
+        return f"Dt^({off})[{body}]"
+    return body
 
-    def pw(x: Expr, prec: int) -> str:
-        # prec: 0 add-context, 1 mul-context, 2 power/atom context
-        if isinstance(x, Rat):
-            s = str(x.value)
-            return f"({s})" if (prec >= 1 and (x.value < 0 or x.value.denominator != 1)) else s
-        if isinstance(x, Sym):
-            return x.name
-        if isinstance(x, Var):
-            return x.name
-        if isinstance(x, Jet):
-            return jet_str(x)
-        if isinstance(x, Fn):
-            return fn_str(x)
-        if isinstance(x, Gamma):
-            return f"Gamma({pw(x.arg, 0)})"
-        if isinstance(x, Pow):
-            b = pw(x.base, 2)
-            if isinstance(x.base, (Mul, Pow)):
-                b = f"({b})"
-            es = x.exp.render()
-            needs = not (x.exp.is_rational() and x.exp.as_rational().denominator == 1
-                         and x.exp.as_rational() >= 0)
-            return f"{b}^({es})" if needs else f"{b}^{es}"
-        if isinstance(x, Mul):
-            num, den = [], []
-            coeff = Fraction(1)
-            for f in x.factors:
-                if isinstance(f, Rat):
-                    coeff = f.value
-                    continue
-                b, ex = _base_exp(f)
-                r = ex.as_rational()
-                if r is not None and r < 0:
-                    den.append(_npow(b, ex.scale(-1)))
-                else:
-                    num.append(f)
-            parts = []
-            sign = ""
-            if coeff == -1 and num:
-                sign = "-"
-            elif coeff != 1 or not num:
-                parts.append(pw(Rat(coeff), 1))
-            parts.extend(pw(f, 1) if not isinstance(f, Add) else f"({pw(f, 0)})"
-                         for f in num)
-            s = sign + "*".join(parts)
-            if den:
-                ds = "*".join(pw(f, 1) if not isinstance(f, (Add, Mul)) else f"({pw(f, 0)})"
-                              for f in den)
-                if len(den) > 1:
-                    ds = f"({ds})"
-                s = f"{s}/{ds}"
-            return s
-        if isinstance(x, Add):
-            c0, m0 = _coeff_mono(x.terms[0])
-            out = ("-" + pw(_with_coeff(-c0, m0), 1)) if c0 < 0 else pw(x.terms[0], 0)
-            for t in x.terms[1:]:
-                c, mono = _coeff_mono(t)
-                if c < 0:
-                    out += " - " + pw(_with_coeff(-c, mono), 1)
-                else:
-                    out += " + " + pw(t, 1)
-            return f"({out})" if prec >= 1 else out
-        raise TypeError(f"not an expression: {x!r}")
 
-    return pw(e, 0)
+def _fn_str(f: Fn, sig) -> str:
+    subs = []
+    for a, k in zip(f.args, f.deriv):
+        if k:
+            nm = a.name if isinstance(a, Var) else render(a, sig)
+            subs.append(nm * k)
+    body = f.fname + ("_" + "".join(subs) if subs else "")
+    if f.frac:
+        return f"Dt^{sig.alpha_name if sig is not None else 'a'}[{body}]"
+    return body
+
+
+def _render(x: Expr, prec: int, sig) -> str:
+    # prec: 0 add-context, 1 mul-context, 2 power/atom context
+    if isinstance(x, Rat):
+        s = str(x.value)
+        return f"({s})" if (prec >= 1 and (x.value < 0 or x.value.denominator != 1)) else s
+    if isinstance(x, (Sym, Var)):
+        return x.name
+    if isinstance(x, Jet):
+        return _jet_str(x, sig)
+    if isinstance(x, Fn):
+        return _fn_str(x, sig)
+    if isinstance(x, Gamma):
+        return f"Gamma({_render(x.arg, 0, sig)})"
+    if isinstance(x, Pow):
+        b = _render(x.base, 2, sig)
+        if isinstance(x.base, (Mul, Pow)):
+            b = f"({b})"
+        es = x.exp.render()
+        needs = not (x.exp.is_rational() and x.exp.as_rational().denominator == 1
+                     and x.exp.as_rational() >= 0)
+        return f"{b}^({es})" if needs else f"{b}^{es}"
+    if isinstance(x, Mul):
+        num, den = [], []
+        coeff = Fraction(1)
+        for f in x.factors:
+            if isinstance(f, Rat):
+                coeff = f.value
+                continue
+            b, ex = _base_exp(f)
+            r = ex.as_rational()
+            if r is not None and r < 0:
+                den.append(_npow(b, ex.scale(-1)))
+            else:
+                num.append(f)
+        parts = []
+        sign = ""
+        if coeff == -1 and num:
+            sign = "-"
+        elif coeff != 1 or not num:
+            parts.append(_render(Rat(coeff), 1, sig))
+        parts.extend(_render(f, 1, sig) if not isinstance(f, Add)
+                     else f"({_render(f, 0, sig)})" for f in num)
+        s = sign + "*".join(parts)
+        if den:
+            ds = "*".join(_render(f, 1, sig) if not isinstance(f, (Add, Mul))
+                          else f"({_render(f, 0, sig)})" for f in den)
+            if len(den) > 1:
+                ds = f"({ds})"
+            s = f"{s}/{ds}"
+        return s
+    if isinstance(x, Add):
+        c0, m0 = _coeff_mono(x.terms[0])
+        out = ("-" + _render(_with_coeff(-c0, m0), 1, sig) if c0 < 0
+               else _render(x.terms[0], 0, sig))
+        for t in x.terms[1:]:
+            c, mono = _coeff_mono(t)
+            if c < 0:
+                out += " - " + _render(_with_coeff(-c, mono), 1, sig)
+            else:
+                out += " + " + _render(t, 1, sig)
+        return f"({out})" if prec >= 1 else out
+    raise TypeError(f"not an expression: {x!r}")

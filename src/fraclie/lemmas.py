@@ -584,7 +584,7 @@ def _generator_vector(g: Generator, fld: Field) -> GeneratorVector:
 
 def normalize_basis(basis: SolutionBasis) -> SolutionBasis:
     """Reduced row-echelon normal form of the emitted generators; idempotent."""
-    fld = Field(basis.sys.assumptions())
+    fld = basis.sys.field
     merged = normalize_generators(
         [_generator_vector(g, fld)
          for g in basis.generators + basis.shift_generators],

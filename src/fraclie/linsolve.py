@@ -146,8 +146,15 @@ class Field:
         self._exprs: list[Optional[Expr]] = []
         self._safe: list[bool] = []
         self._varjet: list[bool] = []
-        self.zero = Elem(self, {}, Fraction(1), {}, Fraction(0))
-        self.one = self._rat(Fraction(1))
+
+    @property
+    def zero(self) -> Elem:
+        # built on each use, so a Field holds none of its elements: no cycle
+        return Elem(self, {}, Fraction(1), {}, Fraction(0))
+
+    @property
+    def one(self) -> Elem:
+        return Elem(self, {(): Fraction(1)}, Fraction(1), {}, Fraction(1))
 
     def norm_expr(self, e: Expr) -> Expr:
         e = expand(e)

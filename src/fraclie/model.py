@@ -22,6 +22,7 @@ from .expr import (Expr, Gamma, Jet, NonPolynomial, ONE, Pow, Rat, Sym, Var,
                    ZERO, _nmul, _npow, any_node, atoms, depends_on_jets,
                    expand, from_eform, group_by_monomial, mul_factors,
                    partial_derivative, render, summed_classes)
+from .linsolve import Field
 from .records import record
 
 
@@ -155,6 +156,13 @@ class PDESystem:
 
     def assumptions(self) -> Assumptions:
         return self.sig.assumptions()
+
+    @cached_property
+    def field(self) -> Field:
+        """The field of rational functions in the parameters, under the
+        system's assumptions: the solve and every certificate of the system
+        compute in this one Field."""
+        return Field(self.assumptions())
 
     # Facts of the system that the invariance condition reads, computed once
     # per system on first use, each already separated over jet monomials

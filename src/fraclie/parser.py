@@ -63,7 +63,7 @@ def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__
-    lines = text.splitlines()
+    lines = text.splitlines() or [""]
     for lineno, line in enumerate(lines, start=1):
         for m in _TOKEN_RE.finditer(line.split("#", 1)[0]):
             kind = m.lastindex
@@ -73,8 +73,14 @@ def tokenize(text: str) -> list[Token]:
             # the named tuple built by tuple.__new__, without a Python call
             append(new(Token, (_KINDS[kind], m.group(kind), lineno,
                                m.start(kind) + 1)))
-    append(new(Token, ("EOF", "", len(lines) + 1, 1)))
+    # end of input, just after the last character of the text
+    append(new(Token, ("EOF", "", len(lines), len(lines[-1]) + 1)))
     return tokens
+
+
+def _found(t: Token) -> str:
+    """The token an error message quotes: its text, or end of input."""
+    return "end of input" if t.kind == "EOF" else repr(t.text)
 
 
 class _Stream:
@@ -93,13 +99,13 @@ class _Stream:
     def expect(self, text: str) -> Token:
         t = self.peek()
         if t.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+            raise DslSyntaxError(f"expected {text!r}, found {_found(t)}", t.line, t.col)
         return self.next()
 
     def expect_kind(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            raise DslSyntaxError(f"expected {kind}, found {t.text!r}", t.line, t.col)
+            raise DslSyntaxError(f"expected {kind}, found {_found(t)}", t.line, t.col)
         return self.next()
 
 
@@ -212,7 +218,8 @@ class ExprParser:
         elif t.kind == "IDENT":
             inner = self._atom_ident(self.s.next())
         else:
-            raise DslSyntaxError(f"bad exponent start {t.text!r}", t.line, t.col)
+            raise DslSyntaxError("expected an exponent, found end of input" if t.kind == "EOF"
+                                 else f"bad exponent start {t.text!r}", t.line, t.col)
         form = to_eform(inner)
         if form is None:
             raise DslSemanticError("exponent is not an exact affine combination "
@@ -237,7 +244,8 @@ class ExprParser:
         if t.text == "-":
             s.i += 1
             return neg(self._power())
-        raise DslSyntaxError(f"unexpected token {t.text!r}", t.line, t.col)
+        raise DslSyntaxError("expected an expression, found end of input" if kind == "EOF"
+                             else f"unexpected token {t.text!r}", t.line, t.col)
 
     def _deriv_op(self, t: Token) -> Expr:
         var_name = t.text[1:]
@@ -374,7 +382,7 @@ def parse_generator(text: str, sig: Signature):
                                        vt.line, vt.col)
             target = (head.text, vt.text)
         else:
-            raise DslSyntaxError(f"expected tau/xi/eta, found {head.text!r}",
+            raise DslSyntaxError(f"expected tau/xi/eta, found {_found(head)}",
                                  head.line, head.col)
         if target in assigned:
             label = "tau" if target[1] is None else f"{target[0]}[{target[1]}]"
@@ -502,7 +510,7 @@ def parse_system(text: str) -> PDESystem:
         head = stream.peek()
         if head.text != f"D{sig.t_name}":
             raise DslSyntaxError(f"expected an equation 'D{sig.t_name}^...', "
-                                 f"found {head.text!r}", head.line, head.col)
+                                 f"found {_found(head)}", head.line, head.col)
         stream.next()
         stream.expect("^")
         at = stream.expect_kind("IDENT")

@@ -18,7 +18,6 @@ from .expr import (Expr, Jet, Var, ZERO, ONE, _nmul, atoms,
                    depends_on_jets, expand, partial_derivative, substitute,
                    to_eform)
 from .fraccalc import PowerSum, rl_derivative
-from .linsolve import Field
 from .model import PDESystem, Signature, make_system
 from .records import record
 from .solver import Generator
@@ -183,8 +182,6 @@ def verify_exact_solution(sys: PDESystem, sol: list[Expr]) -> list[Expr]:
         raise ValueError(f"expected {sys.q} solution components")
     if any(depends_on_jets(c) for c in sol):
         raise ValueError("a solution component mentions a dependent")
-    asm = sys.assumptions()
-    fld = None
     sig = sys.sig
 
     # the jets of F, read once per system; make_system leaves none in H
@@ -202,14 +199,12 @@ def verify_exact_solution(sys: PDESystem, sol: list[Expr]) -> list[Expr]:
     residuals = []
     for s in range(sys.q):
         ps = PowerSum.from_expr(sol[s], sig.t)
-        lhs = rl_derivative(ps, sys.alpha, tvar=sig.t, assumptions=asm).to_expr()
+        lhs = rl_derivative(ps, sys.alpha, tvar=sig.t, assumptions=sys.assumptions()).to_expr()
         rhs = substitute(sys.rhs[s], bindings) if bindings else sys.rhs[s]
         diff = lhs - rhs
         if diff != ZERO:
             # a residual that is not ZERO structurally goes through the
-            # Field's zero test, the Field built once
-            if fld is None:
-                fld = Field(asm)
-            diff = fld.to_expr(fld.elem(diff))
+            # Field's zero test
+            diff = sys.field.to_expr(sys.field.elem(diff))
         residuals.append(diff)
     return residuals

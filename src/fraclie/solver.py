@@ -9,8 +9,8 @@ emits a normalized basis with machine-checked residual certificates: each
 generator's invariance condition is rebuilt from its own prolongation
 (admitted_prolongation), built already separated over jet monomials.  Each
 eta_s is split once into its jet fragments (model.jet_fragments), and
-A_sj, h_s and the shape checks are read off that split; a Field is built
-only for a zero test that is actually needed.
+A_sj, h_s and the shape checks are read off that split.  The solve and
+every certificate of a system compute in its one Field, PDESystem.field.
 
 Every determining equation is homogeneous linear in the unknowns, so each
 is compiled once into operator form: per term, the unknown, its derivative
@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .exponents import UNIT_FORM, ZERO_FORM, Assumptions, ExponentForm
+from .exponents import UNIT_FORM, ZERO_FORM, ExponentForm
 from .expr import (Add, Expr, Fn, Jet, Mul, NonPolynomial, Rat, Sym, Var,
                    ZERO, ONE, _nadd, _nmul, _npow, add_terms, any_node,
                    depends_on_jets, expand, mul_factors, partial_derivative,
@@ -121,16 +121,12 @@ def admitted_prolongation(gen: Generator, sys: PDESystem) -> Prolongation:
     The shape is decided on values: the summed coefficient of each power
     of t in tau, in the xi_i and in the A_sj goes through the Field's zero
     test, so a coefficient that is zero only once simplified,
-    (k^2-1)/((k-1)(k+1)) - 1 say, does not count as a term.  The Field is
-    built at the first such test."""
-    sig, alpha, asm = gen.sig, sys.alpha, sys.assumptions()
+    (k^2-1)/((k-1)(k+1)) - 1 say, does not count as a term."""
+    sig, alpha, fld = gen.sig, sys.alpha, sys.field
     t = sig.t
-    fields: list[Field] = []
 
     def vanishes(c: Expr) -> bool:
-        if not fields:
-            fields.append(Field(asm))
-        return fields[0].elem(c).is_zero()
+        return fld.elem(c).is_zero()
 
     def free_of_t(e: Expr) -> bool:
         # t only in powers whose summed coefficients vanish
@@ -178,7 +174,7 @@ def admitted_prolongation(gen: Generator, sys: PDESystem) -> Prolongation:
                 "(alpha-1)*chi2")
     h_frac = [ZERO if hs == ZERO else
               rl_derivative(PowerSum.from_expr(hs, t), alpha, tvar=t,
-                            assumptions=asm).to_expr()
+                            assumptions=sys.assumptions()).to_expr()
               for hs in h]
     return Prolongation(sig, gen.tau, gen.xi, a, h, h_frac)
 
@@ -263,17 +259,12 @@ def verify_generator(sys: PDESystem, gen: Generator) -> VerificationReport:
     otherwise); on that shape the extended infinitesimals are the Leibniz
     sum of prolong.Prolongation, computed once per generator, and the facts
     of the system are those the system computed once."""
-    asm = sys.assumptions()
-    fld: Optional[Field] = None
+    fld = sys.field
     frac_res = []
     int_res = []
     for frac, fragments in invariance_condition(
             sys, admitted_prolongation(gen, sys)):
-        # a structural ZERO needs no zero test, and the fragments are the
-        # classes that survived expand: the Field is built for the first
-        # residual to test
-        if fld is None and (frac != ZERO or fragments):
-            fld = Field(asm)
+        # a structural ZERO needs no zero test
         if frac != ZERO:
             frac = fld.to_expr(fld.elem(frac))
         frac_res.append(frac)
@@ -341,7 +332,7 @@ def _split_term(term: Expr, t: Var) -> tuple[ExponentForm, Expr, Expr]:
 @record
 class _Instantiation:
     """The columns of the linear system and the images of their basis
-    functions.
+    functions, over the field of the system, `fld`.
 
     `basis` maps each unknown to its columns, each with its basis function:
     the exponents of an x-monomial for xi_i, g_s and f_si, a template index
@@ -361,6 +352,7 @@ class _Instantiation:
     templates: list[Expr]
     rl_templates: list[Expr]
     ndeg: int
+    fld: Field
 
     def __post_init__(self):
         self.col_index = {c: i for i, c in enumerate(self.columns)}
@@ -436,17 +428,16 @@ class _Instantiation:
         return out
 
 
-def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
-                        assumptions: Assumptions) -> _Instantiation:
+def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig) -> _Instantiation:
     """The columns: chi1, chi2, one per x-monomial of total degree <= d =
     cfg.poly_degree in each of xi_i, g_s and f_si, and one per template in
     each h_s.  The templates are default_h_templates, then each of
     cfg.h_templates not among them.  With cfg.check_degree_stability the
     monomials of degree d+1 get columns as well, after all of these.  The
     templates' RL images are computed here."""
-    sig = ds.sys.sig
-    ans = ds.ans
-    templates = default_h_templates(ds.sys)
+    sys, ans = ds.sys, ds.ans
+    sig = sys.sig
+    templates = default_h_templates(sys)
     for T in cfg.h_templates:
         # h_s is a function of t and the space variables
         if depends_on_jets(T):
@@ -456,8 +447,8 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
     rl_templates = []
     for T in templates:
         ps = PowerSum.from_expr(T, sig.t)
-        rl_templates.append(rl_derivative(ps, ds.sys.alpha, tvar=sig.t,
-                                          assumptions=assumptions).to_expr())
+        rl_templates.append(rl_derivative(ps, sys.alpha, tvar=sig.t,
+                                          assumptions=sys.assumptions()).to_expr())
 
     columns = [ans.chi1.name, ans.chi2.name]
     basis: dict[str, list[tuple[int, object]]] = {
@@ -486,18 +477,18 @@ def build_instantiation(ds: DeterminingSystem, cfg: SolverConfig,
             for beta in _monomials(sig.p, cfg.poly_degree + 1):
                 add_column(name, beta, ".".join(str(b) for b in beta))
     return _Instantiation(sig, columns, basis, ans.unknown_fn_names(),
-                          ans.unknown_names(), templates, rl_templates, ndeg)
+                          ans.unknown_names(), templates, rl_templates, ndeg, sys.field)
 
 
 # ---------------------------------------------------------------------------
 # Rows: the operator form of an equation applied to the basis functions
 # ---------------------------------------------------------------------------
 
-def _operator_form(eq: Expr, inst: _Instantiation, fld: Field
+def _operator_form(eq: Expr, inst: _Instantiation
                    ) -> list[tuple[str, tuple[int, ...], bool, int, Term]]:
     """The equation as operators on the unknowns, one per term: (unknown,
     derivative multi-index, fractional marker, shape of the rest of the
-    term, field coefficient as a term of fld).  Raises TemplateResidual
+    term, field coefficient as a term of inst.fld).  Raises TemplateResidual
     unless each term is one unknown, to the first power, times factors free
     of unknowns: the determining equations are homogeneous linear in them."""
     out = []
@@ -509,7 +500,7 @@ def _operator_form(eq: Expr, inst: _Instantiation, fld: Field
             raise TemplateResidual(f"term {render(term)} is not linear in "
                                    "the solver unknowns")
         texp, mono, coeff = _split_term(rest, inst.sig.t)
-        c = fld.term(coeff)
+        c = inst.fld.term(coeff)
         if isinstance(unknown, Fn):
             out.append((unknown.fname, unknown.deriv, unknown.frac,
                         inst.shape(texp, mono), c))
@@ -518,12 +509,12 @@ def _operator_form(eq: Expr, inst: _Instantiation, fld: Field
     return out
 
 
-def _products(ops, inst: _Instantiation, fld: Field, ncols: int
-              ) -> dict[tuple[int, int], dict]:
+def _products(ops, inst: _Instantiation, ncols: int) -> dict[tuple[int, int], dict]:
     """Each operator's coefficient times the image of each basis function of
     its unknown, on the first ncols columns: per (shape, column), the sum of
     the product terms, a dict from monomial to coefficient.  Terms with
     equal monomials merge, as in the expanded expression."""
+    fld = inst.fld
     sums: dict[tuple[int, int], dict] = {}
     for name, deriv, frac, shape, (oc, om) in ops:
         for col, terms in inst.image(name, deriv, frac):
@@ -551,16 +542,15 @@ def _entry(terms: dict, fld: Field) -> Optional[Elem]:
     return fld.fold(terms) if terms else None
 
 
-def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
-                  ledger_columns: Optional[set[int]] = None
-                  ) -> tuple[list[list[Elem]], list[str]]:
+def equation_rows(eq: Expr, inst: _Instantiation) -> tuple[list[list[Elem]], list[str]]:
     """One row per (t-power, structural monomial) class of the instantiated
     equation, in class-key order, plus the t-power separation notes.  Each
     operator of the equation adds its coefficient times the image of each
-    basis function of its unknown.  With `ledger_columns`, the notes come
-    only from the classes holding an entry in one of those columns, zero
-    sums included."""
-    sums = _products(_operator_form(eq, inst, fld), inst, fld, len(inst.columns))
+    basis function of its unknown.  The notes come only from the classes
+    holding an entry, zero sums included, in one of the first inst.ndeg
+    columns, the degree-<=d ones."""
+    fld = inst.fld
+    sums = _products(_operator_form(eq, inst), inst, len(inst.columns))
     classes: dict[int, dict[int, Elem]] = {}
     for (cls, col), terms in sums.items():
         entry = _entry(terms, fld)
@@ -572,8 +562,7 @@ def equation_rows(eq: Expr, inst: _Instantiation, fld: Field,
     # a note depends only on the two t-powers, so each distinct pair is
     # compared once
     forms = list({inst.shapes[c][0]: None for c in order
-                  if ledger_columns is None
-                  or not ledger_columns.isdisjoint(classes[c])})
+                  if min(classes[c]) < inst.ndeg})
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             d = fld.asm.undecided(forms[i] - forms[j])
@@ -603,14 +592,13 @@ def _gamma_subs(ds: DeterminingSystem) -> dict:
             for name in ds.ans.gamma_symbols()}
 
 
-def _determining_rows(ds: DeterminingSystem, inst: _Instantiation, fld: Field,
-                      ledger_columns: Optional[set[int]] = None
+def _determining_rows(ds: DeterminingSystem, inst: _Instantiation
                       ) -> tuple[list[list[Elem]], list[str]]:
     gsubs = _gamma_subs(ds)
     rows: list[list[Elem]] = []
     notes: list[str] = []
     for eq in list(ds.integer_eqs) + list(ds.frac_eqs):
-        r, n = equation_rows(substitute(eq, gsubs), inst, fld, ledger_columns)
+        r, n = equation_rows(substitute(eq, gsubs), inst)
         rows.extend(r)
         notes.extend(n)
     return rows, notes
@@ -628,8 +616,8 @@ def _structural(b: Expr, _) -> bool:
 GeneratorVector = dict
 
 
-def _component_coefficients(ds: DeterminingSystem, inst: _Instantiation,
-                            fld: Field) -> list[dict[tuple[int, int], Elem]]:
+def _component_coefficients(ds: DeterminingSystem, inst: _Instantiation
+                            ) -> list[dict[tuple[int, int], Elem]]:
     """Per component (tau, the xi_i, the eta_s, with gamma_s =
     (alpha-1)/2), the coefficient of each (shape, column) on the leading
     inst.ndeg columns: the component with one column's basis function for
@@ -640,10 +628,10 @@ def _component_coefficients(ds: DeterminingSystem, inst: _Instantiation,
         + [ans.eta(s) for s in range(sig.q)]
     out = []
     for comp in comps:
-        ops = _operator_form(substitute(comp, gsubs), inst, fld)
+        ops = _operator_form(substitute(comp, gsubs), inst)
         coeffs = {}
-        for key, terms in _products(ops, inst, fld, inst.ndeg).items():
-            c = _entry(terms, fld)
+        for key, terms in _products(ops, inst, inst.ndeg).items():
+            c = _entry(terms, inst.fld)
             if c is not None and not c.is_zero():
                 coeffs[key] = c
         out.append(coeffs)
@@ -651,14 +639,14 @@ def _component_coefficients(ds: DeterminingSystem, inst: _Instantiation,
 
 
 def _vector_to_generator(coeffs: list[dict[tuple[int, int], Elem]],
-                         inst: _Instantiation, vec: list[Elem], fld: Field
+                         inst: _Instantiation, vec: list[Elem]
                          ) -> GeneratorVector:
     """The generator of a null vector on the leading columns: each unknown
     is the combination of its basis functions with the vector's entries as
     coefficients, so the coefficient of a shape in a component is the sum
     over columns of the entry times the column's coefficient there."""
     out: GeneratorVector = {}
-    t = inst.sig.t
+    fld, t = inst.fld, inst.sig.t
     for ci, comp in enumerate(coeffs):
         per_shape: dict[int, Elem] = {}
         for (shape, col), c in comp.items():
@@ -761,11 +749,9 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
     normalized generator count at d+1 is therefore the degree-d count plus
     ncols(d+1) - rank(d+1) - dim(d)."""
     cfg = cfg if cfg is not None else SolverConfig()
-    asm = ds.sys.assumptions()
-    fld = Field(asm)
-    inst = build_instantiation(ds, cfg, asm)
-    ncols = inst.ndeg
-    rows, notes = _determining_rows(ds, inst, fld, set(range(ncols)))
+    inst = build_instantiation(ds, cfg)
+    fld, ncols = inst.fld, inst.ndeg
+    rows, notes = _determining_rows(ds, inst)
     res = rref(rows, fld, lead=ncols)
     vecs, piv_notes = nullspace(res, ncols, fld)
     dim = len(vecs)
@@ -783,9 +769,9 @@ def solve(ds: DeterminingSystem, cfg: Optional[SolverConfig] = None
             if v is not pivot:
                 zero.append(v)
         vecs, dims = zero, dims[:1]
-    coeffs = _component_coefficients(ds, inst, fld)
+    coeffs = _component_coefficients(ds, inst)
     final = normalize_generators(
-        [_vector_to_generator(coeffs, inst, v, fld) for v in vecs], ds.sys.sig, fld)
+        [_vector_to_generator(coeffs, inst, v) for v in vecs], ds.sys.sig, fld)
     if cfg.check_degree_stability:
         grown = len(inst.columns) - len(res.pivots) - dim
         if grown:

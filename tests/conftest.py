@@ -1,3 +1,4 @@
+import gc
 import os
 import pathlib
 from fractions import Fraction
@@ -18,6 +19,19 @@ HS_SRC = (DEMOS / "hs.fpde").read_text()
 TELE_SRC = (DEMOS / "telegraph.fpde").read_text()
 TELE_POW_SRC = (DEMOS / "telegraph_power.fpde").read_text()
 TELE_POW_GEN = (DEMOS / "telegraph_power.gen").read_text()
+
+
+def cyclic_garbage(call) -> int:
+    """The number of objects that call() leaves for the cyclic collector
+    alone to free: it runs with the collector off, then one collection
+    counts them."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def chi2_zero_case(ans):

@@ -23,7 +23,7 @@ from fraclie.determining import _power_profile, unknown_atoms_of
 from fraclie.exponents import ExponentForm
 from fraclie.lemmas import invariance_condition_sum, separated_by_one_sum
 from fraclie.model import jet_fragments
-from fraclie.linsolve import Field, rref
+from fraclie.linsolve import rref
 from fraclie.solver import SolverConfig, build_instantiation, equation_rows
 from fraclie.expr import atoms, render
 
@@ -36,19 +36,18 @@ SYSTEMS = sorted(list(DEMOS.glob("*.fpde"))
                  + list((ROOT / "perfbench" / "inputs").glob("*.fpde")))
 
 
-def rowspace_rref(eqs, ds, inst, fld):
+def rowspace_rref(eqs, inst):
     rows = []
     for eq in eqs:
-        r, _ = equation_rows(eq, inst, fld)
+        r, _ = equation_rows(eq, inst)
         rows.extend(r)
-    return rref(rows, fld)
+    return rref(rows, inst.fld)
 
 
 def assert_same_constraint_set(mine, paper, ds):
-    fld = Field(ds.sys.assumptions())
-    inst = build_instantiation(ds, SolverConfig(), ds.sys.assumptions())
-    r1 = rowspace_rref(mine, ds, inst, fld)
-    r2 = rowspace_rref(paper, ds, inst, fld)
+    inst = build_instantiation(ds, SolverConfig())
+    r1 = rowspace_rref(mine, inst)
+    r2 = rowspace_rref(paper, inst)
     assert r1.pivots == r2.pivots
     assert len(r1.rows) == len(r2.rows)
     for row1, row2 in zip(r1.rows, r2.rows):

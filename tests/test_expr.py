@@ -691,14 +691,15 @@ class TestExactInput:
 
 
 def test_the_recursive_walks_leave_no_cycle(zk):
-    # total_derivative, substitute and gamma_simplify recurse through module
-    # functions, not through a closure that holds itself, so a call leaves
-    # nothing that only the cyclic collector frees
+    # total_derivative, substitute, gamma_simplify and render recurse
+    # through module functions, not through a closure that holds itself, so
+    # a call leaves nothing that only the cyclic collector frees
     f = zk.F[0]
     g = mul(Gamma(add(zk.sig.alpha, 2)), f)
     calls = [lambda: total_derivative(f, zk.sig.x(0)),
              lambda: substitute(f, {Sym("n"): 2}),
-             lambda: gamma_simplify(g, zk.assumptions())]
+             lambda: gamma_simplify(g, zk.assumptions()),
+             lambda: render(g, zk.sig), lambda: render(g)]
     gc.collect()
     gc.disable()
     try:

@@ -5,8 +5,9 @@ tokens of the input language and duplicates slices of it, then runs the
 whole pipeline.  Whatever the text, the outcome is a Report or an
 exception of one of fraclie's own classes (a DslSyntaxError or
 DslSemanticError from the parser, DegreeInsufficient from the solver, ...),
-never a bare builtin error or a traceback from deep inside.  The run is
-derandomized, so every run draws the same cases.
+never a bare builtin error or a traceback from deep inside, and an error
+with a source location points inside the text.  The run is derandomized,
+so every run draws the same cases.
 """
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -51,11 +52,17 @@ def mutants(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutants())
 @example(UNCOUPLED)
+@example(UNCOUPLED[:-2])      # the last ';' missing: an error at end of input
 def test_pipeline_ends_in_a_report_or_a_typed_error(text):
     try:
         out = run_pipeline(text)
     except Exception as exc:  # noqa: BLE001 - the class is what is tested
         assert type(exc).__module__.startswith("fraclie."), (
             f"{type(exc).__name__}: {exc}\n--- input ---\n{text}")
+        if getattr(exc, "line", 0):
+            lines = text.splitlines() or [""]
+            assert (exc.line <= len(lines)
+                    and exc.col <= len(lines[exc.line - 1]) + 1), (
+                f"{exc}\n--- input ---\n{text}")
     else:
         assert isinstance(out, Report)

@@ -2,7 +2,8 @@
 import binds is read somewhere in its module.  A deletion that leaves an
 import behind fails here.  fraclie/__init__.py is exempt, since its imports
 are the package's exports.  The runtime import, that of fraclie.cli, holds
-every package module but the test-only fraclie.lemmas."""
+every package module but the test-only fraclie.lemmas, and of those only
+fraclie.model builds a Field: the system's one, PDESystem.field."""
 import ast
 import pathlib
 import subprocess
@@ -57,6 +58,26 @@ sys.path.insert(0, {src!r})
 import fraclie.cli
 print(" ".join(sorted(m for m in sys.modules if m.startswith("fraclie."))))
 """
+
+
+def field_constructions(source: str) -> list[int]:
+    """The lines of a module that call Field(...)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "Field"
+                 or getattr(node.func, "attr", None) == "Field")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in (ROOT / "src" / "fraclie").glob("*.py")
+    if p.name not in ("lemmas.py", "model.py")), ids=lambda p: p.name)
+def test_only_the_model_builds_a_field_at_runtime(path):
+    assert field_constructions(path.read_text()) == []
+
+
+def test_the_scan_finds_a_field_construction():
+    src = "from x import Field\nf = Field(a)\ng = linsolve.Field()\nh = fld.zero\n"
+    assert field_constructions(src) == [2, 3]
 
 
 def test_the_runtime_import_is_the_package_but_the_lemmas():

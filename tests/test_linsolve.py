@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fraclie import Assumptions, Gamma, Rat, Sym, ZERO, ONE, add, mul, \
     neg, pow_, render, simplify
 from fraclie.linsolve import Field, _poly_divide, nullspace, rref
+from conftest import cyclic_garbage
 
 F = Fraction
 a = Sym("a")
@@ -22,6 +23,13 @@ def quot(fld, num, den):
 
 
 class TestFieldArithmetic:
+    def test_a_field_and_its_elements_leave_no_cycle(self):
+        # a Field holds none of its elements: zero and one are built on use
+        def use():
+            fld = field()
+            assert fld.sub(fld.add(fld.one, quot(fld, ONE, n)), fld.one) != fld.zero
+        assert cyclic_garbage(use) == 0
+
     def test_fraction_combination(self):
         fld = field()
         # 1/n + 1/(n+1) = (2n+1)/(n(n+1))

@@ -40,6 +40,12 @@ class TestParse:
             parse_system("alpha a; space x; dep u;\nDt^a(u) = $;")
         assert ei.value.line == 2
 
+    def test_end_of_input_is_located_after_the_last_character(self):
+        # the last equation of a 4-line text lacks its ';'
+        with pytest.raises(DslSyntaxError) as ei:
+            parse_system("alpha a;\nspace x;\ndep u;\nDt^a(u) = Dx(Dx(u))")
+        assert str(ei.value) == "syntax error at 4:20: expected ';', found end of input"
+
     def test_undeclared_symbol(self):
         with pytest.raises(DslSemanticError):
             parse_system("alpha a; space x; dep u; Dt^a(u) = m*Dx(u);")

@@ -18,7 +18,6 @@ from fraclie.expr import (Fn, Sym, ZERO, _nadd, _nmul, add_terms, expand,
                           map_children, mul_factors, partial_derivative,
                           split_factors, split_power, substitute)
 from fraclie.lemmas import basis_function
-from fraclie.linsolve import Field
 from fraclie.model import ParamDecl, Signature, make_system
 from fraclie.solver import (SolverConfig, _determining_rows, _gamma_subs,
                             _structural, build_instantiation)
@@ -101,13 +100,9 @@ def _reference_rows(ds, inst, fld, ledger_columns):
 
 
 def _assert_rows_match(ds, d, templates=()):
-    asm = ds.sys.assumptions()
-    fld = Field(asm)
-    inst = build_instantiation(ds, SolverConfig(poly_degree=d, h_templates=templates),
-                               asm)
-    lead = set(range(inst.ndeg))
-    want = _reference_rows(ds, inst, fld, lead)
-    got = _determining_rows(ds, inst, fld, lead)
+    inst = build_instantiation(ds, SolverConfig(poly_degree=d, h_templates=templates))
+    want = _reference_rows(ds, inst, inst.fld, set(range(inst.ndeg)))
+    got = _determining_rows(ds, inst)
     assert got[0] == want[0]
     assert got[1] == want[1]
     return got
@@ -159,8 +154,7 @@ def test_random_systems(case):
 
 def test_images_are_computed_once_per_instantiation():
     ds = build_determining(parse_system(SOURCES["zk"]))
-    asm = ds.sys.assumptions()
-    inst = build_instantiation(ds, SolverConfig(), asm)
+    inst = build_instantiation(ds, SolverConfig())
     h = ds.ans.h(0)
     first = inst.image(h.fname, h.deriv, True)
     assert inst.image(h.fname, h.deriv, True) is first

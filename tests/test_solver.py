@@ -13,7 +13,7 @@ from fraclie import (DegreeInsufficient, ExponentForm,
                      solve, solve_system, verify_generator)
 from fraclie.determining import DeterminingSystem
 from fraclie.expr import Fn, _nadd, _nmul, expand, simplify, substitute
-from fraclie.linsolve import Field, nullspace, rref
+from fraclie.linsolve import Elem, nullspace, rref
 from fraclie.model import ParamDecl, make_system
 from fraclie.lemmas import (_generator_vector, _structural_groups,
                             basis_function, normalize_basis)
@@ -24,7 +24,7 @@ from fraclie.solver import (SolutionBasis, _component_coefficients,
                             _gamma_subs, _rebuild_generator,
                             _vector_to_generator, build_instantiation,
                             equation_rows, normalize_generators)
-from conftest import TELE_POW_GEN, DEMOS
+from conftest import TELE_POW_GEN, ZK_SRC, DEMOS, cyclic_garbage
 
 F = Fraction
 a = Sym("a")
@@ -320,19 +320,17 @@ class TestDegreeLift:
     def test_restricted_rows_and_notes_are_the_degree_d_ones(self, name, d, request):
         sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
         ds = build_determining(sys)
-        asm = sys.assumptions()
-        fld = Field(asm)
         inst = build_instantiation(
-            ds, SolverConfig(poly_degree=d, check_degree_stability=False), asm)
-        big = build_instantiation(ds, SolverConfig(poly_degree=d), asm)
+            ds, SolverConfig(poly_degree=d, check_degree_stability=False))
+        big = build_instantiation(ds, SolverConfig(poly_degree=d))
         plain = build_instantiation(
-            ds, SolverConfig(poly_degree=d + 1, check_degree_stability=False), asm)
+            ds, SolverConfig(poly_degree=d + 1, check_degree_stability=False))
         keep = [big.col_index[c] for c in inst.columns]
         assert keep == sorted(keep) and len(big.columns) > len(keep)
         assert keep == list(range(big.ndeg))
         assert sorted(big.columns) == sorted(plain.columns)
-        rows, notes = _determining_rows(ds, inst, fld)
-        big_rows, big_notes = _determining_rows(ds, big, fld, set(keep))
+        rows, notes = _determining_rows(ds, inst)
+        big_rows, big_notes = _determining_rows(ds, big)
         assert _restrict(big_rows, keep) == rows
         assert sorted(set(big_notes)) == sorted(set(notes))
 
@@ -353,9 +351,9 @@ class TestDegreeLift:
         with pytest.raises(_Stop):
             solve(ds, SolverConfig(poly_degree=d, branch=branch))
         (rows, fld, k), = seen
-        big = build_instantiation(ds, SolverConfig(poly_degree=d), sys.assumptions())
-        assert k == big.ndeg
-        assert rows == _determining_rows(ds, big, fld, set(range(k)))[0]
+        big = build_instantiation(ds, SolverConfig(poly_degree=d))
+        assert k == big.ndeg and fld is big.fld
+        assert rows == _determining_rows(ds, big)[0]
         res = rref(rows, fld, lead=k)
         want = rref(_restrict(rows, list(range(k))), fld)
         first = [(row[:k], p) for row, p in zip(res.rows, res.pivots) if p < k]
@@ -367,26 +365,28 @@ class TestDegreeLift:
     def test_ledger_ignores_classes_of_new_columns_only(self):
         sys = parse_system(HEAT_SRC)
         ds = build_determining(sys)
-        fld = Field(sys.assumptions())
-        big = build_instantiation(
-            ds, SolverConfig(poly_degree=1, check_degree_stability=False),
-            sys.assumptions())
         t = sys.sig.t
         two_a = ExponentForm.symbol("a").scale(2)
-        # xi_x = c[xi.1] in the class t, g_x = c[g.1] in the class t^(2a)
-        e = add(mul(ds.ans.xi(0).bump(0), t), mul(ds.ans.g(0).bump(0), pow_(t, two_a)))
+        # xi_x holds c[xi.1] in the class t, g_xx holds c[g.2] in the class
+        # t^(2a)
+        g_xx = ds.ans.g(0).bump(0).bump(0)
+        e = add(mul(ds.ans.xi(0).bump(0), t), mul(g_xx, pow_(t, two_a)))
         note = "2*a-1 != 0 (separates t-power classes during the solve)"
-        assert equation_rows(e, big, fld)[1] == [note]
-        old = {big.col_index["c[xi.1]"]}
-        rows, notes = equation_rows(e, big, fld, old)
-        assert len(rows) == 2 and notes == []
+        plain = build_instantiation(
+            ds, SolverConfig(poly_degree=2, check_degree_stability=False))
+        assert equation_rows(e, plain)[1] == [note]
+        # at degree 1, c[xi.2] and c[g.2] are degree-2 columns: only the
+        # class t holds a degree-<=1 column, c[xi.1]
+        big = build_instantiation(ds, SolverConfig(poly_degree=1))
+        assert big.col_index["c[g.2]"] >= big.ndeg > big.col_index["c[xi.1]"]
+        rows, notes = equation_rows(e, big)
+        assert len(rows) == 3 and notes == []
 
     def test_column_names_distinct_at_high_degree(self, zk):
         # with p = 2, the exponents (1, 11) and (11, 1) must not share a name
         ds = build_determining(zk)
         inst = build_instantiation(
-            ds, SolverConfig(poly_degree=11, check_degree_stability=False),
-            zk.assumptions())
+            ds, SolverConfig(poly_degree=11, check_degree_stability=False))
         assert len(inst.columns) == 242
         assert len(inst.col_index) == len(inst.columns)
 
@@ -399,10 +399,9 @@ class TestDegreeLift:
 
     def test_extra_templates_follow_the_defaults(self, zk):
         ds = build_determining(zk)
-        asm = zk.assumptions()
-        defaults = build_instantiation(ds, SolverConfig(), asm).templates
+        defaults = build_instantiation(ds, SolverConfig()).templates
         t_a = pow_(zk.sig.t, a)
-        inst = build_instantiation(ds, SolverConfig(h_templates=(ONE, t_a)), asm)
+        inst = build_instantiation(ds, SolverConfig(h_templates=(ONE, t_a)))
         assert ONE in defaults and t_a not in defaults
         assert inst.templates == defaults + [t_a]
 
@@ -623,6 +622,39 @@ class TestCanonicalOutputs:
         assert [simplify(e) for e in exprs] == exprs
 
 
+class TestOneField:
+    """The solve and every certificate of a system compute in its one
+    Field, PDESystem.field, and none of them leaves a reference cycle."""
+
+    # a projective generator of PROJ_SRC whose shape check holds only on
+    # values, so its verification needs the Field
+    GEN = f"param k; tau = t + {_ZERO_IN_K}*t^3; eta[u] = (-1/3)*u;"
+
+    def test_the_solve_and_its_certificates_read_the_system_field(self, monkeypatch):
+        ds = build_determining(parse_system(PROJ_SRC))
+        assert build_instantiation(ds, SolverConfig()).fld is ds.sys.field
+        # every element records the Field it belongs to
+        seen = []
+        init = Elem.__init__
+
+        def spy(e, fld, *rest):
+            seen.append(fld)
+            init(e, fld, *rest)
+        monkeypatch.setattr(Elem, "__init__", spy)
+        basis = solve(ds)
+        assert seen and all(fld is ds.sys.field for fld in seen)
+        seen.clear()
+        gen, _ = parse_generator(self.GEN, ds.sys.sig)
+        assert verify_generator(ds.sys, gen).ok and basis.generators
+        assert seen and all(fld is ds.sys.field for fld in seen)
+
+    def test_the_solve_and_its_certificates_leave_no_cycle(self):
+        assert cyclic_garbage(lambda: solve_system(parse_system(ZK_SRC))) == 0
+        sys = parse_system(PROJ_SRC)
+        gen, _ = parse_generator(self.GEN, sys.sig)
+        assert cyclic_garbage(lambda: verify_generator(sys, gen)) == 0
+
+
 class TestFieldAssembly:
     """Entries and generators are assembled from field terms and elements;
     they must be the elements the expression route gives."""
@@ -631,15 +663,14 @@ class TestFieldAssembly:
     def test_generator_vectors_are_those_of_their_expressions(self, name, request):
         sys = parse_system(PROJ_SRC) if name == "proj" else request.getfixturevalue(name)
         ds = build_determining(sys)
-        asm = sys.assumptions()
-        fld = Field(asm)
-        inst = build_instantiation(ds, SolverConfig(), asm)
-        rows, _ = _determining_rows(ds, inst, fld, set(range(inst.ndeg)))
+        inst = build_instantiation(ds, SolverConfig())
+        fld = inst.fld
+        rows, _ = _determining_rows(ds, inst)
         vecs, _ = nullspace(rref(rows, fld, lead=inst.ndeg), inst.ndeg, fld)
-        coeffs = _component_coefficients(ds, inst, fld)
+        coeffs = _component_coefficients(ds, inst)
         assert vecs
         for v in vecs:
-            direct = _vector_to_generator(coeffs, inst, v, fld)
+            direct = _vector_to_generator(coeffs, inst, v)
             ordered = sorted(direct)
             gen = _rebuild_generator(sys.sig, ordered, {k: direct[k][0] for k in ordered},
                                      [direct[k][1] for k in ordered], fld)
@@ -659,13 +690,12 @@ class TestFieldAssembly:
             sys = parse_system(PROJ_SRC if name == "proj"
                                else (CORPUS / f"{name}.fpde").read_text())
         ds = build_determining(sys)
-        asm = sys.assumptions()
-        fld = Field(asm)
-        inst = build_instantiation(ds, SolverConfig(), asm)
-        rows, _ = _determining_rows(ds, inst, fld, set(range(inst.ndeg)))
+        inst = build_instantiation(ds, SolverConfig())
+        fld = inst.fld
+        rows, _ = _determining_rows(ds, inst)
         vecs, _ = nullspace(rref(rows, fld, lead=inst.ndeg), inst.ndeg, fld)
-        coeffs = _component_coefficients(ds, inst, fld)
-        direct = [_vector_to_generator(coeffs, inst, v, fld) for v in vecs]
+        coeffs = _component_coefficients(ds, inst)
+        direct = [_vector_to_generator(coeffs, inst, v) for v in vecs]
         want = [_generator_vector(_reference_generator(ds, inst, v, fld), fld)
                 for v in vecs]
         same = 0
